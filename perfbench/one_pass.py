@@ -1,9 +1,10 @@
 """One pass of a workload in a fresh interpreter.
 
 Usage: python3 perfbench/one_pass.py WORKLOAD SEED OUT_DIR MODE CPU
-MODE is `setup` (set up and stop), `run` (set up and run every segment) or
-`trace` (run with the layer tracer installed). CPU is the core to pin the
-pass to, or `-` to leave it unpinned. Prints one JSON object.
+MODE is `setup` (set up, time the calibration loop and stop), `run` (set up
+and run every segment) or `trace` (run every segment at --jobs 1 with the
+layer tracer installed). CPU is the core to pin the pass to, or `-` to leave
+it unpinned. Prints one JSON object.
 
 Set-up is what every real `slicekernels verify` invocation pays before its
 first case: importing the package (which builds the literature catalog) and
@@ -27,7 +28,7 @@ import workloads  # noqa: E402
 
 def main(workload_name: str, seed: int, out_dir: Path, mode: str) -> dict:
     workload = workloads.WORKLOADS[workload_name]
-    jobs = workload.jobs()
+    jobs = 1 if mode == "trace" else workload.jobs()
     out_dir.mkdir(parents=True, exist_ok=True)
     calls = [(seg, workloads.verify_argv(seg, seed, jobs, str(out_dir / f"{seg.suite}.json")))
              for seg in workload.segments]
@@ -35,21 +36,18 @@ def main(workload_name: str, seed: int, out_dir: Path, mode: str) -> dict:
     if not Path(cli.__file__).resolve().is_relative_to(ROOT / "src"):
         raise SystemExit(f"slicekernels imported from {cli.__file__}, not from {ROOT / 'src'}")
     if mode == "setup":
-        return {"setup_s": setup_s}
+        import calibrate
+
+        return {"setup_s": setup_s, "calibration_s": calibrate.calibration_s()}
 
     import json
     import resource
-    from collections import Counter
 
     tracer = None
     if mode == "trace":
         import tracer as tracing
 
-        worker_dir = out_dir / "workers"
-        worker_dir.mkdir(exist_ok=True)
-        for stale in worker_dir.glob("worker-*.json"):
-            stale.unlink()
-        tracer = tracing.Tracer(str(worker_dir))
+        tracer = tracing.Tracer()
         tracer.install()
 
     walls = []
@@ -82,30 +80,16 @@ def main(workload_name: str, seed: int, out_dir: Path, mode: str) -> dict:
             "digest": workloads.report_digest(report)})
 
     if tracer is not None:
-        processes = [(0, tracer.spans, tracer.stats)] + _read_workers(worker_dir)
         spans_path = out_dir / "spans.jsonl"
         with open(spans_path, "w", encoding="utf-8") as out:
-            for pid, spans, _ in processes:
-                for span in spans:
-                    out.write(json.dumps([pid, *span]) + "\n")
-        calls_by_target = sum((tracing.target_calls(spans) for _, spans, _ in processes),
-                              Counter())
-        result["problems"] += tracing.coverage_problems(workload_name, calls_by_target)
-        result["layers"] = tracing.layer_metrics([p[1:] for p in processes])
+            for span in tracer.spans:
+                out.write(json.dumps(span) + "\n")
+        calls = tracing.target_calls(tracer.spans)
+        result["problems"] += tracing.coverage_problems(workload_name, calls)
+        result["layers"] = tracing.layer_metrics(tracer.spans, tracer.stats)
+        result["layers"]["trace.overhead_s"] = len(tracer.spans) * tracing.span_cost()
         result["spans_file"] = str(spans_path.relative_to(ROOT))
     return result
-
-
-def _read_workers(worker_dir: Path) -> list:
-    """(pid, spans, stats) that each forked pool worker wrote when it exited."""
-    import json
-
-    out = []
-    for path in sorted(worker_dir.glob("worker-*.json")):
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        out.append((int(path.stem.split("-")[1]), data["spans"], data["stats"]))
-    return out
 
 
 if __name__ == "__main__":

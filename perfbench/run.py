@@ -6,12 +6,12 @@ Usage (from the root of a checkout):
 
 Every pass runs in a fresh interpreter (perfbench/one_pass.py), because every
 real `verify` invocation pays to fill the jet caches. With --trace 0 the run
-repeats untraced passes for --seconds and prints the end-to-end metrics.
-With --trace 1 it alternates two untraced and two traced passes and prints
-the per-layer metrics: each one is the lower of the two traced passes, and
-trace.overhead_s compares both sides by the verdict_s estimator. The last
-line of stdout is one JSON object with `correct`, `attempted`, `failed` and
-`metrics`.
+makes the workload's fixed number of untraced passes for --seconds, with
+set-ups between them, and prints the end-to-end metrics. With --trace 1 it
+makes untraced passes, for the pool metrics, and traced passes at --jobs 1,
+and prints the per-layer metrics: each one is the lowest over the traced
+passes. The last line of stdout is one JSON object with `correct`,
+`attempted`, `failed` and `metrics`.
 
 Estimator. Wall time equals CPU time on a shared VM, and slow episodes of
 +30-80% last seconds to a minute, one core at a time, so neither clock is
@@ -20,9 +20,19 @@ steady by itself. Serial passes therefore take turns on each usable core
 fastest repeat of each unit of work over the run's passes: an episode must
 cover the same unit in every pass, on every core, to move it. Serial units
 are the cases (each report's wall_time) plus each segment's time outside its
-cases; a pooled segment runs its cases concurrently and is one unit.
-setup_s is the median of at least SETUP_SAMPLES fresh-interpreter set-ups,
-and peak_rss_mb the median over passes.
+cases; a pooled segment runs its cases concurrently and is one unit. The
+number of passes depends on --seconds alone (Workload.passes_for), so the
+minimum is taken over the same number of repeats on both sides of a change.
+setup_s is the lower quartile of SETUP_SAMPLES fresh-interpreter set-ups
+spread between the passes, by the same reasoning, and peak_rss_mb the
+median over passes.
+
+Slow periods of the whole machine can outlast a run. Each set-up-only
+interpreter therefore also times a fixed calibration loop (calibrate.py),
+and verdict_s and setup_s are divided by the run's slowdown: the lower
+quartile of those timings over calibrate.REFERENCE_S. They are seconds at
+the reference machine's speed; stderr and the run record also give them
+unscaled.
 """
 
 from __future__ import annotations
@@ -36,17 +46,18 @@ import signal
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
+import calibrate
 import tracer
 import workloads
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_SAMPLES = 11
+SETUP_SAMPLES = 30
 PASS_TIMEOUT_S = 170
-TRACE_PAIRS = 2
+UNTRACED_PASSES = 1
+TRACED_PASSES = 2
 
 END_TO_END = {"verdict_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
 
@@ -109,44 +120,51 @@ def pass_cpus(workload: str):
     return itertools.cycle(sorted(os.sched_getaffinity(0)))
 
 
-def measure(workload: str, seed: int, seconds: float) -> tuple[list, dict]:
-    passes = []
+def measure(workload: str, seed: int, seconds: float) -> tuple[list, dict, dict]:
+    count = workloads.WORKLOADS[workload].passes_for(seconds)
+    per_pass = -(-(SETUP_SAMPLES - count) // count)  # set-ups after each pass
+    passes, setups, calibrations = [], [], []
     cpus = pass_cpus(workload)
-    started = time.perf_counter()
-    while True:
-        passes.append(run_pass(workload, seed, "run", f"pass{len(passes)}", next(cpus)))
-        elapsed = time.perf_counter() - started
-        if elapsed + elapsed / len(passes) > seconds:
-            break
-    setups = [p["setup_s"] for p in passes]
-    while len(setups) < SETUP_SAMPLES:
-        setups.append(run_pass(workload, seed, "setup", "setup", next(cpus))["setup_s"])
+    cores = itertools.cycle(sorted(os.sched_getaffinity(0)))
+    for i in range(count):
+        passes.append(run_pass(workload, seed, "run", f"pass{i}", next(cpus)))
+        setups.append(passes[-1]["setup_s"])
+        for _ in range(min(per_pass, SETUP_SAMPLES - len(setups))):
+            setup = run_pass(workload, seed, "setup", "setup", next(cores))
+            setups.append(setup["setup_s"])
+            calibrations.append(setup["calibration_s"])
     for i, seg in enumerate(passes[0]["segments"]):
         times = " ".join(f"{p['segments'][i]['wall_s']:.3f}" for p in passes)
         print(f"{seg['suite']}: {seg['cases']} cases, failed {seg['failed']}, "
               f"wall_s [{times}], sha256 {seg['digest']}", file=sys.stderr)
-    metrics = {
+    raw = {
         "verdict_s": verdict_s(passes, workloads.WORKLOADS[workload].jobs() > 1),
-        "setup_s": statistics.median(setups),
+        "setup_s": statistics.quantiles(setups, n=4)[0],
+        "slowdown": statistics.quantiles(calibrations, n=4)[0] / calibrate.REFERENCE_S,
+    }
+    metrics = {
+        "verdict_s": raw["verdict_s"] / raw["slowdown"],
+        "setup_s": raw["setup_s"] / raw["slowdown"],
         "peak_rss_mb": statistics.median(p["peak_rss_mb"] for p in passes),
     }
-    print(f"{workload}: {len(passes)} passes, {len(setups)} set-ups", file=sys.stderr)
-    return passes, metrics
+    print(f"{workload}: {len(passes)} passes, {len(setups)} set-ups; unscaled verdict_s "
+          f"{raw['verdict_s']:.4f}, setup_s {raw['setup_s']:.5f}, "
+          f"slowdown {raw['slowdown']:.4f}", file=sys.stderr)
+    return passes, metrics, raw
 
 
-def trace(workload: str, seed: int) -> tuple[list, dict]:
-    """TRACE_PAIRS pairs of an untraced and a traced pass on one core each.
-
-    The pairs swap which side runs first, because a pass that directly
-    follows another on the same core tends to run faster.
+def trace(workload: str, seed: int) -> tuple[list, dict, dict]:
+    """UNTRACED_PASSES untraced passes as the workload runs them, for the pool
+    metrics, then TRACED_PASSES traced passes at --jobs 1, pinned in turn on
+    each usable core. trace.overhead_s is each traced pass's span count times
+    the calibrated cost of one span.
     """
     cpus = pass_cpus(workload)
-    plain, traced = [], []
-    for i in range(TRACE_PAIRS):
-        cpu = next(cpus)
-        sides = [(plain, "run", f"untraced{i}"), (traced, "trace", f"traced{i}")]
-        for side, mode, tag in sides[::-1] if i % 2 else sides:
-            side.append(run_pass(workload, seed, mode, tag, cpu))
+    plain = [run_pass(workload, seed, "run", f"untraced{i}", next(cpus))
+             for i in range(UNTRACED_PASSES)]
+    cores = itertools.cycle(sorted(os.sched_getaffinity(0)))
+    traced = [run_pass(workload, seed, "trace", f"traced{i}", next(cores))
+              for i in range(TRACED_PASSES)]
     jobs = workloads.WORKLOADS[workload].jobs()
     layers = [t["layers"] for t in traced]
     metrics = {name: min(layer[name] for layer in layers) for name in layers[0]}
@@ -155,10 +173,9 @@ def trace(workload: str, seed: int) -> tuple[list, dict]:
     busy = sum(sum(seg["case_walls"]) for seg in best["segments"])
     metrics["suites.pool_idle_s"] = jobs * wall - busy
     metrics["suites.pool_efficiency"] = busy / (jobs * wall)
-    metrics["trace.overhead_s"] = verdict_s(traced, jobs > 1) - verdict_s(plain, jobs > 1)
     for t in traced:
         print(f"spans written to {t['spans_file']}", file=sys.stderr)
-    return plain + traced, metrics
+    return plain + traced, metrics, {}
 
 
 def main(argv=None) -> int:
@@ -173,10 +190,10 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.trace:
-            passes, values = trace(args.workload, args.seed)
+            passes, values, unscaled = trace(args.workload, args.seed)
             units = tracer.PER_LAYER
         else:
-            passes, values = measure(args.workload, args.seed, args.seconds)
+            passes, values, unscaled = measure(args.workload, args.seed, args.seconds)
             units = END_TO_END
     except workloads.BenchmarkError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -191,6 +208,7 @@ def main(argv=None) -> int:
         "trace": args.trace, "python": platform.python_version(),
         "machine": f"{platform.machine()}, {len(os.sched_getaffinity(0))} usable cores",
         "result": result,
+        "unscaled": unscaled,
         "segments": [{"suite": seg["suite"], "cases": seg["cases"], "failed": seg["failed"],
                       "sha256": seg["digest"],
                       "wall_s": [p["segments"][i]["wall_s"] for p in passes]}

@@ -1,7 +1,8 @@
-"""The verdict_s estimator: fastest repeat of each unit of work."""
+"""The verdict_s estimator: fastest repeat of each unit of work, scaled to machine speed."""
 
 import pytest
 
+import calibrate
 import run
 
 
@@ -27,3 +28,14 @@ def test_serial_passes_take_turns_on_each_usable_core():
     assert set(turns) == cores
     if len(cores) > 1:
         assert next(run.pass_cpus("pool-mix")) is None  # a pooled pass needs every core
+
+
+def test_pass_count_depends_on_the_seconds_alone():
+    closed = run.workloads.WORKLOADS["closed-form"]
+    assert closed.passes_for(30) == closed.passes
+    assert closed.passes_for(60) == 2 * closed.passes
+    assert all(w.passes_for(1) == 2 for w in run.workloads.WORKLOADS.values())
+
+
+def test_calibration_loop_is_a_short_positive_time():
+    assert 0 < calibrate.calibration_s(rounds=2) < 100 * calibrate.REFERENCE_S

@@ -22,10 +22,6 @@ def test_same_seed_same_digest_other_seed_other_inputs(tmp_path):
     a = digest_of(tmp_path, 7, "a")
     assert digest_of(tmp_path, 7, "b") == a
     assert digest_of(tmp_path, 8, "c") != a
-    for workload in workloads.WORKLOADS.values():
-        for seg in workload.segments:
-            assert (workloads.verify_argv(seg, 1, 1, "o")
-                    != workloads.verify_argv(seg, 2, 1, "o"))
 
 
 def test_digest_ignores_wall_time_only():

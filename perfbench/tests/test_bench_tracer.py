@@ -32,12 +32,11 @@ def test_self_time_of_nested_spans():
                              "rings.jet_add": 1})
 
 
-def test_layer_metrics_sum_processes_and_fill_every_group():
-    parent = [span("suites.run_suite", 0.0, 4.0, -1)]
-    worker = [span("rings.jet_mul", 0.0, 1.0, -1), span("rings.jet_add", 0.25, 0.5, 0)]
-    out = tracer.layer_metrics([(parent, {}),
-                                (worker, {"jet_size": 10, "nnz_sum": 12, "nnz_operands": 4})])
-    assert out["suites.run_suite.self_s"] == pytest.approx(4.0)
+def test_layer_metrics_fill_every_group():
+    spans = [span("suites.run_suite", 0.0, 4.0, -1), span("rings.jet_mul", 1.0, 2.0, 0),
+             span("rings.jet_add", 1.25, 1.5, 1)]
+    out = tracer.layer_metrics(spans, {"jet_size": 10, "nnz_sum": 12, "nnz_operands": 4})
+    assert out["suites.run_suite.self_s"] == pytest.approx(3.0)
     assert out["rings.jet_mul.self_s"] == pytest.approx(0.75)
     assert out["rings.jet_add.calls"] == 1
     assert out["quadrature.calls"] == 0
@@ -94,3 +93,8 @@ def test_wrapped_package_records_nested_spans_and_jet_counts():
     assert t.stats["jet_size"] == 5  # order 1 in 4 variables
     root = [i for i, sp in enumerate(t.spans) if sp[4] == -1]
     assert [t.spans[i][0] for i in root] == ["diffop.oracle_apply"]
+
+
+def test_span_cost_is_a_small_positive_time():
+    cost = tracer.span_cost(calls=2000, batches=3)
+    assert 0 < cost < 1e-4

@@ -6,18 +6,15 @@ target, start, end, parent, request) and writes the spans out when the pass
 ends. A layer's self time is the summed duration of its spans minus the part
 of each span that its direct child spans cover.
 
-Forked pool workers inherit the wrappers; each worker clears the spans it
-inherited and writes its own when it exits, so pooled runs are traced too.
+A traced pass runs every segment at --jobs 1, so every span is recorded in
+the one process that installed the tracer.
 """
 
 from __future__ import annotations
 
 import importlib
-import json
-import os
 import time
 from collections import Counter, defaultdict
-from multiprocessing import util as mp_util
 
 ALL = frozenset({"oracle-n7", "closed-form", "float-n9", "pool-mix"})
 NONE = frozenset()
@@ -85,13 +82,12 @@ class TraceError(Exception):
 
 
 class Tracer:
-    def __init__(self, worker_dir: str | None = None):
+    def __init__(self):
         self.request = ""
         self.spans: list = []
         self.stack: list = []
         self.quiet = 0  # > 0 while closed forms run inside the oracle or another closed form
         self.stats = Counter()  # jet_size (max), nnz_sum, nnz_operands
-        self.worker_dir = worker_dir
         self._restore: list = []
 
     # -- wrapping -----------------------------------------------------
@@ -179,27 +175,36 @@ class Tracer:
             wrapped = make(target, fn) if make else self._span(group, target, fn)
             setattr(owner, name, wrapped)
             self._restore.append((owner, name, fn))
-        if self.worker_dir is not None:
-            mp_util.register_after_fork(self, Tracer._start_worker)
 
     def uninstall(self):
         for owner, name, fn in reversed(self._restore):
             setattr(owner, name, fn)
         self._restore.clear()
 
-    # -- pool workers -------------------------------------------------
 
-    def _start_worker(self):
-        del self.spans[:]
-        del self.stack[:]
-        self.quiet = 0
-        self.stats.clear()
-        mp_util.Finalize(None, self._write_worker, exitpriority=100)
+def span_cost(calls: int = 20000, batches: int = 5) -> float:
+    """Seconds that one span adds to a call: a wrapped no-op against a plain
+    one, in the fastest of several batches. Times the span count, this is the
+    tracer's own share of a traced pass.
+    """
+    def noop(a, b):
+        return None
 
-    def _write_worker(self):
-        path = os.path.join(self.worker_dir, f"worker-{os.getpid()}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"spans": self.spans, "stats": self.stats}, fh)
+    probe = Tracer()
+    wrapped = probe._span("probe", "probe", noop)
+    clock = time.perf_counter
+    best = float("inf")
+    for _ in range(batches):
+        del probe.spans[:]
+        start = clock()
+        for _ in range(calls):
+            noop(1, 2)
+        plain = clock() - start
+        start = clock()
+        for _ in range(calls):
+            wrapped(1, 2)
+        best = min(best, (clock() - start - plain) / calls)
+    return best
 
 
 def self_times(spans) -> tuple[dict, Counter]:
@@ -226,23 +231,14 @@ def coverage_problems(workload: str, calls: Counter) -> list:
             if workload in must and calls[f"{module}.{attr}"] == 0]
 
 
-def layer_metrics(processes: list) -> dict:
-    """Per-layer metrics from the (spans, stats) of the pass and of each worker."""
-    self_s: dict = defaultdict(float)
-    calls = Counter()
-    jet_size = nnz_sum = nnz_operands = 0
-    for spans, stats in processes:
-        s, c = self_times(spans)
-        for group, value in s.items():
-            self_s[group] += value
-        calls.update(c)
-        jet_size = max(jet_size, stats.get("jet_size", 0))
-        nnz_sum += stats.get("nnz_sum", 0)
-        nnz_operands += stats.get("nnz_operands", 0)
+def layer_metrics(spans, stats) -> dict:
+    """Per-layer metrics from the spans and jet counts of one traced pass."""
+    self_s, calls = self_times(spans)
     out = {}
     for group in GROUPS:
         out[f"{group}.self_s"] = self_s[group]
         out[f"{group}.calls"] = calls[group]
-    out["rings.jet_size"] = jet_size
-    out["rings.jet_nnz_mean"] = nnz_sum / nnz_operands if nnz_operands else 0.0
+    out["rings.jet_size"] = stats.get("jet_size", 0)
+    nnz_operands = stats.get("nnz_operands", 0)
+    out["rings.jet_nnz_mean"] = stats.get("nnz_sum", 0) / nnz_operands if nnz_operands else 0.0
     return out

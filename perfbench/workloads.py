@@ -59,16 +59,24 @@ SMALL_QUADRATURE = Segment("quadrature", ("--nodes", "64"), 66)
 class Workload:
     segments: tuple
     pooled: bool  # True: --jobs is the number of usable cores, else 1
+    # Passes in a run of 30 s, sized on the baseline machine. A run makes a
+    # number of passes that depends on --seconds alone, never on how fast the
+    # passes go, so the fastest-repeat estimator takes the same minimum on
+    # both sides of a change.
+    passes: int
 
     def jobs(self) -> int:
         return len(os.sched_getaffinity(0)) if self.pooled else 1
 
+    def passes_for(self, seconds: float) -> int:
+        return max(2, round(self.passes * seconds / 30))
+
 
 WORKLOADS = {
-    "oracle-n7": Workload(ORACLE_N7 + (SMALL_QUADRATURE,), pooled=False),
-    "closed-form": Workload(CLOSED_FORM + (SMALL_QUADRATURE,), pooled=False),
-    "float-n9": Workload(FLOAT_N9, pooled=False),
-    "pool-mix": Workload(ORACLE_N7 + CLOSED_FORM + (SMALL_QUADRATURE,), pooled=True),
+    "oracle-n7": Workload(ORACLE_N7 + (SMALL_QUADRATURE,), pooled=False, passes=3),
+    "closed-form": Workload(CLOSED_FORM + (SMALL_QUADRATURE,), pooled=False, passes=7),
+    "float-n9": Workload(FLOAT_N9, pooled=False, passes=3),
+    "pool-mix": Workload(ORACLE_N7 + CLOSED_FORM + (SMALL_QUADRATURE,), pooled=True, passes=3),
 }
 
 # Catalog entries whose quoted form disagrees with the oracle (all at n=5).
@@ -81,7 +89,11 @@ def verify_argv(segment: Segment, seed: int, jobs: int, out_path: str) -> list:
 
 
 def report_digest(report: dict) -> str:
-    """SHA-256 of a report with every case's wall_time removed."""
+    """SHA-256 of a report with every case's wall_time removed.
+
+    The report's config leaves out the worker count, so a pooled pass and a
+    serial (traced) pass of the same segments give the same digest.
+    """
     stripped = dict(report)
     stripped["cases"] = [{k: v for k, v in c.items() if k != "wall_time"}
                          for c in report["cases"]]
