@@ -110,24 +110,27 @@ def _suite_config(args) -> SuiteConfig:
                 return file_values[k]
         return default
 
+    # values keep their JSON types (an integer tol becomes a float), and
+    # SuiteConfig.validate refuses wrong ones
     n_raw = pick("n", "3,5,7")
     if isinstance(n_raw, str):
         n_values = tuple(int(p) for p in n_raw.split(",") if p.strip())
     elif isinstance(n_raw, (list, tuple)):
-        n_values = tuple(int(p) for p in n_raw)
+        n_values = tuple(n_raw)
     else:
-        n_values = (int(n_raw),)
+        n_values = (n_raw,)
+    tol = pick("tol", 1e-10)
     return SuiteConfig(
         suite=args.suite,
         n_values=n_values,
-        trials=int(pick("trials", 10)),
+        trials=pick("trials", 10),
         mode=pick("mode", "exact"),
-        seed=int(pick("seed", 0)),
-        tol=float(pick("tol", 1e-10)),
-        hn_max=int(pick("hn-max", 12)),
+        seed=pick("seed", 0),
+        tol=float(tol) if type(tol) is int else tol,
+        hn_max=pick("hn-max", 12),
         jobs=pick("jobs", None),
-        series_terms=int(pick("terms", 60)),
-        quad_nodes=int(pick("nodes", 256)),
+        series_terms=pick("terms", 60),
+        quad_nodes=pick("nodes", 256),
     )
 
 

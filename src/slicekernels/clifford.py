@@ -416,5 +416,8 @@ def parse_paravector(text: str, n: int, ring=RATIONALS) -> Paravector:
     if ring is RATIONALS:
         coords = [Fraction(p) for p in parts]
     else:
-        coords = [ring.lift(Fraction(p)) for p in parts]
+        try:
+            coords = [ring.lift(Fraction(p)) for p in parts]
+        except OverflowError:
+            raise InvalidParams(f"coordinates {text!r} out of float range") from None
     return Paravector.from_coords(ring, coords)

@@ -11,6 +11,7 @@ identical kernel expressions it is checked against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -143,70 +144,43 @@ def _admissible(n: int, m: int, beta: int) -> int:
     return h
 
 
-def d_beta_delta_m_kernel(s: Paravector, x: Paravector, m: int, beta: int) -> Multivector:
-    """Closed form of D^beta Laplacian^m applied to the left Cauchy kernel (form II)."""
-    n = x.n
-    h = _admissible(n, m, beta)
+def _beta_delta_m_sums(s, x, m: int, beta: int, h: int, first, second, extra: int, combine):
+    """(s - xbar) * sum_j first(j) Q^-(m+1+k+p+j) (s-x0)^(2j+p), combined with
+    sum_j second(j) Q^-(m+1+k+j) (s-x0)^(2j+1-p), where p = beta mod 2 and
+    k = beta // 2. The first sum runs over j < k + extra, the second over
+    j < k + p; `first` and `second` are the coefficient families of the parity.
+    """
     ring = x.ring
     qinv = pseudo_inverse(s, x)
     smxbar = (s - x.conjugate()).to_multivector()
     smx0 = Paravector(ring, s.x0 - x.x0, s.xu)
+    p, k = beta % 2, beta // 2
+    acc = Multivector.zero(x.n, ring)
+    for j in range(0, k + extra):
+        term = qinv.pow(m + 1 + k + p + j).to_multivector() * smx0.pow(2 * j + p).to_multivector()
+        acc = acc + term.scale(first(j, k, m, h))
+    acc = smxbar * acc
+    for j in range(0, k + p):
+        term = qinv.pow(m + 1 + k + j).to_multivector() * smx0.pow(2 * j + 1 - p).to_multivector()
+        acc = combine(acc, term.scale(second(j, k, m, h)))
+    return acc
+
+
+def d_beta_delta_m_kernel(s: Paravector, x: Paravector, m: int, beta: int) -> Multivector:
+    """Closed form of D^beta Laplacian^m applied to the left Cauchy kernel (form II)."""
+    h = _admissible(x.n, m, beta)
+    families = (cf.coeff_a1, cf.coeff_b1) if beta % 2 else (cf.coeff_a2, cf.coeff_b2)
+    acc = _beta_delta_m_sums(s, x, m, beta, h, *families, extra=0, combine=operator.sub)
     pref = Fraction(2**beta * (h - m) * cf.gamma_m(h, m), cf.factorial(m))
-    acc = Multivector.zero(n, ring)
-    if beta % 2 == 1:
-        k1 = (beta - 1) // 2
-        first = Multivector.zero(n, ring)
-        for j in range(0, k1):
-            term = qinv.pow(m + j + 2 + k1).to_multivector() * smx0.pow(2 * j + 1).to_multivector()
-            first = first + term.scale(cf.coeff_a1(j, k1, m, h))
-        acc = smxbar * first
-        for j in range(0, k1 + 1):
-            term = qinv.pow(m + 1 + k1 + j).to_multivector() * smx0.pow(2 * j).to_multivector()
-            acc = acc - term.scale(cf.coeff_b1(j, k1, m, h))
-    else:
-        k2 = beta // 2
-        first = Multivector.zero(n, ring)
-        for j in range(0, k2):
-            term = qinv.pow(m + j + 1 + k2).to_multivector() * smx0.pow(2 * j).to_multivector()
-            first = first + term.scale(cf.coeff_a2(j, k2, m, h))
-        acc = smxbar * first
-        for j in range(0, k2):
-            term = qinv.pow(m + 1 + k2 + j).to_multivector() * smx0.pow(2 * j + 1).to_multivector()
-            acc = acc - term.scale(cf.coeff_b2(j, k2, m, h))
-    return acc.scale(ring.lift(pref))
+    return acc.scale(x.ring.lift(pref))
 
 
 def dbar_beta_delta_m_kernel(s: Paravector, x: Paravector, m: int, beta: int) -> Multivector:
     """Closed form of Dbar^beta Laplacian^m applied to the left Cauchy kernel."""
-    n = x.n
-    h = _admissible(n, m, beta)
-    ring = x.ring
-    qinv = pseudo_inverse(s, x)
-    smxbar = (s - x.conjugate()).to_multivector()
-    smx0 = Paravector(ring, s.x0 - x.x0, s.xu)
-    pref = 2**beta * 4**m * cf.pochhammer_neg(h, m)
-    acc = Multivector.zero(n, ring)
-    if beta % 2 == 1:
-        k1 = (beta - 1) // 2
-        first = Multivector.zero(n, ring)
-        for j in range(0, k1 + 1):
-            term = qinv.pow(m + j + 2 + k1).to_multivector() * smx0.pow(2 * j + 1).to_multivector()
-            first = first + term.scale(cf.coeff_A1(j, k1, m, h))
-        acc = smxbar * first
-        for j in range(0, k1 + 1):
-            term = qinv.pow(m + 1 + k1 + j).to_multivector() * smx0.pow(2 * j).to_multivector()
-            acc = acc + term.scale(cf.coeff_B1(j, k1, m, h))
-    else:
-        k2 = beta // 2
-        first = Multivector.zero(n, ring)
-        for j in range(0, k2 + 1):
-            term = qinv.pow(m + j + 1 + k2).to_multivector() * smx0.pow(2 * j).to_multivector()
-            first = first + term.scale(cf.coeff_A2(j, k2, m, h))
-        acc = smxbar * first
-        for j in range(0, k2):
-            term = qinv.pow(m + 1 + k2 + j).to_multivector() * smx0.pow(2 * j + 1).to_multivector()
-            acc = acc + term.scale(cf.coeff_B2(j, k2, m, h))
-    return acc.scale(pref)
+    h = _admissible(x.n, m, beta)
+    families = (cf.coeff_A1, cf.coeff_B1) if beta % 2 else (cf.coeff_A2, cf.coeff_B2)
+    acc = _beta_delta_m_sums(s, x, m, beta, h, *families, extra=1, combine=operator.add)
+    return acc.scale(2**beta * 4**m * cf.pochhammer_neg(h, m))
 
 
 def harmonic_kernel(s: Paravector, x: Paravector, m: int) -> Multivector:

@@ -199,3 +199,54 @@ def test_cli_bad_config_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"bogus": 1}))
     code = main(["verify", "--suite", "forms", "--config", str(cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_case_is_a_failed_entry(monkeypatch, tmp_path, jobs):
+    # the suite records the raising case and runs every other case; pool
+    # workers are forked from this process, so they see the patched catalog
+    from slicekernels import kernels as K
+    from slicekernels.diffop import make_dirac
+
+    def boom(s, x):
+        raise ZeroDivisionError("boom")
+
+    bad = K.CatalogEntry(id="raises", n=3, op_factory=lambda: make_dirac(3),
+                         printed=boom, printed_text="boom", expected_match=True)
+    monkeypatch.setitem(K._CATALOG, "raises", bad)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--suite", "catalog", "--n", "3", "--trials", "1",
+                 "--jobs", str(jobs), "--out", str(out)])
+    assert code == 1
+    data = json.loads(out.read_text())
+    assert data["summary"] == {"total": 3, "passed": 2, "failed": 1,
+                               "flagged_known_discrepancies": 0}
+    failed = [c for c in data["cases"] if not c["pass"]]
+    assert failed == [{"key": "raises", "params": {"id": "raises", "trials": 1},
+                       "pass": False, "residual": 1.0,
+                       "error": "ZeroDivisionError: boom",
+                       "wall_time": failed[0]["wall_time"]}]
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"jobs": "2"}, "error: jobs must be an integer, got '2'"),
+    ({"trials": None}, "error: trials must be an integer, got None"),
+    ({"tol": "1e-8"}, "error: tol must be a number, got '1e-8'"),
+    ({"n": [3, None]}, "error: suite dimension None must be an odd integer >= 3"),
+])
+def test_cli_config_value_types(tmp_path, capsys, values, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code = main(["verify", "--suite", "forms", "--config", str(cfg)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
+def test_cli_eval_float_overflow(capsys):
+    code = main(["eval", "--kernel", "cauchy-II", "--n", "3", "--mode", "float",
+                 "--s", "1e400,0,0,0", "--x", "0,1,0,0"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: coordinates '1e400,0,0,0' out of float range"]
