@@ -9,6 +9,7 @@ freely between threads.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -65,10 +66,9 @@ def mask_from_name(name: str) -> int:
         parts = list(body)
     mask = 0
     for p in parts:
-        i = int(p)
-        if i < 1:
+        if not name.startswith("e") or not p.isdecimal() or int(p) < 1:
             raise InvalidParams(f"bad blade name {name!r}")
-        mask |= 1 << (i - 1)
+        mask |= 1 << (int(p) - 1)
     return mask
 
 
@@ -384,24 +384,39 @@ def format_multivector(mv: Multivector) -> str:
     return " ".join(parts)
 
 
+# A sign starts a new term unless it follows another sign or the exponent
+# marker of a float literal, as in 1e-05.
+_TERM_START = re.compile(r"(?<=[^eE+-])(?=[+-])")
+
+
 def parse_multivector(text: str, n: int, ring=RATIONALS) -> Multivector:
-    """Parse the `coeff*e{indices}` encoding, e.g. ``2 + 3*e1 + 1*e12``."""
+    """Parse the `coeff*e{indices}` encoding, e.g. ``2 + 3*e1 + 1*e12``.
+
+    Coefficients are integers, fractions or decimal literals with an optional
+    exponent (``-2.5e+103``), so every text `format_multivector` prints reads
+    back to the same multivector.
+    """
     out = Multivector.zero(n, ring)
-    cleaned = text.replace("-", "+-").replace(" ", "")
-    for term in cleaned.split("+"):
+    for term in _TERM_START.split(text.replace(" ", "")):
         if not term:
             continue
-        if "*" in term:
-            coeff_text, name = term.split("*", 1)
-        elif term.lstrip("-").startswith("e"):
-            name = term.lstrip("-")
-            coeff_text = "-1" if term.startswith("-") else "1"
+        body = term.lstrip("+-")
+        negative = term[: len(term) - len(body)].count("-") % 2 == 1
+        if "*" in body:
+            coeff_text, name = body.split("*", 1)
+        elif body.startswith("e"):
+            coeff_text, name = "1", body
         else:
-            coeff_text, name = term, ""
+            coeff_text, name = body, ""
         mask = mask_from_name(name) if name else 0
         if mask >= (1 << n):
             raise InvalidParams(f"blade {name!r} outside dimension {n}")
-        out.coeffs[mask] = out.coeffs[mask] + ring.lift(Fraction(coeff_text))
+        try:
+            value = Fraction(coeff_text)
+            coeff = ring.lift(-value if negative else value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise InvalidParams(f"bad coefficient {coeff_text!r} in {text!r}") from None
+        out.coeffs[mask] = out.coeffs[mask] + coeff
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .clifford import Multivector, Paravector
 from .errors import DimensionMismatch, InvalidParams
-from .rings import RATIONALS, JetRing
+from .rings import RATIONALS, JetRing, jet_context
 
 
 class DiffOperator:
@@ -31,9 +31,6 @@ class DiffOperator:
     def _check(self, other: "DiffOperator"):
         if self.n != other.n:
             raise DimensionMismatch(f"operator dimensions {self.n} and {other.n}")
-
-    def max_order(self) -> int:
-        return max((sum(a) for a in self.terms), default=0)
 
     def __add__(self, other):
         if not isinstance(other, DiffOperator):
@@ -131,21 +128,20 @@ def operator_power_compose(base: DiffOperator, beta: int, m: int) -> DiffOperato
     return base.power(beta).compose(make_laplacian(base.n).power(m))
 
 
-def oracle_apply(op: DiffOperator, f, x: Paravector, order: int | None = None) -> Multivector:
+def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     """Apply `op` to `f` at `x` by one evaluation of `f` over the jet ring.
 
     `f(ring, x)` must evaluate with paravector coordinates drawn from any
-    coefficient ring; `x` fixes the base ring of the result.  A jet order
-    below the operator's maximal derivative order raises OrderExceeded at
-    extraction time.
+    coefficient ring; `x` fixes the base ring of the result.  The jets carry
+    exactly the down-set of the operator's support (every multi-index below
+    some alpha of `op.terms`), which is all that `op` reads; the shape
+    depends on the operator alone, never on `f`.
     """
     n = op.n
     if x.n != n:
         raise DimensionMismatch(f"operator in dimension {n}, point in {x.n}")
     ring = x.ring
-    if order is None:
-        order = op.max_order()
-    jring = JetRing(n + 1, order, ring)
+    jring = JetRing(jet_context(n + 1, tuple(op.terms)), ring)
     seeded = Paravector(
         jring,
         jring.seed(0, x.x0),

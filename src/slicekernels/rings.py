@@ -8,13 +8,15 @@ differential operators) are generic over a small ring interface:
 Ring *elements* combine through ordinary Python operators, so ``Fraction``,
 ``float`` and :class:`Jet` all drive the same Clifford arithmetic.  Jets are
 the substrate of the differentiation oracle: a jet holds the Taylor
-coefficients of a scalar quantity in ``num_vars`` real coordinates up to a
-fixed total order, so evaluating any expression over jets yields all its
-partial derivatives at the base point in one pass.
+coefficients of a scalar quantity in ``num_vars`` real coordinates on a
+fixed down-set of multi-indices (see :class:`JetContext`), so evaluating any
+expression over jets yields all those partial derivatives at the base point
+in one pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -103,44 +105,76 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def _box(corner: tuple):
+    """Every multi-index <= `corner`, componentwise."""
+    return itertools.product(*(range(c + 1) for c in corner))
+
+
 @lru_cache(maxsize=None)
-def jet_context(num_vars: int, order: int) -> "JetContext":
-    return JetContext(num_vars, order)
+def jet_context(num_vars: int, corners: tuple) -> "JetContext":
+    return JetContext(num_vars, corners)
+
+
+def total_degree(num_vars: int, order: int) -> "JetContext":
+    """Context of the jets that carry every multi-index with |alpha| <= order."""
+    if order < 0:
+        raise InvalidParams(f"bad jet order {order}")
+    return jet_context(num_vars, tuple(_compositions(order, num_vars)))
 
 
 class JetContext:
-    """Shared index tables for jets of a fixed shape (num_vars, order).
+    """Shared index tables for jets supported on the down-set of `corners`.
 
-    Multi-indices are enumerated in graded lexicographic order; positions in
-    that enumeration are the storage keys, so products reduce to integer
-    index arithmetic.
+    The down-set S holds every multi-index alpha <= some corner (componentwise)
+    and always the zero index.  Total-degree jets of order d are the case
+    whose corners are all |alpha| = d.  Multi-indices are enumerated sorted by
+    (degree, exponent), which is graded lexicographic order; positions in that
+    enumeration are the storage keys.
+
+    Why truncating to S is exact: the complement I of a down-set is closed
+    under adding any multi-index, so the monomials x^alpha with alpha in I
+    span an ideal of the polynomial ring (and of formal power series).  A jet
+    on S is a residue class modulo I, and the quotient map is a ring
+    homomorphism: sums and products of jets equal the truncations of the
+    untruncated sums and products.  The reciprocal is the unique inverse in
+    the quotient ring, so it too equals the truncated reciprocal whenever
+    the constant term is invertible.  Every coefficient in S, in particular
+    every coefficient an operator supported on the corners reads, is
+    therefore the same as in any larger jet.
+
+    `products[i]` maps j to the index of exponents[i] + exponents[j] for every
+    pair whose sum lies in S; `divisors[k]` lists the pairs (i, j) with
+    exponents[i] + exponents[j] = exponents[k] and i > 0, in ascending i.
     """
 
-    __slots__ = ("num_vars", "order", "exponents", "index", "degree", "size", "_pair")
+    __slots__ = ("num_vars", "exponents", "index", "size", "products", "divisors")
 
-    def __init__(self, num_vars: int, order: int):
-        if num_vars < 1 or order < 0:
-            raise InvalidParams(f"bad jet shape ({num_vars}, {order})")
-        exps = []
-        for total in range(order + 1):
-            exps.extend(_compositions(total, num_vars))
+    def __init__(self, num_vars: int, corners: tuple):
+        if num_vars < 1:
+            raise InvalidParams(f"bad jet variable count {num_vars}")
+        points = {(0,) * num_vars}
+        for corner in corners:
+            if len(corner) != num_vars or min(corner) < 0:
+                raise InvalidParams(f"bad jet corner {corner!r} for {num_vars} variables")
+            points.update(_box(corner))
+        exps = sorted(points, key=lambda e: (sum(e), e))
+        index = {e: i for i, e in enumerate(exps)}
+        products = [{} for _ in exps]
+        divisors = []
+        for k, alpha in enumerate(exps):
+            pairs = sorted(
+                (index[beta], index[tuple(a - b for a, b in zip(alpha, beta))])
+                for beta in _box(alpha)
+            )
+            for i, j in pairs:
+                products[i][j] = k
+            divisors.append(tuple(pairs[1:]))  # pairs[0] is (0, k)
         self.num_vars = num_vars
-        self.order = order
         self.exponents = tuple(exps)
-        self.index = {e: i for i, e in enumerate(exps)}
-        self.degree = tuple(sum(e) for e in exps)
+        self.index = index
         self.size = len(exps)
-        self._pair: dict[tuple[int, int], int] = {}
-
-    def pair_index(self, i: int, j: int) -> int:
-        """Storage index of exponents[i] + exponents[j] (caller checks degree)."""
-        key = (i, j)
-        k = self._pair.get(key)
-        if k is None:
-            ea, eb = self.exponents[i], self.exponents[j]
-            k = self.index[tuple(a + b for a, b in zip(ea, eb))]
-            self._pair[key] = k
-        return k
+        self.products = tuple(products)
+        self.divisors = tuple(divisors)
 
 
 def _multi_index_factorial(alpha: Iterable[int]) -> int:
@@ -168,9 +202,8 @@ class Jet:
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Jet"):
-        if self.ctx is not other.ctx:
-            if (self.ctx.num_vars, self.ctx.order) != (other.ctx.num_vars, other.ctx.order):
-                raise InvalidParams("jet shape mismatch")
+        if self.ctx is not other.ctx and self.ctx.exponents != other.ctx.exponents:
+            raise InvalidParams("jet shape mismatch")
 
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -200,17 +233,14 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            ctx = self.ctx
-            degree = ctx.degree
-            order = ctx.order
-            pair_index = ctx.pair_index
+            products = self.ctx.products
             out: dict = {}
             for i, av in self.coeffs.items():
-                di = degree[i]
+                row = products[i]
                 for j, bv in other.coeffs.items():
-                    if di + degree[j] > order:
+                    k = row.get(j)
+                    if k is None:
                         continue
-                    k = pair_index(i, j)
                     p = av * bv
                     cur = out.get(k)
                     if cur is None:
@@ -221,7 +251,7 @@ class Jet:
                             del out[k]
                         else:
                             out[k] = s
-            return Jet(ctx, self.ring, out)
+            return Jet(self.ctx, self.ring, out)
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -250,9 +280,10 @@ class Jet:
         ctx = self.ctx
         if len(alpha) != ctx.num_vars:
             raise InvalidParams("multi-index length mismatch")
-        if sum(alpha) > ctx.order:
-            raise OrderExceeded(f"|alpha|={sum(alpha)} exceeds jet order {ctx.order}")
-        c = self.coeffs.get(ctx.index[tuple(alpha)])
+        k = ctx.index.get(tuple(alpha))
+        if k is None:
+            raise OrderExceeded(f"d^{tuple(alpha)} lies outside the jet's support")
+        c = self.coeffs.get(k)
         if c is None:
             return self.ring.zero()
         return c * _multi_index_factorial(alpha)
@@ -261,26 +292,18 @@ class Jet:
         terms = ", ".join(
             f"{self.ctx.exponents[k]}: {v}" for k, v in sorted(self.coeffs.items())
         )
-        return f"Jet({self.ctx.num_vars} vars, order {self.ctx.order}, {{{terms}}})"
+        return f"Jet({self.ctx.num_vars} vars, {self.ctx.size} indices, {{{terms}}})"
 
 
 class JetRing:
-    """Ring of jets over a scalar ring, with fixed variable count and order."""
+    """Ring of jets of one shape (a JetContext) over a scalar ring."""
 
     name = "jet"
 
-    def __init__(self, num_vars: int, order: int, scalar_ring=RATIONALS):
-        self.ctx = jet_context(num_vars, order)
+    def __init__(self, ctx: JetContext, scalar_ring=RATIONALS):
+        self.ctx = ctx
         self.scalar_ring = scalar_ring
         self.exact = scalar_ring.exact
-
-    @property
-    def num_vars(self):
-        return self.ctx.num_vars
-
-    @property
-    def order(self):
-        return self.ctx.order
 
     def zero(self) -> Jet:
         return Jet(self.ctx, self.scalar_ring, {})
@@ -305,9 +328,9 @@ class JetRing:
         sv = self.scalar_ring.lift(value)
         if sv != 0:
             coeffs[0] = sv
-        if ctx.order >= 1:
-            unit = tuple(1 if k == i else 0 for k in range(ctx.num_vars))
-            coeffs[ctx.index[unit]] = self.scalar_ring.one()
+        unit = ctx.index.get(tuple(1 if k == i else 0 for k in range(ctx.num_vars)))
+        if unit is not None:
+            coeffs[unit] = self.scalar_ring.one()
         return Jet(ctx, self.scalar_ring, coeffs)
 
     def is_zero(self, jet: Jet) -> bool:
@@ -318,7 +341,11 @@ class JetRing:
         return self.reciprocal(jet)
 
     def reciprocal(self, jet: Jet) -> Jet:
-        """Multiplicative inverse up to the truncation order, order by order."""
+        """Multiplicative inverse on the jet's support, index by index.
+
+        Solves a * out = 1 for out[k] from the already known out[j], j < k,
+        summing a[i] * out[j] over the divisor pairs of k in ascending i.
+        """
         ctx = jet.ctx
         sr = self.scalar_ring
         c0 = jet.constant_term()
@@ -326,25 +353,15 @@ class JetRing:
             raise NonInvertibleConstantTerm("jet constant term is not invertible")
         inv0 = sr.invert(c0)
         out = {0: inv0}
-        rest = sorted(
-            ((i, v) for i, v in jet.coeffs.items() if i != 0),
-            key=lambda item: item[0],
-        )
-        exponents = ctx.exponents
-        degree = ctx.degree
-        index = ctx.index
+        coeffs = jet.coeffs
+        divisors = ctx.divisors
         for k in range(1, ctx.size):
-            alpha = exponents[k]
-            dk = degree[k]
             acc = None
-            for i, av in rest:
-                if degree[i] > dk:
-                    break
-                beta = exponents[i]
-                gamma = tuple(a - b for a, b in zip(alpha, beta))
-                if any(g < 0 for g in gamma):
+            for i, j in divisors[k]:
+                av = coeffs.get(i)
+                if av is None:
                     continue
-                bv = out.get(index[gamma])
+                bv = out.get(j)
                 if bv is None:
                     continue
                 p = av * bv
@@ -360,13 +377,13 @@ class JetRing:
         return max((sr.magnitude(v) for v in jet.coeffs.values()), default=0.0)
 
     def __repr__(self):
-        return f"JetRing(num_vars={self.num_vars}, order={self.order}, scalar={self.scalar_ring!r})"
+        return f"JetRing(num_vars={self.ctx.num_vars}, size={self.ctx.size}, scalar={self.scalar_ring!r})"
 
 
 # Spec-level operation aliases; the methods above carry the behavior.
 
 def jet_seed_coordinate(i: int, value, num_vars: int, order: int, scalar_ring=RATIONALS) -> Jet:
-    return JetRing(num_vars, order, scalar_ring).seed(i, value)
+    return JetRing(total_degree(num_vars, order), scalar_ring).seed(i, value)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
@@ -374,8 +391,7 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
 
 def jet_reciprocal(a: Jet, scalar_ring=None) -> Jet:
-    ring = JetRing(a.ctx.num_vars, a.ctx.order, scalar_ring or a.ring)
-    return ring.reciprocal(a)
+    return JetRing(a.ctx, scalar_ring or a.ring).reciprocal(a)
 
 
 def jet_extract_derivative(a: Jet, alpha: tuple):

@@ -44,7 +44,9 @@ from .rings import FLOATS, RATIONALS, FloatRing
 
 SCHEMA_VERSION = 1
 
-# jet order cap for float-mode oracle cases; keeps n=9 spot checks tractable
+# Jet order cap for float-mode oracle cases. Down-set jets would make larger
+# orders affordable, but the cap decides which float cases exist at all, and
+# the float reports (and the benchmark's float-n9 case counts) pin that set.
 FLOAT_ORACLE_MAX_ORDER = 4
 
 

@@ -17,7 +17,7 @@ from slicekernels.clifford import (
     same_sphere,
 )
 from slicekernels.errors import DimensionMismatch, InvalidParams, ZeroNorm
-from slicekernels.rings import FLOATS, RATIONALS, JetRing
+from slicekernels.rings import FLOATS, RATIONALS, JetRing, total_degree
 
 R = RATIONALS
 
@@ -154,7 +154,7 @@ def test_same_sphere():
 def test_multivector_works_over_float_and_jet_rings():
     xf = Paravector.from_coords(FLOATS, [1.0, 2.0, 0.0, 0.0])
     assert abs((xf * xf.conjugate()).scalar_part() - 5.0) < 1e-12
-    jr = JetRing(2, 2)
+    jr = JetRing(total_degree(2, 2))
     a = Multivector.zero(1, jr)
     a.coeffs[0] = jr.seed(0, 1)
     b = Multivector.basis_vector(1, jr, 1)
@@ -172,6 +172,23 @@ def test_text_encoding_round_trip():
     assert format_multivector(b) == "-8/25 - 4/25*e1"
     assert format_multivector(Multivector.zero(3, R)) == "0"
     assert mask_from_name("e{1,12}") == (1 << 0) | (1 << 11)
+
+
+def test_float_text_round_trip():
+    coeffs = [0.0] * 8
+    coeffs[0], coeffs[1], coeffs[3], coeffs[6] = 1e-05, -2.5e103, 9.99e-07, -0.125
+    a = Multivector(3, FLOATS, coeffs)
+    text = format_multivector(a)
+    assert text == "1e-05 - 2.5e+103*e1 + 9.99e-07*e12 - 0.125*e23"
+    assert parse_multivector(text, 3, FLOATS) == a
+    assert parse_multivector("1e-05*e1", 3, FLOATS).coeffs[1] == 1e-05
+    assert parse_multivector("2 + -3*e1 - e2", 3, R) == mv(3, "2 - 3*e1 - 1*e2")
+
+
+@pytest.mark.parametrize("text", ["1e*e1", "2 + x", "1/0", "2 +", "3*e1.5", "3*f1", "1e400"])
+def test_malformed_multivector_text(text):
+    with pytest.raises(InvalidParams):
+        parse_multivector(text, 3, FLOATS)
 
 
 def test_paravector_text_round_trip():

@@ -14,7 +14,7 @@ from slicekernels.diffop import (
     operator_power_compose,
     oracle_apply,
 )
-from slicekernels.errors import DimensionMismatch, OrderExceeded
+from slicekernels.errors import DimensionMismatch
 from slicekernels.kernels import cauchy_closure, fueter_sce_closure, sample_point_pair
 from slicekernels.rings import RATIONALS
 
@@ -50,7 +50,7 @@ def test_dirac_on_norm_square():
     # D |x|^2 = 2 x0 + 2 sum e_i x_i = 2x
     n = 3
     x = pv(Fraction(1, 2), 2, -1, Fraction(3, 4))
-    got = oracle_apply(make_dirac(n), _norm_sq_fn, x, order=1)
+    got = oracle_apply(make_dirac(n), _norm_sq_fn, x)
     assert got == x.scale(2).to_multivector()
 
 
@@ -182,10 +182,8 @@ def test_left_multiplication_semantics():
     assert oracle_apply(D, five_times_coordinate, x) == base.scale(5)
 
 
-def test_order_exceeded_and_dimension_mismatch():
+def test_dimension_mismatch():
     n = 2
     x = pv(1, 1, 1)
-    with pytest.raises(OrderExceeded):
-        oracle_apply(make_laplacian(n), _square_fn, x, order=1)
     with pytest.raises(DimensionMismatch):
         oracle_apply(make_dirac(3), _square_fn, x)

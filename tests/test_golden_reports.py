@@ -27,6 +27,12 @@ EXACT = {
     "quadrature": "74130ad25ebcc8196d4cadd1bfba9f3be6aefad4432af07ed1a902283c8cc573",
 }
 
+# n=7 is where the oracle costs most: operators up to order 5 in 8 variables
+EXACT_N7 = {
+    "theorem-d": "42e304b7cb1d28905ab9b396378124d9d37d0838caf7482420367dfc38c793eb",
+    "theorem-dbar": "99946e311e04f63e6853984d6502349bb72e7e38e8353d683d85f79329112202",
+}
+
 FLOAT = {
     "special-cases": "1075d2200be022632260380fdbd14c2fa68fe3eb5b4216121afbc1803ddea4ba",
     "polyharmonic": "52a7d92b9e4a89841e51a9a919abe328d278f8e1e84dfd17f63d829dabc40a30",
@@ -50,6 +56,12 @@ def test_exact_report_digest(suite):
     config = SuiteConfig(suite=suite, n_values=(3, 5), trials=1, seed=0, jobs=1,
                          **EXACT_EXTRA.get(suite, {}))
     assert _digest(config) == EXACT[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(EXACT_N7))
+def test_exact_n7_report_digest(suite):
+    config = SuiteConfig(suite=suite, n_values=(7,), trials=1, seed=0, jobs=1)
+    assert _digest(config) == EXACT_N7[suite]
 
 
 @pytest.mark.parametrize("suite", sorted(FLOAT))

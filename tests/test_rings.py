@@ -14,6 +14,7 @@ from slicekernels.rings import (
     jet_mul,
     jet_reciprocal,
     jet_seed_coordinate,
+    total_degree,
 )
 
 
@@ -52,13 +53,13 @@ def test_seed_index_out_of_range():
 
 
 def test_mul_truncates_degree():
-    ring = JetRing(1, 1)
+    ring = JetRing(total_degree(1, 1))
     t = ring.seed(0, 0)
     assert ring.is_zero(t * t)  # degree-2 term dropped at order 1
 
 
 def test_mul_one_minus_t_times_one_plus_t():
-    ring = JetRing(1, 2)
+    ring = JetRing(total_degree(1, 2))
     t = ring.seed(0, 0)
     one = ring.one()
     prod = jet_mul(one + t, one - t)  # 1 - t^2
@@ -68,13 +69,13 @@ def test_mul_one_minus_t_times_one_plus_t():
 
 
 def test_constant_scales_jet():
-    ring = JetRing(2, 2)
+    ring = JetRing(total_degree(2, 2))
     t = ring.seed(0, 1)
     assert ring.lift(3) * t == t.scale(3)
 
 
 def test_reciprocal_geometric_series():
-    ring = JetRing(1, 3)
+    ring = JetRing(total_degree(1, 3))
     one_minus_t = ring.one() - ring.seed(0, 0)
     rec = jet_reciprocal(one_minus_t)
     # 1 + t + t^2 + t^3
@@ -83,19 +84,19 @@ def test_reciprocal_geometric_series():
 
 
 def test_reciprocal_of_constant():
-    ring = JetRing(2, 2)
+    ring = JetRing(total_degree(2, 2))
     assert ring.reciprocal(ring.lift(2)) == ring.lift(Fraction(1, 2))
 
 
 def test_reciprocal_zero_constant_term():
-    ring = JetRing(1, 2)
+    ring = JetRing(total_degree(1, 2))
     with pytest.raises(NonInvertibleConstantTerm):
         ring.reciprocal(ring.seed(0, 0))
 
 
 def test_extract_derivatives_of_polynomial():
     # f(x0, x1) = x0^2 + x1^2 at the point (1, 2)
-    ring = JetRing(2, 2)
+    ring = JetRing(total_degree(2, 2))
     x0 = ring.seed(0, 1)
     x1 = ring.seed(1, 2)
     f = x0 * x0 + x1 * x1
@@ -105,16 +106,59 @@ def test_extract_derivatives_of_polynomial():
 
 
 def test_extract_beyond_order_raises():
-    ring = JetRing(2, 2)
+    ring = JetRing(total_degree(2, 2))
     with pytest.raises(OrderExceeded):
         ring.one().derivative((3, 0))
 
 
 def test_context_graded_lex_order():
-    ctx = jet_context(2, 2)
+    ctx = total_degree(2, 2)
     assert ctx.exponents[: 3] == ((0, 0), (0, 1), (1, 0))
-    assert ctx.degree[-1] == 2
+    assert sum(ctx.exponents[-1]) == 2
     assert ctx.size == 6
+
+
+def test_down_set_context_is_the_union_of_corner_boxes():
+    ctx = jet_context(3, ((2, 0, 0), (0, 1, 1)))
+    assert ctx.exponents == (
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (2, 0, 0),
+    )
+    assert jet_context(2, ()).exponents == ((0, 0),)
+    with pytest.raises(InvalidParams):
+        jet_context(2, ((1, 0, 0),))
+
+
+def test_jets_of_different_supports_do_not_mix():
+    # equal variable count and equal top order, different down-sets
+    a = JetRing(jet_context(2, ((2, 0),))).seed(0, 1)
+    b = JetRing(jet_context(2, ((0, 2),))).seed(0, 1)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+        with pytest.raises(InvalidParams):
+            op(a, b)
+    # an equal down-set from another corner tuple is the same shape
+    c = JetRing(jet_context(2, ((2, 0), (1, 0)))).seed(0, 1)
+    assert a * c == a * a
+
+
+def test_derivative_outside_support_raises():
+    # (1, 1) has total degree 2 but lies outside the down-set of (2, 0), (0, 2)
+    ring = JetRing(jet_context(2, ((2, 0), (0, 2))))
+    jet = ring.seed(0, 1) * ring.seed(1, 2)
+    assert jet.derivative((2, 0)) == 0 and jet.derivative((0, 1)) == 1
+    with pytest.raises(OrderExceeded):
+        jet.derivative((1, 1))
+    with pytest.raises(OrderExceeded):
+        jet.derivative((3, 0))
+
+
+def test_jet_reciprocal_alias_keeps_the_jet_shape():
+    ctx = jet_context(2, ((3, 0), (1, 1)))
+    ring = JetRing(ctx)
+    a = ring.one() - ring.seed(0, 0) - ring.seed(1, 0)
+    rec = jet_reciprocal(a)
+    assert rec.ctx is ctx
+    assert rec == ring.reciprocal(a)
+    assert ring.is_zero(a * rec - ring.one())
 
 
 def _poly_eval_jet(coeff_grid, ring):
@@ -137,7 +181,7 @@ def _poly_eval_jet(coeff_grid, ring):
 
 def test_polynomial_jet_reproduces_all_derivatives():
     # degree-2 polynomial, order-2 jet: derivatives must be exact
-    ring = JetRing(2, 2)
+    ring = JetRing(total_degree(2, 2))
     grid = [[Fraction(3), Fraction(-2)], [Fraction(5), Fraction(7)], [Fraction(-1)]]
     f = _poly_eval_jet(grid, ring)
     u, v = Fraction(1, 2), Fraction(-1, 3)
@@ -154,7 +198,7 @@ small_fractions = st.fractions(
 
 
 def _jets(num_vars=2, order=3):
-    ring = JetRing(num_vars, order)
+    ring = JetRing(total_degree(num_vars, order))
     size = ring.ctx.size
 
     def build(values):
@@ -178,7 +222,7 @@ def test_jet_ring_axioms(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(_jets())
 def test_jet_reciprocal_two_sided(a):
-    ring = JetRing(2, 3)
+    ring = JetRing(total_degree(2, 3))
     a = a + ring.one()  # ensure invertible constant term most of the time
     if RATIONALS.is_zero(a.constant_term()):
         return
@@ -194,3 +238,40 @@ def test_rational_field_axioms(a, b, c, d):
     assert a * (b + c) == a * b + a * c
     if d != 0:
         assert (a / d) * d == a
+
+
+@st.composite
+def _corner_sets(draw):
+    num_vars = draw(st.integers(min_value=2, max_value=3))
+    corner = st.tuples(*[st.integers(min_value=0, max_value=3)] * num_vars)
+    return num_vars, tuple(draw(st.lists(corner, min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corner_sets(), st.sampled_from([RATIONALS, FLOATS]), st.data())
+def test_down_set_jets_agree_with_total_degree_jets(shape, scalar, data):
+    # truncation to a down-set is a ring homomorphism: +, * and reciprocal on
+    # down-set jets equal the full total-degree results on every index of the
+    # down-set; floats are summed in the same order, so they agree bit for bit
+    small = jet_context(*shape)
+    full = total_degree(shape[0], max(map(sum, small.exponents)))
+    values = st.dictionaries(
+        st.integers(min_value=0, max_value=full.size - 1),
+        small_fractions.filter(bool).map(scalar.lift),
+        max_size=8,
+    )
+
+    def restrict(jet):
+        return Jet(small, scalar, {
+            small.index[full.exponents[i]]: v
+            for i, v in jet.coeffs.items() if full.exponents[i] in small.index
+        })
+
+    a, b = (Jet(full, scalar, data.draw(values)) for _ in range(2))
+    assert restrict(a + b) == restrict(a) + restrict(b)
+    assert restrict(a - b) == restrict(a) - restrict(b)
+    assert restrict(a * b) == restrict(a) * restrict(b)
+    if a.constant_term() != 0:
+        assert restrict(JetRing(full, scalar).reciprocal(a)) == (
+            JetRing(small, scalar).reciprocal(restrict(a))
+        )
