@@ -263,7 +263,7 @@ class Paravector:
     def inverse(self) -> "Paravector":
         ring = self.ring
         ns = self.norm_sq()
-        if ring.is_zero(ns):
+        if ns == 0:
             raise ZeroNorm("paravector has zero norm")
         inv = ring.invert(ns)
         return Paravector(ring, self.x0 * inv, tuple(-c * inv for c in self.xu))

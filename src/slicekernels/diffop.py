@@ -14,19 +14,37 @@ formulas it is used to check.
 
 from __future__ import annotations
 
-from .clifford import Multivector, Paravector
+import math
+from fractions import Fraction
+
+from .clifford import Multivector, Paravector, blade_product
 from .errors import DimensionMismatch, InvalidParams
-from .rings import RATIONALS, JetRing, jet_context
+from .rings import RATIONALS, JetRing, jet_context, multi_index_factorial
 
 
 class DiffOperator:
     """Finite sum of Clifford-coefficient partial derivatives (left action)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_integer_terms")
 
     def __init__(self, n: int, terms: dict):
         self.n = n
         self.terms = {a: c for a, c in terms.items() if not c.is_zero()}
+        self._integer_terms = None
+
+    def integer_terms(self) -> tuple:
+        """(E, [(alpha, [(mask, C), ...]), ...]): the exact coefficients as
+        ints C over one common denominator E, nonzero blades only.  Computed
+        on first use; operators have no mutators."""
+        if self._integer_terms is None:
+            terms = [(alpha, [(a, c) for a, c in enumerate(mv.coeffs) if c])
+                     for alpha, mv in self.terms.items()]
+            den = math.lcm(*(c.denominator for _, cs in terms for _, c in cs))
+            self._integer_terms = den, [
+                (alpha, [(a, c.numerator * (den // c.denominator)) for a, c in cs])
+                for alpha, cs in terms
+            ]
+        return self._integer_terms
 
     def _check(self, other: "DiffOperator"):
         if self.n != other.n:
@@ -136,20 +154,41 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     exactly the down-set of the operator's support (every multi-index below
     some alpha of `op.terms`), which is all that `op` reads; the shape
     depends on the operator alone, never on `f`.
+
+    Over exact rings the sum of c_alpha * d^alpha f is assembled in ints:
+    the coefficients are C_alpha / E over one denominator E and the blades of
+    f are N_b / den over another, so each blade `mask` of the result sums
+    sign * C_alpha[a] * alpha! * N_b[alpha] over the nonzero blade pairs with
+    e_a e_b = sign * e_mask, and is divided by den * E once.
     """
     n = op.n
     if x.n != n:
         raise DimensionMismatch(f"operator in dimension {n}, point in {x.n}")
     ring = x.ring
-    jring = JetRing(jet_context(n + 1, tuple(op.terms)), ring)
+    ctx = jet_context(n + 1, tuple(op.terms))
+    jring = JetRing(ctx, ring)
     seeded = Paravector(
         jring,
         jring.seed(0, x.x0),
         tuple(jring.seed(i + 1, c) for i, c in enumerate(x.xu)),
     )
     value = f(jring, seeded)
-    acc = Multivector.zero(n, ring)
-    for alpha, cmv in op.terms.items():
-        dmv = Multivector(n, ring, [jet.derivative(alpha) for jet in value.coeffs])
-        acc = acc + cmv.map_coeffs(ring.lift, ring) * dmv
-    return acc
+    if not ring.exact:
+        acc = Multivector.zero(n, ring)
+        for alpha, cmv in op.terms.items():
+            dmv = Multivector(n, ring, [jet.derivative(alpha) for jet in value.coeffs])
+            acc = acc + cmv.map_coeffs(ring.lift, ring) * dmv
+        return acc
+    den = math.lcm(*(jet.den for jet in value.coeffs))
+    nums = [jet.numerators(den) for jet in value.coeffs]
+    scale, terms = op.integer_terms()
+    acc = [0] * (1 << n)
+    for alpha, coeffs in terms:
+        k, fact = ctx.index[alpha], multi_index_factorial(alpha)
+        column = [(b, fact * nb[k]) for b, nb in enumerate(nums) if k in nb]
+        for a, c in coeffs:
+            for b, v in column:
+                mask, sign = blade_product(a, b)
+                acc[mask] += sign * c * v
+    den *= scale
+    return Multivector(n, ring, [Fraction(v, den) for v in acc])

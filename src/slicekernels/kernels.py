@@ -40,8 +40,9 @@ def pseudo_denominator(s: Paravector, x: Paravector) -> Paravector:
 
 
 def _singular_scale(s: Paravector, x: Paravector) -> float:
+    # Q is homogeneous of degree 2 in (s, x), so |Q|^2 scales as (|s|^2 + |x|^2)^2
     ring = s.ring
-    base = 1.0 + ring.magnitude(s.norm_sq()) + ring.magnitude(x.norm_sq())
+    base = ring.magnitude(s.norm_sq()) + ring.magnitude(x.norm_sq())
     return base * base
 
 

@@ -11,13 +11,15 @@ the substrate of the differentiation oracle: a jet holds the Taylor
 coefficients of a scalar quantity in ``num_vars`` real coordinates on a
 fixed down-set of multi-indices (see :class:`JetContext`), so evaluating any
 expression over jets yields all those partial derivatives at the base point
-in one pass.
+in one pass.  Exact jets compute with int numerators over one shared
+denominator, so the oracle's inner loops run on Python ints, not Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -177,27 +179,83 @@ class JetContext:
         self.divisors = tuple(divisors)
 
 
-def _multi_index_factorial(alpha: Iterable[int]) -> int:
+def multi_index_factorial(alpha: Iterable[int]) -> int:
     out = 1
     for a in alpha:
         out *= math.factorial(a)
     return out
 
 
+class _ExactCoeffs(Mapping):
+    """Read-only view of an exact jet's coefficients as Fractions."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, k):
+        return Fraction(self._nums[k], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
+
+
 class Jet:
     """Truncated multivariate Taylor expansion of a scalar quantity.
 
-    Coefficients are stored per graded-lex index as Taylor coefficients
-    (derivative divided by alpha factorial), sparsely: indices with exactly
-    zero coefficient are absent.
+    Coefficients are Taylor coefficients (derivative divided by alpha
+    factorial) keyed by graded-lex index, stored sparsely: indices with
+    exactly zero coefficient are absent.  `coeffs` gives them as scalar ring
+    values.
+
+    An exact jet keeps Python int numerators over one shared denominator
+    `den` > 0, in lowest terms: gcd(den, *numerators) == 1, so the zero jet
+    has den 1 and equal jets have equal representations.  Each operation
+    then pays one multi-argument gcd instead of one gcd per coefficient.  A
+    float jet keeps its float values and has `den` None.
     """
 
-    __slots__ = ("ctx", "ring", "coeffs")
+    __slots__ = ("ctx", "ring", "_nums", "den")
 
     def __init__(self, ctx: JetContext, ring, coeffs: dict):
         self.ctx = ctx
         self.ring = ring
-        self.coeffs = coeffs
+        if not ring.exact:
+            self._nums, self.den = coeffs, None
+            return
+        values = [(k, Fraction(v)) for k, v in coeffs.items() if v != 0]
+        den = math.lcm(*(v.denominator for _, v in values))
+        self._nums = {k: v.numerator * (den // v.denominator) for k, v in values}
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """Coefficients by index as scalar ring values (a read-only view)."""
+        if self.den is None:
+            return self._nums
+        return _ExactCoeffs(self._nums, self.den)
+
+    def _exact(self, nums: dict, den: int) -> "Jet":
+        """Exact jet of this shape from nonzero int numerators over den > 0,
+        brought to lowest terms."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: v // g for k, v in nums.items()}
+                den //= g
+        out = object.__new__(Jet)
+        out.ctx, out.ring, out._nums, out.den = self.ctx, self.ring, nums, den
+        return out
+
+    def numerators(self, den: int) -> dict:
+        """Exact coefficients as int numerators over `den`, a multiple of `self.den`."""
+        f = den // self.den
+        return {k: v * f for k, v in self._nums.items()} if f != 1 else self._nums
 
     # -- arithmetic ---------------------------------------------------
 
@@ -209,8 +267,10 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
+        if self.den is not None:
+            return self._exact_add(other)
+        out = dict(self._nums)
+        for k, v in other._nums.items():
             cur = out.get(k)
             if cur is None:
                 out[k] = v
@@ -222,8 +282,32 @@ class Jet:
                     out[k] = s
         return Jet(self.ctx, self.ring, out)
 
+    def _exact_add(self, other: "Jet") -> "Jet":
+        a, b = self._nums, other._nums
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            out, mb = dict(a), 1
+        else:
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            out = {k: v * ma for k, v in a.items()}
+            da *= ma
+        for k, v in b.items():
+            s = out.get(k, 0) + v * mb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._exact(out, da)
+
     def __neg__(self):
-        return Jet(self.ctx, self.ring, {k: -v for k, v in self.coeffs.items()})
+        if self.den is not None:
+            return self._exact({k: -v for k, v in self._nums.items()}, self.den)
+        return Jet(self.ctx, self.ring, {k: -v for k, v in self._nums.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -233,11 +317,13 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
+            if self.den is not None:
+                return self._exact_mul(other)
             products = self.ctx.products
             out: dict = {}
-            for i, av in self.coeffs.items():
+            for i, av in self._nums.items():
                 row = products[i]
-                for j, bv in other.coeffs.items():
+                for j, bv in other._nums.items():
                     k = row.get(j)
                     if k is None:
                         continue
@@ -258,22 +344,44 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def _exact_mul(self, other: "Jet") -> "Jet":
+        products = self.ctx.products
+        b_items = other._nums.items()
+        out: dict = {}
+        get = out.get
+        for i, av in self._nums.items():
+            row = products[i]
+            for j, bv in b_items:
+                k = row.get(j)
+                if k is not None:
+                    out[k] = get(k, 0) + av * bv
+        if 0 in out.values():
+            out = {k: v for k, v in out.items() if v}
+        return self._exact(out, self.den * other.den)
+
     def scale(self, c):
         if c == 0:
             return Jet(self.ctx, self.ring, {})
-        return Jet(self.ctx, self.ring, {k: v * c for k, v in self.coeffs.items()})
+        if self.den is not None:
+            c = Fraction(c)
+            p = c.numerator
+            return self._exact({k: v * p for k, v in self._nums.items()},
+                               self.den * c.denominator)
+        return Jet(self.ctx, self.ring, {k: v * c for k, v in self._nums.items()})
 
     def __eq__(self, other):
         if isinstance(other, Jet):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self._nums == other._nums
         return NotImplemented
 
-    __hash__ = None  # mutable-dict backed; jets are not hashable
+    __hash__ = None  # dict backed; jets are not hashable
 
     # -- queries ------------------------------------------------------
 
     def constant_term(self):
-        return self.coeffs.get(0, self.ring.zero())
+        if self.den is not None:
+            return Fraction(self._nums.get(0, 0), self.den)
+        return self._nums.get(0, self.ring.zero())
 
     def derivative(self, alpha: tuple) -> object:
         """Partial derivative d^alpha at the base point (coefficient * alpha!)."""
@@ -283,10 +391,12 @@ class Jet:
         k = ctx.index.get(tuple(alpha))
         if k is None:
             raise OrderExceeded(f"d^{tuple(alpha)} lies outside the jet's support")
-        c = self.coeffs.get(k)
+        c = self._nums.get(k)
         if c is None:
             return self.ring.zero()
-        return c * _multi_index_factorial(alpha)
+        if self.den is not None:
+            return Fraction(c * multi_index_factorial(alpha), self.den)
+        return c * multi_index_factorial(alpha)
 
     def __repr__(self):
         terms = ", ".join(
@@ -334,8 +444,10 @@ class JetRing:
         return Jet(ctx, self.scalar_ring, coeffs)
 
     def is_zero(self, jet: Jet) -> bool:
+        if jet.den is not None:
+            return not jet._nums
         sr = self.scalar_ring
-        return all(sr.is_zero(v) for v in jet.coeffs.values())
+        return all(sr.is_zero(v) for v in jet._nums.values())
 
     def invert(self, jet: Jet) -> Jet:
         return self.reciprocal(jet)
@@ -345,16 +457,47 @@ class JetRing:
 
         Solves a * out = 1 for out[k] from the already known out[j], j < k,
         summing a[i] * out[j] over the divisor pairs of k in ascending i.
+
+        Exact jets run the recurrence in integers.  With A the numerators of
+        a (a = A / den) and r = 1 / A, r[0] = 1 / A[0] and
+        r[k] = -(sum A[i] r[j]) / A[0], where every j has deg j < deg k
+        because i > 0.  By induction the denominator of r[j] divides
+        A[0]^(deg j + 1): it holds at j = 0, and if it holds below k the sum
+        has a denominator dividing A[0]^(deg k), so r[k]'s divides
+        A[0]^(deg k + 1).  Hence R = r * D with D = A[0]^(T + 1), T the top
+        degree of the support, is integral: R[0] = A[0]^T and
+        R[k] = -(sum A[i] R[j]) // A[0], a division that is exact because
+        its quotient is the integer R[k].  Then out = den * R / D.
         """
         ctx = jet.ctx
+        coeffs = jet._nums
+        divisors = ctx.divisors
+        if jet.den is not None:
+            a0 = coeffs.get(0, 0)
+            if a0 == 0:
+                raise NonInvertibleConstantTerm("jet constant term is not invertible")
+            top = sum(ctx.exponents[-1])
+            out = {0: a0 ** top}
+            for k in range(1, ctx.size):
+                acc = 0
+                for i, j in divisors[k]:
+                    av = coeffs.get(i)
+                    if av is None:
+                        continue
+                    bv = out.get(j)
+                    if bv is not None:
+                        acc += av * bv
+                if acc:
+                    out[k] = -acc // a0
+            big = a0 ** (top + 1)
+            f = jet.den if big > 0 else -jet.den
+            return jet._exact({k: v * f for k, v in out.items()}, abs(big))
         sr = self.scalar_ring
         c0 = jet.constant_term()
         if sr.is_zero(c0):
             raise NonInvertibleConstantTerm("jet constant term is not invertible")
         inv0 = sr.invert(c0)
         out = {0: inv0}
-        coeffs = jet.coeffs
-        divisors = ctx.divisors
         for k in range(1, ctx.size):
             acc = None
             for i, j in divisors[k]:

@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Callable
 
@@ -300,13 +301,21 @@ class Check:
     run: Callable | None = None
 
 
+@lru_cache(maxsize=None)
+def _theorem_operator(op: str, n: int, m: int, beta: int):
+    """D^beta Delta^m or D-bar^beta Delta^m, built once per process; operators
+    have no mutators, so every trial shares one."""
+    base = make_dirac(n) if op == "d" else make_dirac_conj(n)
+    return operator_power_compose(base, beta, m)
+
+
 def _theorem(p, s, x):
     n, m, beta = p["n"], p["m"], p["beta"]
     if p["op"] == "d":
-        closed, base = K.d_beta_delta_m_kernel(s, x, m, beta), make_dirac(n)
+        closed = K.d_beta_delta_m_kernel(s, x, m, beta)
     else:
-        closed, base = K.dbar_beta_delta_m_kernel(s, x, m, beta), make_dirac_conj(n)
-    return closed, oracle_apply(operator_power_compose(base, beta, m), K.cauchy_closure(s), x)
+        closed = K.dbar_beta_delta_m_kernel(s, x, m, beta)
+    return closed, oracle_apply(_theorem_operator(p["op"], n, m, beta), K.cauchy_closure(s), x)
 
 
 def _quad_fs_oracle(p, x):

@@ -16,7 +16,7 @@ from slicekernels.diffop import (
 )
 from slicekernels.errors import DimensionMismatch
 from slicekernels.kernels import cauchy_closure, fueter_sce_closure, sample_point_pair
-from slicekernels.rings import RATIONALS
+from slicekernels.rings import RATIONALS, JetRing, jet_context
 
 R = RATIONALS
 
@@ -180,6 +180,35 @@ def test_left_multiplication_semantics():
     e2 = Multivector.basis_vector(n, R, 2)
     assert oracle_apply(D, e2_times_coordinate, x) != e2 * base
     assert oracle_apply(D, five_times_coordinate, x) == base.scale(5)
+
+
+def _reference_apply(op, f, x):
+    # sum of c_alpha * d^alpha f as Fraction Clifford products of the jet
+    # derivatives, one term at a time
+    jring = JetRing(jet_context(op.n + 1, tuple(op.terms)), R)
+    value = f(jring, Paravector(jring, jring.seed(0, x.x0),
+                                [jring.seed(i + 1, c) for i, c in enumerate(x.xu)]))
+    acc = Multivector.zero(op.n, R)
+    for alpha, c in op.terms.items():
+        acc = acc + c * Multivector(op.n, R, [jet.derivative(alpha) for jet in value.coeffs])
+    return acc
+
+
+@pytest.mark.parametrize("n", (3, 5))
+def test_operator_coefficients_with_denominators(n):
+    # the exact oracle puts the coefficients over one common denominator E;
+    # every D^beta Delta^m has E = 1, so these operators cover E > 1
+    s, x = sample_point_pair(n, Random(n))
+    f = cauchy_closure(s)
+    D = make_dirac(n)
+    third = Fraction(1, 3)
+    assert oracle_apply(D.scale(third), f, x) == oracle_apply(D, f, x).scale(third)
+    # d/dx1 carries e1 + 3/7 e1e2 after the sum, and the Laplacian terms 2/5
+    tilt = DiffOperator(n, {(0, 1) + (0,) * (n - 1): Multivector.blade(n, R, 0b11, Fraction(3, 7))})
+    mixed = D + tilt + make_laplacian(n).scale(Fraction(2, 5))
+    assert mixed.terms[(0, 1) + (0,) * (n - 1)].coeffs[0b11] == Fraction(3, 7)
+    for op in (D.scale(third), mixed):
+        assert oracle_apply(op, f, x) == _reference_apply(op, f, x)
 
 
 def test_dimension_mismatch():

@@ -33,6 +33,9 @@ EXACT_N7 = {
     "theorem-dbar": "99946e311e04f63e6853984d6502349bb72e7e38e8353d683d85f79329112202",
 }
 
+# n=9, one trial: operators up to order 8 in 10 variables
+EXACT_N9_THEOREM_D = "bb044a5f19a4c7db30e95eb63dba6629e5f0738d4fa074b6323b8335a3e4bf1b"
+
 FLOAT = {
     "special-cases": "1075d2200be022632260380fdbd14c2fa68fe3eb5b4216121afbc1803ddea4ba",
     "polyharmonic": "52a7d92b9e4a89841e51a9a919abe328d278f8e1e84dfd17f63d829dabc40a30",
@@ -62,6 +65,11 @@ def test_exact_report_digest(suite):
 def test_exact_n7_report_digest(suite):
     config = SuiteConfig(suite=suite, n_values=(7,), trials=1, seed=0, jobs=1)
     assert _digest(config) == EXACT_N7[suite]
+
+
+def test_exact_n9_theorem_d_report_digest():
+    config = SuiteConfig(suite="theorem-d", n_values=(9,), trials=1, seed=0, jobs=1)
+    assert _digest(config) == EXACT_N9_THEOREM_D
 
 
 @pytest.mark.parametrize("suite", sorted(FLOAT))

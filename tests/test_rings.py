@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -275,3 +276,63 @@ def test_down_set_jets_agree_with_total_degree_jets(shape, scalar, data):
         assert restrict(JetRing(full, scalar).reciprocal(a)) == (
             JetRing(small, scalar).reciprocal(restrict(a))
         )
+
+
+def _reference_mul(ctx, a, b):
+    out = {}
+    for i, av in a.items():
+        for j, bv in b.items():
+            k = ctx.index.get(tuple(p + q for p, q in zip(ctx.exponents[i], ctx.exponents[j])))
+            if k is not None:
+                out[k] = out.get(k, 0) + av * bv
+    return {k: v for k, v in out.items() if v}
+
+
+def _reference_add(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_normalised(jet):
+    nums = jet.numerators(jet.den)
+    assert jet.den > 0 and math.gcd(jet.den, *nums.values()) == 1
+    assert all(type(v) is int and v for v in nums.values())
+    if not nums:
+        assert jet.den == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(_corner_sets(), st.data())
+def test_exact_jets_match_a_fraction_reference(shape, data):
+    # exact jets keep int numerators over one shared denominator; every
+    # operation must equal the same operation on plain Fraction dicts and
+    # leave the jet in lowest terms
+    ctx = jet_context(*shape)
+    ring = JetRing(ctx)
+    fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    values = st.dictionaries(st.integers(0, ctx.size - 1), fractions, max_size=8)
+    a, b = (data.draw(values) for _ in range(2))
+    a = {k: v for k, v in a.items() if v}
+    b = {k: v for k, v in b.items() if v}
+    ja, jb = Jet(ctx, RATIONALS, a), Jet(ctx, RATIONALS, b)
+    c = data.draw(fractions)
+    cases = [
+        (ja, a), (jb, b),
+        (ja + jb, _reference_add(a, b)),
+        (ja - jb, _reference_add(a, b, -1)),
+        (ja * jb, _reference_mul(ctx, a, b)),
+        (ja.scale(c), {k: v * c for k, v in a.items() if v * c}),
+        (ja - ja, {}),
+    ]
+    if a.get(0):
+        rec = ring.reciprocal(ja)
+        assert _reference_mul(ctx, a, dict(rec.coeffs)) == {0: 1}
+        cases.append((rec, dict(rec.coeffs)))
+    for jet, ref in cases:
+        _assert_normalised(jet)
+        assert dict(jet.coeffs) == ref
+        assert jet.constant_term() == ref.get(0, 0)
+        for k, alpha in enumerate(ctx.exponents):
+            assert jet.derivative(alpha) == ref.get(k, 0) * math.prod(map(math.factorial, alpha))

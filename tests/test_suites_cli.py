@@ -3,7 +3,9 @@ import json
 import pytest
 
 from slicekernels.cli import main
+from slicekernels.clifford import parse_multivector
 from slicekernels.errors import InvalidParams
+from slicekernels.rings import FLOATS
 from slicekernels.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -140,6 +142,21 @@ def test_cli_eval_singular_exit_code(capsys):
                  "--s", "0,1,0,0", "--x", "0,1,0,0"])
     assert code == 2
     assert "singular: s in [x]" in capsys.readouterr().err
+
+
+def test_cli_eval_float_singular_guard_is_scale_relative(capsys):
+    # Q is homogeneous in (s, x): small inputs far from [x] are not singular
+    # (the exact value is 4000 + 2000*e1), while a small s on [x] still is
+    code = main(["eval", "--kernel", "cauchy-II", "--n", "3", "--mode", "float",
+                 "--s", "2/10000,0,0,0", "--x", "0,1/10000,0,0"])
+    assert code == 0
+    value = parse_multivector(capsys.readouterr().out.strip(), 3, FLOATS)
+    assert value.coeffs[0] == pytest.approx(4000) and value.coeffs[1] == pytest.approx(2000)
+    assert not any(value.coeffs[2:])
+    code = main(["eval", "--kernel", "cauchy-II", "--n", "3", "--mode", "float",
+                 "--s", "0,1/10000,0,0", "--x", "0,0,1/10000,0"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: singular: s in [x]"]
 
 
 def test_cli_eval_invalid_params_exit_code(capsys):
