@@ -77,11 +77,7 @@ def _cmd_eval(args) -> int:
     x = parse_paravector(args.x, args.n, ring)
     result = K.evaluate_spec(spec, s, x)
     if args.format == "json":
-        blades = {
-            blade_name(mask) or "1": str(c)
-            for mask, c in enumerate(result.value.coeffs)
-            if not ring.is_zero(c)
-        }
+        blades = {blade_name(m) or "1": str(c) for m, c in result.value.blades.items()}
         print(json.dumps({"kernel": args.kernel, "n": args.n, "value": blades},
                          sort_keys=True))
     else:

@@ -1,10 +1,10 @@
 """Real Clifford algebra R_n with generators squaring to -1, over any ring.
 
-Elements are stored densely: ``coeffs[mask]`` is the coefficient of the
+Elements are stored sparsely: ``blades[mask]`` is the coefficient of the
 basis blade whose bitmask has bit ``i`` set when generator ``e_{i+1}`` is
-present (mask 0 is the scalar part).  Values are immutable after
-construction and all operations are pure, so multivectors can be shared
-freely between threads.
+present (mask 0 is the scalar part); blades with a zero coefficient are
+absent.  Values are immutable after construction and all operations are
+pure, so multivectors can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -73,35 +73,56 @@ def mask_from_name(name: str) -> int:
 
 
 class Multivector:
-    """Dense element of R_n over a commutative coefficient ring."""
+    """Element of R_n over a commutative coefficient ring, stored sparsely.
 
-    __slots__ = ("n", "ring", "coeffs")
+    `blades` maps blade mask to coefficient and holds only the nonzero
+    blades, in ascending mask order.  The constructor takes such a mapping
+    (any order; a mask outside 0..2^n-1 raises) or a dense sequence of 2^n
+    coefficients, and drops the entries that are exactly zero.  `coeffs` is
+    the dense tuple derived from `blades`.
+    """
+
+    __slots__ = ("n", "ring", "blades")
 
     def __init__(self, n: int, ring, coeffs):
         if not 1 <= n <= MAX_DIMENSION:
             raise InvalidParams(f"dimension {n} outside 1..{MAX_DIMENSION}")
-        if len(coeffs) != 1 << n:
+        if isinstance(coeffs, dict):
+            if not all(isinstance(m, int) and 0 <= m < 1 << n for m in coeffs):
+                raise InvalidParams(f"blade mask outside 0..{(1 << n) - 1}")
+            items = sorted(coeffs.items())
+        elif len(coeffs) != 1 << n:
             raise InvalidParams("coefficient array must have 2^n entries")
+        else:
+            items = enumerate(coeffs)
         self.n = n
         self.ring = ring
-        self.coeffs = list(coeffs)
+        self.blades = {m: c for m, c in items if c}
+
+    @classmethod
+    def _make(cls, n: int, ring, blades: dict) -> "Multivector":
+        """From nonzero blades already in ascending mask order, unchecked."""
+        out = object.__new__(cls)
+        out.n, out.ring, out.blades = n, ring, blades
+        return out
+
+    @property
+    def coeffs(self) -> tuple:
+        """All 2^n coefficients in mask order, absent blades as ring zeros."""
+        get, z = self.blades.get, self.ring.zero()
+        return tuple(get(m, z) for m in range(1 << self.n))
 
     @classmethod
     def zero(cls, n: int, ring):
-        z = ring.zero()
-        return cls(n, ring, [z] * (1 << n))
+        return cls(n, ring, {})
 
     @classmethod
     def scalar(cls, n: int, ring, value):
-        out = cls.zero(n, ring)
-        out.coeffs[0] = ring.lift(value)
-        return out
+        return cls(n, ring, {0: ring.lift(value)})
 
     @classmethod
     def blade(cls, n: int, ring, mask: int, value=1):
-        out = cls.zero(n, ring)
-        out.coeffs[mask] = ring.lift(value)
-        return out
+        return cls(n, ring, {mask: ring.lift(value)})
 
     @classmethod
     def basis_vector(cls, n: int, ring, i: int):
@@ -118,20 +139,29 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check(other)
-        return Multivector(
-            self.n, self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        a = self.blades
+        out = dict(a)
+        cancelled = False
+        for m, c in other.blades.items():
+            v = out.get(m)
+            if v is None:
+                out[m] = c
+            else:
+                out[m] = v = v + c
+                cancelled = cancelled or not v
+        if len(out) != len(a):  # other brought new blades
+            out = dict(sorted(out.items()))
+        if cancelled:
+            out = {m: v for m, v in out.items() if v}
+        return Multivector._make(self.n, self.ring, out)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        self._check(other)
-        return Multivector(
-            self.n, self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self + (-other)
 
     def __neg__(self):
-        return Multivector(self.n, self.ring, [-a for a in self.coeffs])
+        return Multivector._make(self.n, self.ring, {m: -c for m, c in self.blades.items()})
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -144,43 +174,40 @@ class Multivector:
 
     def scale(self, c) -> "Multivector":
         c = self.ring.lift(c)
-        return Multivector(self.n, self.ring, [a * c for a in self.coeffs])
+        return Multivector._make(self.n, self.ring,
+                                 {m: v for m, a in self.blades.items() if (v := a * c)})
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.blades == other.blades
 
     __hash__ = None
 
     def is_zero(self) -> bool:
         ring = self.ring
-        return all(ring.is_zero(c) for c in self.coeffs)
-
-    def coeff(self, mask: int):
-        return self.coeffs[mask]
+        return all(ring.is_zero(c) for c in self.blades.values())
 
     def scalar_part(self):
-        return self.coeffs[0]
+        return self.blades.get(0, self.ring.zero())
 
     def max_grade(self) -> int:
         ring = self.ring
-        top = 0
-        for mask, c in enumerate(self.coeffs):
-            if not ring.is_zero(c):
-                top = max(top, mask.bit_count())
-        return top
+        return max((m.bit_count() for m, c in self.blades.items() if not ring.is_zero(c)),
+                   default=0)
 
     def is_paravector(self) -> bool:
         return self.max_grade() <= 1
 
     def map_coeffs(self, fn, ring=None) -> "Multivector":
-        return Multivector(self.n, ring or self.ring, [fn(c) for c in self.coeffs])
+        """Apply `fn` to each stored coefficient; `fn` must map zero to zero."""
+        return Multivector._make(self.n, ring or self.ring,
+                                 {m: v for m, c in self.blades.items() if (v := fn(c))})
 
     def norm_float(self) -> float:
-        """Frobenius norm of the coefficient array, as a float (diagnostics)."""
+        """Frobenius norm of the coefficients, as a float (diagnostics)."""
         mag = self.ring.magnitude
-        return sum(mag(c) ** 2 for c in self.coeffs) ** 0.5
+        return sum(mag(c) ** 2 for c in self.blades.values()) ** 0.5
 
     def __repr__(self):
         return f"Multivector(n={self.n}, {self.to_text()})"
@@ -190,24 +217,31 @@ class Multivector:
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Associative Clifford product; bilinear, e_i e_j + e_j e_i = -2 delta_ij."""
+    """Associative Clifford product; bilinear, e_i e_j + e_j e_i = -2 delta_ij.
+
+    Walks a's blades, then b's, in ascending mask order and skips the
+    coefficients `ring.is_zero` calls zero, so float sums keep one order.
+    """
     a._check(b)
     ring = a.ring
-    out = [ring.zero()] * (1 << a.n)
     is_zero = ring.is_zero
-    bc = b.coeffs
-    nonzero_b = [(j, cb) for j, cb in enumerate(bc) if not is_zero(cb)]
-    for i, ca in enumerate(a.coeffs):
+    out = [None] * (1 << a.n)
+    nonzero_b = [(j, cb) for j, cb in b.blades.items() if not is_zero(cb)]
+    for i, ca in a.blades.items():
         if is_zero(ca):
             continue
         for j, cb in nonzero_b:
             mask, sign = blade_product(i, j)
             p = ca * cb
-            if sign < 0:
-                out[mask] = out[mask] - p
+            cur = out[mask]
+            if cur is None:
+                out[mask] = -p if sign < 0 else p
+            elif sign < 0:
+                out[mask] = cur - p
             else:
-                out[mask] = out[mask] + p
-    return Multivector(a.n, ring, out)
+                out[mask] = cur + p
+    blades = {m: v for m, v in enumerate(out) if v is not None and v}
+    return Multivector._make(a.n, ring, blades)
 
 
 class Paravector:
@@ -238,11 +272,11 @@ class Paravector:
         return Paravector(ring, ring.lift(self.x0), tuple(ring.lift(c) for c in self.xu))
 
     def to_multivector(self) -> Multivector:
-        out = Multivector.zero(self.n, self.ring)
-        out.coeffs[0] = self.x0
+        blades = {0: self.x0} if self.x0 else {}
         for i, c in enumerate(self.xu):
-            out.coeffs[1 << i] = c
-        return out
+            if c:
+                blades[1 << i] = c
+        return Multivector._make(self.n, self.ring, blades)
 
     def conjugate(self) -> "Paravector":
         return Paravector(self.ring, self.x0, tuple(-c for c in self.xu))
@@ -363,11 +397,8 @@ def _format_coeff(c) -> str:
 
 
 def format_multivector(mv: Multivector) -> str:
-    ring = mv.ring
     parts = []
-    for mask, c in enumerate(mv.coeffs):
-        if ring.is_zero(c):
-            continue
+    for mask, c in mv.blades.items():
         name = blade_name(mask)
         text = _format_coeff(c)
         negative = text.startswith("-")
@@ -396,7 +427,7 @@ def parse_multivector(text: str, n: int, ring=RATIONALS) -> Multivector:
     exponent (``-2.5e+103``), so every text `format_multivector` prints reads
     back to the same multivector.
     """
-    out = Multivector.zero(n, ring)
+    blades: dict = {}
     for term in _TERM_START.split(text.replace(" ", "")):
         if not term:
             continue
@@ -416,8 +447,8 @@ def parse_multivector(text: str, n: int, ring=RATIONALS) -> Multivector:
             coeff = ring.lift(-value if negative else value)
         except (ValueError, ZeroDivisionError, OverflowError):
             raise InvalidParams(f"bad coefficient {coeff_text!r} in {text!r}") from None
-        out.coeffs[mask] = out.coeffs[mask] + coeff
-    return out
+        blades[mask] = blades.get(mask, ring.zero()) + coeff
+    return Multivector(n, ring, blades)
 
 
 def format_paravector(x: Paravector) -> str:

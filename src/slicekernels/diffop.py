@@ -37,8 +37,7 @@ class DiffOperator:
         ints C over one common denominator E, nonzero blades only.  Computed
         on first use; operators have no mutators."""
         if self._integer_terms is None:
-            terms = [(alpha, [(a, c) for a, c in enumerate(mv.coeffs) if c])
-                     for alpha, mv in self.terms.items()]
+            terms = [(alpha, list(mv.blades.items())) for alpha, mv in self.terms.items()]
             den = math.lcm(*(c.denominator for _, cs in terms for _, c in cs))
             self._integer_terms = den, [
                 (alpha, [(a, c.numerator * (den // c.denominator)) for a, c in cs])
@@ -176,19 +175,21 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     if not ring.exact:
         acc = Multivector.zero(n, ring)
         for alpha, cmv in op.terms.items():
-            dmv = Multivector(n, ring, [jet.derivative(alpha) for jet in value.coeffs])
+            k, fact = ctx.index[alpha], multi_index_factorial(alpha)
+            dmv = Multivector(n, ring, {b: c * fact for b, jet in value.blades.items()
+                                        if (c := jet.coeffs.get(k)) is not None})
             acc = acc + cmv.map_coeffs(ring.lift, ring) * dmv
         return acc
-    den = math.lcm(*(jet.den for jet in value.coeffs))
-    nums = [jet.numerators(den) for jet in value.coeffs]
+    den = math.lcm(*(jet.den for jet in value.blades.values()))
+    nums = [(b, jet.numerators(den)) for b, jet in value.blades.items()]
     scale, terms = op.integer_terms()
     acc = [0] * (1 << n)
     for alpha, coeffs in terms:
         k, fact = ctx.index[alpha], multi_index_factorial(alpha)
-        column = [(b, fact * nb[k]) for b, nb in enumerate(nums) if k in nb]
+        column = [(b, fact * nb[k]) for b, nb in nums if k in nb]
         for a, c in coeffs:
             for b, v in column:
                 mask, sign = blade_product(a, b)
                 acc[mask] += sign * c * v
     den *= scale
-    return Multivector(n, ring, [Fraction(v, den) for v in acc])
+    return Multivector(n, ring, {m: Fraction(v, den) for m, v in enumerate(acc) if v})

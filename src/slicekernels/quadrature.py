@@ -100,11 +100,8 @@ class SliceFunction:
             return Multivector.scalar(n, FLOATS, a)
         v = math.sqrt(v2)
         a, b = self.eval_components(u, v)
-        out = Multivector.zero(n, FLOATS)
-        out.coeffs[0] = a
-        for i, c in enumerate(x.xu):
-            out.coeffs[1 << i] = float(c) / v * b
-        return out
+        xu = tuple(float(c) / v * b for c in x.xu)
+        return Paravector(FLOATS, a, xu).to_multivector()
 
     def as_ring_function(self):
         """Ring-generic closure sum x^k a_k, usable by the jet oracle."""

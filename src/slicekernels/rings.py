@@ -376,6 +376,10 @@ class Jet:
 
     __hash__ = None  # dict backed; jets are not hashable
 
+    def __bool__(self):
+        """False only for the jet with no stored coefficient."""
+        return bool(self._nums)
+
     # -- queries ------------------------------------------------------
 
     def constant_term(self):

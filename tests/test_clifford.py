@@ -17,7 +17,7 @@ from slicekernels.clifford import (
     same_sphere,
 )
 from slicekernels.errors import DimensionMismatch, InvalidParams, ZeroNorm
-from slicekernels.rings import FLOATS, RATIONALS, JetRing, total_degree
+from slicekernels.rings import FLOATS, RATIONALS, Jet, JetRing, total_degree
 
 R = RATIONALS
 
@@ -63,10 +63,10 @@ def test_dimension_mismatch():
 
 
 def _random_mv(n, rng, sparsity=6):
-    out = Multivector.zero(n, R)
+    out = {}
     for _ in range(sparsity):
-        out.coeffs[rng.randrange(1 << n)] = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
-    return out
+        out[rng.randrange(1 << n)] = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+    return Multivector(n, R, out)
 
 
 def test_associativity_n7_seeded():
@@ -82,15 +82,100 @@ def test_associativity_and_distributivity(n, data):
     masks = st.integers(min_value=0, max_value=(1 << n) - 1)
     coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
     def draw_mv():
-        d = data.draw(st.dictionaries(masks, coeffs, max_size=4))
-        out = Multivector.zero(n, R)
-        for k, v in d.items():
-            out.coeffs[k] = v
-        return out
+        return Multivector(n, R, data.draw(st.dictionaries(masks, coeffs, max_size=4)))
     a, b, c = draw_mv(), draw_mv(), draw_mv()
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
+
+
+# -- sparse storage against the dense loops it replaced -------------------
+
+JR = JetRing(total_degree(2, 2))
+
+
+def _dense_product(ring, a, b):
+    out = [ring.zero()] * len(a)
+    nonzero_b = [(j, cb) for j, cb in enumerate(b) if not ring.is_zero(cb)]
+    for i, ca in enumerate(a):
+        if ring.is_zero(ca):
+            continue
+        for j, cb in nonzero_b:
+            mask, sign = blade_product(i, j)
+            p = ca * cb
+            out[mask] = out[mask] - p if sign < 0 else out[mask] + p
+    return out
+
+
+def _dense_norm(ring, coeffs):
+    return sum(ring.magnitude(c) ** 2 for c in coeffs) ** 0.5
+
+
+# every coefficient kind with exact zeros among the draws; the small floats
+# fall under FloatRing's 1e-12 zero tolerance, which the product skips
+_SCALARS = {
+    "fraction": (R, st.one_of(st.just(Fraction(0)),
+                              st.fractions(min_value=-4, max_value=4, max_denominator=6))),
+    "float": (FLOATS, st.one_of(st.just(0.0),
+                                st.floats(min_value=-1e-12, max_value=1e-12),
+                                st.floats(min_value=-4, max_value=4))),
+    "jet": (JR, st.dictionaries(st.integers(0, JR.ctx.size - 1),
+                                st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                                max_size=3).map(lambda d: Jet(JR.ctx, R, d))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_SCALARS)), st.integers(min_value=1, max_value=5), st.data())
+def test_sparse_operations_match_dense_loops(kind, n, data):
+    ring, values = _SCALARS[kind]
+    dense = st.lists(st.one_of(st.just(ring.zero()), values), min_size=1 << n, max_size=1 << n)
+    da, db = data.draw(dense), data.draw(dense)
+    c = data.draw(values)
+    a, b = Multivector(n, ring, da), Multivector(n, ring, db)
+    # == on floats is bit equality except for the sign of zero
+    for mv, dense_result in (
+        (a, da), (b, db),
+        (a + b, [x + y for x, y in zip(da, db)]),
+        (a - b, [x - y for x, y in zip(da, db)]),
+        (a.scale(c), [x * c for x in da]),
+        (geometric_product(a, b), _dense_product(ring, da, db)),
+    ):
+        assert list(mv.blades) == sorted(mv.blades) and all(mv.blades.values())
+        assert mv.coeffs == tuple(dense_result)
+    if kind != "jet":
+        assert a.norm_float() == _dense_norm(ring, da)
+
+
+def test_norm_float_sums_in_mask_order():
+    rng = Random(7)
+    for n in (3, 5, 7):
+        d = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(1 << n)]
+        assert Multivector(n, FLOATS, d).norm_float() == _dense_norm(FLOATS, d)
+
+
+def test_stored_zero_equals_absent_blade():
+    a = Multivector(3, R, {0: Fraction(2), 5: Fraction(0)})
+    assert a == Multivector(3, R, {0: Fraction(2)}) == Multivector.scalar(3, R, 2)
+    assert list(a.blades) == [0]
+    assert Multivector(2, FLOATS, [0.0, 1.5, -0.0, 0.0]) == Multivector.blade(2, FLOATS, 1, 1.5)
+    assert Multivector(1, JR, {1: JR.zero()}) == Multivector.zero(1, JR)
+
+
+def test_blade_mask_outside_dimension_raises():
+    with pytest.raises(InvalidParams):
+        Multivector(3, R, {8: Fraction(1)})
+    with pytest.raises(InvalidParams):
+        Multivector(3, R, {-1: Fraction(1)})
+    with pytest.raises(InvalidParams):
+        Multivector(3, R, [Fraction(1)] * 4)
+
+
+def test_coeffs_is_read_only():
+    a = Multivector.scalar(2, R, 1)
+    with pytest.raises(TypeError):
+        a.coeffs[1] = Fraction(3)
+    assert a.coeffs == (1, 0, 0, 0)
 
 
 def test_paravector_conjugate_examples():
@@ -155,8 +240,7 @@ def test_multivector_works_over_float_and_jet_rings():
     xf = Paravector.from_coords(FLOATS, [1.0, 2.0, 0.0, 0.0])
     assert abs((xf * xf.conjugate()).scalar_part() - 5.0) < 1e-12
     jr = JetRing(total_degree(2, 2))
-    a = Multivector.zero(1, jr)
-    a.coeffs[0] = jr.seed(0, 1)
+    a = Multivector(1, jr, {0: jr.seed(0, 1)})
     b = Multivector.basis_vector(1, jr, 1)
     prod = (a + b) * (a - b)  # (x + e1)(x - e1) = x^2 + 1 over jets
     assert jr.is_zero(prod.coeffs[1])

@@ -34,7 +34,11 @@ EXACT_N7 = {
 }
 
 # n=9, one trial: operators up to order 8 in 10 variables
-EXACT_N9_THEOREM_D = "bb044a5f19a4c7db30e95eb63dba6629e5f0738d4fa074b6323b8335a3e4bf1b"
+EXACT_N9 = {
+    "theorem-d": "bb044a5f19a4c7db30e95eb63dba6629e5f0738d4fa074b6323b8335a3e4bf1b",
+    "theorem-dbar": "4a4172f7730fbd0d4d37f911e4a0ce700d39b262c1d99b138f3d26c0335ba250",
+    "special-cases": "72a987c364d01bbfd1b6deffef4c18bd541bc08272ac8ab942ea4c4c949ff3ae",
+}
 
 FLOAT = {
     "special-cases": "1075d2200be022632260380fdbd14c2fa68fe3eb5b4216121afbc1803ddea4ba",
@@ -67,9 +71,10 @@ def test_exact_n7_report_digest(suite):
     assert _digest(config) == EXACT_N7[suite]
 
 
-def test_exact_n9_theorem_d_report_digest():
-    config = SuiteConfig(suite="theorem-d", n_values=(9,), trials=1, seed=0, jobs=1)
-    assert _digest(config) == EXACT_N9_THEOREM_D
+@pytest.mark.parametrize("suite", sorted(EXACT_N9))
+def test_exact_n9_report_digest(suite):
+    config = SuiteConfig(suite=suite, n_values=(9,), trials=1, seed=0, jobs=1)
+    assert _digest(config) == EXACT_N9[suite]
 
 
 @pytest.mark.parametrize("suite", sorted(FLOAT))

@@ -159,6 +159,20 @@ def test_cli_eval_float_singular_guard_is_scale_relative(capsys):
     assert capsys.readouterr().err.splitlines() == ["error: singular: s in [x]"]
 
 
+def test_cli_eval_float_prints_values_below_the_zero_tolerance(capsys):
+    # the exact value is 1/100000000000001; a float 1e-14 is not zero
+    argv = ["eval", "--kernel", "pseudo-cauchy", "--n", "3", "--m", "1",
+            "--s", "1e7,0,0,0", "--x", "0,1,0,0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == "1/100000000000001"
+    assert main(argv + ["--mode", "float"]) == 0
+    value = parse_multivector(capsys.readouterr().out.strip(), 3, FLOATS)
+    assert value.scalar_part() == pytest.approx(1e-14) and value.blades.keys() == {0}
+    assert main(argv + ["--mode", "float", "--format", "json"]) == 0
+    blades = json.loads(capsys.readouterr().out)["value"]
+    assert list(blades) == ["1"] and float(blades["1"]) == pytest.approx(1e-14)
+
+
 def test_cli_eval_invalid_params_exit_code(capsys):
     code = main(["eval", "--kernel", "d-beta-delta-m", "--n", "3", "--m", "5",
                  "--beta", "1", "--s", "2,0,0,0", "--x", "0,1,0,0"])
