@@ -9,6 +9,7 @@ pure, so multivectors can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -221,9 +222,26 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 
     Walks a's blades, then b's, in ascending mask order and skips the
     coefficients `ring.is_zero` calls zero, so float sums keep one order.
+    Over RATIONALS the sums run in integers: with a's blades A_i / da over
+    their lcm denominator da and b's B_j / db, each output blade sums
+    sign * A_i * B_j and is divided by da * db once.
     """
     a._check(b)
     ring = a.ring
+    if ring is RATIONALS:
+        da = math.lcm(*(c.denominator for c in a.blades.values()))
+        db = math.lcm(*(c.denominator for c in b.blades.values()))
+        nb = [(j, c.numerator * (db // c.denominator)) for j, c in b.blades.items()]
+        acc: dict = {}
+        get = acc.get
+        for i, c in a.blades.items():
+            ai = c.numerator * (da // c.denominator)
+            for j, bj in nb:
+                mask, sign = blade_product(i, j)
+                acc[mask] = get(mask, 0) + sign * ai * bj
+        den = da * db
+        return Multivector._make(a.n, ring,
+                                 {m: Fraction(v, den) for m, v in sorted(acc.items()) if v})
     is_zero = ring.is_zero
     out = [None] * (1 << a.n)
     nonzero_b = [(j, cb) for j, cb in b.blades.items() if not is_zero(cb)]
@@ -294,25 +312,64 @@ class Paravector:
             acc = acc + c * c
         return acc
 
+    def binary_exponent(self) -> int:
+        """Exponent e of math.frexp for the largest float coordinate, so the
+        coordinates of self.ldexp(-e) lie in (-1, 1); 0 when all are zero."""
+        return math.frexp(max(abs(c) for c in self.coords()))[1]
+
+    def ldexp(self, e: int) -> "Paravector":
+        """Float paravector times 2^e, exact unless a coordinate leaves the
+        normal range."""
+        return Paravector(self.ring, math.ldexp(self.x0, e),
+                          tuple(math.ldexp(c, e) for c in self.xu))
+
     def inverse(self) -> "Paravector":
         ring = self.ring
         ns = self.norm_sq()
+        if isinstance(ns, float) and ns in (0.0, math.inf) and (e := self.binary_exponent()):
+            # |x|^2 left float range: invert x / 2^e, whose norm is moderate
+            return self.ldexp(-e).inverse().ldexp(-e)
         if ns == 0:
             raise ZeroNorm("paravector has zero norm")
         inv = ring.invert(ns)
         return Paravector(ring, self.x0 * inv, tuple(-c * inv for c in self.xu))
 
-    def pow(self, k: int) -> "Paravector":
-        """k-th power, k >= 0; stays in the plane spanned by 1 and the vector part."""
+    def _plane_powers(self, k: int):
+        """(a_j, b_j) with x^j = a_j + b_j * (vector part), for j = 0..k.
+
+        x^(j+1) = (a_j x0 - b_j l) + (a_j + b_j x0) * (vector part), with l
+        the squared norm of the vector part, computed only when k >= 2.
+        """
         if k < 0:
             raise InvalidParams("negative power; invert first")
         ring = self.ring
-        a, b = ring.one(), ring.zero()
-        if k:
-            ell = self.vector_norm_sq()
-            for _ in range(k):
-                a, b = a * self.x0 - b * ell, a + b * self.x0
-        return Paravector(ring, a, tuple(b * c for c in self.xu))
+        yield ring.one(), ring.zero()
+        if k < 1:
+            return
+        a, b = self.x0, ring.one()
+        yield a, b
+        if k < 2:
+            return
+        ell = self.vector_norm_sq()
+        for _ in range(k - 1):
+            a, b = a * self.x0 - b * ell, a + b * self.x0
+            yield a, b
+
+    def _from_plane(self, a, b) -> "Paravector":
+        return Paravector(self.ring, a, tuple(b * c for c in self.xu))
+
+    def pow(self, k: int) -> "Paravector":
+        """k-th power, k >= 0; stays in the plane spanned by 1 and the vector part."""
+        if k == 1:
+            return self
+        for a, b in self._plane_powers(k):
+            pass  # keep only the last pair
+        return self._from_plane(a, b)
+
+    def powers(self, k: int) -> list:
+        """[x^0, ..., x^k] from one run of the recurrence; powers(k)[j] is pow(j)."""
+        return [self if j == 1 else self._from_plane(a, b)
+                for j, (a, b) in enumerate(self._plane_powers(k))]
 
     def scale(self, c) -> "Paravector":
         c = self.ring.lift(c)

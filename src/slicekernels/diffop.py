@@ -181,12 +181,14 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
             acc = acc + cmv.map_coeffs(ring.lift, ring) * dmv
         return acc
     den = math.lcm(*(jet.den for jet in value.blades.values()))
-    nums = [(b, jet.numerators(den)) for b, jet in value.blades.items()]
+    # each blade's numerators over its own den, and the factor to den: only
+    # the coefficients the operator reads are brought to den
+    nums = [(b, jet.numerators(jet.den), den // jet.den) for b, jet in value.blades.items()]
     scale, terms = op.integer_terms()
     acc = [0] * (1 << n)
     for alpha, coeffs in terms:
         k, fact = ctx.index[alpha], multi_index_factorial(alpha)
-        column = [(b, fact * nb[k]) for b, nb in nums if k in nb]
+        column = [(b, fact * f * nb[k]) for b, nb, f in nums if k in nb]
         for a, c in coeffs:
             for b, v in column:
                 mask, sign = blade_product(a, b)

@@ -11,6 +11,7 @@ identical kernel expressions it is checked against.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,13 +51,24 @@ def check_not_singular(s: Paravector, x: Paravector) -> Paravector:
     """Return Q_{c,s}(x), raising SingularKernel when s lies on [x].
 
     Exact zero test over exact rings; over floats the norm of Q is compared
-    against a tolerance relative to the squared magnitudes of s and x.
+    against a tolerance relative to the squared magnitudes of s and x.  When
+    either side of that test leaves float range, it is made on copies of s
+    and x divided by a power of two, which is exact and leaves the relative
+    test unchanged because Q is homogeneous.
     """
     q = pseudo_denominator(s, x)
     nq = q.norm_sq()
     ring = s.ring
     if isinstance(ring, FloatRing):
-        if abs(nq) <= ring.tol * _singular_scale(s, x):
+        bound = ring.tol * _singular_scale(s, x)
+        if nq in (0.0, math.inf) or bound in (0.0, math.inf):
+            if not all(map(math.isfinite, q.coords())):
+                raise InvalidParams("Q_{c,s}(x) lies outside float range")
+            e = max(s.binary_exponent(), x.binary_exponent())
+            s, x = s.ldexp(-e), x.ldexp(-e)
+            nq = pseudo_denominator(s, x).norm_sq()
+            bound = ring.tol * _singular_scale(s, x)
+        if abs(nq) <= bound:
             raise SingularKernel("singular: s in [x]")
     elif ring.is_zero(nq):
         raise SingularKernel("singular: s in [x]")
@@ -113,10 +125,10 @@ def cauchy_series_partial(s: Paravector, x: Paravector, terms: int) -> Multivect
     ring = s.ring
     if not x.norm_sq() < s.norm_sq():
         raise InvalidParams("series requires |x| < |s|")
-    sinv = s.inverse()
+    xk, sk = x.powers(terms), s.inverse().powers(terms + 1)
     acc = Multivector.zero(s.n, ring)
     for k in range(terms + 1):
-        acc = acc + x.pow(k).to_multivector() * sinv.pow(k + 1).to_multivector()
+        acc = acc + xk[k].to_multivector() * sk[k + 1].to_multivector()
     return acc
 
 
@@ -156,13 +168,14 @@ def _beta_delta_m_sums(s, x, m: int, beta: int, h: int, first, second, extra: in
     smxbar = (s - x.conjugate()).to_multivector()
     smx0 = Paravector(ring, s.x0 - x.x0, s.xu)
     p, k = beta % 2, beta // 2
+    qk, sk = qinv.powers(m + beta + extra), smx0.powers(beta + extra - 1)
     acc = Multivector.zero(x.n, ring)
     for j in range(0, k + extra):
-        term = qinv.pow(m + 1 + k + p + j).to_multivector() * smx0.pow(2 * j + p).to_multivector()
+        term = qk[m + 1 + k + p + j].to_multivector() * sk[2 * j + p].to_multivector()
         acc = acc + term.scale(first(j, k, m, h))
     acc = smxbar * acc
     for j in range(0, k + p):
-        term = qinv.pow(m + 1 + k + j).to_multivector() * smx0.pow(2 * j + 1 - p).to_multivector()
+        term = qk[m + 1 + k + j].to_multivector() * sk[2 * j + 1 - p].to_multivector()
         acc = combine(acc, term.scale(second(j, k, m, h)))
     return acc
 
@@ -249,25 +262,25 @@ def _lemma_rhs(lemma: str, formula: int, s, x, m: int, k: int) -> Multivector:
     h = cf.h_of(n)
     ring = x.ring
     qinv = pseudo_inverse(s, x)
-    qm = qinv.pow(m).to_multivector()
-    qm1 = qinv.pow(m + 1).to_multivector()
+    qm, qm1 = (q.to_multivector() for q in qinv.powers(m + 1)[m:])
     smxbar = (s - x.conjugate()).to_multivector()
     smx0 = Paravector(ring, s.x0 - x.x0, s.xu)
+    sk = smx0.powers(k + 1)
     if lemma == LEMMA_DIRAC:
         if formula == 1:
             return qm.scale(-2 * (h - m + 1))
         if formula == 2:
             return (smx0.to_multivector() * qm1).scale(4 * m) - (smxbar * qm1).scale(2 * m)
         if formula == 3:
-            out = (smx0.pow(k + 1).to_multivector() * qm1).scale(4 * m)
-            out = out - (smxbar * qm1 * smx0.pow(k).to_multivector()).scale(2 * m)
+            out = (sk[k + 1].to_multivector() * qm1).scale(4 * m)
+            out = out - (smxbar * qm1 * sk[k].to_multivector()).scale(2 * m)
             if k > 0:
-                out = out - (smx0.pow(k - 1).to_multivector() * qm).scale(k)
+                out = out - (sk[k - 1].to_multivector() * qm).scale(k)
             return out
         if formula == 4:
-            out = (qm * smx0.pow(k).to_multivector()).scale(2 * (m - h - 1))
+            out = (qm * sk[k].to_multivector()).scale(2 * (m - h - 1))
             if k > 0:
-                out = out - (smxbar * qm * smx0.pow(k - 1).to_multivector()).scale(k)
+                out = out - (smxbar * qm * sk[k - 1].to_multivector()).scale(k)
             return out
     elif lemma == LEMMA_DIRAC_CONJ:
         if formula == 1:
@@ -275,15 +288,15 @@ def _lemma_rhs(lemma: str, formula: int, s, x, m: int, k: int) -> Multivector:
         if formula == 2:
             return (smxbar * qm1).scale(2 * m)
         if formula == 3:
-            out = (smxbar * smx0.pow(k).to_multivector() * qm1).scale(2 * m)
+            out = (smxbar * sk[k].to_multivector() * qm1).scale(2 * m)
             if k > 0:
-                out = out - (smx0.pow(k - 1).to_multivector() * qm).scale(k)
+                out = out - (sk[k - 1].to_multivector() * qm).scale(k)
             return out
         if formula == 4:
-            out = (qm * smx0.pow(k).to_multivector()).scale(2 * (h - m))
-            out = out + (smxbar * qm1 * smx0.pow(k + 1).to_multivector()).scale(4 * m)
+            out = (qm * sk[k].to_multivector()).scale(2 * (h - m))
+            out = out + (smxbar * qm1 * sk[k + 1].to_multivector()).scale(4 * m)
             if k > 0:
-                out = out - (smxbar * smx0.pow(k - 1).to_multivector() * qm).scale(k)
+                out = out - (smxbar * sk[k - 1].to_multivector() * qm).scale(k)
             return out
     raise InvalidParams(f"unknown lemma {lemma!r} or formula {formula}")
 

@@ -12,7 +12,8 @@ coefficients of a scalar quantity in ``num_vars`` real coordinates on a
 fixed down-set of multi-indices (see :class:`JetContext`), so evaluating any
 expression over jets yields all those partial derivatives at the base point
 in one pass.  Exact jets compute with int numerators over one shared
-denominator, so the oracle's inner loops run on Python ints, not Fractions.
+denominator that is reduced only around a reciprocal, so the oracle's inner
+loops run on Python ints, not Fractions.
 """
 
 from __future__ import annotations
@@ -213,11 +214,13 @@ class Jet:
     exactly zero coefficient are absent.  `coeffs` gives them as scalar ring
     values.
 
-    An exact jet keeps Python int numerators over one shared denominator
-    `den` > 0, in lowest terms: gcd(den, *numerators) == 1, so the zero jet
-    has den 1 and equal jets have equal representations.  Each operation
-    then pays one multi-argument gcd instead of one gcd per coefficient.  A
-    float jet keeps its float values and has `den` None.
+    An exact jet keeps nonzero Python int numerators over one shared
+    denominator `den` > 0 that need not be in lowest terms: `+`, `-`, `*`
+    and `scale` never take a gcd, and `==` compares values by
+    cross-multiplying.  Only the reciprocal reduces, its input and its
+    output, by one multi-argument gcd each; `coeffs`, `derivative` and
+    `constant_term` return Fractions, which are in lowest terms.  A float
+    jet keeps its float values and has `den` None.
     """
 
     __slots__ = ("ctx", "ring", "_nums", "den")
@@ -241,16 +244,17 @@ class Jet:
         return _ExactCoeffs(self._nums, self.den)
 
     def _exact(self, nums: dict, den: int) -> "Jet":
-        """Exact jet of this shape from nonzero int numerators over den > 0,
-        brought to lowest terms."""
-        if den != 1:
-            g = math.gcd(den, *nums.values())
-            if g != 1:
-                nums = {k: v // g for k, v in nums.items()}
-                den //= g
+        """Exact jet of this shape from nonzero int numerators over den > 0."""
         out = object.__new__(Jet)
         out.ctx, out.ring, out._nums, out.den = self.ctx, self.ring, nums, den
         return out
+
+    def _lowest(self) -> "Jet":
+        """This exact jet in lowest terms, by one multi-argument gcd."""
+        g = math.gcd(self.den, *self._nums.values())
+        if g == 1:
+            return self
+        return self._exact({k: v // g for k, v in self._nums.items()}, self.den // g)
 
     def numerators(self, den: int) -> dict:
         """Exact coefficients as int numerators over `den`, a multiple of `self.den`."""
@@ -345,16 +349,25 @@ class Jet:
     __rmul__ = __mul__
 
     def _exact_mul(self, other: "Jet") -> "Jet":
+        # integer sums do not depend on their order, so each row i takes the
+        # shorter walk: its table entries looked up in b, or b looked up in it
         products = self.ctx.products
-        b_items = other._nums.items()
+        b = other._nums
+        b_items, b_get, nb = b.items(), b.get, len(b)
         out: dict = {}
         get = out.get
         for i, av in self._nums.items():
             row = products[i]
-            for j, bv in b_items:
-                k = row.get(j)
-                if k is not None:
-                    out[k] = get(k, 0) + av * bv
+            if len(row) < nb:
+                for j, k in row.items():
+                    bv = b_get(j)
+                    if bv is not None:
+                        out[k] = get(k, 0) + av * bv
+            else:
+                for j, bv in b_items:
+                    k = row.get(j)
+                    if k is not None:
+                        out[k] = get(k, 0) + av * bv
         if 0 in out.values():
             out = {k: v for k, v in out.items() if v}
         return self._exact(out, self.den * other.den)
@@ -370,9 +383,13 @@ class Jet:
         return Jet(self.ctx, self.ring, {k: v * c for k, v in self._nums.items()})
 
     def __eq__(self, other):
-        if isinstance(other, Jet):
-            return self.den == other.den and self._nums == other._nums
-        return NotImplemented
+        if not isinstance(other, Jet):
+            return NotImplemented
+        a, b, da, db = self._nums, other._nums, self.den, other.den
+        if da == db or da is None or db is None:
+            return da == db and a == b
+        # numerators are nonzero, so equal values store the same indices
+        return a.keys() == b.keys() and all(v * db == b[k] * da for k, v in a.items())
 
     __hash__ = None  # dict backed; jets are not hashable
 
@@ -474,9 +491,10 @@ class JetRing:
         its quotient is the integer R[k].  Then out = den * R / D.
         """
         ctx = jet.ctx
-        coeffs = jet._nums
         divisors = ctx.divisors
         if jet.den is not None:
+            jet = jet._lowest()
+            coeffs = jet._nums
             a0 = coeffs.get(0, 0)
             if a0 == 0:
                 raise NonInvertibleConstantTerm("jet constant term is not invertible")
@@ -495,7 +513,8 @@ class JetRing:
                     out[k] = -acc // a0
             big = a0 ** (top + 1)
             f = jet.den if big > 0 else -jet.den
-            return jet._exact({k: v * f for k, v in out.items()}, abs(big))
+            return jet._exact({k: v * f for k, v in out.items()}, abs(big))._lowest()
+        coeffs = jet._nums
         sr = self.scalar_ring
         c0 = jet.constant_term()
         if sr.is_zero(c0):

@@ -157,12 +157,13 @@ def _run_series(params, config: SuiteConfig) -> dict:
     limit = K.cauchy_left(s, x, form="II")
     ns_f = math.sqrt(float(s.norm_sq()))
     rho = math.sqrt(float(x.norm_sq())) / ns_f
-    sinv = s.inverse()
+    terms = params["terms"]
+    xk, sk = x.powers(terms), s.inverse().powers(terms + 1)
     acc = Multivector.zero(n, RATIONALS)
     worst = 0.0
     ok = True
-    for k in range(params["terms"] + 1):
-        acc = acc + x.pow(k).to_multivector() * sinv.pow(k + 1).to_multivector()
+    for k in range(terms + 1):
+        acc = acc + xk[k].to_multivector() * sk[k + 1].to_multivector()
         err = (acc - limit).norm_float()
         bound = rho ** (k + 1) / (ns_f * (1.0 - rho))
         if err > bound * (1.0 + 1e-9):

@@ -12,6 +12,9 @@ from slicekernels.suites import SuiteConfig, run_suite
 
 JOBS = 2
 NS = (3, 5, 7)
+# exact n=9: operators up to order 8 in 10 variables, 1-3 s per oracle case
+N9 = (9,)
+N9_TRIALS = 4
 
 
 def _announce(criterion, report, elapsed, extra=""):
@@ -43,7 +46,17 @@ def test_criterion_1_theorem_d_exact():
     pairs = sum(len(list(_pairs(n))) for n in NS)
     assert report.summary["total"] == pairs * 20
     assert all(c["residual"] == 0.0 for c in report.cases)
-    assert elapsed < 300.0, "n=7 sweep must stay under five minutes"
+    report, elapsed_n9 = _run_exact_n9("1b (D^beta Delta^m theorem, n=9)", "theorem-d")
+    assert report.summary["total"] == len(list(_pairs(9))) * N9_TRIALS
+    assert elapsed + elapsed_n9 < 300.0, "n=3..9 sweep must stay under five minutes"
+
+
+def _run_exact_n9(criterion, suite, trials=N9_TRIALS):
+    config = SuiteConfig(suite=suite, n_values=N9, trials=trials, mode="exact",
+                         seed=0, jobs=JOBS)
+    report, elapsed = _run(criterion, config)
+    assert all(c["residual"] == 0.0 for c in report.cases)
+    return report, elapsed
 
 
 def _pairs(n):
@@ -61,6 +74,9 @@ def test_criterion_2_theorem_dbar_exact_with_boundary():
     assert all(c["residual"] == 0.0 for c in report.cases)
     boundary = [c for c in report.cases if "boundary" in c["key"]]
     assert boundary and all(c["pass"] for c in boundary)
+    report, _ = _run_exact_n9("2b (Dbar^beta Delta^m theorem + boundary, n=9)",
+                              "theorem-dbar")
+    assert report.summary["total"] == (len(list(_pairs(9))) + 4) * N9_TRIALS
 
 
 def test_criterion_3_lemma_suites():
@@ -91,6 +107,11 @@ def test_criterion_5_monogenic_and_polyharmonic():
     report, _ = _run("5b (polyharmonicity of harmonic kernels)", config)
     expected = sum((n - 1) // 2 for n in NS) * 10
     assert report.summary["total"] == expected
+    _run_exact_n9("5c (Dirac annihilates the Fueter-Sce kernel, n=9)", "monogenic",
+                  trials=10)
+    report, _ = _run_exact_n9("5d (polyharmonicity of harmonic kernels, n=9)",
+                              "polyharmonic")
+    assert report.summary["total"] == 4 * N9_TRIALS
 
 
 def test_criterion_6_special_case_web():
@@ -102,6 +123,7 @@ def test_criterion_6_special_case_web():
         suite="forms", n_values=NS, trials=10, mode="exact", seed=0, jobs=JOBS
     )
     _run("6b (form I = form II, exact)", config)
+    _run_exact_n9("6e (special-case web, n=9 exact)", "special-cases")
     config = SuiteConfig(
         suite="special-cases", n_values=(9,), trials=4, mode="float", tol=1e-8,
         seed=0, jobs=JOBS,

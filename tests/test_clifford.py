@@ -216,6 +216,16 @@ def test_paravector_inverse():
         assert y.inverse() * y == one
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_float_paravector_inverse_outside_the_norm_range(scale):
+    # |x|^2 underflows to 0 or overflows to inf, but x^-1 is in range
+    x = Paravector.from_coords(FLOATS, [3 * scale, 0.0, 4 * scale, 0.0])
+    inv = x.inverse()
+    assert inv.coords() == pytest.approx((0.12 / scale, 0.0, -0.16 / scale, 0.0), rel=1e-15, abs=0)
+    with pytest.raises(ZeroNorm):
+        Paravector.from_coords(FLOATS, [0.0] * 4).inverse()
+
+
 def test_paravector_pow():
     e1 = pv(0, 1, 0, 0)
     assert e1.pow(2).to_multivector() == Multivector.scalar(3, R, -1)
@@ -227,6 +237,51 @@ def test_paravector_pow():
     for k in range(5):
         assert x.pow(k).to_multivector() == acc
         acc = acc * x.to_multivector()
+
+
+def _reference_pow(x, k):
+    # the recurrence from (1, 0) that takes l for every k >= 1
+    ring = x.ring
+    a, b = ring.one(), ring.zero()
+    if k:
+        ell = x.vector_norm_sq()
+        for _ in range(k):
+            a, b = a * x.x0 - b * ell, a + b * x.x0
+    return Paravector(ring, a, tuple(b * c for c in x.xu))
+
+
+def _bits(x):
+    """Coordinates of a float or float-jet paravector, bit for bit and in
+    storage order."""
+    def one(c):
+        if isinstance(c, Jet):
+            return tuple((k, v.hex()) for k, v in c.coeffs.items())
+        return c.hex()
+    return tuple(one(c) for c in x.coords())
+
+
+_coords = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                   min_size=3, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_coords, st.integers(min_value=0, max_value=6),
+       st.sampled_from(["rational", "float", "exact-jet", "float-jet"]))
+def test_powers_match_pow_and_the_reference_recurrence(coords, k, kind):
+    x = Paravector.from_coords(R, coords)
+    if kind == "float":
+        x = x.cast(FLOATS)
+    elif kind.endswith("jet"):
+        jr = JetRing(total_degree(3, 2), FLOATS if kind == "float-jet" else R)
+        x = Paravector(jr, jr.seed(0, coords[0]),
+                       (jr.seed(1, coords[1]), jr.seed(2, coords[2])))
+    assert x.pow(1) is x
+    ps = x.powers(k)
+    assert len(ps) == k + 1
+    for j, p in enumerate(ps):
+        assert p == x.pow(j) == _reference_pow(x, j)
+        if kind.startswith("float"):
+            assert _bits(p) == _bits(x.pow(j)) == _bits(_reference_pow(x, j))
 
 
 def test_same_sphere():

@@ -58,6 +58,13 @@ def test_float_singularity_guard():
     near = Paravector.from_coords(FLOATS, [1e-14, 1.0, 0.0, 0.0])
     with pytest.raises(SingularKernel):
         K.cauchy_left(near, e1)
+    # at any scale, and Q comes back unscaled
+    for t in (1e-150, 1e150):
+        s = Paravector.from_coords(FLOATS, [t, 0.0, 0.0, 0.0])
+        x = e1.scale(t)
+        assert K.check_not_singular(s, x) == K.pseudo_denominator(s, x)
+        with pytest.raises(SingularKernel):
+            K.check_not_singular(x.scale(1 + 1e-14), x)
 
 
 def test_pseudo_cauchy_pow():

@@ -295,20 +295,19 @@ def _reference_add(a, b, sign=1):
     return {k: v for k, v in out.items() if v}
 
 
-def _assert_normalised(jet):
+def _assert_well_formed(jet):
+    # numerators need not be in lowest terms; the value checks read Fractions
     nums = jet.numerators(jet.den)
-    assert jet.den > 0 and math.gcd(jet.den, *nums.values()) == 1
+    assert type(jet.den) is int and jet.den > 0
     assert all(type(v) is int and v for v in nums.values())
-    if not nums:
-        assert jet.den == 1
 
 
 @settings(max_examples=80, deadline=None)
 @given(_corner_sets(), st.data())
 def test_exact_jets_match_a_fraction_reference(shape, data):
-    # exact jets keep int numerators over one shared denominator; every
-    # operation must equal the same operation on plain Fraction dicts and
-    # leave the jet in lowest terms
+    # exact jets keep nonzero int numerators over one shared positive
+    # denominator; every operation must equal the same operation on plain
+    # Fraction dicts
     ctx = jet_context(*shape)
     ring = JetRing(ctx)
     fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -331,8 +330,33 @@ def test_exact_jets_match_a_fraction_reference(shape, data):
         assert _reference_mul(ctx, a, dict(rec.coeffs)) == {0: 1}
         cases.append((rec, dict(rec.coeffs)))
     for jet, ref in cases:
-        _assert_normalised(jet)
+        _assert_well_formed(jet)
         assert dict(jet.coeffs) == ref
         assert jet.constant_term() == ref.get(0, 0)
         for k, alpha in enumerate(ctx.exponents):
             assert jet.derivative(alpha) == ref.get(k, 0) * math.prod(map(math.factorial, alpha))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corner_sets(), st.data(), st.integers(min_value=2, max_value=10**6))
+def test_unreduced_exact_jets_equal_the_reduced_jet(shape, data, g):
+    # scaling by g and multiplying by the constant 1/g leaves numerators and
+    # den multiplied by the common factor g; values, and every result built
+    # from them, are those of the reduced jet
+    ctx = jet_context(*shape)
+    ring = JetRing(ctx)
+    values = st.dictionaries(st.integers(0, ctx.size - 1),
+                             st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                             max_size=8)
+    ja, jb = (Jet(ctx, RATIONALS, data.draw(values)) for _ in range(2))
+    ua = ja.scale(g) * ring.lift(Fraction(1, g))
+    assert ua.den == ja.den * g and ua.numerators(ua.den) == ja.numerators(ua.den)
+    assert ua == ja and ja == ua
+    assert dict(ua.coeffs) == dict(ja.coeffs)
+    assert ua.constant_term() == ja.constant_term()
+    assert all(ua.derivative(alpha) == ja.derivative(alpha) for alpha in ctx.exponents)
+    assert ua + jb == ja + jb and ua * jb == ja * jb and jb - ua == jb - ja
+    assert (ua == ja + ring.one()) is False
+    if ja.constant_term():
+        ra, rua = ring.reciprocal(ja), ring.reciprocal(ua)
+        assert rua == ra and dict(rua.coeffs) == dict(ra.coeffs)

@@ -159,6 +159,30 @@ def test_cli_eval_float_singular_guard_is_scale_relative(capsys):
     assert capsys.readouterr().err.splitlines() == ["error: singular: s in [x]"]
 
 
+@pytest.mark.parametrize("s, x, q_inv", [("1e100,0,0,0", "0,1,0,0", 1e-200),
+                                         ("1e-100,0,0,0", "0,1e-100,0,0", 5e199)])
+def test_cli_eval_float_singular_guard_at_any_scale(capsys, s, x, q_inv):
+    # far from [x] at any scale: the guard tests, and Q is inverted, on copies
+    # of the inputs divided by a power of two, even where |Q|^2 or the
+    # guard's bound leaves float range
+    argv = ["eval", "--n", "3", "--mode", "float", "--s", s, "--x", x]
+    assert main(argv + ["--kernel", "cauchy-II"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["--kernel", "pseudo-cauchy", "--m", "1"]) == 0
+    value = parse_multivector(capsys.readouterr().out.strip(), 3, FLOATS)
+    assert value.blades.keys() == {0}
+    assert value.scalar_part() == pytest.approx(q_inv, rel=1e-15, abs=0)
+
+
+def test_cli_eval_float_q_outside_float_range(capsys):
+    # s^2 overflows, so Q itself cannot be formed in floats
+    code = main(["eval", "--kernel", "cauchy-II", "--n", "3", "--mode", "float",
+                 "--s", "1e200,0,0,0", "--x", "0,1,0,0"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: Q_{c,s}(x) lies outside float range"]
+
+
 def test_cli_eval_float_prints_values_below_the_zero_tolerance(capsys):
     # the exact value is 1/100000000000001; a float 1e-14 is not zero
     argv = ["eval", "--kernel", "pseudo-cauchy", "--n", "3", "--m", "1",
