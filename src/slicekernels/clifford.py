@@ -244,6 +244,7 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
                                  {m: Fraction(v, den) for m, v in sorted(acc.items()) if v})
     is_zero = ring.is_zero
     out = [None] * (1 << a.n)
+    touched = []  # masks in the order first set; compacted without a 2^n scan
     nonzero_b = [(j, cb) for j, cb in b.blades.items() if not is_zero(cb)]
     for i, ca in a.blades.items():
         if is_zero(ca):
@@ -254,11 +255,13 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
             cur = out[mask]
             if cur is None:
                 out[mask] = -p if sign < 0 else p
+                touched.append(mask)
             elif sign < 0:
                 out[mask] = cur - p
             else:
                 out[mask] = cur + p
-    blades = {m: v for m, v in enumerate(out) if v is not None and v}
+    touched.sort()
+    blades = {m: v for m in touched if (v := out[m])}
     return Multivector._make(a.n, ring, blades)
 
 
@@ -423,14 +426,6 @@ def conjugate(x: Paravector) -> Paravector:
 
 def norm_sq(x: Paravector):
     return x.norm_sq()
-
-
-def paravector_inverse(x: Paravector) -> Paravector:
-    return x.inverse()
-
-
-def paravector_pow(x: Paravector, k: int) -> Paravector:
-    return x.pow(k)
 
 
 def same_sphere(x: Paravector, y: Paravector) -> bool:

@@ -4,13 +4,17 @@ form of the Fueter-Sce map, on axially symmetric balls at desk scale.
 Quadrature runs in float arithmetic only; the trapezoidal rule on the
 periodic circle parametrization is spectrally accurate for the analytic
 integrands used here.  Node evaluations are independent and summed
-pairwise for reproducibility.
+pairwise for reproducibility.  A contour's nodes and weights are built once
+per contour value (the two most recent contours are kept), and so are the
+values f(s_j) of the most recent slice function on the most recent contour,
+so repeated integrals over one contour pay only for the kernel at each node.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .clifford import Multivector, Paravector
 from .errors import DomainError, InvalidParams, ParityError
@@ -22,7 +26,8 @@ class SliceFunction:
     """Polynomial slice function alpha(u,v) + I beta(u,v).
 
     `alpha` and `beta` map exponent pairs (i, j) of u^i v^j to real
-    coefficients.  The even-odd conditions are enforced structurally: alpha
+    coefficients; evaluation reads their float values, taken once at
+    construction.  The even-odd conditions are enforced structurally: alpha
     may only carry even powers of v and beta only odd powers.
     """
 
@@ -36,6 +41,10 @@ class SliceFunction:
             if j % 2 == 0:
                 raise ParityError("beta carries an even power of v")
         self.series = tuple(Fraction(c) for c in series) if series is not None else None
+        # float terms (i, j, c) in the order eval_components sums them; f(s)
+        # depends on nothing else, so they also key the integrand memo
+        self.terms = (tuple((i, j, float(c)) for (i, j), c in self.alpha.items()),
+                      tuple((i, j, float(c)) for (i, j), c in self.beta.items()))
 
     @classmethod
     def from_power_series(cls, coeffs) -> "SliceFunction":
@@ -82,12 +91,13 @@ class SliceFunction:
         return True
 
     def eval_components(self, u: float, v: float) -> tuple[float, float]:
+        alpha, beta = self.terms
         a = 0.0
-        for (i, j), c in self.alpha.items():
-            a += float(c) * u**i * v**j
+        for i, j, c in alpha:
+            a += c * u**i * v**j
         b = 0.0
-        for (i, j), c in self.beta.items():
-            b += float(c) * u**i * v**j
+        for i, j, c in beta:
+            b += c * u**i * v**j
         return a, b
 
     def __call__(self, x: Paravector) -> Multivector:
@@ -150,27 +160,40 @@ class ContourSpec:
     def with_nodes(self, nodes: int) -> "ContourSpec":
         return ContourSpec(self.I, self.center, self.radius, nodes)
 
+    @property
+    def key(self) -> tuple:
+        """The contour's value, exactly: float.hex keeps the sign of a zero."""
+        return tuple(v.hex() for v in (*self.I, self.center, self.radius)) + (self.nodes,)
 
-def contour_nodes(contour: ContourSpec):
-    """Quadrature nodes s_j and weights ds_I * (2 pi / N).
+
+def contour_nodes(contour: ContourSpec) -> tuple:
+    """Quadrature nodes s_j and weights ds_I * (2 pi / N), as (s, w) pairs.
 
     With s(t) = center + r cos t + I r sin t one has ds_I = ds (-I)
     = (s - center) dt, so the weight is just the radial offset scaled by
     the angular step.
     """
-    n = contour.n
-    r = contour.radius
-    c = contour.center
-    N = contour.nodes
+    return _nodes(contour.key)[0]
+
+
+# Two contours at a time: the slice-independence check alternates two, and
+# every other check stays on one, so a larger cache only holds more memory.
+@lru_cache(maxsize=2)
+def _nodes(key: tuple) -> tuple:
+    """The (s, w) pairs of a contour, its nodes s_j and its weights as
+    multivectors, built once per contour value."""
+    *values, N = key
+    *I, c, r = map(float.fromhex, values)
     step = 2.0 * math.pi / N
-    out = []
+    pairs = []
     for j in range(N):
         t = step * j
         ct, st = math.cos(t), math.sin(t)
-        s = Paravector(FLOATS, c + r * ct, tuple(comp * (r * st) for comp in contour.I))
-        w = Paravector(FLOATS, r * ct * step, tuple(comp * (r * st * step) for comp in contour.I))
-        out.append((s, w))
-    return out
+        s = Paravector(FLOATS, c + r * ct, tuple(comp * (r * st) for comp in I))
+        w = Paravector(FLOATS, r * ct * step, tuple(comp * (r * st * step) for comp in I))
+        pairs.append((s, w))
+    return (tuple(pairs), tuple(s for s, _ in pairs),
+            tuple(w.to_multivector() for _, w in pairs))
 
 
 def _require_interior(x: Paravector, contour: ContourSpec):
@@ -193,13 +216,30 @@ def _pairwise_sum(values):
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
+# (key, f(s_j) values) of the most recent slice function on the most recent
+# contour: one entry, so the memo never grows with the run, and replaced as
+# one tuple, so a reader never pairs one key with another key's values
+_last_integrand: tuple = (None, ())
+
+
+def _integrand(f, contour: ContourSpec):
+    """(s_j, w_j as a multivector, f(s_j)) for every node of the contour."""
+    global _last_integrand
+    _, points, weights = _nodes(contour.key)
+    if not isinstance(f, SliceFunction):
+        return zip(points, weights, map(f, points))
+    key = (f.terms, contour.key)
+    last, values = _last_integrand
+    if last != key:
+        values = tuple(map(f, points))
+        _last_integrand = key, values
+    return zip(points, weights, values)
+
+
 def cauchy_reconstruct(f, x: Paravector, contour: ContourSpec) -> Multivector:
     """(1/2pi) sum of S_L^{-1}(s_j, x) ds_I f(s_j) over the circle nodes."""
     _require_interior(x, contour)
-    terms = [
-        cauchy_left(s, x, form="II") * w.to_multivector() * f(s)
-        for s, w in contour_nodes(contour)
-    ]
+    terms = [cauchy_left(s, x, form="II") * w * fs for s, w, fs in _integrand(f, contour)]
     return _pairwise_sum(terms).scale(1.0 / (2.0 * math.pi))
 
 
@@ -208,10 +248,8 @@ def fueter_sce_integral(f, x: Paravector, contour: ContourSpec) -> Multivector:
     if x.n % 2 == 0 or x.n < 3:
         raise InvalidParams("integral Fueter-Sce map needs odd dimension >= 3")
     _require_interior(x, contour)
-    terms = [
-        fueter_sce_kernel(s, x, side="left") * w.to_multivector() * f(s)
-        for s, w in contour_nodes(contour)
-    ]
+    terms = [fueter_sce_kernel(s, x, side="left") * w * fs
+             for s, w, fs in _integrand(f, contour)]
     return _pairwise_sum(terms).scale(1.0 / (2.0 * math.pi))
 
 

@@ -323,30 +323,62 @@ class Jet:
             self._check(other)
             if self.den is not None:
                 return self._exact_mul(other)
-            products = self.ctx.products
-            out: dict = {}
-            for i, av in self._nums.items():
-                row = products[i]
-                for j, bv in other._nums.items():
-                    k = row.get(j)
-                    if k is None:
-                        continue
-                    p = av * bv
-                    cur = out.get(k)
-                    if cur is None:
-                        out[k] = p
-                    else:
-                        s = cur + p
-                        if s == 0:
-                            del out[k]
-                        else:
-                            out[k] = s
-            return Jet(self.ctx, self.ring, out)
+            return self._float_mul(other)
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _float_mul(self, other: "Jet") -> "Jet":
+        # Float sums depend on their order, and later products iterate the
+        # keys of this one, so both orders stay those of the all-pairs loop
+        # over a, then b.  Within row i each k = i + j occurs once, so the
+        # additions into out[k] follow a's order whichever side is walked;
+        # a row walked by its table defers the keys it adds to `out` and
+        # inserts them in b's order.
+        products = self.ctx.products
+        b = other._nums
+        b_items, b_get, nb = b.items(), b.get, len(b)
+        rank = None
+        out: dict = {}
+        get = out.get
+        for i, av in self._nums.items():
+            row = products[i]
+            if len(row) < nb:
+                new = []
+                for j, k in row.items():
+                    bv = b_get(j)
+                    if bv is None:
+                        continue
+                    p = av * bv
+                    cur = get(k)
+                    if cur is None:
+                        new.append((j, k, p))
+                    elif (s := cur + p) == 0:
+                        del out[k]
+                    else:
+                        out[k] = s
+                if len(new) > 1:
+                    if rank is None:
+                        rank = {j: r for r, j in enumerate(b)}
+                    new.sort(key=lambda t: rank[t[0]])
+                for _, k, p in new:
+                    out[k] = p
+            else:
+                for j, bv in b_items:
+                    k = row.get(j)
+                    if k is None:
+                        continue
+                    p = av * bv
+                    cur = get(k)
+                    if cur is None:
+                        out[k] = p
+                    elif (s := cur + p) == 0:
+                        del out[k]
+                    else:
+                        out[k] = s
+        return Jet(self.ctx, self.ring, out)
 
     def _exact_mul(self, other: "Jet") -> "Jet":
         # integer sums do not depend on their order, so each row i takes the
@@ -545,20 +577,3 @@ class JetRing:
     def __repr__(self):
         return f"JetRing(num_vars={self.ctx.num_vars}, size={self.ctx.size}, scalar={self.scalar_ring!r})"
 
-
-# Spec-level operation aliases; the methods above carry the behavior.
-
-def jet_seed_coordinate(i: int, value, num_vars: int, order: int, scalar_ring=RATIONALS) -> Jet:
-    return JetRing(total_degree(num_vars, order), scalar_ring).seed(i, value)
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_reciprocal(a: Jet, scalar_ring=None) -> Jet:
-    return JetRing(a.ctx, scalar_ring or a.ring).reciprocal(a)
-
-
-def jet_extract_derivative(a: Jet, alpha: tuple):
-    return a.derivative(alpha)

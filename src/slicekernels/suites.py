@@ -77,6 +77,18 @@ class SuiteConfig:
             raise InvalidParams(f"tol must be a number, got {self.tol!r}")
         if self.trials < 1:
             raise InvalidParams("trials must be >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidParams(f"tol must be a finite number > 0, got {self.tol!r}")
+        if self.hn_max < 1:
+            raise InvalidParams(f"hn_max must be >= 1, got {self.hn_max}")
+        if self.series_terms < 0:
+            raise InvalidParams(f"series_terms must be >= 0, got {self.series_terms}")
+        if self.quad_nodes < 8 or self.quad_nodes % 2:
+            raise InvalidParams(f"quad_nodes must be even and >= 8, got {self.quad_nodes}")
+        if self.jobs is not None and self.jobs < 1:
+            raise InvalidParams(f"jobs must be >= 1, got {self.jobs}")
+        if not self.n_values:
+            raise InvalidParams("n_values must name at least one dimension")
         for n in self.n_values:
             if type(n) is not int or n < 3 or n % 2 == 0:
                 raise InvalidParams(f"suite dimension {n!r} must be an odd integer >= 3")

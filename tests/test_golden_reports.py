@@ -46,6 +46,13 @@ FLOAT = {
     "theorem-dbar": "ae4793b22d5afcaa66a2b8fca6ecf3156125719159631c0193d52c367907475a",
 }
 
+# Float reports whose sums run through the float jet product (theorem-dbar at
+# n=9) and the contour memo (quadrature at its default 256 nodes).
+FLOAT_N9 = {
+    "theorem-dbar": "4f6b25032540cceee1efb6eaf16b21de5b63a4a063adac52e25bec855047c7c9",
+}
+QUADRATURE_256 = "f645f157e2f01e6a3d1ee6e25d1e5b42bc81f1bd7049707ea883839b6e07dbf1"
+
 EXACT_EXTRA = {"appendix": {"hn_max": 6}, "series": {"series_terms": 20},
                "quadrature": {"quad_nodes": 64}}
 FLOAT_N = {"special-cases": (3, 5, 9), "polyharmonic": (3, 5, 9), "theorem-dbar": (3, 5)}
@@ -82,3 +89,15 @@ def test_float_report_digest(suite):
     config = SuiteConfig(suite=suite, n_values=FLOAT_N[suite], trials=1, mode="float",
                          tol=1e-8, seed=0, jobs=1)
     assert _digest(config) == FLOAT[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(FLOAT_N9))
+def test_float_n9_report_digest(suite):
+    config = SuiteConfig(suite=suite, n_values=(9,), trials=1, mode="float", tol=1e-8,
+                         seed=0, jobs=1)
+    assert _digest(config) == FLOAT_N9[suite]
+
+
+def test_quadrature_default_nodes_report_digest():
+    config = SuiteConfig(suite="quadrature", n_values=(3, 5), trials=1, seed=0, jobs=1)
+    assert _digest(config) == QUADRATURE_256

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from slicekernels import quadrature
 from slicekernels.clifford import Multivector, Paravector
 from slicekernels.errors import DomainError, InvalidParams, ParityError
+from slicekernels.kernels import cauchy_left, fueter_sce_kernel
 from slicekernels.quadrature import (
     ContourSpec,
     SliceFunction,
@@ -192,3 +194,31 @@ def test_convergence_csv():
     assert lines[0] == "N,abs_error,ratio"
     assert lines[1].startswith("8,0.001,")
     assert lines[2].startswith("16,1e-06,0.001")
+
+
+def _direct(kernel, f, x, contour):
+    # the integral with nothing kept between calls: each node builds its
+    # weight's multivector and evaluates f afresh, in the same float order
+    terms = [kernel(s, x) * w.to_multivector() * f(s) for s, w in contour_nodes(contour)]
+    return quadrature._pairwise_sum(terms).scale(1.0 / (2.0 * math.pi))
+
+
+def test_contour_and_integrand_memos_keep_every_bit():
+    a = ContourSpec(I3, 0.0, 2.0, 64)
+    assert contour_nodes(a) is contour_nodes(ContourSpec([1, 0, 0], 0, 2, 64))
+    assert contour_nodes(a) == contour_nodes(a.with_nodes(64))
+    x = fpv(0.3, 0.1, -0.2, 0.4)
+    f = SliceFunction.from_power_series([0, 0, 1])
+    g = slice_extend({(2, 0): 1, (0, 2): -1}, {(1, 1): 2})  # x^2 again
+    first = cauchy_reconstruct(f, x, a)
+    values = quadrature._last_integrand[1]
+    assert list(cauchy_reconstruct(g, x, a).blades.items()) == list(first.blades.items())
+    assert quadrature._last_integrand[1] is values  # equal coefficients share it
+    h = slice_extend({(2, 0): 1, (0, 2): -1}, {(1, 1): 3})
+    wider = ContourSpec(I3, 0.0, 2.5, 64)
+    left = lambda s, y: cauchy_left(s, y, form="II")  # noqa: E731
+    fueter = lambda s, y: fueter_sce_kernel(s, y, side="left")  # noqa: E731
+    for fn, contour in ((f, a), (h, a), (h, wider), (f, wider), (g, a)):
+        for integral, kernel in ((cauchy_reconstruct, left), (fueter_sce_integral, fueter)):
+            got = integral(fn, x, contour)
+            assert list(got.blades.items()) == list(_direct(kernel, fn, x, contour).blades.items())

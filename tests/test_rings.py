@@ -11,10 +11,6 @@ from slicekernels.rings import (
     Jet,
     JetRing,
     jet_context,
-    jet_extract_derivative,
-    jet_mul,
-    jet_reciprocal,
-    jet_seed_coordinate,
     total_degree,
 )
 
@@ -32,7 +28,7 @@ def test_float_ring_tolerance():
 
 
 def test_seed_is_base_value_plus_coordinate():
-    jet = jet_seed_coordinate(0, 3, num_vars=2, order=2)
+    jet = JetRing(total_degree(2, 2)).seed(0, 3)
     assert jet.constant_term() == 3
     assert jet.derivative((1, 0)) == 1
     assert jet.derivative((0, 1)) == 0
@@ -43,14 +39,14 @@ def test_seed_is_base_value_plus_coordinate():
 
 
 def test_order_zero_seed_is_constant():
-    jet = jet_seed_coordinate(1, Fraction(7, 2), num_vars=3, order=0)
+    jet = JetRing(total_degree(3, 0)).seed(1, Fraction(7, 2))
     assert jet.constant_term() == Fraction(7, 2)
     assert jet.coeffs == {0: Fraction(7, 2)}
 
 
 def test_seed_index_out_of_range():
     with pytest.raises(InvalidParams):
-        jet_seed_coordinate(2, 1, num_vars=2, order=1)
+        JetRing(total_degree(2, 1)).seed(2, 1)
 
 
 def test_mul_truncates_degree():
@@ -63,7 +59,7 @@ def test_mul_one_minus_t_times_one_plus_t():
     ring = JetRing(total_degree(1, 2))
     t = ring.seed(0, 0)
     one = ring.one()
-    prod = jet_mul(one + t, one - t)  # 1 - t^2
+    prod = (one + t) * (one - t)  # 1 - t^2
     assert prod.derivative((0,)) == 1
     assert prod.derivative((1,)) == 0
     assert prod.derivative((2,)) == -2
@@ -78,7 +74,7 @@ def test_constant_scales_jet():
 def test_reciprocal_geometric_series():
     ring = JetRing(total_degree(1, 3))
     one_minus_t = ring.one() - ring.seed(0, 0)
-    rec = jet_reciprocal(one_minus_t)
+    rec = ring.reciprocal(one_minus_t)
     # 1 + t + t^2 + t^3
     assert [rec.derivative((k,)) for k in range(4)] == [1, 1, 2, 6]
     assert ring.is_zero(one_minus_t * rec - ring.one())
@@ -101,9 +97,9 @@ def test_extract_derivatives_of_polynomial():
     x0 = ring.seed(0, 1)
     x1 = ring.seed(1, 2)
     f = x0 * x0 + x1 * x1
-    assert jet_extract_derivative(f, (1, 0)) == 2
-    assert jet_extract_derivative(f, (0, 1)) == 4
-    assert jet_extract_derivative(f, (2, 0)) == 2
+    assert f.derivative((1, 0)) == 2
+    assert f.derivative((0, 1)) == 4
+    assert f.derivative((2, 0)) == 2
 
 
 def test_extract_beyond_order_raises():
@@ -152,11 +148,11 @@ def test_derivative_outside_support_raises():
         jet.derivative((3, 0))
 
 
-def test_jet_reciprocal_alias_keeps_the_jet_shape():
+def test_jet_reciprocal_keeps_the_jet_shape():
     ctx = jet_context(2, ((3, 0), (1, 1)))
     ring = JetRing(ctx)
     a = ring.one() - ring.seed(0, 0) - ring.seed(1, 0)
-    rec = jet_reciprocal(a)
+    rec = JetRing(a.ctx, a.ring).reciprocal(a)
     assert rec.ctx is ctx
     assert rec == ring.reciprocal(a)
     assert ring.is_zero(a * rec - ring.one())
@@ -360,3 +356,47 @@ def test_unreduced_exact_jets_equal_the_reduced_jet(shape, data, g):
     if ja.constant_term():
         ra, rua = ring.reciprocal(ja), ring.reciprocal(ua)
         assert rua == ra and dict(rua.coeffs) == dict(ra.coeffs)
+
+
+def _all_pairs_float_mul(ctx, a, b):
+    # the float product as it was first written: every (i, j) pair, a's
+    # order outside, b's inside, a key deleted when its sum is exactly zero
+    out = {}
+    for i, av in a.items():
+        for j, bv in b.items():
+            k = ctx.products[i].get(j)
+            if k is None:
+                continue
+            if k in out:
+                s = out[k] + av * bv
+                if s == 0:
+                    del out[k]
+                else:
+                    out[k] = s
+            else:
+                out[k] = av * bv
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_corner_sets(), st.data())
+def test_float_jet_product_matches_the_all_pairs_loop(shape, data):
+    # the float product walks the shorter side of each row; its values and
+    # its key order, which decides the order of later float sums, must be
+    # those of the all-pairs loop bit for bit, with exact cancellations
+    # deleting and re-adding keys along the way
+    ctx = jet_context(*shape)
+    values = st.sampled_from([1.0, -1.0, 0.5, -0.5, 3.0])
+    entries = st.lists(st.tuples(st.integers(0, ctx.size - 1), values),
+                       max_size=ctx.size, unique_by=lambda t: t[0])
+    jets = []
+    for _ in range(3):
+        shuffled = data.draw(st.permutations(data.draw(entries)))
+        jets.append(Jet(ctx, FLOATS, dict(shuffled)))
+    a, b, c = jets
+    for x, y in ((a, b), (b, a), (a, a), (a * b, c), (c, a * b)):
+        want = _all_pairs_float_mul(ctx, x._nums, y._nums)
+        got = (x * y)._nums
+        assert list(got.items()) == list(want.items())
+        assert [math.copysign(1, v) for v in got.values()] == [
+            math.copysign(1, v) for v in want.values()]

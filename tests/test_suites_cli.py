@@ -305,3 +305,26 @@ def test_cli_eval_float_overflow(capsys):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: coordinates '1e400,0,0,0' out of float range"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--suite", "quadrature", "--nodes", "7"], "error: quad_nodes must be even and >= 8, got 7"),
+    (["--suite", "quadrature", "--nodes", "-4"], "error: quad_nodes must be even and >= 8, got -4"),
+    (["--suite", "series", "--terms", "-1"], "error: series_terms must be >= 0, got -1"),
+    (["--suite", "forms", "--jobs", "0"], "error: jobs must be >= 1, got 0"),
+    (["--suite", "forms", "--jobs", "-2"], "error: jobs must be >= 1, got -2"),
+    (["--suite", "forms", "--n="], "error: n_values must name at least one dimension"),
+    (["--suite", "appendix", "--hn-max", "0"], "error: hn_max must be >= 1, got 0"),
+    (["--suite", "forms", "--mode", "float", "--tol", "nan"],
+     "error: tol must be a finite number > 0, got nan"),
+    (["--suite", "forms", "--tol", "0"], "error: tol must be a finite number > 0, got 0.0"),
+])
+def test_cli_refuses_bad_config_values(tmp_path, capsys, flags, message):
+    # refused before any case runs: exit 2, one stderr line, no report
+    out = tmp_path / "report.json"
+    code = main(["verify", *flags, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+    assert not out.exists()
