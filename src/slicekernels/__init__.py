@@ -21,7 +21,6 @@ from .coeffs import (
 )
 from .diffop import (
     DiffOperator,
-    compose,
     make_dirac,
     make_dirac_conj,
     make_laplacian,
@@ -40,8 +39,6 @@ from .errors import (
     ZeroNorm,
 )
 from .kernels import (
-    KernelSpec,
-    KernelValue,
     catalog_fixture,
     catalog_ids,
     cauchy_left,
@@ -49,7 +46,6 @@ from .kernels import (
     cauchy_series_partial,
     d_beta_delta_m_kernel,
     dbar_beta_delta_m_kernel,
-    evaluate_spec,
     fueter_sce_kernel,
     harmonic_kernel,
     laplacian_power_kernel,
@@ -64,7 +60,6 @@ from .quadrature import (
     cauchy_reconstruct,
     contour_nodes,
     fueter_sce_integral,
-    slice_extend,
 )
 from .rings import FLOATS, RATIONALS, FloatRing, Jet, JetRing, RationalRing
 from .suites import SuiteConfig, VerificationReport, run_suite

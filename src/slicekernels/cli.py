@@ -10,11 +10,48 @@ import json
 import sys
 
 from . import kernels as K
-from .clifford import format_multivector, blade_name, parse_paravector
-from .errors import SliceKernelsError
+from .clifford import MAX_DIMENSION, format_multivector, blade_name, parse_paravector
+from .errors import InvalidParams, SliceKernelsError
 from .quadrature import write_convergence_csv
 from .rings import FLOATS, RATIONALS
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
+
+
+def _cauchy(form: str):
+    return lambda s, x, side: (K.cauchy_left if side == "left" else K.cauchy_right)(
+        s, x, form=form)
+
+
+def _catalog(s, x, catalog_id):
+    entry = K.catalog_fixture(catalog_id)
+    if entry.n != x.n:
+        raise InvalidParams(f"catalog entry {entry.id} lives in dimension {entry.n}")
+    return entry.printed(s, x)
+
+
+# `eval --kernel` name: (closed form, the options it reads with their defaults).
+# The form is called as form(s, x, **options), an option left unset taking its
+# default; options a flavor does not read are ignored. A flavor has a printed
+# right-sided form exactly when it reads `side`. Forms call the closed forms as
+# K.<name> when they run, so a wrapper on the module attribute sees each call.
+KERNELS = {
+    "cauchy-I": (_cauchy("I"), {"side": "left"}),
+    "cauchy-II": (_cauchy("II"), {"side": "left"}),
+    "pseudo-cauchy": (lambda s, x, m: K.pseudo_cauchy_pow(s, x, m), {"m": 1}),
+    "series": (lambda s, x, terms: K.cauchy_series_partial(s, x, terms), {"terms": 0}),
+    "fueter-sce": (lambda s, x, side: K.fueter_sce_kernel(s, x, side=side), {"side": "left"}),
+    "d-beta-delta-m": (lambda s, x, m, beta: K.d_beta_delta_m_kernel(s, x, m, beta),
+                       {"m": 0, "beta": 1}),
+    "dbar-beta-delta-m": (lambda s, x, m, beta: K.dbar_beta_delta_m_kernel(s, x, m, beta),
+                          {"m": 0, "beta": 1}),
+    "harmonic": (lambda s, x, m: K.harmonic_kernel(s, x, m), {"m": 1}),
+    "laplacian-power": (lambda s, x, m: K.laplacian_power_kernel(s, x, m), {"m": 1}),
+    "polyanalytic": (lambda s, x, ell: K.polyanalytic_kernel(s, x, ell), {"ell": 0}),
+    "lemma": (lambda s, x, lemma, formula, m, k:
+              K.lemma_block_lhs_rhs(s, x, lemma, formula, m, k)[1],
+              {"lemma": K.LEMMA_DIRAC, "formula": 1, "m": 1, "k": 0}),
+    "catalog": (_catalog, {"catalog_id": ""}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate one kernel at a point")
-    ev.add_argument("--kernel", required=True, choices=K.FLAVORS)
+    ev.add_argument("--kernel", required=True, choices=KERNELS)
     ev.add_argument("--n", type=int, required=True, help="odd Clifford dimension")
     ev.add_argument("--s", required=True, help="paravector s as x0,x1,...,xn")
     ev.add_argument("--x", required=True, help="paravector x as x0,x1,...,xn")
@@ -33,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--m", type=int, default=None)
     ev.add_argument("--beta", type=int, default=None)
     ev.add_argument("--ell", type=int, default=None)
-    ev.add_argument("--k", type=int, default=0)
+    ev.add_argument("--k", type=int, default=None)
     ev.add_argument("--lemma", default=None, choices=(K.LEMMA_DIRAC, K.LEMMA_DIRAC_CONJ))
     ev.add_argument("--formula", type=int, default=None, choices=(1, 2, 3, 4))
     ev.add_argument("--catalog-id", default=None)
@@ -59,29 +96,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    if args.n % 2 == 0 or args.n < 3:
+        raise InvalidParams("kernel dimension must be odd and >= 3")
+    if args.n > MAX_DIMENSION:
+        raise InvalidParams(f"dimension {args.n} outside 1..{MAX_DIMENSION}")
     ring = RATIONALS if args.mode == "exact" else FLOATS
-    spec = K.KernelSpec(
-        n=args.n,
-        flavor=args.kernel,
-        side=args.side,
-        m=args.m,
-        beta=args.beta,
-        ell=args.ell,
-        k=args.k,
-        lemma=args.lemma,
-        formula=args.formula,
-        catalog_id=args.catalog_id,
-        terms=args.terms,
-    )
     s = parse_paravector(args.s, args.n, ring)
     x = parse_paravector(args.x, args.n, ring)
-    result = K.evaluate_spec(spec, s, x)
+    form, defaults = KERNELS[args.kernel]
+    if args.side == "right" and "side" not in defaults:
+        raise InvalidParams(f"no printed right-sided form for {args.kernel}")
+    value = form(s, x, **{name: default if (v := getattr(args, name)) is None else v
+                          for name, default in defaults.items()})
     if args.format == "json":
-        blades = {blade_name(m) or "1": str(c) for m, c in result.value.blades.items()}
+        blades = {blade_name(m) or "1": str(c) for m, c in value.blades.items()}
         print(json.dumps({"kernel": args.kernel, "n": args.n, "value": blades},
                          sort_keys=True))
     else:
-        print(format_multivector(result.value))
+        print(format_multivector(value))
     return 0
 
 

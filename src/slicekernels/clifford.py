@@ -192,14 +192,6 @@ class Multivector:
     def scalar_part(self):
         return self.blades.get(0, self.ring.zero())
 
-    def max_grade(self) -> int:
-        ring = self.ring
-        return max((m.bit_count() for m, c in self.blades.items() if not ring.is_zero(c)),
-                   default=0)
-
-    def is_paravector(self) -> bool:
-        return self.max_grade() <= 1
-
     def map_coeffs(self, fn, ring=None) -> "Multivector":
         """Apply `fn` to each stored coefficient; `fn` must map zero to zero."""
         return Multivector._make(self.n, ring or self.ring,
@@ -420,14 +412,6 @@ class Paravector:
         return f"Paravector({self.coords()})"
 
 
-def conjugate(x: Paravector) -> Paravector:
-    return x.conjugate()
-
-
-def norm_sq(x: Paravector):
-    return x.norm_sq()
-
-
 def same_sphere(x: Paravector, y: Paravector) -> bool:
     """True iff y lies on the sphere [x]: equal real parts and vector norms."""
     x._check(y)
@@ -511,11 +495,10 @@ def parse_paravector(text: str, n: int, ring=RATIONALS) -> Paravector:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n + 1:
         raise InvalidParams(f"expected {n + 1} coordinates, got {len(parts)}")
-    if ring is RATIONALS:
-        coords = [Fraction(p) for p in parts]
-    else:
-        try:
-            coords = [ring.lift(Fraction(p)) for p in parts]
-        except OverflowError:
-            raise InvalidParams(f"coordinates {text!r} out of float range") from None
+    try:
+        coords = [ring.lift(Fraction(p)) for p in parts]
+    except ZeroDivisionError:
+        raise InvalidParams(f"zero denominator in coordinates {text!r}") from None
+    except OverflowError:
+        raise InvalidParams(f"coordinates {text!r} out of float range") from None
     return Paravector.from_coords(ring, coords)

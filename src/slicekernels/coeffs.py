@@ -282,43 +282,27 @@ def check_stifel(p: int, q: int) -> bool:
     )
 
 
-def boundary_survivor(h_n: int, m: int) -> int:
-    """Value 2^(h_n-m) h_n! of the surviving bold coefficient at beta = h_n - m."""
+def _boundary_families(h_n: int, m: int):
+    """(A, B, k) at beta = h_n - m: (A1, B1, k1) for odd beta = 2 k1 + 1 and
+    (A2, B2, k2) for even beta = 2 k2, the bold families of that parity."""
     beta = h_n - m
     if beta < 1:
         raise InvalidParams("boundary needs m < h_n")
-    if beta % 2 == 1:
-        k1 = (beta - 1) // 2
-        return coeff_A1(k1, k1, m, h_n)
-    k2 = beta // 2
-    return coeff_A2(k2, k2, m, h_n)
+    families = (coeff_A1, coeff_B1) if beta % 2 else (coeff_A2, coeff_B2)
+    return (*families, beta // 2)
+
+
+def boundary_survivor(h_n: int, m: int) -> int:
+    """Value 2^(h_n-m) h_n! of the surviving bold coefficient at beta = h_n - m."""
+    A, _, k = _boundary_families(h_n, m)
+    return A(k, k, m, h_n)
 
 
 def boundary_vanishing_holds(h_n: int, m: int) -> bool:
     """At beta = h_n - m all non-surviving bold coefficients vanish and the
     survivor equals 2^(h_n-m) h_n!."""
-    beta = h_n - m
-    if beta < 1:
-        raise InvalidParams("boundary needs m < h_n")
-    expected = 2 ** (h_n - m) * factorial(h_n)
-    if beta % 2 == 1:
-        k1 = (beta - 1) // 2
-        if coeff_A1(k1, k1, m, h_n) != expected:
-            return False
-        for j in range(0, k1):
-            if coeff_A1(j, k1, m, h_n) != 0:
-                return False
-        for j in range(0, k1 + 1):
-            if coeff_B1(j, k1, m, h_n) != 0:
-                return False
-        return True
-    k2 = beta // 2
-    if coeff_A2(k2, k2, m, h_n) != expected:
-        return False
-    for j in range(0, k2):
-        if coeff_A2(j, k2, m, h_n) != 0:
-            return False
-    for j in range(0, k2):
-        if coeff_B2(j, k2, m, h_n) != 0:
-            return False
-    return True
+    A, B, k = _boundary_families(h_n, m)
+    # B runs over j < k + (beta mod 2) = beta - k, as in the kernel sums
+    return (A(k, k, m, h_n) == 2 ** (h_n - m) * factorial(h_n)
+            and not any(A(j, k, m, h_n) for j in range(k))
+            and not any(B(j, k, m, h_n) for j in range(h_n - m - k)))

@@ -134,10 +134,6 @@ def make_laplacian(n: int) -> DiffOperator:
     return DiffOperator(n, terms)
 
 
-def compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
-    return a.compose(b)
-
-
 def operator_power_compose(base: DiffOperator, beta: int, m: int) -> DiffOperator:
     """base^beta composed with the m-th Laplacian power."""
     if beta < 0 or m < 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Callable, Optional
@@ -469,109 +469,14 @@ def catalog_fixture(entry_id: str) -> CatalogEntry:
         raise InvalidParams(f"unknown catalog id {entry_id!r}") from None
 
 
-# -- kernel spec (CLI surface) ---------------------------------------------
-
-FLAVORS = (
-    "cauchy-I",
-    "cauchy-II",
-    "pseudo-cauchy",
-    "series",
-    "fueter-sce",
-    "d-beta-delta-m",
-    "dbar-beta-delta-m",
-    "harmonic",
-    "laplacian-power",
-    "polyanalytic",
-    "lemma",
-    "catalog",
-)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Identifies one closed-form kernel and its parameters."""
-
-    n: int
-    flavor: str
-    side: str = "left"
-    m: Optional[int] = None
-    beta: Optional[int] = None
-    ell: Optional[int] = None
-    k: int = 0
-    lemma: Optional[str] = None
-    formula: Optional[int] = None
-    catalog_id: Optional[str] = None
-    terms: Optional[int] = None
-
-    def validate(self):
-        if self.flavor not in FLAVORS:
-            raise InvalidParams(f"unknown kernel flavor {self.flavor!r}")
-        if self.n % 2 == 0 or self.n < 3:
-            raise InvalidParams("kernel dimension must be odd and >= 3")
-        if self.side not in ("left", "right"):
-            raise InvalidParams(f"unknown side {self.side!r}")
-        if self.side == "right" and self.flavor not in ("cauchy-I", "cauchy-II", "fueter-sce"):
-            raise InvalidParams(f"no printed right-sided form for {self.flavor}")
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    value: Multivector
-    spec: KernelSpec
-    point: tuple = field(default=())
-
-
-def _default(value, fallback):
-    return fallback if value is None else value
-
-
-def evaluate_spec(spec: KernelSpec, s: Paravector, x: Paravector) -> KernelValue:
-    spec.validate()
-    fl = spec.flavor
-    if fl in ("cauchy-I", "cauchy-II"):
-        form = fl.rsplit("-", 1)[1]
-        fn = cauchy_left if spec.side == "left" else cauchy_right
-        value = fn(s, x, form=form)
-    elif fl == "pseudo-cauchy":
-        value = pseudo_cauchy_pow(s, x, _default(spec.m, 1))
-    elif fl == "series":
-        value = cauchy_series_partial(s, x, _default(spec.terms, 0))
-    elif fl == "fueter-sce":
-        value = fueter_sce_kernel(s, x, side=spec.side)
-    elif fl == "d-beta-delta-m":
-        value = d_beta_delta_m_kernel(s, x, _default(spec.m, 0), _default(spec.beta, 1))
-    elif fl == "dbar-beta-delta-m":
-        value = dbar_beta_delta_m_kernel(s, x, _default(spec.m, 0), _default(spec.beta, 1))
-    elif fl == "harmonic":
-        value = harmonic_kernel(s, x, _default(spec.m, 1))
-    elif fl == "laplacian-power":
-        value = laplacian_power_kernel(s, x, _default(spec.m, 1))
-    elif fl == "polyanalytic":
-        value = polyanalytic_kernel(s, x, _default(spec.ell, 0))
-    elif fl == "lemma":
-        _, value = lemma_block_lhs_rhs(
-            s, x, spec.lemma or LEMMA_DIRAC, _default(spec.formula, 1),
-            _default(spec.m, 1), spec.k,
-        )
-    elif fl == "catalog":
-        entry = catalog_fixture(spec.catalog_id or "")
-        if entry.n != x.n:
-            raise InvalidParams(f"catalog entry {entry.id} lives in dimension {entry.n}")
-        value = entry.printed(s, x)
-    else:  # pragma: no cover - guarded by validate
-        raise InvalidParams(fl)
-    return KernelValue(value=value, spec=spec, point=(s.coords(), x.coords()))
-
-
 # -- seeded random points ---------------------------------------------------
 
 
-def _random_fraction(rng: Random, max_num: int = 16, max_den: int = 16) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+def _random_fraction(rng: Random) -> Fraction:
+    return Fraction(rng.randint(-16, 16), rng.randint(1, 16))
 
 
-def sample_point_pair(n: int, rng: Random, ring=RATIONALS, max_num: int = 16,
-                      max_den: int = 16) -> tuple[Paravector, Paravector]:
+def sample_point_pair(n: int, rng: Random, ring=RATIONALS) -> tuple[Paravector, Paravector]:
     """Random (s, x) with small rational coordinates and s off the sphere [x].
 
     Rejection keeps the pseudo-Cauchy denominator invertible and both
@@ -579,12 +484,8 @@ def sample_point_pair(n: int, rng: Random, ring=RATIONALS, max_num: int = 16,
     suites so the same seed drives both modes.
     """
     while True:
-        s = Paravector.from_coords(
-            RATIONALS, [_random_fraction(rng, max_num, max_den) for _ in range(n + 1)]
-        )
-        x = Paravector.from_coords(
-            RATIONALS, [_random_fraction(rng, max_num, max_den) for _ in range(n + 1)]
-        )
+        s = Paravector.from_coords(RATIONALS, [_random_fraction(rng) for _ in range(n + 1)])
+        x = Paravector.from_coords(RATIONALS, [_random_fraction(rng) for _ in range(n + 1)])
         if RATIONALS.is_zero(s.norm_sq()) or RATIONALS.is_zero(x.norm_sq()):
             continue
         if same_sphere(s, x):

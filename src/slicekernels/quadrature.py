@@ -130,10 +130,6 @@ class SliceFunction:
         return f
 
 
-def slice_extend(alpha: dict, beta: dict) -> SliceFunction:
-    return SliceFunction(alpha, beta)
-
-
 class ContourSpec:
     """Circle of given center (real) and radius inside the slice plane C_I."""
 
@@ -141,16 +137,20 @@ class ContourSpec:
 
     def __init__(self, I, center: float, radius: float, nodes: int):
         I = tuple(float(c) for c in I)
+        center, radius = float(center), float(radius)
         norm = sum(c * c for c in I)
-        if abs(norm - 1.0) > 1e-9:
+        # written so that a NaN fails each test
+        if not abs(norm - 1.0) <= 1e-9:
             raise InvalidParams("I must be a unit 1-vector (I^2 = -1)")
-        if radius <= 0:
-            raise InvalidParams("radius must be positive")
+        if not 0 < radius < math.inf:
+            raise InvalidParams("radius must be positive and finite")
+        if not math.isfinite(center):
+            raise InvalidParams("center must be finite")
         if nodes < 8 or nodes % 2:
             raise InvalidParams("node count must be even and >= 8")
         self.I = I
-        self.center = float(center)
-        self.radius = float(radius)
+        self.center = center
+        self.radius = radius
         self.nodes = nodes
 
     @property

@@ -34,7 +34,6 @@ _ONE = Fraction(1)
 class RationalRing:
     """Exact field of rationals backed by arbitrary-precision integers."""
 
-    name = "rational"
     exact = True
 
     def zero(self) -> Fraction:
@@ -66,11 +65,8 @@ class RationalRing:
 class FloatRing:
     """Double-precision arithmetic with a tolerance-based zero test."""
 
-    name = "float"
     exact = False
-
-    def __init__(self, tol: float = 1e-12):
-        self.tol = tol
+    tol = 1e-12
 
     def zero(self) -> float:
         return 0.0
@@ -91,7 +87,7 @@ class FloatRing:
         return abs(v)
 
     def __repr__(self):
-        return f"FloatRing(tol={self.tol!r})"
+        return "FloatRing()"
 
 
 RATIONALS = RationalRing()
@@ -460,8 +456,6 @@ class Jet:
 
 class JetRing:
     """Ring of jets of one shape (a JetContext) over a scalar ring."""
-
-    name = "jet"
 
     def __init__(self, ctx: JetContext, scalar_ring=RATIONALS):
         self.ctx = ctx

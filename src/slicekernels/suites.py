@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import coeffs as cf
 from . import kernels as K
-from .clifford import Multivector, Paravector, format_paravector
+from .clifford import MAX_DIMENSION, Multivector, Paravector, format_paravector
 from .diffop import (
     make_dirac,
     make_dirac_conj,
@@ -41,7 +41,7 @@ from .quadrature import (
     convergence_table,
     fueter_sce_integral,
 )
-from .rings import FLOATS, RATIONALS, FloatRing
+from .rings import FLOATS, RATIONALS
 
 SCHEMA_VERSION = 1
 
@@ -89,9 +89,13 @@ class SuiteConfig:
             raise InvalidParams(f"jobs must be >= 1, got {self.jobs}")
         if not self.n_values:
             raise InvalidParams("n_values must name at least one dimension")
-        for n in self.n_values:
+        for i, n in enumerate(self.n_values):
             if type(n) is not int or n < 3 or n % 2 == 0:
                 raise InvalidParams(f"suite dimension {n!r} must be an odd integer >= 3")
+            if n > MAX_DIMENSION:
+                raise InvalidParams(f"suite dimension {n} outside 1..{MAX_DIMENSION}")
+            if n in self.n_values[:i]:
+                raise InvalidParams(f"suite dimension {n} is repeated")
 
 
 @dataclass
@@ -128,7 +132,7 @@ def _case_rng(config: SuiteConfig, key: str) -> Random:
 
 
 def _ring(config: SuiteConfig):
-    return RATIONALS if config.mode == "exact" else FloatRing(tol=1e-12)
+    return RATIONALS if config.mode == "exact" else FLOATS
 
 
 def _compare(a: Multivector, b: Multivector, config: SuiteConfig) -> tuple[float, bool]:

@@ -6,7 +6,6 @@ import pytest
 from slicekernels.clifford import Multivector, Paravector
 from slicekernels.diffop import (
     DiffOperator,
-    compose,
     identity_operator,
     make_dirac,
     make_dirac_conj,
@@ -67,8 +66,8 @@ def test_factorizations_of_laplacian():
         D = make_dirac(n)
         Db = make_dirac_conj(n)
         L = make_laplacian(n)
-        assert compose(D, Db) == L
-        assert compose(Db, D) == L
+        assert D.compose(Db) == L
+        assert Db.compose(D) == L
         # D + Dbar = 2 d/dx0 as term maps
         two_d0 = DiffOperator(
             n, {tuple([1] + [0] * n): Multivector.scalar(n, R, 2)}
@@ -78,7 +77,7 @@ def test_factorizations_of_laplacian():
 
 def test_compose_with_identity_and_powers():
     D = make_dirac(3)
-    assert compose(D, identity_operator(3)) == D
+    assert D.compose(identity_operator(3)) == D
     assert operator_power_compose(D, 1, 0) == D
     assert operator_power_compose(D, 0, 1) == make_laplacian(3)
     # Laplacian has scalar coefficients, so the two orderings agree
@@ -120,8 +119,8 @@ def test_compose_orders_clifford_coefficients():
     n = 2
     a = DiffOperator(n, {(0, 1, 0): Multivector.basis_vector(n, R, 1)})
     b = DiffOperator(n, {(0, 0, 1): Multivector.basis_vector(n, R, 2)})
-    ab = compose(a, b)
-    ba = compose(b, a)
+    ab = a.compose(b)
+    ba = b.compose(a)
     e12 = Multivector.blade(n, R, 0b11)
     assert ab.terms[(0, 1, 1)] == e12
     assert ba.terms[(0, 1, 1)] == -e12
@@ -134,7 +133,7 @@ def test_compose_orders_clifford_coefficients():
         return xx.pow(3).to_multivector()
 
     D, L = make_dirac(n), make_laplacian(n)
-    assert oracle_apply(compose(D, L), cube, x) == oracle_apply(compose(L, D), cube, x)
+    assert oracle_apply(D.compose(L), cube, x) == oracle_apply(L.compose(D), cube, x)
 
 
 def test_monogenicity_of_fueter_sce_kernel():

@@ -185,7 +185,7 @@ def test_harmonic_kernel_is_paravector_in_plane_of_s():
     rng = Random(37)
     s, x = K.sample_point_pair(5, rng)
     value = K.harmonic_kernel(s, x, 2)
-    assert value.is_paravector()
+    assert all(mask.bit_count() <= 1 for mask in value.blades)
 
 
 def test_commutation_inside_plane_of_s_only():
@@ -257,19 +257,6 @@ def test_catalog_arbitration_spot():
     oracle = oracle_apply(entry.op_factory(), K.cauchy_closure(s), x)
     assert entry.printed(s, x) != oracle
     assert entry.corrected(s, x) == oracle
-
-
-def test_kernel_spec_validation():
-    with pytest.raises(InvalidParams):
-        K.KernelSpec(n=4, flavor="cauchy-II").validate()
-    with pytest.raises(InvalidParams):
-        K.KernelSpec(n=3, flavor="harmonic", side="right").validate()
-    with pytest.raises(InvalidParams):
-        K.KernelSpec(n=3, flavor="mystery").validate()
-    spec = K.KernelSpec(n=3, flavor="cauchy-II")
-    out = K.evaluate_spec(spec, S2_N3, X_E1_N3)
-    assert out.value == mv(3, "2/5 + 1/5*e1")
-    assert out.spec is spec
 
 
 def test_sample_point_pair_is_deterministic_and_regular():

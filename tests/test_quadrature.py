@@ -14,7 +14,6 @@ from slicekernels.quadrature import (
     contour_nodes,
     convergence_table,
     fueter_sce_integral,
-    slice_extend,
     write_convergence_csv,
 )
 from slicekernels.rings import FLOATS
@@ -28,18 +27,18 @@ def fpv(*coords):
 
 def test_parity_enforcement():
     # identity: alpha = u, beta = v
-    f = slice_extend({(1, 0): 1}, {(0, 1): 1})
+    f = SliceFunction({(1, 0): 1}, {(0, 1): 1})
     x = fpv(0.3, 0.1, -0.2, 0.4)
     assert (f(x) - x.to_multivector()).norm_float() < 1e-14
     with pytest.raises(ParityError):
-        slice_extend({(0, 1): 1}, {(0, 1): 1})
+        SliceFunction({(0, 1): 1}, {(0, 1): 1})
     with pytest.raises(ParityError):
-        slice_extend({(1, 0): 1}, {(0, 2): 1})
+        SliceFunction({(1, 0): 1}, {(0, 2): 1})
 
 
 def test_square_slice_function():
     # alpha = u^2 - v^2, beta = 2uv gives f(x) = x^2
-    f = slice_extend({(2, 0): 1, (0, 2): -1}, {(1, 1): 2})
+    f = SliceFunction({(2, 0): 1, (0, 2): -1}, {(1, 1): 2})
     x = fpv(0.5, 0.2, -0.3, 0.1)
     assert (f(x) - x.pow(2).to_multivector()).norm_float() < 1e-14
     assert f.is_hyperholomorphic()
@@ -64,7 +63,7 @@ def test_power_series_matches_direct_powers():
 
 def test_not_hyperholomorphic():
     # alpha = u^2 alone fails Cauchy-Riemann
-    f = slice_extend({(2, 0): 1}, {})
+    f = SliceFunction({(2, 0): 1}, {})
     assert not f.is_hyperholomorphic()
 
 
@@ -77,6 +76,13 @@ def test_contour_spec_validation():
         ContourSpec(I3, 0.0, 2.0, 9)  # odd
     with pytest.raises(InvalidParams):
         ContourSpec(I3, 0.0, -1.0, 16)
+    # a NaN or infinite direction, radius or center
+    nan, inf = math.nan, math.inf
+    for direction, center, radius in (((nan, 0.0, 0.0), 0.0, 2.0), ((inf, 0.0, 0.0), 0.0, 2.0),
+                                      (I3, 0.0, nan), (I3, 0.0, inf),
+                                      (I3, nan, 2.0), (I3, inf, 2.0), (I3, -inf, 2.0)):
+        with pytest.raises(InvalidParams):
+            ContourSpec(direction, center, radius, 16)
 
 
 def test_contour_nodes_positions_and_weights():
@@ -170,13 +176,13 @@ def test_integral_output_is_monogenic():
     # operator annihilates; checked through the closed-form equivalent
     from fractions import Fraction
 
-    from slicekernels.diffop import compose, make_dirac, make_laplacian, oracle_apply
+    from slicekernels.diffop import make_dirac, make_laplacian, oracle_apply
     from slicekernels.rings import RATIONALS
 
     for n, k in ((3, 3), (3, 4), (5, 4), (5, 5)):
         h = (n - 1) // 2
         f = SliceFunction.from_power_series([0] * k + [1])
-        op = compose(make_dirac(n), make_laplacian(n).power(h))
+        op = make_dirac(n).compose(make_laplacian(n).power(h))
         x = Paravector.from_coords(
             RATIONALS, [Fraction(1, 3), Fraction(1, 4)] + [Fraction(1, 5)] * (n - 1)
         )
@@ -209,12 +215,12 @@ def test_contour_and_integrand_memos_keep_every_bit():
     assert contour_nodes(a) == contour_nodes(a.with_nodes(64))
     x = fpv(0.3, 0.1, -0.2, 0.4)
     f = SliceFunction.from_power_series([0, 0, 1])
-    g = slice_extend({(2, 0): 1, (0, 2): -1}, {(1, 1): 2})  # x^2 again
+    g = SliceFunction({(2, 0): 1, (0, 2): -1}, {(1, 1): 2})  # x^2 again
     first = cauchy_reconstruct(f, x, a)
     values = quadrature._last_integrand[1]
     assert list(cauchy_reconstruct(g, x, a).blades.items()) == list(first.blades.items())
     assert quadrature._last_integrand[1] is values  # equal coefficients share it
-    h = slice_extend({(2, 0): 1, (0, 2): -1}, {(1, 1): 3})
+    h = SliceFunction({(2, 0): 1, (0, 2): -1}, {(1, 1): 3})
     wider = ContourSpec(I3, 0.0, 2.5, 64)
     left = lambda s, y: cauchy_left(s, y, form="II")  # noqa: E731
     fueter = lambda s, y: fueter_sce_kernel(s, y, side="left")  # noqa: E731

@@ -129,6 +129,21 @@ def test_cli_eval_text(capsys):
     assert capsys.readouterr().out.strip() == "-8/25 - 4/25*e1"
 
 
+def test_cli_eval_validation(capsys):
+    point = ["--s", "2,0,0,0", "--x", "0,1,0,0"]
+    assert main(["eval", "--kernel", "cauchy-II", "--n", "4",
+                 "--s", "2,0,0,0,0", "--x", "0,1,0,0,0"]) == 2
+    assert capsys.readouterr().err == "error: kernel dimension must be odd and >= 3\n"
+    assert main(["eval", "--kernel", "harmonic", "--n", "3", "--side", "right", *point]) == 2
+    assert capsys.readouterr().err == "error: no printed right-sided form for harmonic\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--kernel", "mystery", "--n", "3", *point])
+    assert exc.value.code == 2
+    assert "invalid choice: 'mystery'" in capsys.readouterr().err
+    assert main(["eval", "--kernel", "cauchy-II", "--n", "3", *point]) == 0
+    assert capsys.readouterr().out == "2/5 + 1/5*e1\n"
+
+
 def test_cli_eval_json(capsys):
     code = main(["eval", "--kernel", "harmonic", "--m", "1", "--n", "5",
                  "--s", "2,0,0,0,0,0", "--x", "0,1,0,0,0,0", "--format", "json"])
@@ -318,6 +333,10 @@ def test_cli_eval_float_overflow(capsys):
     (["--suite", "forms", "--mode", "float", "--tol", "nan"],
      "error: tol must be a finite number > 0, got nan"),
     (["--suite", "forms", "--tol", "0"], "error: tol must be a finite number > 0, got 0.0"),
+    (["--suite", "forms", "--n", "3,3"], "error: suite dimension 3 is repeated"),
+    (["--suite", "forms", "--n", "5,3,5"], "error: suite dimension 5 is repeated"),
+    (["--suite", "forms", "--n", "17"], "error: suite dimension 17 outside 1..15"),
+    (["--suite", "forms", "--n", "3,21"], "error: suite dimension 21 outside 1..15"),
 ])
 def test_cli_refuses_bad_config_values(tmp_path, capsys, flags, message):
     # refused before any case runs: exit 2, one stderr line, no report
