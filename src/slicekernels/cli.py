@@ -47,8 +47,7 @@ KERNELS = {
     "harmonic": (lambda s, x, m: K.harmonic_kernel(s, x, m), {"m": 1}),
     "laplacian-power": (lambda s, x, m: K.laplacian_power_kernel(s, x, m), {"m": 1}),
     "polyanalytic": (lambda s, x, ell: K.polyanalytic_kernel(s, x, ell), {"ell": 0}),
-    "lemma": (lambda s, x, lemma, formula, m, k:
-              K.lemma_block_lhs_rhs(s, x, lemma, formula, m, k)[1],
+    "lemma": (lambda s, x, lemma, formula, m, k: K.lemma_rhs(s, x, lemma, formula, m, k),
               {"lemma": K.LEMMA_DIRAC, "formula": 1, "m": 1, "k": 0}),
     "catalog": (_catalog, {"catalog_id": ""}),
 }

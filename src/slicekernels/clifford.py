@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatch, InvalidParams, ZeroNorm
-from .rings import RATIONALS
+from .rings import RATIONALS, mul_into
 
 MAX_DIMENSION = 15
 
@@ -214,26 +214,29 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 
     Walks a's blades, then b's, in ascending mask order and skips the
     coefficients `ring.is_zero` calls zero, so float sums keep one order.
-    Over RATIONALS the sums run in integers: with a's blades A_i / da over
-    their lcm denominator da and b's B_j / db, each output blade sums
-    sign * A_i * B_j and is divided by da * db once.
+    Exact products sum in integers: with a's blades A_i / da over their lcm
+    denominator da and b's B_j / db, each output blade sums sign * A_i * B_j
+    and is divided by da * db once.  Over exact jets the A_i and B_j are
+    numerator tables, and each output blade accumulates into one table.
     """
     a._check(b)
     ring = a.ring
-    if ring is RATIONALS:
-        da = math.lcm(*(c.denominator for c in a.blades.values()))
-        db = math.lcm(*(c.denominator for c in b.blades.values()))
-        nb = [(j, c.numerator * (db // c.denominator)) for j, c in b.blades.items()]
-        acc: dict = {}
-        get = acc.get
-        for i, c in a.blades.items():
-            ai = c.numerator * (da // c.denominator)
-            for j, bj in nb:
-                mask, sign = blade_product(i, j)
-                acc[mask] = get(mask, 0) + sign * ai * bj
-        den = da * db
-        return Multivector._make(a.n, ring,
-                                 {m: Fraction(v, den) for m, v in sorted(acc.items()) if v})
+    if ring.exact:
+        if ring is RATIONALS:
+            da = math.lcm(*(c.denominator for c in a.blades.values()))
+            db = math.lcm(*(c.denominator for c in b.blades.values()))
+            nb = [(j, c.numerator * (db // c.denominator)) for j, c in b.blades.items()]
+            acc: dict = {}
+            get = acc.get
+            for i, c in a.blades.items():
+                ai = c.numerator * (da // c.denominator)
+                for j, bj in nb:
+                    mask, sign = blade_product(i, j)
+                    acc[mask] = get(mask, 0) + sign * ai * bj
+            den = da * db
+            return Multivector._make(a.n, ring, {m: Fraction(v, den)
+                                                 for m, v in sorted(acc.items()) if v})
+        return _exact_jet_product(a, b)
     is_zero = ring.is_zero
     out = [None] * (1 << a.n)
     touched = []  # masks in the order first set; compacted without a 2^n scan
@@ -255,6 +258,40 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     touched.sort()
     blades = {m: v for m in touched if (v := out[m])}
     return Multivector._make(a.n, ring, blades)
+
+
+def _exact_jet_product(a: Multivector, b: Multivector) -> Multivector:
+    """geometric_product over exact jets: one int table per output blade."""
+    if not a.blades or not b.blades:
+        return Multivector._make(a.n, a.ring, {})
+    jets = [*a.blades.values(), *b.blades.values()]
+    ctx = jets[0].ctx
+    for jet in jets:
+        if jet.ctx is not ctx and jet.ctx.exponents != ctx.exponents:
+            raise InvalidParams("jet shape mismatch")
+    products = ctx.products
+    da = math.lcm(*(jet.den for jet in a.blades.values()))
+    db = math.lcm(*(jet.den for jet in b.blades.values()))
+    # A_i = N_i * (da / den_i): the factor rides with the sign, so no
+    # numerator table is copied
+    nb = [(j, jet.numerators(jet.den), db // jet.den) for j, jet in b.blades.items()]
+    acc: dict = {}
+    for i, jet in a.blades.items():
+        ai, fa = jet.numerators(jet.den), da // jet.den
+        for j, bj, fb in nb:
+            mask, sign = blade_product(i, j)
+            out = acc.get(mask)
+            if out is None:
+                acc[mask] = out = {}
+            mul_into(out, products, ai, bj, sign * fa * fb)
+    blades = {}
+    for mask in sorted(acc):
+        nums = acc[mask]
+        if 0 in nums.values():
+            nums = {k: v for k, v in nums.items() if v}
+        if nums:
+            blades[mask] = jets[0]._exact(nums, da * db)
+    return Multivector._make(a.n, a.ring, blades)
 
 
 class Paravector:
@@ -319,8 +356,11 @@ class Paravector:
                           tuple(math.ldexp(c, e) for c in self.xu))
 
     def inverse(self) -> "Paravector":
+        return self._inverse(self.norm_sq())
+
+    def _inverse(self, ns) -> "Paravector":
+        """The inverse, given ns = self.norm_sq()."""
         ring = self.ring
-        ns = self.norm_sq()
         if isinstance(ns, float) and ns in (0.0, math.inf) and (e := self.binary_exponent()):
             # |x|^2 left float range: invert x / 2^e, whose norm is moderate
             return self.ldexp(-e).inverse().ldexp(-e)

@@ -25,25 +25,31 @@ from .rings import RATIONALS, JetRing, jet_context, multi_index_factorial
 class DiffOperator:
     """Finite sum of Clifford-coefficient partial derivatives (left action)."""
 
-    __slots__ = ("n", "terms", "_integer_terms")
+    __slots__ = ("n", "terms", "_blade_terms")
 
     def __init__(self, n: int, terms: dict):
         self.n = n
         self.terms = {a: c for a, c in terms.items() if not c.is_zero()}
-        self._integer_terms = None
+        self._blade_terms = None
 
-    def integer_terms(self) -> tuple:
-        """(E, [(alpha, [(mask, C), ...]), ...]): the exact coefficients as
-        ints C over one common denominator E, nonzero blades only.  Computed
-        on first use; operators have no mutators."""
-        if self._integer_terms is None:
-            terms = [(alpha, list(mv.blades.items())) for alpha, mv in self.terms.items()]
-            den = math.lcm(*(c.denominator for _, cs in terms for _, c in cs))
-            self._integer_terms = den, [
-                (alpha, [(a, c.numerator * (den // c.denominator)) for a, c in cs])
-                for alpha, cs in terms
-            ]
-        return self._integer_terms
+    def blade_terms(self) -> tuple:
+        """(E, [(a, [(k, C * alpha!), ...]), ...]): the exact coefficients as
+        ints C over one common denominator E, grouped by coefficient blade a,
+        with k the index of alpha in the jets the oracle seeds for this
+        operator.  Nonzero blades only; computed on first use, and operators
+        have no mutators."""
+        if self._blade_terms is None:
+            index = jet_context(self.n + 1, tuple(self.terms)).index
+            den = math.lcm(*(c.denominator for mv in self.terms.values()
+                             for c in mv.blades.values()))
+            groups: dict = {}
+            for alpha, mv in self.terms.items():
+                k, fact = index[alpha], multi_index_factorial(alpha)
+                for a, c in mv.blades.items():
+                    groups.setdefault(a, []).append(
+                        (k, c.numerator * (den // c.denominator) * fact))
+            self._blade_terms = den, list(groups.items())
+        return self._blade_terms
 
     def _check(self, other: "DiffOperator"):
         if self.n != other.n:
@@ -152,9 +158,10 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
 
     Over exact rings the sum of c_alpha * d^alpha f is assembled in ints:
     the coefficients are C_alpha / E over one denominator E and the blades of
-    f are N_b / den over another, so each blade `mask` of the result sums
-    sign * C_alpha[a] * alpha! * N_b[alpha] over the nonzero blade pairs with
-    e_a e_b = sign * e_mask, and is divided by den * E once.
+    f are N_b / den over another.  Each nonzero blade pair (a, b) takes one
+    dot product, the sum over alpha of C_alpha[a] * alpha! * N_b[alpha], and
+    adds it with the sign of e_a e_b = sign * e_mask to blade `mask`, which is
+    divided by den * E once.
     """
     n = op.n
     if x.n != n:
@@ -177,17 +184,19 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
             acc = acc + cmv.map_coeffs(ring.lift, ring) * dmv
         return acc
     den = math.lcm(*(jet.den for jet in value.blades.values()))
-    # each blade's numerators over its own den, and the factor to den: only
-    # the coefficients the operator reads are brought to den
-    nums = [(b, jet.numerators(jet.den), den // jet.den) for b, jet in value.blades.items()]
-    scale, terms = op.integer_terms()
+    scale, groups = op.blade_terms()
     acc = [0] * (1 << n)
-    for alpha, coeffs in terms:
-        k, fact = ctx.index[alpha], multi_index_factorial(alpha)
-        column = [(b, fact * f * nb[k]) for b, nb, f in nums if k in nb]
-        for a, c in coeffs:
-            for b, v in column:
+    for b, jet in value.blades.items():
+        nb, up = jet.numerators(jet.den), den // jet.den
+        get = nb.get
+        for a, column in groups:
+            v = 0
+            for k, c in column:
+                u = get(k)
+                if u is not None:
+                    v += c * u
+            if v:
                 mask, sign = blade_product(a, b)
-                acc[mask] += sign * c * v
+                acc[mask] += sign * up * v
     den *= scale
     return Multivector(n, ring, {m: Fraction(v, den) for m, v in enumerate(acc) if v})

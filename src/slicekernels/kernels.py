@@ -47,36 +47,42 @@ def _singular_scale(s: Paravector, x: Paravector) -> float:
     return base * base
 
 
-def check_not_singular(s: Paravector, x: Paravector) -> Paravector:
-    """Return Q_{c,s}(x), raising SingularKernel when s lies on [x].
+def _checked_denominator(s: Paravector, x: Paravector) -> tuple:
+    """(Q_{c,s}(x), |Q|^2), raising SingularKernel when s lies on [x].
 
     Exact zero test over exact rings; over floats the norm of Q is compared
     against a tolerance relative to the squared magnitudes of s and x.  When
     either side of that test leaves float range, it is made on copies of s
     and x divided by a power of two, which is exact and leaves the relative
-    test unchanged because Q is homogeneous.
+    test unchanged because Q is homogeneous; |Q|^2 is still that of Q.
     """
     q = pseudo_denominator(s, x)
     nq = q.norm_sq()
     ring = s.ring
     if isinstance(ring, FloatRing):
-        bound = ring.tol * _singular_scale(s, x)
-        if nq in (0.0, math.inf) or bound in (0.0, math.inf):
+        test, bound = nq, ring.tol * _singular_scale(s, x)
+        if test in (0.0, math.inf) or bound in (0.0, math.inf):
             if not all(map(math.isfinite, q.coords())):
                 raise InvalidParams("Q_{c,s}(x) lies outside float range")
             e = max(s.binary_exponent(), x.binary_exponent())
             s, x = s.ldexp(-e), x.ldexp(-e)
-            nq = pseudo_denominator(s, x).norm_sq()
+            test = pseudo_denominator(s, x).norm_sq()
             bound = ring.tol * _singular_scale(s, x)
-        if abs(nq) <= bound:
+        if abs(test) <= bound:
             raise SingularKernel("singular: s in [x]")
     elif ring.is_zero(nq):
         raise SingularKernel("singular: s in [x]")
-    return q
+    return q, nq
+
+
+def check_not_singular(s: Paravector, x: Paravector) -> Paravector:
+    """Return Q_{c,s}(x), raising SingularKernel when s lies on [x]."""
+    return _checked_denominator(s, x)[0]
 
 
 def pseudo_inverse(s: Paravector, x: Paravector) -> Paravector:
-    return check_not_singular(s, x).inverse()
+    q, nq = _checked_denominator(s, x)
+    return q._inverse(nq)
 
 
 def pseudo_cauchy_pow(s: Paravector, x: Paravector, m: int) -> Multivector:
@@ -301,14 +307,25 @@ def _lemma_rhs(lemma: str, formula: int, s, x, m: int, k: int) -> Multivector:
     raise InvalidParams(f"unknown lemma {lemma!r} or formula {formula}")
 
 
+def _lemma_k(formula: int, m: int, k: int) -> int:
+    """k after the checks of every lemma block; formulas 1 and 2 have no k."""
+    if m < 0 or k < 0:
+        raise InvalidParams("lemma blocks need m >= 0 and k >= 0")
+    return 0 if formula in (1, 2) else k
+
+
+def lemma_rhs(
+    s: Paravector, x: Paravector, lemma: str, formula: int, m: int, k: int = 0
+) -> Multivector:
+    """The printed side of a lemma block alone, without the oracle."""
+    return _lemma_rhs(lemma, formula, s, x, m, _lemma_k(formula, m, k))
+
+
 def lemma_block_lhs_rhs(
     s: Paravector, x: Paravector, lemma: str, formula: int, m: int, k: int = 0
 ) -> tuple[Multivector, Multivector]:
     """LHS by differentiation oracle, RHS by the printed closed form."""
-    if m < 0 or k < 0:
-        raise InvalidParams("lemma blocks need m >= 0 and k >= 0")
-    if formula in (1, 2):
-        k = 0
+    k = _lemma_k(formula, m, k)
     op = make_dirac(x.n) if lemma == LEMMA_DIRAC else make_dirac_conj(x.n)
     s_exact = s
 

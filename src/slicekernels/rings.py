@@ -183,6 +183,42 @@ def multi_index_factorial(alpha: Iterable[int]) -> int:
     return out
 
 
+def mul_into(out: dict, products: tuple, a: dict, b: dict, scale: int) -> None:
+    """Add scale * a * b into `out`, all int numerators on one down-set.
+
+    `products` is the context's product table, and `scale` an int such as a
+    blade sign.  Integer sums do not depend on their order, so each row i
+    takes the shorter walk: its table entries looked up in b, or b looked up
+    in it.  Row 0 maps every j to itself, so a's constant term is a scale of
+    b.  Entries of `out` that sum to zero are kept; the caller drops them.
+    """
+    get = out.get
+    a0 = a.get(0)
+    if a0 is not None:
+        c = scale * a0
+        if out:
+            for j, v in b.items():
+                out[j] = get(j, 0) + c * v
+        else:
+            out.update({j: c * v for j, v in b.items()})
+    b_items, b_get, nb = b.items(), b.get, len(b)
+    for i, av in a.items():
+        if not i:
+            continue
+        av *= scale
+        row = products[i]
+        if len(row) < nb:
+            for j, k in row.items():
+                bv = b_get(j)
+                if bv is not None:
+                    out[k] = get(k, 0) + av * bv
+        else:
+            for j, bv in b_items:
+                k = row.get(j)
+                if k is not None:
+                    out[k] = get(k, 0) + av * bv
+
+
 class _ExactCoeffs(Mapping):
     """Read-only view of an exact jet's coefficients as Fractions."""
 
@@ -377,25 +413,8 @@ class Jet:
         return Jet(self.ctx, self.ring, out)
 
     def _exact_mul(self, other: "Jet") -> "Jet":
-        # integer sums do not depend on their order, so each row i takes the
-        # shorter walk: its table entries looked up in b, or b looked up in it
-        products = self.ctx.products
-        b = other._nums
-        b_items, b_get, nb = b.items(), b.get, len(b)
         out: dict = {}
-        get = out.get
-        for i, av in self._nums.items():
-            row = products[i]
-            if len(row) < nb:
-                for j, k in row.items():
-                    bv = b_get(j)
-                    if bv is not None:
-                        out[k] = get(k, 0) + av * bv
-            else:
-                for j, bv in b_items:
-                    k = row.get(j)
-                    if k is not None:
-                        out[k] = get(k, 0) + av * bv
+        mul_into(out, self.ctx.products, self._nums, other._nums, 1)
         if 0 in out.values():
             out = {k: v for k, v in out.items() if v}
         return self._exact(out, self.den * other.den)

@@ -591,10 +591,17 @@ def _execute_case(args):
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_suite(config: SuiteConfig) -> VerificationReport:
     config.validate()
     cases = _build_cases(config)
-    jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
+    jobs = config.jobs if config.jobs is not None else _usable_cpus()
     work = [(c, config) for c in cases]
     if jobs > 1 and len(cases) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slicekernels.clifford import Multivector, Paravector
 from slicekernels.diffop import (
@@ -215,3 +216,17 @@ def test_dimension_mismatch():
     x = pv(1, 1, 1)
     with pytest.raises(DimensionMismatch):
         oracle_apply(make_dirac(3), _square_fn, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(3, 1, 0), (3, 1, 1), (3, 2, 1), (5, 1, 1), (5, 2, 0)]),
+       st.booleans(), st.sampled_from(["left", "right"]), st.integers(0, 10**6))
+def test_oracle_matches_the_per_alpha_sum(shape, conj, side, seed):
+    # the exact oracle takes one integer dot product per blade pair; the
+    # reference sums c_alpha * d^alpha f one alpha at a time
+    n, beta, m = shape
+    base = make_dirac_conj(n) if conj else make_dirac(n)
+    op = operator_power_compose(base, beta, m)
+    s, x = sample_point_pair(n, Random(seed))
+    f = cauchy_closure(s, side=side)
+    assert oracle_apply(op, f, x) == _reference_apply(op, f, x)

@@ -27,10 +27,14 @@ EXACT = {
     "quadrature": "74130ad25ebcc8196d4cadd1bfba9f3be6aefad4432af07ed1a902283c8cc573",
 }
 
-# n=7 is where the oracle costs most: operators up to order 5 in 8 variables
+# n=7 is where the oracle costs most: operators up to order 6 (Laplacian^3)
+# in 8 variables
 EXACT_N7 = {
     "theorem-d": "42e304b7cb1d28905ab9b396378124d9d37d0838caf7482420367dfc38c793eb",
     "theorem-dbar": "99946e311e04f63e6853984d6502349bb72e7e38e8353d683d85f79329112202",
+    "special-cases": "8f3c4c8c7a5ff63f823791c6634a7d0166c171cda07dee2478539b13d772e5bf",
+    "polyharmonic": "0d30c52e3d649b2cac018e24d0be1f15d8143db84f28371c8f623462a7f258b4",
+    "lemmas": "688a112b983effeb4b853e9bf9045a63c9eab4be4d77d9650f16018de8f01464",
 }
 
 # n=9, one trial: operators up to order 8 in 10 variables

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slicekernels.clifford import Multivector, blade_product, geometric_product
 from slicekernels.errors import InvalidParams, NonInvertibleConstantTerm, OrderExceeded
 from slicekernels.rings import (
     FLOATS,
@@ -11,6 +12,7 @@ from slicekernels.rings import (
     Jet,
     JetRing,
     jet_context,
+    mul_into,
     total_degree,
 )
 
@@ -400,3 +402,91 @@ def test_float_jet_product_matches_the_all_pairs_loop(shape, data):
         assert list(got.items()) == list(want.items())
         assert [math.copysign(1, v) for v in got.values()] == [
             math.copysign(1, v) for v in want.values()]
+
+
+def _all_pairs_mul_into(ctx, target, a, b, scale):
+    out = dict(target)
+    for i, av in a.items():
+        for j, bv in b.items():
+            k = ctx.products[i].get(j)
+            if k is not None:
+                out[k] = out.get(k, 0) + scale * av * bv
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_corner_sets(), st.data())
+def test_integer_kernel_matches_the_all_pairs_loop(shape, data):
+    # mul_into adds scale * a * b into a given table, walking rows and
+    # scaling b by a's constant term; it keeps the entries that sum to zero
+    ctx = jet_context(*shape)
+    nums = st.dictionaries(st.integers(0, ctx.size - 1),
+                           st.integers(-9, 9).filter(bool), max_size=ctx.size)
+    a, b = data.draw(nums), data.draw(nums)
+    for target in ({}, data.draw(nums), dict(b)):
+        for scale in (1, -1, 6, -35):
+            out = dict(target)
+            mul_into(out, ctx.products, a, b, scale)
+            assert out == _all_pairs_mul_into(ctx, target, a, b, scale)
+    # a - a cancels: every touched entry is an explicit zero
+    out = {}
+    mul_into(out, ctx.products, a, b, 1)
+    mul_into(out, ctx.products, a, b, -1)
+    assert not any(out.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corner_sets(), st.integers(min_value=1, max_value=3), st.data())
+def test_exact_jet_geometric_product_matches_jet_arithmetic(shape, n, data):
+    # over exact jets each output blade accumulates one int table; it must
+    # equal the sum of sign * (a_i * b_j) built with Jet * and +, with the
+    # same nonzero blades, for empty operands, cancelling blades and jets
+    # whose numerators and den share a factor
+    ctx = jet_context(*shape)
+    ring = JetRing(ctx)
+    values = st.dictionaries(st.integers(0, ctx.size - 1),
+                             st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                             max_size=4)
+
+    def jet():
+        out = Jet(ctx, RATIONALS, data.draw(values))
+        g = data.draw(st.integers(min_value=1, max_value=50))
+        return out.scale(g) * ring.lift(Fraction(1, g))  # den times g, not reduced
+
+    blades = st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=1 << n)
+    a = Multivector(n, ring, {m: jet() for m in data.draw(blades)})
+    b = Multivector(n, ring, {m: jet() for m in data.draw(blades)})
+    u, v = jet(), jet()
+    e1 = 1
+    e12 = 0b11 if n > 1 else 1
+    # (u e1 + u e12)(v e1 - v e12) = 2 u v e2: the scalar blades cancel
+    cancel_a = Multivector(n, ring, {e1: u, e12: u})
+    cancel_b = Multivector(n, ring, {e1: v, e12: -v})
+    empty = Multivector.zero(n, ring)
+    for x, y in ((a, b), (b, a), (a, a), (a, empty), (empty, b), (cancel_a, cancel_b)):
+        ref: dict = {}
+        for i, ci in x.blades.items():
+            for j, cj in y.blades.items():
+                mask, sign = blade_product(i, j)
+                p = ci * cj if sign > 0 else -(ci * cj)
+                ref[mask] = ref[mask] + p if mask in ref else p
+        ref = {m: c for m, c in ref.items() if c}
+        got = geometric_product(x, y)
+        assert list(got.blades) == sorted(ref)
+        for m, c in got.blades.items():
+            _assert_well_formed(c)
+            assert c == ref[m] and c.ctx is ctx
+
+
+def test_exact_jet_geometric_product_checks_the_jet_shape():
+    a = Jet(jet_context(2, ((2, 0),)), RATIONALS, {0: 1, 1: 2})
+    b = Jet(jet_context(2, ((0, 2),)), RATIONALS, {0: 1, 1: 2})
+    ring = JetRing(a.ctx)
+    with pytest.raises(InvalidParams):
+        geometric_product(Multivector(1, ring, {0: a}), Multivector(1, ring, {1: b}))
+    with pytest.raises(InvalidParams):
+        geometric_product(Multivector(1, ring, {0: a, 1: b}), Multivector(1, ring, {0: a}))
+    # an equal down-set from another corner tuple is the same shape
+    c = Jet(jet_context(2, ((2, 0), (1, 0))), RATIONALS, {0: 1, 1: 2})
+    assert (geometric_product(Multivector(1, ring, {1: a}), Multivector(1, ring, {1: c}))
+            == Multivector(1, ring, {0: -(a * a)}))

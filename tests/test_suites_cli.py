@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -347,3 +348,53 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, flags, message):
     assert captured.err.splitlines() == [message]
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_cli_eval_lemma_runs_no_oracle(monkeypatch, capsys):
+    # eval prints the printed side of a lemma block, so it needs no oracle;
+    # the m, k checks and the k = 0 rule of formulas 1 and 2 still apply
+    from slicekernels import kernels as K
+
+    def no_oracle(*args):
+        raise AssertionError("eval --kernel lemma ran the oracle")
+
+    monkeypatch.setattr(K, "oracle_apply", no_oracle)
+    point = ["--n", "3", "--s", "2,1/2,0,0", "--x", "1/3,1,-1,0"]
+    assert main(["eval", "--kernel", "lemma", *point]) == 0
+    assert capsys.readouterr().out == "-11736/30169 + 4320/30169*e1\n"
+    assert main(["eval", "--kernel", "lemma", "--formula", "2", "--k", "5", *point]) == 0
+    k5 = capsys.readouterr().out
+    assert main(["eval", "--kernel", "lemma", "--formula", "2", *point]) == 0
+    assert capsys.readouterr().out == k5
+    assert main(["eval", "--kernel", "lemma", "--formula", "3", "--k", "-1", *point]) == 2
+    assert capsys.readouterr().err == "error: lemma blocks need m >= 0 and k >= 0\n"
+
+
+@pytest.mark.parametrize("affinity, cpus, pooled", [
+    ({0}, 8, False),   # one usable CPU on an 8-CPU host: no pool
+    ({0, 3}, 8, True),
+    (None, 1, False),  # no affinity call: the CPU count decides
+    (None, 8, True),
+])
+def test_default_jobs_count_the_usable_cpus(monkeypatch, affinity, cpus, pooled):
+    from slicekernels import suites
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise RuntimeError("pool started")
+
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", NoPool)
+    config = small("forms", jobs=None)
+    if pooled:
+        with pytest.raises(RuntimeError, match="pool started"):
+            run_suite(config)
+    else:
+        report = run_suite(config)
+        assert report.passed and len(report.cases) > 1
+        assert report.as_dict(strip_times=True) == run_suite(small("forms")).as_dict(
+            strip_times=True)
