@@ -48,6 +48,7 @@ from .kernels import (
     dbar_beta_delta_m_kernel,
     fueter_sce_kernel,
     harmonic_kernel,
+    kernel_closure,
     laplacian_power_kernel,
     lemma_block_lhs_rhs,
     polyanalytic_kernel,

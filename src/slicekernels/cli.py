@@ -116,49 +116,43 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_CONFIG_KEYS = ("n", "trials", "mode", "seed", "tol", "hn_max", "jobs", "terms", "nodes")
+# verify option (flag dest and config-file key) -> SuiteConfig field
+_CONFIG_FIELDS = {"n": "n_values", "trials": "trials", "mode": "mode", "seed": "seed",
+                  "tol": "tol", "hn_max": "hn_max", "jobs": "jobs",
+                  "terms": "series_terms", "nodes": "quad_nodes"}
 
 
 def _suite_config(args) -> SuiteConfig:
+    """The flags, then the --config file; a value set by neither keeps
+    SuiteConfig's default."""
     file_values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise InvalidParams(f"config file {args.config} must hold a JSON object")
         for key in file_values:
-            if key.replace("-", "_") not in {k.replace("-", "_") for k in _CONFIG_KEYS}:
+            if key.replace("-", "_") not in _CONFIG_FIELDS:
                 raise SliceKernelsError(f"unknown config key {key!r}")
-
-    def pick(name, default):
-        cli_val = getattr(args, name.replace("-", "_"))
-        if cli_val is not None:
-            return cli_val
-        for k in (name, name.replace("-", "_")):
-            if k in file_values:
-                return file_values[k]
-        return default
-
+    values = {}
+    for name, field in _CONFIG_FIELDS.items():
+        in_file = [k for k in (name.replace("_", "-"), name) if k in file_values]
+        if getattr(args, name) is not None:
+            values[field] = getattr(args, name)
+        elif in_file:
+            values[field] = file_values[in_file[0]]
     # values keep their JSON types (an integer tol becomes a float), and
     # SuiteConfig.validate refuses wrong ones
-    n_raw = pick("n", "3,5,7")
+    n_raw = values.get("n_values")
     if isinstance(n_raw, str):
-        n_values = tuple(int(p) for p in n_raw.split(",") if p.strip())
+        values["n_values"] = tuple(int(p) for p in n_raw.split(",") if p.strip())
     elif isinstance(n_raw, (list, tuple)):
-        n_values = tuple(n_raw)
-    else:
-        n_values = (n_raw,)
-    tol = pick("tol", 1e-10)
-    return SuiteConfig(
-        suite=args.suite,
-        n_values=n_values,
-        trials=pick("trials", 10),
-        mode=pick("mode", "exact"),
-        seed=pick("seed", 0),
-        tol=float(tol) if type(tol) is int else tol,
-        hn_max=pick("hn-max", 12),
-        jobs=pick("jobs", None),
-        series_terms=pick("terms", 60),
-        quad_nodes=pick("nodes", 256),
-    )
+        values["n_values"] = tuple(n_raw)
+    elif "n_values" in values:
+        values["n_values"] = (n_raw,)
+    if type(values.get("tol")) is int:
+        values["tol"] = float(values["tol"])
+    return SuiteConfig(suite=args.suite, **values)
 
 
 def _report_text(report) -> str:

@@ -60,17 +60,14 @@ def blade_name(mask: int) -> str:
 
 
 def mask_from_name(name: str) -> int:
+    """Mask of `e<digits>` or `e{i,j,...}`, the indices strictly ascending."""
     body = name[1:]
-    if body.startswith("{"):
-        parts = body.strip("{}").split(",")
-    else:
-        parts = list(body)
-    mask = 0
-    for p in parts:
-        if not name.startswith("e") or not p.isdecimal() or int(p) < 1:
-            raise InvalidParams(f"bad blade name {name!r}")
-        mask |= 1 << (int(p) - 1)
-    return mask
+    parts = body.strip("{}").split(",") if body.startswith("{") else list(body)
+    idx = [int(p) if p.isdecimal() else 0 for p in parts]
+    if (not name.startswith("e") or not idx or min(idx) < 1
+            or any(a >= b for a, b in zip(idx, idx[1:]))):
+        raise InvalidParams(f"bad blade name {name!r}")
+    return sum(1 << (i - 1) for i in idx)
 
 
 class Multivector:

@@ -80,86 +80,32 @@ def sigma_nm(h_n: int, m: int) -> int:
 #
 # a1/b1 pair with odd Dirac powers beta = 2k+1, a2/b2 with even beta = 2k;
 # the bold families A1/B1/A2/B2 play the same roles for the conjugate
-# Dirac operator.
+# Dirac operator.  Every family is one product with its own offsets
+# (e, f, g, p, q, r, t):
+#
+#   2^(2j+e) (m+k+j+f)! (k-j+g)! C(k+j+p, 2j+q) C(h_n-m-k-j+r, h_n-m-2k+t)
+
+FAMILIES = {
+    "a1": (1, 1, -1, 0, 1, -2, -1),
+    "b1": (0, 0, 0, 0, 0, -1, -1),
+    "a2": (0, 0, -1, -1, 0, -1, 0),
+    "b2": (1, 0, -1, 0, 1, -1, 0),
+    "A1": (1, 1, 0, 1, 1, -2, -2),
+    "B1": (0, 0, 1, 0, 0, -1, -2),
+    "A2": (0, 0, 0, 0, 0, -1, -1),
+    "B2": (1, 0, 0, 0, 1, -1, -1),
+}
 
 
-def coeff_a1(j: int, k1: int, m: int, h_n: int) -> int:
+def coeff(family: str, j: int, k: int, m: int, h_n: int) -> int:
+    """Coefficient j of `family` (a key of FAMILIES) at Dirac half-power k."""
+    e, f, g, p, q, r, t = FAMILIES[family]
     return (
-        2 ** (2 * j + 1)
-        * factorial(m + k1 + 1 + j)
-        * factorial(k1 - j - 1)
-        * binomial_guarded(k1 + j, 2 * j + 1)
-        * binomial_guarded(h_n - m - k1 - j - 2, h_n - m - 2 * k1 - 1)
-    )
-
-
-def coeff_b1(j: int, k1: int, m: int, h_n: int) -> int:
-    return (
-        2 ** (2 * j)
-        * factorial(k1 - j)
-        * factorial(m + k1 + j)
-        * binomial_guarded(h_n - m - k1 - j - 1, h_n - m - 2 * k1 - 1)
-        * binomial_guarded(k1 + j, 2 * j)
-    )
-
-
-def coeff_a2(j: int, k2: int, m: int, h_n: int) -> int:
-    return (
-        2 ** (2 * j)
-        * factorial(m + k2 + j)
-        * factorial(k2 - j - 1)
-        * binomial_guarded(k2 + j - 1, 2 * j)
-        * binomial_guarded(h_n - m - k2 - 1 - j, h_n - m - 2 * k2)
-    )
-
-
-def coeff_b2(j: int, k2: int, m: int, h_n: int) -> int:
-    return (
-        2 ** (2 * j + 1)
-        * factorial(k2 - j - 1)
-        * factorial(m + k2 + j)
-        * binomial_guarded(h_n - m - k2 - 1 - j, h_n - m - 2 * k2)
-        * binomial_guarded(k2 + j, 2 * j + 1)
-    )
-
-
-def coeff_A1(j: int, k1: int, m: int, h_n: int) -> int:
-    return (
-        2 ** (2 * j + 1)
-        * factorial(m + k1 + 1 + j)
-        * factorial(k1 - j)
-        * binomial_guarded(k1 + j + 1, 2 * j + 1)
-        * binomial_guarded(h_n - m - k1 - j - 2, h_n - m - 2 * k1 - 2)
-    )
-
-
-def coeff_B1(j: int, k1: int, m: int, h_n: int) -> int:
-    return (
-        2 ** (2 * j)
-        * factorial(k1 - j + 1)
-        * factorial(m + k1 + j)
-        * binomial_guarded(h_n - m - k1 - j - 1, h_n - m - 2 * k1 - 2)
-        * binomial_guarded(k1 + j, 2 * j)
-    )
-
-
-def coeff_A2(j: int, k2: int, m: int, h_n: int) -> int:
-    return (
-        2 ** (2 * j)
-        * factorial(m + k2 + j)
-        * factorial(k2 - j)
-        * binomial_guarded(k2 + j, 2 * j)
-        * binomial_guarded(h_n - m - k2 - 1 - j, h_n - m - 2 * k2 - 1)
-    )
-
-
-def coeff_B2(j: int, k2: int, m: int, h_n: int) -> int:
-    return (
-        2 ** (2 * j + 1)
-        * factorial(k2 - j)
-        * factorial(m + k2 + j)
-        * binomial_guarded(h_n - m - k2 - 1 - j, h_n - m - 2 * k2 - 1)
-        * binomial_guarded(k2 + j, 2 * j + 1)
+        2 ** (2 * j + e)
+        * factorial(m + k + j + f)
+        * factorial(k - j + g)
+        * binomial_guarded(k + j + p, 2 * j + q)
+        * binomial_guarded(h_n - m - k - j + r, h_n - m - 2 * k + t)
     )
 
 
@@ -189,52 +135,50 @@ def check_appendix_identity(identity: str, h_n: int, m: int, k: int, j: int = 0)
     Parameters must be admissible (see `appendix_cases` for ranges).
     """
     if identity == "c1":
-        lhs = 2 * (m + 2 * k) * coeff_b2(k - 1, k, m, h_n)
-        rhs = 2 * coeff_a1(k - 1, k, m, h_n)
+        lhs = 2 * (m + 2 * k) * coeff("b2", k - 1, k, m, h_n)
+        rhs = 2 * coeff("a1", k - 1, k, m, h_n)
     elif identity == "c2":
         if not 0 <= j <= k - 2:
             raise InvalidParams("c2 needs 0 <= j <= k2-2")
-        lhs = (-2 * j - 2) * coeff_a2(j + 1, k, m, h_n) + 2 * (m + k + j + 1) * coeff_b2(
-            j, k, m, h_n
-        )
-        rhs = 2 * coeff_a1(j, k, m, h_n)
+        lhs = ((-2 * j - 2) * coeff("a2", j + 1, k, m, h_n)
+               + 2 * (m + k + j + 1) * coeff("b2", j, k, m, h_n))
+        rhs = 2 * coeff("a1", j, k, m, h_n)
     elif identity == "c3":
-        lhs = 2 * coeff_a2(0, k, m, h_n) * (h_n - m - k) - coeff_b2(0, k, m, h_n)
-        rhs = 2 * coeff_b1(0, k, m, h_n)
+        lhs = 2 * coeff("a2", 0, k, m, h_n) * (h_n - m - k) - coeff("b2", 0, k, m, h_n)
+        rhs = 2 * coeff("b1", 0, k, m, h_n)
     elif identity == "c4":
         if not 1 <= j <= k - 1:
             raise InvalidParams("c4 needs 1 <= j <= k2-1")
         lhs = (
-            2 * coeff_a2(j, k, m, h_n) * (h_n - m - j - k)
-            + 4 * (m + k + j) * coeff_b2(j - 1, k, m, h_n)
-            - (2 * j + 1) * coeff_b2(j, k, m, h_n)
+            2 * coeff("a2", j, k, m, h_n) * (h_n - m - j - k)
+            + 4 * (m + k + j) * coeff("b2", j - 1, k, m, h_n)
+            - (2 * j + 1) * coeff("b2", j, k, m, h_n)
         )
-        rhs = 2 * coeff_b1(j, k, m, h_n)
+        rhs = 2 * coeff("b1", j, k, m, h_n)
     elif identity == "c5":
-        lhs = 4 * (m + 2 * k) * coeff_b2(k - 1, k, m, h_n)
-        rhs = 2 * coeff_b1(k, k, m, h_n)
+        lhs = 4 * (m + 2 * k) * coeff("b2", k - 1, k, m, h_n)
+        rhs = 2 * coeff("b1", k, k, m, h_n)
     elif identity == "C1":
         if not 0 <= j <= k:
             raise InvalidParams("C1 needs 0 <= j <= k1")
-        lhs = -(2 * j + 1) * coeff_a1(j, k + 1, m, h_n) + 2 * (m + k + j + 2) * coeff_b1(
-            j, k + 1, m, h_n
-        )
-        rhs = 2 * coeff_a2(j, k + 2, m, h_n)
+        lhs = (-(2 * j + 1) * coeff("a1", j, k + 1, m, h_n)
+               + 2 * (m + k + j + 2) * coeff("b1", j, k + 1, m, h_n))
+        rhs = 2 * coeff("a2", j, k + 2, m, h_n)
     elif identity == "C2":
-        lhs = 2 * (m + 2 * k + 3) * coeff_b1(k + 1, k + 1, m, h_n)
-        rhs = 2 * coeff_a2(k + 1, k + 2, m, h_n)
+        lhs = 2 * (m + 2 * k + 3) * coeff("b1", k + 1, k + 1, m, h_n)
+        rhs = 2 * coeff("a2", k + 1, k + 2, m, h_n)
     elif identity == "C3":
         if not 0 <= j <= k:
             raise InvalidParams("C3 needs 0 <= j <= k1")
         lhs = (
-            2 * (h_n - m - k - 2 - j) * coeff_a1(j, k + 1, m, h_n)
-            + 4 * (m + k + j + 2) * coeff_b1(j, k + 1, m, h_n)
-            - 2 * (j + 1) * coeff_b1(j + 1, k + 1, m, h_n)
+            2 * (h_n - m - k - 2 - j) * coeff("a1", j, k + 1, m, h_n)
+            + 4 * (m + k + j + 2) * coeff("b1", j, k + 1, m, h_n)
+            - 2 * (j + 1) * coeff("b1", j + 1, k + 1, m, h_n)
         )
-        rhs = 2 * coeff_b2(j, k + 2, m, h_n)
+        rhs = 2 * coeff("b2", j, k + 2, m, h_n)
     elif identity == "C4":
-        lhs = 4 * (m + 2 * k + 3) * coeff_b1(k + 1, k + 1, m, h_n)
-        rhs = 2 * coeff_b2(k + 1, k + 2, m, h_n)
+        lhs = 4 * (m + 2 * k + 3) * coeff("b1", k + 1, k + 1, m, h_n)
+        rhs = 2 * coeff("b2", k + 1, k + 2, m, h_n)
     else:
         raise InvalidParams(f"unknown identity {identity!r}")
     return lhs == rhs
@@ -283,19 +227,19 @@ def check_stifel(p: int, q: int) -> bool:
 
 
 def _boundary_families(h_n: int, m: int):
-    """(A, B, k) at beta = h_n - m: (A1, B1, k1) for odd beta = 2 k1 + 1 and
-    (A2, B2, k2) for even beta = 2 k2, the bold families of that parity."""
+    """(A, B, k) at beta = h_n - m: ("A1", "B1", k1) for odd beta = 2 k1 + 1
+    and ("A2", "B2", k2) for even beta = 2 k2, the bold families of that parity."""
     beta = h_n - m
     if beta < 1:
         raise InvalidParams("boundary needs m < h_n")
-    families = (coeff_A1, coeff_B1) if beta % 2 else (coeff_A2, coeff_B2)
+    families = ("A1", "B1") if beta % 2 else ("A2", "B2")
     return (*families, beta // 2)
 
 
 def boundary_survivor(h_n: int, m: int) -> int:
     """Value 2^(h_n-m) h_n! of the surviving bold coefficient at beta = h_n - m."""
     A, _, k = _boundary_families(h_n, m)
-    return A(k, k, m, h_n)
+    return coeff(A, k, k, m, h_n)
 
 
 def boundary_vanishing_holds(h_n: int, m: int) -> bool:
@@ -303,6 +247,6 @@ def boundary_vanishing_holds(h_n: int, m: int) -> bool:
     survivor equals 2^(h_n-m) h_n!."""
     A, B, k = _boundary_families(h_n, m)
     # B runs over j < k + (beta mod 2) = beta - k, as in the kernel sums
-    return (A(k, k, m, h_n) == 2 ** (h_n - m) * factorial(h_n)
-            and not any(A(j, k, m, h_n) for j in range(k))
-            and not any(B(j, k, m, h_n) for j in range(h_n - m - k)))
+    return (coeff(A, k, k, m, h_n) == 2 ** (h_n - m) * factorial(h_n)
+            and not any(coeff(A, j, k, m, h_n) for j in range(k))
+            and not any(coeff(B, j, k, m, h_n) for j in range(h_n - m - k)))

@@ -109,24 +109,24 @@ def identity_operator(n: int) -> DiffOperator:
     return DiffOperator(n, {zero_index: Multivector.scalar(n, RATIONALS, 1)})
 
 
-def make_dirac(n: int) -> DiffOperator:
-    """D = d/dx0 + sum_i e_i d/dx_i."""
+def _dirac(n: int, sign: int) -> DiffOperator:
+    """d/dx0 + sign * sum_i e_i d/dx_i."""
     if n < 1:
         raise InvalidParams("dimension must be >= 1")
     terms = {_unit_index(n, 0): Multivector.scalar(n, RATIONALS, 1)}
     for i in range(1, n + 1):
-        terms[_unit_index(n, i)] = Multivector.basis_vector(n, RATIONALS, i)
+        terms[_unit_index(n, i)] = Multivector.blade(n, RATIONALS, 1 << (i - 1), sign)
     return DiffOperator(n, terms)
+
+
+def make_dirac(n: int) -> DiffOperator:
+    """D = d/dx0 + sum_i e_i d/dx_i."""
+    return _dirac(n, 1)
 
 
 def make_dirac_conj(n: int) -> DiffOperator:
     """D-bar = d/dx0 - sum_i e_i d/dx_i."""
-    if n < 1:
-        raise InvalidParams("dimension must be >= 1")
-    terms = {_unit_index(n, 0): Multivector.scalar(n, RATIONALS, 1)}
-    for i in range(1, n + 1):
-        terms[_unit_index(n, i)] = -Multivector.basis_vector(n, RATIONALS, i)
-    return DiffOperator(n, terms)
+    return _dirac(n, -1)
 
 
 def make_laplacian(n: int) -> DiffOperator:

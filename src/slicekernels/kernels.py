@@ -92,6 +92,16 @@ def pseudo_cauchy_pow(s: Paravector, x: Paravector, m: int) -> Multivector:
     return pseudo_inverse(s, x).pow(m).to_multivector()
 
 
+def _smxbar(s: Paravector, x: Paravector) -> Multivector:
+    """The block s - xbar."""
+    return (s - x.conjugate()).to_multivector()
+
+
+def _smx0(s: Paravector, x: Paravector) -> Paravector:
+    """The block s - x0, a paravector in the plane of s."""
+    return Paravector(x.ring, s.x0 - x.x0, s.xu)
+
+
 def _form1_denominator(s: Paravector, x: Paravector) -> Paravector:
     # x^2 - 2 x s0 + |s|^2; its norm vanishes exactly when s is on [x]
     two_s0 = s.x0 + s.x0
@@ -102,7 +112,7 @@ def cauchy_left(s: Paravector, x: Paravector, form: str = "II") -> Multivector:
     """Left Cauchy kernel for slice hyperholomorphic functions."""
     if form == "II":
         qinv = pseudo_inverse(s, x)
-        return (s - x.conjugate()).to_multivector() * qinv.to_multivector()
+        return _smxbar(s, x) * qinv.to_multivector()
     if form == "I":
         check_not_singular(s, x)
         p = _form1_denominator(s, x)
@@ -115,7 +125,7 @@ def cauchy_right(s: Paravector, x: Paravector, form: str = "II") -> Multivector:
     """Right Cauchy kernel; mirror multiplication order of the left one."""
     if form == "II":
         qinv = pseudo_inverse(s, x)
-        return qinv.to_multivector() * (s - x.conjugate()).to_multivector()
+        return qinv.to_multivector() * _smxbar(s, x)
     if form == "I":
         check_not_singular(s, x)
         p = _form1_denominator(s, x)
@@ -124,17 +134,22 @@ def cauchy_right(s: Paravector, x: Paravector, form: str = "II") -> Multivector:
     raise InvalidParams(f"unknown form {form!r}")
 
 
+def cauchy_series_sums(s: Paravector, x: Paravector, terms: int):
+    """The partial sums of x^k s^(-1-k) over k = 0..K, for K = 0..terms."""
+    xk, sk = x.powers(terms), s.inverse().powers(terms + 1)
+    acc = Multivector.zero(s.n, s.ring)
+    for k in range(terms + 1):
+        acc = acc + xk[k].to_multivector() * sk[k + 1].to_multivector()
+        yield acc
+
+
 def cauchy_series_partial(s: Paravector, x: Paravector, terms: int) -> Multivector:
     """Partial sum of x^k s^(-1-k) for k = 0..terms; needs |x| < |s|."""
     if terms < 0:
         raise InvalidParams("series needs a nonnegative truncation index")
-    ring = s.ring
     if not x.norm_sq() < s.norm_sq():
         raise InvalidParams("series requires |x| < |s|")
-    xk, sk = x.powers(terms), s.inverse().powers(terms + 1)
-    acc = Multivector.zero(s.n, ring)
-    for k in range(terms + 1):
-        acc = acc + xk[k].to_multivector() * sk[k + 1].to_multivector()
+    *_, acc = cauchy_series_sums(s, x, terms)
     return acc
 
 
@@ -145,8 +160,8 @@ def fueter_sce_kernel(s: Paravector, x: Paravector, side: str = "left") -> Multi
     if n < 3:
         raise InvalidParams("Fueter-Sce kernel needs odd n >= 3")
     g = cf.gamma_n(n)
-    qp = pseudo_inverse(s, x).pow(h + 1).to_multivector()
-    smxbar = (s - x.conjugate()).to_multivector()
+    qp = pseudo_cauchy_pow(s, x, h + 1)
+    smxbar = _smxbar(s, x)
     if side == "left":
         return (smxbar * qp).scale(g)
     if side == "right":
@@ -167,29 +182,29 @@ def _beta_delta_m_sums(s, x, m: int, beta: int, h: int, first, second, extra: in
     """(s - xbar) * sum_j first(j) Q^-(m+1+k+p+j) (s-x0)^(2j+p), combined with
     sum_j second(j) Q^-(m+1+k+j) (s-x0)^(2j+1-p), where p = beta mod 2 and
     k = beta // 2. The first sum runs over j < k + extra, the second over
-    j < k + p; `first` and `second` are the coefficient families of the parity.
+    j < k + p; `first` and `second` name the coefficient families of the parity.
     """
     ring = x.ring
     qinv = pseudo_inverse(s, x)
-    smxbar = (s - x.conjugate()).to_multivector()
-    smx0 = Paravector(ring, s.x0 - x.x0, s.xu)
+    smxbar = _smxbar(s, x)
+    smx0 = _smx0(s, x)
     p, k = beta % 2, beta // 2
     qk, sk = qinv.powers(m + beta + extra), smx0.powers(beta + extra - 1)
     acc = Multivector.zero(x.n, ring)
     for j in range(0, k + extra):
         term = qk[m + 1 + k + p + j].to_multivector() * sk[2 * j + p].to_multivector()
-        acc = acc + term.scale(first(j, k, m, h))
+        acc = acc + term.scale(cf.coeff(first, j, k, m, h))
     acc = smxbar * acc
     for j in range(0, k + p):
         term = qk[m + 1 + k + j].to_multivector() * sk[2 * j + 1 - p].to_multivector()
-        acc = combine(acc, term.scale(second(j, k, m, h)))
+        acc = combine(acc, term.scale(cf.coeff(second, j, k, m, h)))
     return acc
 
 
 def d_beta_delta_m_kernel(s: Paravector, x: Paravector, m: int, beta: int) -> Multivector:
     """Closed form of D^beta Laplacian^m applied to the left Cauchy kernel (form II)."""
     h = _admissible(x.n, m, beta)
-    families = (cf.coeff_a1, cf.coeff_b1) if beta % 2 else (cf.coeff_a2, cf.coeff_b2)
+    families = ("a1", "b1") if beta % 2 else ("a2", "b2")
     acc = _beta_delta_m_sums(s, x, m, beta, h, *families, extra=0, combine=operator.sub)
     pref = Fraction(2**beta * (h - m) * cf.gamma_m(h, m), cf.factorial(m))
     return acc.scale(x.ring.lift(pref))
@@ -198,7 +213,7 @@ def d_beta_delta_m_kernel(s: Paravector, x: Paravector, m: int, beta: int) -> Mu
 def dbar_beta_delta_m_kernel(s: Paravector, x: Paravector, m: int, beta: int) -> Multivector:
     """Closed form of Dbar^beta Laplacian^m applied to the left Cauchy kernel."""
     h = _admissible(x.n, m, beta)
-    families = (cf.coeff_A1, cf.coeff_B1) if beta % 2 else (cf.coeff_A2, cf.coeff_B2)
+    families = ("A1", "B1") if beta % 2 else ("A2", "B2")
     acc = _beta_delta_m_sums(s, x, m, beta, h, *families, extra=1, combine=operator.add)
     return acc.scale(2**beta * 4**m * cf.pochhammer_neg(h, m))
 
@@ -219,8 +234,8 @@ def laplacian_power_kernel(s: Paravector, x: Paravector, m: int) -> Multivector:
     h = cf.h_of(n)
     if not 1 <= m <= h:
         raise InvalidParams(f"laplacian power kernel needs 1 <= m <= {h}")
-    qp = pseudo_inverse(s, x).pow(m + 1).to_multivector()
-    return ((s - x.conjugate()).to_multivector() * qp).scale(cf.gamma_m(h, m))
+    qp = pseudo_cauchy_pow(s, x, m + 1)
+    return (_smxbar(s, x) * qp).scale(cf.gamma_m(h, m))
 
 
 def polyanalytic_kernel(s: Paravector, x: Paravector, ell: int) -> Multivector:
@@ -233,8 +248,7 @@ def polyanalytic_kernel(s: Paravector, x: Paravector, ell: int) -> Multivector:
     power = h - ell
     coef = Fraction((-1) ** power, cf.factorial(power))
     f = fueter_sce_kernel(s, x, side="left")
-    smx0 = Paravector(ring, s.x0 - x.x0, s.xu)
-    return (f * smx0.pow(power).to_multivector()).scale(ring.lift(coef))
+    return (f * _smx0(s, x).pow(power).to_multivector()).scale(ring.lift(coef))
 
 
 # -- building-block derivative identities ---------------------------------
@@ -247,11 +261,10 @@ LEMMA_DIRAC = "dirac"
 LEMMA_DIRAC_CONJ = "dirac-conj"
 
 
-def _block(formula: int, s, x, m: int, k: int) -> Multivector:
-    ring = x.ring
+def _block(s, x, formula: int, m: int, k: int) -> Multivector:
     qp = pseudo_inverse(s, x).pow(m).to_multivector()
-    smxbar = (s - x.conjugate()).to_multivector()
-    smx0 = Paravector(ring, s.x0 - x.x0, s.xu)
+    smxbar = _smxbar(s, x)
+    smx0 = _smx0(s, x)
     if formula == 1:
         return smxbar * qp
     if formula == 2:
@@ -266,11 +279,10 @@ def _block(formula: int, s, x, m: int, k: int) -> Multivector:
 def _lemma_rhs(lemma: str, formula: int, s, x, m: int, k: int) -> Multivector:
     n = x.n
     h = cf.h_of(n)
-    ring = x.ring
     qinv = pseudo_inverse(s, x)
     qm, qm1 = (q.to_multivector() for q in qinv.powers(m + 1)[m:])
-    smxbar = (s - x.conjugate()).to_multivector()
-    smx0 = Paravector(ring, s.x0 - x.x0, s.xu)
+    smxbar = _smxbar(s, x)
+    smx0 = _smx0(s, x)
     sk = smx0.powers(k + 1)
     if lemma == LEMMA_DIRAC:
         if formula == 1:
@@ -327,12 +339,7 @@ def lemma_block_lhs_rhs(
     """LHS by differentiation oracle, RHS by the printed closed form."""
     k = _lemma_k(formula, m, k)
     op = make_dirac(x.n) if lemma == LEMMA_DIRAC else make_dirac_conj(x.n)
-    s_exact = s
-
-    def block(ring, xx):
-        return _block(formula, s_exact.cast(ring), xx, m, k)
-
-    lhs = oracle_apply(op, block, x)
+    lhs = oracle_apply(op, kernel_closure(_block, s, formula=formula, m=m, k=k), x)
     rhs = _lemma_rhs(lemma, formula, s, x, m, k)
     return lhs, rhs
 
@@ -360,25 +367,13 @@ class CatalogEntry:
     note: str = ""
 
 
-def _q_pow(s, x, m):
-    return pseudo_inverse(s, x).pow(m).to_multivector()
-
-
-def _smxbar(s, x):
-    return (s - x.conjugate()).to_multivector()
-
-
-def _smx0(s, x):
-    return Paravector(x.ring, s.x0 - x.x0, s.xu)
-
-
 def _catalog_entries() -> dict[str, CatalogEntry]:
     entries = [
         CatalogEntry(
             id="q-D",
             n=3,
             op_factory=lambda: make_dirac(3),
-            printed=lambda s, x: _q_pow(s, x, 1).scale(-2),
+            printed=lambda s, x: pseudo_cauchy_pow(s, x, 1).scale(-2),
             printed_text="-2*Q^-1",
             expected_match=True,
         ),
@@ -397,7 +392,7 @@ def _catalog_entries() -> dict[str, CatalogEntry]:
             id="n5-D",
             n=5,
             op_factory=lambda: make_dirac(5),
-            printed=lambda s, x: _q_pow(s, x, 1).scale(-4),
+            printed=lambda s, x: pseudo_cauchy_pow(s, x, 1).scale(-4),
             printed_text="-4*Q^-1",
             expected_match=True,
         ),
@@ -405,7 +400,7 @@ def _catalog_entries() -> dict[str, CatalogEntry]:
             id="n5-Delta",
             n=5,
             op_factory=lambda: make_laplacian(5),
-            printed=lambda s, x: (_smxbar(s, x) * _q_pow(s, x, 2)).scale(8),
+            printed=lambda s, x: (_smxbar(s, x) * pseudo_cauchy_pow(s, x, 2)).scale(8),
             printed_text="8*(s-xbar)*Q^-2",
             expected_match=False,
             corrected=lambda s, x: laplacian_power_kernel(s, x, 1),
@@ -416,7 +411,7 @@ def _catalog_entries() -> dict[str, CatalogEntry]:
             id="n5-DeltaD",
             n=5,
             op_factory=lambda: make_laplacian(5).compose(make_dirac(5)),
-            printed=lambda s, x: _q_pow(s, x, 2).scale(16),
+            printed=lambda s, x: pseudo_cauchy_pow(s, x, 2).scale(16),
             printed_text="16*Q^-2",
             expected_match=True,
         ),
@@ -425,9 +420,9 @@ def _catalog_entries() -> dict[str, CatalogEntry]:
             n=5,
             op_factory=lambda: make_dirac_conj(5),
             printed=lambda s, x: (
-                _smxbar(s, x) * _q_pow(s, x, 2) * _smx0(s, x).to_multivector()
+                _smxbar(s, x) * pseudo_cauchy_pow(s, x, 2) * _smx0(s, x).to_multivector()
             ).scale(4)
-            + _q_pow(s, x, 1).scale(2),
+            + pseudo_cauchy_pow(s, x, 1).scale(2),
             printed_text="4*(s-xbar)*Q^-2*(s-x0) + 2*Q^-1",
             expected_match=True,
         ),
@@ -436,9 +431,9 @@ def _catalog_entries() -> dict[str, CatalogEntry]:
             n=5,
             op_factory=lambda: make_dirac(5).power(2),
             printed=lambda s, x: (
-                _q_pow(s, x, 2) * _smx0(s, x).to_multivector()
+                pseudo_cauchy_pow(s, x, 2) * _smx0(s, x).to_multivector()
             ).scale(16)
-            - (_smxbar(s, x) * _q_pow(s, x, 2)).scale(8),
+            - (_smxbar(s, x) * pseudo_cauchy_pow(s, x, 2)).scale(8),
             printed_text="16*Q^-2*(s-x0) - 8*(s-xbar)*Q^-2",
             expected_match=False,
             corrected=lambda s, x: d_beta_delta_m_kernel(s, x, 0, 2),
@@ -450,7 +445,7 @@ def _catalog_entries() -> dict[str, CatalogEntry]:
             n=5,
             op_factory=lambda: make_laplacian(5).compose(make_dirac_conj(5)),
             printed=lambda s, x: (
-                _smxbar(s, x) * _q_pow(s, x, 3) * _smx0(s, x).to_multivector()
+                _smxbar(s, x) * pseudo_cauchy_pow(s, x, 3) * _smx0(s, x).to_multivector()
             ).scale(-64),
             printed_text="-64*(s-xbar)*Q^-3*(s-x0)",
             expected_match=True,
@@ -460,7 +455,7 @@ def _catalog_entries() -> dict[str, CatalogEntry]:
             n=5,
             op_factory=lambda: make_dirac_conj(5).power(2),
             printed=lambda s, x: (
-                _smxbar(s, x) * _q_pow(s, x, 3) * _smx0(s, x).pow(3).to_multivector()
+                _smxbar(s, x) * pseudo_cauchy_pow(s, x, 3) * _smx0(s, x).pow(3).to_multivector()
             ).scale(32),
             printed_text="32*(s-xbar)*Q^-3*(s-x0)^3",
             expected_match=False,
@@ -532,25 +527,13 @@ def sample_series_pair(n: int, rng: Random) -> tuple[Paravector, Paravector]:
         return s, x
 
 
-def cauchy_closure(s: Paravector, side: str = "left", form: str = "II"):
-    """Cauchy kernel as a ring-generic function of x, with s baked in."""
-    fn = cauchy_left if side == "left" else cauchy_right
-
-    def f(ring, x):
-        return fn(s.cast(ring), x, form=form)
-
-    return f
+def kernel_closure(kernel, s: Paravector, **options):
+    """kernel(s, x, **options) as a ring-generic function of x with s baked
+    in, the form `oracle_apply` evaluates over jets."""
+    return lambda ring, x: kernel(s.cast(ring), x, **options)
 
 
-def fueter_sce_closure(s: Paravector, side: str = "left"):
-    def f(ring, x):
-        return fueter_sce_kernel(s.cast(ring), x, side=side)
-
-    return f
-
-
-def harmonic_closure(s: Paravector, m: int):
-    def f(ring, x):
-        return harmonic_kernel(s.cast(ring), x, m)
-
-    return f
+def cauchy_closure(s: Paravector):
+    """The left Cauchy kernel (form II) as a function of x; the benchmark's
+    tracer test calls it under this name."""
+    return kernel_closure(cauchy_left, s)

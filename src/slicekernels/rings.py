@@ -94,16 +94,6 @@ RATIONALS = RationalRing()
 FLOATS = FloatRing()
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _box(corner: tuple):
     """Every multi-index <= `corner`, componentwise."""
     return itertools.product(*(range(c + 1) for c in corner))
@@ -112,13 +102,6 @@ def _box(corner: tuple):
 @lru_cache(maxsize=None)
 def jet_context(num_vars: int, corners: tuple) -> "JetContext":
     return JetContext(num_vars, corners)
-
-
-def total_degree(num_vars: int, order: int) -> "JetContext":
-    """Context of the jets that carry every multi-index with |alpha| <= order."""
-    if order < 0:
-        raise InvalidParams(f"bad jet order {order}")
-    return jet_context(num_vars, tuple(_compositions(order, num_vars)))
 
 
 class JetContext:

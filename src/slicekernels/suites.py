@@ -173,13 +173,9 @@ def _run_series(params, config: SuiteConfig) -> dict:
     limit = K.cauchy_left(s, x, form="II")
     ns_f = math.sqrt(float(s.norm_sq()))
     rho = math.sqrt(float(x.norm_sq())) / ns_f
-    terms = params["terms"]
-    xk, sk = x.powers(terms), s.inverse().powers(terms + 1)
-    acc = Multivector.zero(n, RATIONALS)
     worst = 0.0
     ok = True
-    for k in range(terms + 1):
-        acc = acc + xk[k].to_multivector() * sk[k + 1].to_multivector()
+    for k, acc in enumerate(K.cauchy_series_sums(s, x, params["terms"])):
         err = (acc - limit).norm_float()
         bound = rho ** (k + 1) / (ns_f * (1.0 - rho))
         if err > bound * (1.0 + 1e-9):
@@ -208,7 +204,7 @@ def _run_catalog(params, config: SuiteConfig) -> dict:
     printed_matches = True
     corrected_matches = True
     for s, x in points:
-        oracle = oracle_apply(op, K.cauchy_closure(s), x)
+        oracle = oracle_apply(op, K.kernel_closure(K.cauchy_left, s), x)
         residual, matches = _compare(entry.printed(s, x), oracle, config)
         printed_matches = printed_matches and matches
         if entry.expected_match:
@@ -332,7 +328,8 @@ def _theorem(p, s, x):
         closed = K.d_beta_delta_m_kernel(s, x, m, beta)
     else:
         closed = K.dbar_beta_delta_m_kernel(s, x, m, beta)
-    return closed, oracle_apply(_theorem_operator(p["op"], n, m, beta), K.cauchy_closure(s), x)
+    op = _theorem_operator(p["op"], n, m, beta)
+    return closed, oracle_apply(op, K.kernel_closure(K.cauchy_left, s), x)
 
 
 def _quad_fs_oracle(p, x):
@@ -402,7 +399,8 @@ CHECKS = {
         float_ok=lambda p: 2 * p["m"] <= FLOAT_ORACLE_MAX_ORDER,
         pair=lambda p, s, x: (
             K.laplacian_power_kernel(s, x, p["m"]),
-            oracle_apply(make_laplacian(p["n"]).power(p["m"]), K.cauchy_closure(s), x),
+            oracle_apply(make_laplacian(p["n"]).power(p["m"]),
+                         K.kernel_closure(K.cauchy_left, s), x),
         ),
     ),
     "fueter-link": Check(
@@ -414,7 +412,8 @@ CHECKS = {
         pair=lambda p, s, x: (
             K.fueter_sce_kernel(s, x, side=p["side"]),
             oracle_apply(make_laplacian(p["n"]).power(cf.h_of(p["n"])),
-                         K.cauchy_closure(s, side=p["side"]), x),
+                         K.kernel_closure(K.cauchy_left if p["side"] == "left"
+                                          else K.cauchy_right, s), x),
         ),
     ),
     "laplacian-power-fueter": Check(
@@ -446,7 +445,8 @@ CHECKS = {
         key="n{n}-t{trial:03d}",
         grid=lambda c: [dict(n=n) for n in c.n_values],
         trials=True,
-        zero=lambda p, s, x: oracle_apply(make_dirac(p["n"]), K.fueter_sce_closure(s), x),
+        zero=lambda p, s, x: oracle_apply(make_dirac(p["n"]),
+                                          K.kernel_closure(K.fueter_sce_kernel, s), x),
     ),
     "polyharmonic": Check(
         key="n{n}-m{m}-t{trial:03d}",
@@ -456,7 +456,7 @@ CHECKS = {
         float_ok=lambda p: 2 * (cf.h_of(p["n"]) - p["m"] + 1) <= FLOAT_ORACLE_MAX_ORDER,
         zero=lambda p, s, x: oracle_apply(
             make_laplacian(p["n"]).power(cf.h_of(p["n"]) - p["m"] + 1),
-            K.harmonic_closure(s, p["m"]), x),
+            K.kernel_closure(K.harmonic_kernel, s, m=p["m"]), x),
     ),
     "forms": Check(
         key="n{n}-{side}-t{trial:03d}",

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from slicekernels.clifford import (
     Multivector,
     Paravector,
+    blade_name,
     blade_product,
     format_multivector,
     format_paravector,
@@ -17,7 +19,14 @@ from slicekernels.clifford import (
     same_sphere,
 )
 from slicekernels.errors import DimensionMismatch, InvalidParams, ZeroNorm
-from slicekernels.rings import FLOATS, RATIONALS, Jet, JetRing, total_degree
+from slicekernels.rings import FLOATS, RATIONALS, Jet, JetRing, jet_context
+
+
+def degree_corners(num_vars, order):
+    """Corners of the total-degree down-set: every multi-index with |alpha| = order."""
+    return tuple(c for c in itertools.product(range(order + 1), repeat=num_vars)
+                 if sum(c) == order)
+
 
 R = RATIONALS
 
@@ -91,7 +100,7 @@ def test_associativity_and_distributivity(n, data):
 
 # -- sparse storage against the dense loops it replaced -------------------
 
-JR = JetRing(total_degree(2, 2))
+JR = JetRing(jet_context(2, degree_corners(2, 2)))
 
 
 def _dense_product(ring, a, b):
@@ -272,7 +281,8 @@ def test_powers_match_pow_and_the_reference_recurrence(coords, k, kind):
     if kind == "float":
         x = x.cast(FLOATS)
     elif kind.endswith("jet"):
-        jr = JetRing(total_degree(3, 2), FLOATS if kind == "float-jet" else R)
+        jr = JetRing(jet_context(3, degree_corners(3, 2)),
+                     FLOATS if kind == "float-jet" else R)
         x = Paravector(jr, jr.seed(0, coords[0]),
                        (jr.seed(1, coords[1]), jr.seed(2, coords[2])))
     assert x.pow(1) is x
@@ -294,7 +304,7 @@ def test_same_sphere():
 def test_multivector_works_over_float_and_jet_rings():
     xf = Paravector.from_coords(FLOATS, [1.0, 2.0, 0.0, 0.0])
     assert abs((xf * xf.conjugate()).scalar_part() - 5.0) < 1e-12
-    jr = JetRing(total_degree(2, 2))
+    jr = JetRing(jet_context(2, degree_corners(2, 2)))
     a = Multivector(1, jr, {0: jr.seed(0, 1)})
     b = Multivector.basis_vector(1, jr, 1)
     prod = (a + b) * (a - b)  # (x + e1)(x - e1) = x^2 + 1 over jets
@@ -311,6 +321,7 @@ def test_text_encoding_round_trip():
     assert format_multivector(b) == "-8/25 - 4/25*e1"
     assert format_multivector(Multivector.zero(3, R)) == "0"
     assert mask_from_name("e{1,12}") == (1 << 0) | (1 << 11)
+    assert all(mask_from_name(blade_name(m)) == m for m in range(1, 1 << 12))
 
 
 def test_float_text_round_trip():
@@ -324,7 +335,9 @@ def test_float_text_round_trip():
     assert parse_multivector("2 + -3*e1 - e2", 3, R) == mv(3, "2 - 3*e1 - 1*e2")
 
 
-@pytest.mark.parametrize("text", ["1e*e1", "2 + x", "1/0", "2 +", "3*e1.5", "3*f1", "1e400"])
+@pytest.mark.parametrize("text", ["1e*e1", "2 + x", "1/0", "2 +", "3*e1.5", "3*f1", "1e400",
+                                  # a blade name needs an index, and strictly ascending ones
+                                  "e11", "e21", "e{2,1}", "e{1,1}", "3*e"])
 def test_malformed_multivector_text(text):
     with pytest.raises(InvalidParams):
         parse_multivector(text, 3, FLOATS)

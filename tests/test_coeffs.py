@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -47,11 +48,11 @@ def test_gamma_n_equals_gamma_m_at_top():
 
 
 def test_family_values():
-    assert cf.coeff_b1(0, 0, 3, 5) == math.factorial(3)
-    assert cf.coeff_a1(0, 1, 1, 4) == 12     # 2*3!*1*C(1,1)*C(0,0)
-    assert cf.coeff_b2(0, 1, 1, 4) == 4
-    assert cf.coeff_A1(0, 0, 0, 2) == 2
-    assert cf.coeff_B1(0, 0, 0, 2) == 1
+    assert cf.coeff("b1", 0, 0, 3, 5) == math.factorial(3)
+    assert cf.coeff("a1", 0, 1, 1, 4) == 12     # 2*3!*1*C(1,1)*C(0,0)
+    assert cf.coeff("b2", 0, 1, 1, 4) == 4
+    assert cf.coeff("A1", 0, 0, 0, 2) == 2
+    assert cf.coeff("B1", 0, 0, 0, 2) == 1
     # survivor at the boundary beta = h_n - m equals 2^(h_n-m) h_n!
     for h in range(1, 13):
         for m in range(0, h):
@@ -63,19 +64,38 @@ def test_families_are_integers():
         for m in range(0, h):
             for k in range(0, (h - m) // 2 + 1):
                 for j in range(0, k + 1):
-                    for fn in (cf.coeff_b1, cf.coeff_A1, cf.coeff_B1, cf.coeff_A2,
-                               cf.coeff_B2):
-                        assert isinstance(fn(j, k, m, h), int)
+                    for family in ("b1", "A1", "B1", "A2", "B2"):
+                        assert isinstance(cf.coeff(family, j, k, m, h), int)
                     if j < k:
-                        assert isinstance(cf.coeff_a1(j, k, m, h), int)
-                        assert isinstance(cf.coeff_a2(j, k, m, h), int)
-                        assert isinstance(cf.coeff_b2(j, k, m, h), int)
+                        for family in ("a1", "a2", "b2"):
+                            assert isinstance(cf.coeff(family, j, k, m, h), int)
+
+
+def test_family_table_digest():
+    # every family's value (or the type of the error it raises) over
+    # h_n <= 12, 0 <= m, k <= h_n and 0 <= j <= k + 1, hashed in this order;
+    # the digest was taken from the eight separately written family formulas
+    # that the offset table replaced
+    lines = []
+    for family in ("a1", "b1", "a2", "b2", "A1", "B1", "A2", "B2"):
+        for h in range(13):
+            for m in range(h + 1):
+                for k in range(h + 1):
+                    for j in range(k + 2):
+                        try:
+                            out = cf.coeff(family, j, k, m, h)
+                        except Exception as exc:
+                            out = type(exc).__name__
+                        lines.append(f"{family} {h} {m} {k} {j} {out}")
+    assert len(lines) == 42952
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4b51907bf0afc19a02a7402ae648ff2427e201ab70d754218c5e46d857f00162"
 
 
 def test_appendix_identity_spot_cases():
     # c1 with k2=1, m=1, h=4: both sides evaluate to 24
-    assert 2 * (1 + 2) * cf.coeff_b2(0, 1, 1, 4) == 24
-    assert 2 * cf.coeff_a1(0, 1, 1, 4) == 24
+    assert 2 * (1 + 2) * cf.coeff("b2", 0, 1, 1, 4) == 24
+    assert 2 * cf.coeff("a1", 0, 1, 1, 4) == 24
     assert cf.check_appendix_identity("c1", 4, 1, 1)
     # c5 with k2=1, m=0, h=3
     assert cf.check_appendix_identity("c5", 3, 0, 1)

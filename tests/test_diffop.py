@@ -15,7 +15,13 @@ from slicekernels.diffop import (
     oracle_apply,
 )
 from slicekernels.errors import DimensionMismatch
-from slicekernels.kernels import cauchy_closure, fueter_sce_closure, sample_point_pair
+from slicekernels.kernels import (
+    cauchy_left,
+    cauchy_right,
+    fueter_sce_kernel,
+    kernel_closure,
+    sample_point_pair,
+)
 from slicekernels.rings import RATIONALS, JetRing, jet_context
 
 R = RATIONALS
@@ -142,7 +148,7 @@ def test_monogenicity_of_fueter_sce_kernel():
     for n in (3, 5):
         D = make_dirac(n)
         s, x = sample_point_pair(n, rng)
-        assert oracle_apply(D, fueter_sce_closure(s), x).is_zero()
+        assert oracle_apply(D, kernel_closure(fueter_sce_kernel, s), x).is_zero()
 
 
 def test_oracle_linearity():
@@ -151,8 +157,8 @@ def test_oracle_linearity():
     s1, x = sample_point_pair(n, rng)
     s2, _ = sample_point_pair(n, rng)
     D = make_dirac(n)
-    f = cauchy_closure(s1)
-    g = cauchy_closure(s2)
+    f = kernel_closure(cauchy_left, s1)
+    g = kernel_closure(cauchy_left, s2)
 
     def fg(ring, xx):
         return f(ring, xx) + g(ring, xx)
@@ -199,7 +205,7 @@ def test_operator_coefficients_with_denominators(n):
     # the exact oracle puts the coefficients over one common denominator E;
     # every D^beta Delta^m has E = 1, so these operators cover E > 1
     s, x = sample_point_pair(n, Random(n))
-    f = cauchy_closure(s)
+    f = kernel_closure(cauchy_left, s)
     D = make_dirac(n)
     third = Fraction(1, 3)
     assert oracle_apply(D.scale(third), f, x) == oracle_apply(D, f, x).scale(third)
@@ -228,5 +234,5 @@ def test_oracle_matches_the_per_alpha_sum(shape, conj, side, seed):
     base = make_dirac_conj(n) if conj else make_dirac(n)
     op = operator_power_compose(base, beta, m)
     s, x = sample_point_pair(n, Random(seed))
-    f = cauchy_closure(s, side=side)
+    f = kernel_closure(cauchy_left if side == "left" else cauchy_right, s)
     assert oracle_apply(op, f, x) == _reference_apply(op, f, x)

@@ -120,9 +120,11 @@ def test_fueter_sce_is_laplacian_power_image():
     for n in (3, 5):
         h = (n - 1) // 2
         s, x = K.sample_point_pair(n, rng)
-        oracle = oracle_apply(make_laplacian(n).power(h), K.cauchy_closure(s), x)
+        f = K.kernel_closure(K.cauchy_left, s)
+        oracle = oracle_apply(make_laplacian(n).power(h), f, x)
         assert oracle == K.fueter_sce_kernel(s, x)
-        assert oracle_apply(make_dirac(n), K.fueter_sce_closure(s), x).is_zero()
+        fs = K.kernel_closure(K.fueter_sce_kernel, s)
+        assert oracle_apply(make_dirac(n), fs, x).is_zero()
 
 
 def test_d_beta_delta_m_reference_values():
@@ -143,10 +145,11 @@ def test_theorem_kernels_match_oracle_spot():
     rng = Random(29)
     for n, m, beta in ((3, 0, 1), (5, 1, 1), (5, 0, 2), (7, 1, 2)):
         s, x = K.sample_point_pair(n, rng)
+        f = K.kernel_closure(K.cauchy_left, s)
         opD = operator_power_compose(make_dirac(n), beta, m)
-        assert oracle_apply(opD, K.cauchy_closure(s), x) == K.d_beta_delta_m_kernel(s, x, m, beta)
+        assert oracle_apply(opD, f, x) == K.d_beta_delta_m_kernel(s, x, m, beta)
         opDb = operator_power_compose(make_dirac_conj(n), beta, m)
-        assert oracle_apply(opDb, K.cauchy_closure(s), x) == K.dbar_beta_delta_m_kernel(s, x, m, beta)
+        assert oracle_apply(opDb, f, x) == K.dbar_beta_delta_m_kernel(s, x, m, beta)
 
 
 def test_theorem_kernel_invalid_params():
@@ -254,7 +257,7 @@ def test_catalog_arbitration_spot():
     rng = Random(53)
     entry = K.catalog_fixture("n5-Delta")
     s, x = K.sample_point_pair(5, rng)
-    oracle = oracle_apply(entry.op_factory(), K.cauchy_closure(s), x)
+    oracle = oracle_apply(entry.op_factory(), K.kernel_closure(K.cauchy_left, s), x)
     assert entry.printed(s, x) != oracle
     assert entry.corrected(s, x) == oracle
 

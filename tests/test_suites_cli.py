@@ -315,6 +315,17 @@ def test_cli_config_value_types(tmp_path, capsys, values, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text", ["[1]", '["trials"]', "null", "5"])
+def test_cli_config_must_be_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(["verify", "--suite", "forms", "--config", str(cfg)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: config file {cfg} must hold a JSON object"]
+    assert captured.out == ""
+
+
 def test_cli_eval_float_overflow(capsys):
     code = main(["eval", "--kernel", "cauchy-II", "--n", "3", "--mode", "float",
                  "--s", "1e400,0,0,0", "--x", "0,1,0,0"])
