@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatch, InvalidParams, ZeroNorm
-from .rings import RATIONALS, mul_into
+from .rings import RATIONALS, JetRing, mul_into
 
 MAX_DIMENSION = 15
 
@@ -209,39 +209,36 @@ class Multivector:
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Associative Clifford product; bilinear, e_i e_j + e_j e_i = -2 delta_ij.
 
-    Walks a's blades, then b's, in ascending mask order and skips the
-    coefficients `ring.is_zero` calls zero, so float sums keep one order.
-    Exact products sum in integers: with a's blades A_i / da over their lcm
-    denominator da and b's B_j / db, each output blade sums sign * A_i * B_j
-    and is divided by da * db once.  Over exact jets the A_i and B_j are
-    numerator tables, and each output blade accumulates into one table.
+    Walks a's blades, then b's, in ascending mask order, so float sums keep
+    one order.  Exact products sum in integers: with a's blades A_i / da over
+    their lcm denominator da and b's B_j / db, each output blade sums
+    sign * A_i * B_j and is divided by da * db once.  Over jets the A_i and
+    B_j are numerator tables (value tables with no denominator for float
+    jets), and each output blade accumulates into one table.
     """
     a._check(b)
     ring = a.ring
-    if ring.exact:
-        if ring is RATIONALS:
-            da = math.lcm(*(c.denominator for c in a.blades.values()))
-            db = math.lcm(*(c.denominator for c in b.blades.values()))
-            nb = [(j, c.numerator * (db // c.denominator)) for j, c in b.blades.items()]
-            acc: dict = {}
-            get = acc.get
-            for i, c in a.blades.items():
-                ai = c.numerator * (da // c.denominator)
-                for j, bj in nb:
-                    mask, sign = blade_product(i, j)
-                    acc[mask] = get(mask, 0) + sign * ai * bj
-            den = da * db
-            return Multivector._make(a.n, ring, {m: Fraction(v, den)
-                                                 for m, v in sorted(acc.items()) if v})
-        return _exact_jet_product(a, b)
-    is_zero = ring.is_zero
+    if ring is RATIONALS:
+        da = math.lcm(*(c.denominator for c in a.blades.values()))
+        db = math.lcm(*(c.denominator for c in b.blades.values()))
+        nb = [(j, c.numerator * (db // c.denominator)) for j, c in b.blades.items()]
+        acc: dict = {}
+        get = acc.get
+        for i, c in a.blades.items():
+            ai = c.numerator * (da // c.denominator)
+            for j, bj in nb:
+                mask, sign = blade_product(i, j)
+                acc[mask] = get(mask, 0) + sign * ai * bj
+        den = da * db
+        return Multivector._make(a.n, ring, {m: Fraction(v, den)
+                                             for m, v in sorted(acc.items()) if v})
+    if isinstance(ring, JetRing):
+        return _jet_product(a, b)
     out = [None] * (1 << a.n)
     touched = []  # masks in the order first set; compacted without a 2^n scan
-    nonzero_b = [(j, cb) for j, cb in b.blades.items() if not is_zero(cb)]
+    b_items = b.blades.items()
     for i, ca in a.blades.items():
-        if is_zero(ca):
-            continue
-        for j, cb in nonzero_b:
+        for j, cb in b_items:
             mask, sign = blade_product(i, j)
             p = ca * cb
             cur = out[mask]
@@ -257,8 +254,8 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     return Multivector._make(a.n, ring, blades)
 
 
-def _exact_jet_product(a: Multivector, b: Multivector) -> Multivector:
-    """geometric_product over exact jets: one int table per output blade."""
+def _jet_product(a: Multivector, b: Multivector) -> Multivector:
+    """geometric_product over jets: one table per output blade."""
     if not a.blades or not b.blades:
         return Multivector._make(a.n, a.ring, {})
     jets = [*a.blades.values(), *b.blades.values()]
@@ -267,14 +264,18 @@ def _exact_jet_product(a: Multivector, b: Multivector) -> Multivector:
         if jet.ctx is not ctx and jet.ctx.exponents != ctx.exponents:
             raise InvalidParams("jet shape mismatch")
     products = ctx.products
-    da = math.lcm(*(jet.den for jet in a.blades.values()))
-    db = math.lcm(*(jet.den for jet in b.blades.values()))
+    if a.ring.exact:
+        da = math.lcm(*(jet.den for jet in a.blades.values()))
+        db = math.lcm(*(jet.den for jet in b.blades.values()))
+        den = da * db
+    else:
+        da = db = den = None
     # A_i = N_i * (da / den_i): the factor rides with the sign, so no
     # numerator table is copied
-    nb = [(j, jet.numerators(jet.den), db // jet.den) for j, jet in b.blades.items()]
+    nb = [(j, jet._nums, db // jet.den if db else 1) for j, jet in b.blades.items()]
     acc: dict = {}
     for i, jet in a.blades.items():
-        ai, fa = jet.numerators(jet.den), da // jet.den
+        ai, fa = jet._nums, da // jet.den if da else 1
         for j, bj, fb in nb:
             mask, sign = blade_product(i, j)
             out = acc.get(mask)
@@ -287,7 +288,7 @@ def _exact_jet_product(a: Multivector, b: Multivector) -> Multivector:
         if 0 in nums.values():
             nums = {k: v for k, v in nums.items() if v}
         if nums:
-            blades[mask] = jets[0]._exact(nums, da * db)
+            blades[mask] = jets[0]._like(nums, den)
     return Multivector._make(a.n, a.ring, blades)
 
 

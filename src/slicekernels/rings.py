@@ -167,13 +167,14 @@ def multi_index_factorial(alpha: Iterable[int]) -> int:
 
 
 def mul_into(out: dict, products: tuple, a: dict, b: dict, scale: int) -> None:
-    """Add scale * a * b into `out`, all int numerators on one down-set.
+    """Add scale * a * b into `out`, all int numerators or all floats on one down-set.
 
     `products` is the context's product table, and `scale` an int such as a
     blade sign.  Integer sums do not depend on their order, so each row i
     takes the shorter walk: its table entries looked up in b, or b looked up
-    in it.  Row 0 maps every j to itself, so a's constant term is a scale of
-    b.  Entries of `out` that sum to zero are kept; the caller drops them.
+    in it.  Float sums follow that walk, so they are deterministic too.  Row
+    0 maps every j to itself, so a's constant term is a scale of b.  Entries
+    of `out` that sum to zero are kept; the caller drops them.
     """
     get = out.get
     a0 = a.get(0)
@@ -235,7 +236,7 @@ class Jet:
     cross-multiplying.  Only the reciprocal reduces, its input and its
     output, by one multi-argument gcd each; `coeffs`, `derivative` and
     `constant_term` return Fractions, which are in lowest terms.  A float
-    jet keeps its float values and has `den` None.
+    jet keeps its nonzero float values and has `den` None.
     """
 
     __slots__ = ("ctx", "ring", "_nums", "den")
@@ -244,7 +245,7 @@ class Jet:
         self.ctx = ctx
         self.ring = ring
         if not ring.exact:
-            self._nums, self.den = coeffs, None
+            self._nums, self.den = {k: v for k, v in coeffs.items() if v != 0}, None
             return
         values = [(k, Fraction(v)) for k, v in coeffs.items() if v != 0]
         den = math.lcm(*(v.denominator for _, v in values))
@@ -258,8 +259,8 @@ class Jet:
             return self._nums
         return _ExactCoeffs(self._nums, self.den)
 
-    def _exact(self, nums: dict, den: int) -> "Jet":
-        """Exact jet of this shape from nonzero int numerators over den > 0."""
+    def _like(self, nums: dict, den) -> "Jet":
+        """Jet of this shape from nonzero numerators over den (None for floats)."""
         out = object.__new__(Jet)
         out.ctx, out.ring, out._nums, out.den = self.ctx, self.ring, nums, den
         return out
@@ -269,7 +270,7 @@ class Jet:
         g = math.gcd(self.den, *self._nums.values())
         if g == 1:
             return self
-        return self._exact({k: v // g for k, v in self._nums.items()}, self.den // g)
+        return self._like({k: v // g for k, v in self._nums.items()}, self.den // g)
 
     def numerators(self, den: int) -> dict:
         """Exact coefficients as int numerators over `den`, a multiple of `self.den`."""
@@ -286,22 +287,6 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
-        if self.den is not None:
-            return self._exact_add(other)
-        out = dict(self._nums)
-        for k, v in other._nums.items():
-            cur = out.get(k)
-            if cur is None:
-                out[k] = v
-            else:
-                s = cur + v
-                if s == 0:
-                    del out[k]
-                else:
-                    out[k] = s
-        return Jet(self.ctx, self.ring, out)
-
-    def _exact_add(self, other: "Jet") -> "Jet":
         a, b = self._nums, other._nums
         if not b:
             return self
@@ -321,12 +306,10 @@ class Jet:
                 out[k] = s
             else:
                 del out[k]
-        return self._exact(out, da)
+        return self._like(out, da)
 
     def __neg__(self):
-        if self.den is not None:
-            return self._exact({k: -v for k, v in self._nums.items()}, self.den)
-        return Jet(self.ctx, self.ring, {k: -v for k, v in self._nums.items()})
+        return self._like({k: -v for k, v in self._nums.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -336,71 +319,16 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            if self.den is not None:
-                return self._exact_mul(other)
-            return self._float_mul(other)
+            out: dict = {}
+            mul_into(out, self.ctx.products, self._nums, other._nums, 1)
+            if 0 in out.values():
+                out = {k: v for k, v in out.items() if v}
+            return self._like(out, None if self.den is None else self.den * other.den)
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def _float_mul(self, other: "Jet") -> "Jet":
-        # Float sums depend on their order, and later products iterate the
-        # keys of this one, so both orders stay those of the all-pairs loop
-        # over a, then b.  Within row i each k = i + j occurs once, so the
-        # additions into out[k] follow a's order whichever side is walked;
-        # a row walked by its table defers the keys it adds to `out` and
-        # inserts them in b's order.
-        products = self.ctx.products
-        b = other._nums
-        b_items, b_get, nb = b.items(), b.get, len(b)
-        rank = None
-        out: dict = {}
-        get = out.get
-        for i, av in self._nums.items():
-            row = products[i]
-            if len(row) < nb:
-                new = []
-                for j, k in row.items():
-                    bv = b_get(j)
-                    if bv is None:
-                        continue
-                    p = av * bv
-                    cur = get(k)
-                    if cur is None:
-                        new.append((j, k, p))
-                    elif (s := cur + p) == 0:
-                        del out[k]
-                    else:
-                        out[k] = s
-                if len(new) > 1:
-                    if rank is None:
-                        rank = {j: r for r, j in enumerate(b)}
-                    new.sort(key=lambda t: rank[t[0]])
-                for _, k, p in new:
-                    out[k] = p
-            else:
-                for j, bv in b_items:
-                    k = row.get(j)
-                    if k is None:
-                        continue
-                    p = av * bv
-                    cur = get(k)
-                    if cur is None:
-                        out[k] = p
-                    elif (s := cur + p) == 0:
-                        del out[k]
-                    else:
-                        out[k] = s
-        return Jet(self.ctx, self.ring, out)
-
-    def _exact_mul(self, other: "Jet") -> "Jet":
-        out: dict = {}
-        mul_into(out, self.ctx.products, self._nums, other._nums, 1)
-        if 0 in out.values():
-            out = {k: v for k, v in out.items() if v}
-        return self._exact(out, self.den * other.den)
 
     def scale(self, c):
         if c == 0:
@@ -408,8 +336,8 @@ class Jet:
         if self.den is not None:
             c = Fraction(c)
             p = c.numerator
-            return self._exact({k: v * p for k, v in self._nums.items()},
-                               self.den * c.denominator)
+            return self._like({k: v * p for k, v in self._nums.items()},
+                              self.den * c.denominator)
         return Jet(self.ctx, self.ring, {k: v * c for k, v in self._nums.items()})
 
     def __eq__(self, other):
@@ -493,10 +421,7 @@ class JetRing:
         return Jet(ctx, self.scalar_ring, coeffs)
 
     def is_zero(self, jet: Jet) -> bool:
-        if jet.den is not None:
-            return not jet._nums
-        sr = self.scalar_ring
-        return all(sr.is_zero(v) for v in jet._nums.values())
+        return not jet._nums
 
     def invert(self, jet: Jet) -> Jet:
         return self.reciprocal(jet)
@@ -541,7 +466,7 @@ class JetRing:
                     out[k] = -acc // a0
             big = a0 ** (top + 1)
             f = jet.den if big > 0 else -jet.den
-            return jet._exact({k: v * f for k, v in out.items()}, abs(big))._lowest()
+            return jet._like({k: v * f for k, v in out.items()}, abs(big))._lowest()
         coeffs = jet._nums
         sr = self.scalar_ring
         c0 = jet.constant_term()

@@ -601,9 +601,11 @@ def _usable_cpus() -> int:
 def run_suite(config: SuiteConfig) -> VerificationReport:
     config.validate()
     cases = _build_cases(config)
-    jobs = config.jobs if config.jobs is not None else _usable_cpus()
+    # the pool forks every worker at its first submit, so size it to the work
+    cpus = _usable_cpus()
+    jobs = min(config.jobs or cpus, cpus, len(cases))
     work = [(c, config) for c in cases]
-    if jobs > 1 and len(cases) > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(work) // (4 * jobs))
             results = list(pool.map(_execute_case, work, chunksize=chunk))

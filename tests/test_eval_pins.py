@@ -40,6 +40,22 @@ def test_eval_output_is_pinned(capsys, run):
     assert captured.err == ""
 
 
+# Float values far from 1 print in full: no coefficient is dropped for its
+# size alone.
+EXTREME_SCALES = [
+    ("1e10,0,0,0", "0,1,0,0", "9.999999999999999e-11 + 1e-20*e1"),
+    ("1e100,0,0,0", "0,1,0,0", "1.0000000000000001e-100 + 1.0000000000000001e-200*e1"),
+    ("1e-100,0,0,0", "0,1e-100,0,0", "5.000000000000001e+99 + 5.000000000000001e+99*e1"),
+]
+
+
+@pytest.mark.parametrize("s, x, expected", EXTREME_SCALES)
+def test_float_eval_at_extreme_scales(capsys, s, x, expected):
+    argv = ["eval", "--kernel", "cauchy-II", "--n", "3", "--mode", "float", "--s", s, "--x", x]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 # Each run gives exit 2 and this one stderr line. Checks run in this order:
 # the dimension, the coordinates of s then x, the side, then the flavor's
 # own parameters.

@@ -24,7 +24,7 @@ EXACT = {
     "forms": "017f9e0d1ff1b4b0343cbbc2d7694fc1a1eb81be549c621f3a4a125384fa07dd",
     "series": "d66415b72f694fd0d8abb4b1f1215fb8b69f442866baeea8ac9eb2ebedfeee54",
     "catalog": "9d59998218230cd8b40d2c814aa809256716a63e5af61298bcbd48ff72c52412",
-    "quadrature": "74130ad25ebcc8196d4cadd1bfba9f3be6aefad4432af07ed1a902283c8cc573",
+    "quadrature": "c2ed168bf31a2c3594a031b69a3a86f1a557ba4300be359d1155720c6d2cc2a4",
 }
 
 # n=7 is where the oracle costs most: operators up to order 6 (Laplacian^3)
@@ -45,17 +45,17 @@ EXACT_N9 = {
 }
 
 FLOAT = {
-    "special-cases": "1075d2200be022632260380fdbd14c2fa68fe3eb5b4216121afbc1803ddea4ba",
+    "special-cases": "9cc3371cb522408be4fbf1357f7ee60582ee7cdbfb7cffb3bd9a8e1e11e52b35",
     "polyharmonic": "52a7d92b9e4a89841e51a9a919abe328d278f8e1e84dfd17f63d829dabc40a30",
-    "theorem-dbar": "ae4793b22d5afcaa66a2b8fca6ecf3156125719159631c0193d52c367907475a",
+    "theorem-dbar": "03306b7179fb8693bc7c7a7383155072b9fc972bcb591296e0d34c4379caf5e0",
 }
 
 # Float reports whose sums run through the float jet product (theorem-dbar at
 # n=9) and the contour memo (quadrature at its default 256 nodes).
 FLOAT_N9 = {
-    "theorem-dbar": "4f6b25032540cceee1efb6eaf16b21de5b63a4a063adac52e25bec855047c7c9",
+    "theorem-dbar": "f63a71885481ec561ceb920fc4e8cd88db21c0ebfb1f8372f41ef764006b299e",
 }
-QUADRATURE_256 = "f645f157e2f01e6a3d1ee6e25d1e5b42bc81f1bd7049707ea883839b6e07dbf1"
+QUADRATURE_256 = "1c392402f33a6a110445ce5bf9de5a99a25aaa1099cfd3188b9c9006e1baf57a"
 
 EXACT_EXTRA = {"appendix": {"hn_max": 6}, "series": {"series_terms": 20},
                "quadrature": {"quad_nodes": 64}}

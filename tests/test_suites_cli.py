@@ -119,6 +119,15 @@ def test_float_mode_theorem_spot_checks_n9():
     assert pairs == {(0, 1), (0, 2), (0, 3), (0, 4), (1, 1), (1, 2)}
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_float_theorem_dbar_n9_passes(seed):
+    # Clifford products must keep small float coefficients: dropping those
+    # under 1e-12 fails n9-m0-b4 cases at these seeds by up to 1.6e-3
+    report = run_suite(small("theorem-dbar", n_values=(9,), mode="float", tol=1e-8,
+                             seed=seed))
+    assert report.passed, report.summary
+
+
 def test_cli_eval_text(capsys):
     code = main(["eval", "--kernel", "cauchy-II", "--n", "3",
                  "--s", "2,0,0,0", "--x", "0,1,0,0"])
@@ -409,3 +418,38 @@ def test_default_jobs_count_the_usable_cpus(monkeypatch, affinity, cpus, pooled)
         assert report.passed and len(report.cases) > 1
         assert report.as_dict(strip_times=True) == run_suite(small("forms")).as_dict(
             strip_times=True)
+
+
+@pytest.mark.parametrize("jobs, cpus, trials, workers", [
+    (5000, 8, 1, 2),   # two cases: two workers
+    (5000, 3, 2, 3),   # four cases on three CPUs
+    (3, 8, 2, 3),
+    (None, 8, 1, 2),
+    (5000, 1, 2, None),  # one usable CPU: no pool
+])
+def test_pool_is_sized_to_the_work(monkeypatch, jobs, cpus, trials, workers):
+    # the pool forks all its workers at the first submit, so it must never
+    # ask for more than the cases or the usable CPUs
+    from slicekernels import suites
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
+    report = run_suite(small("forms", jobs=jobs, trials=trials))
+    assert started == ([] if workers is None else [workers])
+    assert report.as_dict(strip_times=True) == run_suite(
+        small("forms", trials=trials)).as_dict(strip_times=True)
