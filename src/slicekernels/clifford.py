@@ -183,8 +183,7 @@ class Multivector:
     __hash__ = None
 
     def is_zero(self) -> bool:
-        ring = self.ring
-        return all(ring.is_zero(c) for c in self.blades.values())
+        return not self.blades
 
     def scalar_part(self):
         return self.blades.get(0, self.ring.zero())
@@ -213,8 +212,8 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     one order.  Exact products sum in integers: with a's blades A_i / da over
     their lcm denominator da and b's B_j / db, each output blade sums
     sign * A_i * B_j and is divided by da * db once.  Over jets the A_i and
-    B_j are numerator tables (value tables with no denominator for float
-    jets), and each output blade accumulates into one table.
+    B_j are numerator tables (float jets sit over denominator 1), and each
+    output blade accumulates into one table.
     """
     a._check(b)
     ring = a.ring
@@ -259,23 +258,18 @@ def _jet_product(a: Multivector, b: Multivector) -> Multivector:
     if not a.blades or not b.blades:
         return Multivector._make(a.n, a.ring, {})
     jets = [*a.blades.values(), *b.blades.values()]
-    ctx = jets[0].ctx
-    for jet in jets:
-        if jet.ctx is not ctx and jet.ctx.exponents != ctx.exponents:
-            raise InvalidParams("jet shape mismatch")
-    products = ctx.products
-    if a.ring.exact:
-        da = math.lcm(*(jet.den for jet in a.blades.values()))
-        db = math.lcm(*(jet.den for jet in b.blades.values()))
-        den = da * db
-    else:
-        da = db = den = None
+    for jet in jets[1:]:
+        jets[0]._check(jet)
+    products = jets[0].ctx.products
+    da = math.lcm(*(jet.den for jet in a.blades.values()))
+    db = math.lcm(*(jet.den for jet in b.blades.values()))
+    den = da * db
     # A_i = N_i * (da / den_i): the factor rides with the sign, so no
     # numerator table is copied
-    nb = [(j, jet._nums, db // jet.den if db else 1) for j, jet in b.blades.items()]
+    nb = [(j, jet._nums, db // jet.den) for j, jet in b.blades.items()]
     acc: dict = {}
     for i, jet in a.blades.items():
-        ai, fa = jet._nums, da // jet.den if da else 1
+        ai, fa = jet._nums, da // jet.den
         for j, bj, fb in nb:
             mask, sign = blade_product(i, j)
             out = acc.get(mask)

@@ -156,39 +156,29 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     some alpha of `op.terms`), which is all that `op` reads; the shape
     depends on the operator alone, never on `f`.
 
-    Over exact rings the sum of c_alpha * d^alpha f is assembled in ints:
-    the coefficients are C_alpha / E over one denominator E and the blades of
-    f are N_b / den over another.  Each nonzero blade pair (a, b) takes one
-    dot product, the sum over alpha of C_alpha[a] * alpha! * N_b[alpha], and
-    adds it with the sign of e_a e_b = sign * e_mask to blade `mask`, which is
-    divided by den * E once.
+    The sum of c_alpha * d^alpha f is assembled from numerators: the
+    coefficients are ints C_alpha / E over one denominator E and the blades
+    of f are N_b / den over another (den is 1 for float jets).  Each nonzero
+    blade pair (a, b) takes one dot product, the sum over alpha of
+    C_alpha[a] * alpha! * N_b[alpha], and adds it with the sign of
+    e_a e_b = sign * e_mask to blade `mask`, which is divided by den * E once.
     """
     n = op.n
     if x.n != n:
         raise DimensionMismatch(f"operator in dimension {n}, point in {x.n}")
     ring = x.ring
-    ctx = jet_context(n + 1, tuple(op.terms))
-    jring = JetRing(ctx, ring)
+    jring = JetRing(jet_context(n + 1, tuple(op.terms)), ring)
     seeded = Paravector(
         jring,
         jring.seed(0, x.x0),
         tuple(jring.seed(i + 1, c) for i, c in enumerate(x.xu)),
     )
     value = f(jring, seeded)
-    if not ring.exact:
-        acc = Multivector.zero(n, ring)
-        for alpha, cmv in op.terms.items():
-            k, fact = ctx.index[alpha], multi_index_factorial(alpha)
-            dmv = Multivector(n, ring, {b: c * fact for b, jet in value.blades.items()
-                                        if (c := jet.coeffs.get(k)) is not None})
-            acc = acc + cmv.map_coeffs(ring.lift, ring) * dmv
-        return acc
     den = math.lcm(*(jet.den for jet in value.blades.values()))
     scale, groups = op.blade_terms()
     acc = [0] * (1 << n)
     for b, jet in value.blades.items():
-        nb, up = jet.numerators(jet.den), den // jet.den
-        get = nb.get
+        get, up = jet._nums.get, den // jet.den
         for a, column in groups:
             v = 0
             for k, c in column:
@@ -199,4 +189,5 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
                 mask, sign = blade_product(a, b)
                 acc[mask] += sign * up * v
     den *= scale
-    return Multivector(n, ring, {m: Fraction(v, den) for m, v in enumerate(acc) if v})
+    return Multivector(n, ring, {m: Fraction(v, den) if ring.exact else v / den
+                                 for m, v in enumerate(acc) if v})

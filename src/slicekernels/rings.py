@@ -125,11 +125,12 @@ class JetContext:
     therefore the same as in any larger jet.
 
     `products[i]` maps j to the index of exponents[i] + exponents[j] for every
-    pair whose sum lies in S; `divisors[k]` lists the pairs (i, j) with
-    exponents[i] + exponents[j] = exponents[k] and i > 0, in ascending i.
+    pair whose sum lies in S, and `layers[d]` is the index range of the
+    multi-indices of total degree d: graded-lex order stores each degree as
+    one contiguous range, and a down-set holds every degree up to its top.
     """
 
-    __slots__ = ("num_vars", "exponents", "index", "size", "products", "divisors")
+    __slots__ = ("num_vars", "exponents", "index", "size", "products", "layers")
 
     def __init__(self, num_vars: int, corners: tuple):
         if num_vars < 1:
@@ -142,21 +143,16 @@ class JetContext:
         exps = sorted(points, key=lambda e: (sum(e), e))
         index = {e: i for i, e in enumerate(exps)}
         products = [{} for _ in exps]
-        divisors = []
         for k, alpha in enumerate(exps):
-            pairs = sorted(
-                (index[beta], index[tuple(a - b for a, b in zip(alpha, beta))])
-                for beta in _box(alpha)
-            )
-            for i, j in pairs:
-                products[i][j] = k
-            divisors.append(tuple(pairs[1:]))  # pairs[0] is (0, k)
+            for beta in _box(alpha):
+                products[index[beta]][index[tuple(a - b for a, b in zip(alpha, beta))]] = k
+        starts = [k for k, e in enumerate(exps) if not k or sum(e) != sum(exps[k - 1])]
         self.num_vars = num_vars
         self.exponents = tuple(exps)
         self.index = index
         self.size = len(exps)
         self.products = tuple(products)
-        self.divisors = tuple(divisors)
+        self.layers = tuple(map(range, starts, [*starts[1:], len(exps)]))
 
 
 def multi_index_factorial(alpha: Iterable[int]) -> int:
@@ -236,7 +232,8 @@ class Jet:
     cross-multiplying.  Only the reciprocal reduces, its input and its
     output, by one multi-argument gcd each; `coeffs`, `derivative` and
     `constant_term` return Fractions, which are in lowest terms.  A float
-    jet keeps its nonzero float values and has `den` None.
+    jet keeps its nonzero float values over `den` 1, so the paths written
+    for a denominator serve both rings.
     """
 
     __slots__ = ("ctx", "ring", "_nums", "den")
@@ -245,7 +242,7 @@ class Jet:
         self.ctx = ctx
         self.ring = ring
         if not ring.exact:
-            self._nums, self.den = {k: v for k, v in coeffs.items() if v != 0}, None
+            self._nums, self.den = {k: v for k, v in coeffs.items() if v != 0}, 1
             return
         values = [(k, Fraction(v)) for k, v in coeffs.items() if v != 0]
         den = math.lcm(*(v.denominator for _, v in values))
@@ -255,12 +252,12 @@ class Jet:
     @property
     def coeffs(self):
         """Coefficients by index as scalar ring values (a read-only view)."""
-        if self.den is None:
+        if not self.ring.exact:
             return self._nums
         return _ExactCoeffs(self._nums, self.den)
 
     def _like(self, nums: dict, den) -> "Jet":
-        """Jet of this shape from nonzero numerators over den (None for floats)."""
+        """Jet of this shape from nonzero numerators over den (1 for floats)."""
         out = object.__new__(Jet)
         out.ctx, out.ring, out._nums, out.den = self.ctx, self.ring, nums, den
         return out
@@ -272,16 +269,13 @@ class Jet:
             return self
         return self._like({k: v // g for k, v in self._nums.items()}, self.den // g)
 
-    def numerators(self, den: int) -> dict:
-        """Exact coefficients as int numerators over `den`, a multiple of `self.den`."""
-        f = den // self.den
-        return {k: v * f for k, v in self._nums.items()} if f != 1 else self._nums
-
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Jet"):
         if self.ctx is not other.ctx and self.ctx.exponents != other.ctx.exponents:
             raise InvalidParams("jet shape mismatch")
+        if self.ring.exact != other.ring.exact:
+            raise InvalidParams("exact and float jets do not mix")
 
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -323,7 +317,7 @@ class Jet:
             mul_into(out, self.ctx.products, self._nums, other._nums, 1)
             if 0 in out.values():
                 out = {k: v for k, v in out.items() if v}
-            return self._like(out, None if self.den is None else self.den * other.den)
+            return self._like(out, self.den * other.den)
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -333,7 +327,7 @@ class Jet:
     def scale(self, c):
         if c == 0:
             return Jet(self.ctx, self.ring, {})
-        if self.den is not None:
+        if self.ring.exact:
             c = Fraction(c)
             p = c.numerator
             return self._like({k: v * p for k, v in self._nums.items()},
@@ -343,9 +337,11 @@ class Jet:
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
+        if self.ring.exact != other.ring.exact:
+            return False
         a, b, da, db = self._nums, other._nums, self.den, other.den
-        if da == db or da is None or db is None:
-            return da == db and a == b
+        if da == db:
+            return a == b
         # numerators are nonzero, so equal values store the same indices
         return a.keys() == b.keys() and all(v * db == b[k] * da for k, v in a.items())
 
@@ -358,7 +354,7 @@ class Jet:
     # -- queries ------------------------------------------------------
 
     def constant_term(self):
-        if self.den is not None:
+        if self.ring.exact:
             return Fraction(self._nums.get(0, 0), self.den)
         return self._nums.get(0, self.ring.zero())
 
@@ -373,7 +369,7 @@ class Jet:
         c = self._nums.get(k)
         if c is None:
             return self.ring.zero()
-        if self.den is not None:
+        if self.ring.exact:
             return Fraction(c * multi_index_factorial(alpha), self.den)
         return c * multi_index_factorial(alpha)
 
@@ -427,69 +423,52 @@ class JetRing:
         return self.reciprocal(jet)
 
     def reciprocal(self, jet: Jet) -> Jet:
-        """Multiplicative inverse on the jet's support, index by index.
+        """Multiplicative inverse on the jet's support, one degree layer at a time.
 
-        Solves a * out = 1 for out[k] from the already known out[j], j < k,
-        summing a[i] * out[j] over the divisor pairs of k in ascending i.
+        With a = a[0] + rest, a * out = 1 gives, for k > 0,
+        out[k] = -(sum rest[i] out[j]) / a[0] over the pairs i + j = k, and
+        every such j has deg j < deg k because i > 0.  So each finished layer
+        is multiplied by rest into an accumulator with `mul_into`, which adds
+        its share to every higher degree; when the layers below degree d are
+        pushed, the accumulator holds the whole sum for each index of degree d.
 
         Exact jets run the recurrence in integers.  With A the numerators of
         a (a = A / den) and r = 1 / A, r[0] = 1 / A[0] and
-        r[k] = -(sum A[i] r[j]) / A[0], where every j has deg j < deg k
-        because i > 0.  By induction the denominator of r[j] divides
-        A[0]^(deg j + 1): it holds at j = 0, and if it holds below k the sum
-        has a denominator dividing A[0]^(deg k), so r[k]'s divides
-        A[0]^(deg k + 1).  Hence R = r * D with D = A[0]^(T + 1), T the top
-        degree of the support, is integral: R[0] = A[0]^T and
-        R[k] = -(sum A[i] R[j]) // A[0], a division that is exact because
-        its quotient is the integer R[k].  Then out = den * R / D.
+        r[k] = -(sum A[i] r[j]) / A[0].  By induction on the degree, the
+        denominator of r[j] divides A[0]^(deg j + 1): it holds at degree 0,
+        and if it holds below degree d every sum of degree d has a
+        denominator dividing A[0]^d, so r[k]'s divides A[0]^(d + 1).  Hence
+        R = r * D with D = A[0]^(T + 1), T the top degree of the support, is
+        integral: R[0] = A[0]^T and R[k] = -(sum A[i] R[j]) // A[0], a division
+        that is exact because its quotient is the integer R[k]; integer sums
+        do not depend on their order.  Then out = den * R / D.  Float jets
+        take out[k] = -(1 / a[0]) * sum and drop exact zeros.
         """
-        ctx = jet.ctx
-        divisors = ctx.divisors
-        if jet.den is not None:
+        ctx, sr = jet.ctx, jet.ring
+        exact = sr.exact
+        if exact:
             jet = jet._lowest()
-            coeffs = jet._nums
-            a0 = coeffs.get(0, 0)
-            if a0 == 0:
-                raise NonInvertibleConstantTerm("jet constant term is not invertible")
-            top = sum(ctx.exponents[-1])
-            out = {0: a0 ** top}
-            for k in range(1, ctx.size):
-                acc = 0
-                for i, j in divisors[k]:
-                    av = coeffs.get(i)
-                    if av is None:
-                        continue
-                    bv = out.get(j)
-                    if bv is not None:
-                        acc += av * bv
-                if acc:
-                    out[k] = -acc // a0
-            big = a0 ** (top + 1)
-            f = jet.den if big > 0 else -jet.den
-            return jet._like({k: v * f for k, v in out.items()}, abs(big))._lowest()
-        coeffs = jet._nums
-        sr = self.scalar_ring
-        c0 = jet.constant_term()
-        if sr.is_zero(c0):
+        rest = dict(jet._nums)
+        a0 = rest.pop(0, 0)
+        if sr.is_zero(a0):
             raise NonInvertibleConstantTerm("jet constant term is not invertible")
-        inv0 = sr.invert(c0)
-        out = {0: inv0}
-        for k in range(1, ctx.size):
-            acc = None
-            for i, j in divisors[k]:
-                av = coeffs.get(i)
-                if av is None:
-                    continue
-                bv = out.get(j)
-                if bv is None:
-                    continue
-                p = av * bv
-                acc = p if acc is None else acc + p
-            if acc is not None:
-                val = -(inv0 * acc)
-                if val != 0:
-                    out[k] = val
-        return Jet(ctx, sr, out)
+        top = len(ctx.layers) - 1
+        inv0 = None if exact else sr.invert(a0)
+        layer = {0: a0 ** top if exact else inv0}
+        out = dict(layer)
+        acc: dict = {}
+        for ks in ctx.layers[1:]:
+            mul_into(acc, ctx.products, layer, rest, 1)
+            layer = {}
+            for k in ks:
+                if v := acc.pop(k, 0):
+                    layer[k] = -v // a0 if exact else -(inv0 * v)
+            out.update(layer)
+        if not exact:
+            return Jet(ctx, sr, out)
+        big = a0 ** (top + 1)
+        f = jet.den if big > 0 else -jet.den
+        return jet._like({k: v * f for k, v in out.items()}, abs(big))._lowest()
 
     def magnitude(self, jet: Jet) -> float:
         sr = self.scalar_ring

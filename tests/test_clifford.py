@@ -168,6 +168,15 @@ def test_stored_zero_equals_absent_blade():
     assert Multivector(1, JR, {1: JR.zero()}) == Multivector.zero(1, JR)
 
 
+def test_is_zero_is_exact():
+    # blades store no zeros, so only the empty multivector is zero, whatever
+    # the ring's tolerance
+    assert Multivector.zero(3, FLOATS).is_zero() and Multivector.zero(3, R).is_zero()
+    assert Multivector(2, FLOATS, [0.0, -0.0, 0.0, 0.0]).is_zero()
+    assert not Multivector.scalar(3, FLOATS, 1e-13).is_zero()
+    assert not Multivector.blade(3, R, 5, Fraction(1, 10**30)).is_zero()
+
+
 def test_blade_mask_outside_dimension_raises():
     with pytest.raises(InvalidParams):
         Multivector(3, R, {8: Fraction(1)})

@@ -45,15 +45,16 @@ EXACT_N9 = {
 }
 
 FLOAT = {
-    "special-cases": "9cc3371cb522408be4fbf1357f7ee60582ee7cdbfb7cffb3bd9a8e1e11e52b35",
-    "polyharmonic": "52a7d92b9e4a89841e51a9a919abe328d278f8e1e84dfd17f63d829dabc40a30",
-    "theorem-dbar": "03306b7179fb8693bc7c7a7383155072b9fc972bcb591296e0d34c4379caf5e0",
+    "special-cases": "4c90b479a52c7563cd26dba8cf59c3c32c117b1ec240a5e10de87dea84703564",
+    "polyharmonic": "1afbf33e9f79f9aaab46db4be8e4d1010662bcca50c06fbb6cab51773469c6f9",
+    "theorem-dbar": "5ba81d7b5d6f95a8d02b8118adde4409f7b3327e404598a33a45bd51185a562a",
 }
 
-# Float reports whose sums run through the float jet product (theorem-dbar at
-# n=9) and the contour memo (quadrature at its default 256 nodes).
+# Float reports whose sums run through the jet product, the layered jet
+# reciprocal and the oracle's grouped integer-coefficient sum (theorem-dbar at
+# n=9), and the contour memo (quadrature at its default 256 nodes).
 FLOAT_N9 = {
-    "theorem-dbar": "f63a71885481ec561ceb920fc4e8cd88db21c0ebfb1f8372f41ef764006b299e",
+    "theorem-dbar": "517248bd8612fd090917c3d1cbc17e1f99024662d13b4f71fe874bde5ae189a4",
 }
 QUADRATURE_256 = "1c392402f33a6a110445ce5bf9de5a99a25aaa1099cfd3188b9c9006e1baf57a"
 

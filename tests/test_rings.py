@@ -121,6 +121,10 @@ def test_context_graded_lex_order():
     assert ctx.exponents[: 3] == ((0, 0), (0, 1), (1, 0))
     assert sum(ctx.exponents[-1]) == 2
     assert ctx.size == 6
+    for shape in ((2, degree_corners(2, 2)), (3, ((2, 0, 0), (0, 1, 1))), (2, ())):
+        ctx = jet_context(*shape)
+        assert [k for ks in ctx.layers for k in ks] == list(range(ctx.size))
+        assert all(sum(ctx.exponents[k]) == d for d, ks in enumerate(ctx.layers) for k in ks)
 
 
 def test_down_set_context_is_the_union_of_corner_boxes():
@@ -143,6 +147,24 @@ def test_jets_of_different_supports_do_not_mix():
     # an equal down-set from another corner tuple is the same shape
     c = JetRing(jet_context(2, ((2, 0), (1, 0)))).seed(0, 1)
     assert a * c == a * a
+
+
+def test_jets_over_different_scalar_rings_do_not_mix():
+    # float jets sit over denominator 1, so only the ring check keeps an
+    # exact jet from being read as the float jet of its numerators
+    ctx = jet_context(2, ((1, 0),))
+    fj = Jet(ctx, FLOATS, {0: 1.0, 1: 1.0})
+    ej = Jet(ctx, RATIONALS, {0: Fraction(1, 3), 1: Fraction(1, 3)})
+    fm, em = (Multivector(2, JetRing(ctx, j.ring), {0: j, 3: j}) for j in (fj, ej))
+    for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
+        for u, v in ((fj, ej), (ej, fj)):
+            with pytest.raises(InvalidParams):
+                op(u, v)
+    for u, v in ((fm, em), (em, fm)):
+        with pytest.raises(InvalidParams):
+            geometric_product(u, v)
+    one = Jet(ctx, RATIONALS, {0: 1})
+    assert Jet(ctx, FLOATS, {0: 1.0}) != one and one != Jet(ctx, FLOATS, {0: 1.0})
 
 
 def test_derivative_outside_support_raises():
@@ -301,9 +323,8 @@ def _reference_add(a, b, sign=1):
 
 def _assert_well_formed(jet):
     # numerators need not be in lowest terms; the value checks read Fractions
-    nums = jet.numerators(jet.den)
     assert type(jet.den) is int and jet.den > 0
-    assert all(type(v) is int and v for v in nums.values())
+    assert all(type(v) is int and v for v in jet._nums.values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -354,7 +375,7 @@ def test_unreduced_exact_jets_equal_the_reduced_jet(shape, data, g):
                              max_size=8)
     ja, jb = (Jet(ctx, RATIONALS, data.draw(values)) for _ in range(2))
     ua = ja.scale(g) * ring.lift(Fraction(1, g))
-    assert ua.den == ja.den * g and ua.numerators(ua.den) == ja.numerators(ua.den)
+    assert ua.den == ja.den * g and ua._nums == {k: v * g for k, v in ja._nums.items()}
     assert ua == ja and ja == ua
     assert dict(ua.coeffs) == dict(ja.coeffs)
     assert ua.constant_term() == ja.constant_term()
@@ -369,9 +390,10 @@ def test_unreduced_exact_jets_equal_the_reduced_jet(shape, data, g):
 @settings(max_examples=80, deadline=None)
 @given(_corner_sets(), st.data())
 def test_float_and_exact_jet_products_agree_on_dyadic_values(shape, data):
-    # both rings run one product; on dyadic values every float sum is exact,
-    # so float and exact products agree in value and in key set, entries
-    # that cancel are dropped from both, and neither stores a zero
+    # both rings run one product and one reciprocal; on dyadic values every
+    # float sum is exact, so float and exact results agree in value and in
+    # key set, entries that cancel are dropped from both, and neither stores
+    # a zero
     ctx = jet_context(*shape)
     values = st.sampled_from([1.0, -1.0, 0.5, -0.5, 3.0])
     tables = [data.draw(st.dictionaries(st.integers(0, ctx.size - 1), values))
@@ -380,8 +402,14 @@ def test_float_and_exact_jet_products_agree_on_dyadic_values(shape, data):
     ea, eb, ec = (Jet(ctx, RATIONALS, t) for t in tables)
     mv = [Multivector(2, JetRing(ctx, ring), {0: x, 1: y, 2: z, 3: x - y})
           for ring, x, y, z in ((FLOATS, fa, fb, fc), (RATIONALS, ea, eb, ec))]
+    # with a constant term of +-1 every reciprocal coefficient is dyadic too
+    table = {**data.draw(st.dictionaries(st.integers(0, ctx.size - 1),
+                                         st.sampled_from([1.0, -1.0, 0.5, -0.5]))),
+             0: data.draw(st.sampled_from([1.0, -1.0]))}
+    fu, eu = Jet(ctx, FLOATS, table), Jet(ctx, RATIONALS, table)
     pairs = [(fa * fb, ea * eb), (fb * fa, eb * ea), (fa * fa, ea * ea),
              ((fa - fb) * fc, (ea - eb) * ec), (fc * (fa * fb), ec * (ea * eb)),
+             (JetRing(ctx, FLOATS).reciprocal(fu), JetRing(ctx).reciprocal(eu)),
              *zip(geometric_product(mv[0], mv[0]).coeffs,
                   geometric_product(mv[1], mv[1]).coeffs)]
     for got, want in pairs:
