@@ -209,23 +209,22 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Associative Clifford product; bilinear, e_i e_j + e_j e_i = -2 delta_ij.
 
     Walks a's blades, then b's, in ascending mask order, so float sums keep
-    one order.  Exact products sum in integers: with a's blades A_i / da over
-    their lcm denominator da and b's B_j / db, each output blade sums
-    sign * A_i * B_j and is divided by da * db once.  Over jets the A_i and
-    B_j are numerator tables (float jets sit over denominator 1), and each
-    output blade accumulates into one table.
+    one order.  Exact products sum in integers: with a's blades A_i / da in
+    the ring's numerator form (`RATIONALS.split`) and b's B_j / db, each
+    output blade sums sign * A_i * B_j and is divided by da * db once.  Over
+    jets the A_i and B_j are numerator tables (float jets sit over
+    denominator 1), and each output blade accumulates into one table.  Float
+    products keep their own loop, which sums the values directly.
     """
     a._check(b)
     ring = a.ring
     if ring is RATIONALS:
-        da = math.lcm(*(c.denominator for c in a.blades.values()))
-        db = math.lcm(*(c.denominator for c in b.blades.values()))
-        nb = [(j, c.numerator * (db // c.denominator)) for j, c in b.blades.items()]
+        na, da = ring.split(a.blades)
+        nb, db = ring.split(b.blades)
         acc: dict = {}
         get = acc.get
-        for i, c in a.blades.items():
-            ai = c.numerator * (da // c.denominator)
-            for j, bj in nb:
+        for i, ai in na.items():
+            for j, bj in nb.items():
                 mask, sign = blade_product(i, j)
                 acc[mask] = get(mask, 0) + sign * ai * bj
         den = da * db
@@ -447,10 +446,7 @@ class Paravector:
 def same_sphere(x: Paravector, y: Paravector) -> bool:
     """True iff y lies on the sphere [x]: equal real parts and vector norms."""
     x._check(y)
-    ring = x.ring
-    return ring.is_zero(x.x0 - y.x0) and ring.is_zero(
-        x.vector_norm_sq() - y.vector_norm_sq()
-    )
+    return not (x.x0 - y.x0) and not (x.vector_norm_sq() - y.vector_norm_sq())
 
 
 # -- text encoding ------------------------------------------------------

@@ -15,7 +15,6 @@ formulas it is used to check.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .clifford import Multivector, Paravector, blade_product
 from .errors import DimensionMismatch, InvalidParams
@@ -40,14 +39,12 @@ class DiffOperator:
         have no mutators."""
         if self._blade_terms is None:
             index = jet_context(self.n + 1, tuple(self.terms)).index
-            den = math.lcm(*(c.denominator for mv in self.terms.values()
-                             for c in mv.blades.values()))
+            nums, den = RATIONALS.split({(alpha, a): c for alpha, mv in self.terms.items()
+                                         for a, c in mv.blades.items()})
             groups: dict = {}
-            for alpha, mv in self.terms.items():
-                k, fact = index[alpha], multi_index_factorial(alpha)
-                for a, c in mv.blades.items():
-                    groups.setdefault(a, []).append(
-                        (k, c.numerator * (den // c.denominator) * fact))
+            for (alpha, a), c in nums.items():
+                groups.setdefault(a, []).append(
+                    (index[alpha], c * multi_index_factorial(alpha)))
             self._blade_terms = den, list(groups.items())
         return self._blade_terms
 
@@ -189,5 +186,4 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
                 mask, sign = blade_product(a, b)
                 acc[mask] += sign * up * v
     den *= scale
-    return Multivector(n, ring, {m: Fraction(v, den) if ring.exact else v / den
-                                 for m, v in enumerate(acc) if v})
+    return Multivector(n, ring, {m: ring.quotient(v, den) for m, v in enumerate(acc) if v})

@@ -40,6 +40,10 @@ def pseudo_denominator(s: Paravector, x: Paravector) -> Paravector:
     return (s2 - shifted).add_scalar(x.norm_sq())
 
 
+# the float singularity guard's bound on |Q|^2 / (|s|^2 + |x|^2)^2
+SINGULAR_TOL = 1e-12
+
+
 def _singular_scale(s: Paravector, x: Paravector) -> float:
     # Q is homogeneous of degree 2 in (s, x), so |Q|^2 scales as (|s|^2 + |x|^2)^2
     ring = s.ring
@@ -60,17 +64,17 @@ def _checked_denominator(s: Paravector, x: Paravector) -> tuple:
     nq = q.norm_sq()
     ring = s.ring
     if isinstance(ring, FloatRing):
-        test, bound = nq, ring.tol * _singular_scale(s, x)
+        test, bound = nq, SINGULAR_TOL * _singular_scale(s, x)
         if test in (0.0, math.inf) or bound in (0.0, math.inf):
             if not all(map(math.isfinite, q.coords())):
                 raise InvalidParams("Q_{c,s}(x) lies outside float range")
             e = max(s.binary_exponent(), x.binary_exponent())
             s, x = s.ldexp(-e), x.ldexp(-e)
             test = pseudo_denominator(s, x).norm_sq()
-            bound = ring.tol * _singular_scale(s, x)
+            bound = SINGULAR_TOL * _singular_scale(s, x)
         if abs(test) <= bound:
             raise SingularKernel("singular: s in [x]")
-    elif ring.is_zero(nq):
+    elif not nq:
         raise SingularKernel("singular: s in [x]")
     return q, nq
 
@@ -498,11 +502,11 @@ def sample_point_pair(n: int, rng: Random, ring=RATIONALS) -> tuple[Paravector, 
     while True:
         s = Paravector.from_coords(RATIONALS, [_random_fraction(rng) for _ in range(n + 1)])
         x = Paravector.from_coords(RATIONALS, [_random_fraction(rng) for _ in range(n + 1)])
-        if RATIONALS.is_zero(s.norm_sq()) or RATIONALS.is_zero(x.norm_sq()):
+        if not s.norm_sq() or not x.norm_sq():
             continue
         if same_sphere(s, x):
             continue
-        if RATIONALS.is_zero(pseudo_denominator(s, x).norm_sq()):
+        if not pseudo_denominator(s, x).norm_sq():
             continue
         if ring is not RATIONALS:
             return s.cast(ring), x.cast(ring)
@@ -516,7 +520,7 @@ def sample_series_pair(n: int, rng: Random) -> tuple[Paravector, Paravector]:
             RATIONALS,
             [Fraction(rng.randint(-16, 16), 2 ** rng.randint(0, 4)) for _ in range(n + 1)],
         )
-        if RATIONALS.is_zero(s.norm_sq()):
+        if not s.norm_sq():
             continue
         x = Paravector.from_coords(
             RATIONALS,

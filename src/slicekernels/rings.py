@@ -1,26 +1,31 @@
-"""Coefficient rings: exact rationals, guarded floats, and truncated Taylor jets.
+"""Coefficient rings: exact rationals, floats, and truncated Taylor jets.
 
 All algebraic containers in this library (multivectors, paravectors,
 differential operators) are generic over a small ring interface:
 
-    ring.zero(), ring.one(), ring.lift(v), ring.is_zero(v), ring.invert(v)
+    ring.zero(), ring.one(), ring.lift(v), ring.invert(v), ring.magnitude(v)
 
 Ring *elements* combine through ordinary Python operators, so ``Fraction``,
-``float`` and :class:`Jet` all drive the same Clifford arithmetic.  Jets are
-the substrate of the differentiation oracle: a jet holds the Taylor
-coefficients of a scalar quantity in ``num_vars`` real coordinates on a
-fixed down-set of multi-indices (see :class:`JetContext`), so evaluating any
-expression over jets yields all those partial derivatives at the base point
-in one pass.  Exact jets compute with int numerators over one shared
-denominator that is reduced only around a reciprocal, so the oracle's inner
-loops run on Python ints, not Fractions.
+``float`` and :class:`Jet` all drive the same Clifford arithmetic, and zero
+is exact in every ring: an element is zero iff it is false (``not v``).
+The two scalar rings also own their number format: ``split(values)`` gives
+the nonzero values as numerators over one denominator (ints over their lcm
+for rationals, the floats themselves over 1), and ``quotient(num, den)``
+turns one back into a ring value.
+
+Jets are the substrate of the differentiation oracle: a jet holds the
+Taylor coefficients of a scalar quantity in ``num_vars`` real coordinates
+on a fixed down-set of multi-indices (see :class:`JetContext`), so
+evaluating any expression over jets yields all those partial derivatives
+at the base point in one pass.  Jets keep the scalar ring's numerators, so
+the exact oracle's inner loops run on Python ints, not Fractions, and its
+shared denominator is reduced only around a reciprocal.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -46,11 +51,18 @@ class RationalRing:
         # float inputs convert exactly (every float is dyadic rational)
         return Fraction(v)
 
-    def is_zero(self, v) -> bool:
-        return v == 0
-
     def invert(self, v) -> Fraction:
         return 1 / Fraction(v)
+
+    def split(self, values: dict) -> tuple[dict, int]:
+        """(int numerators of the nonzero values, their lcm denominator)."""
+        # exact for ints, Fractions and floats alike, and builds no Fraction
+        ratios = [v.as_integer_ratio() for v in values.values()]
+        den = math.lcm(*[d for _, d in ratios])
+        return {k: n * (den // d) for k, (n, d) in zip(values, ratios) if n}, den
+
+    def quotient(self, num: int, den: int) -> Fraction:
+        return Fraction(num, den)
 
     def magnitude(self, v) -> float:
         try:
@@ -63,10 +75,9 @@ class RationalRing:
 
 
 class FloatRing:
-    """Double-precision arithmetic with a tolerance-based zero test."""
+    """Double-precision arithmetic; zero is exactly 0.0 (or -0.0)."""
 
     exact = False
-    tol = 1e-12
 
     def zero(self) -> float:
         return 0.0
@@ -77,11 +88,15 @@ class FloatRing:
     def lift(self, v) -> float:
         return float(v)
 
-    def is_zero(self, v) -> bool:
-        return abs(v) <= self.tol
-
     def invert(self, v) -> float:
         return 1.0 / v
+
+    def split(self, values: dict) -> tuple[dict, int]:
+        """(the nonzero values, unchanged, over denominator 1)."""
+        return {k: v for k, v in values.items() if v}, 1
+
+    def quotient(self, num, den) -> float:
+        return num / den
 
     def magnitude(self, v) -> float:
         return abs(v)
@@ -199,62 +214,35 @@ def mul_into(out: dict, products: tuple, a: dict, b: dict, scale: int) -> None:
                     out[k] = get(k, 0) + av * bv
 
 
-class _ExactCoeffs(Mapping):
-    """Read-only view of an exact jet's coefficients as Fractions."""
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums: dict, den: int):
-        self._nums = nums
-        self._den = den
-
-    def __getitem__(self, k):
-        return Fraction(self._nums[k], self._den)
-
-    def __iter__(self):
-        return iter(self._nums)
-
-    def __len__(self):
-        return len(self._nums)
-
-
 class Jet:
     """Truncated multivariate Taylor expansion of a scalar quantity.
 
     Coefficients are Taylor coefficients (derivative divided by alpha
     factorial) keyed by graded-lex index, stored sparsely: indices with
-    exactly zero coefficient are absent.  `coeffs` gives them as scalar ring
-    values.
+    exactly zero coefficient are absent.
 
-    An exact jet keeps nonzero Python int numerators over one shared
-    denominator `den` > 0 that need not be in lowest terms: `+`, `-`, `*`
-    and `scale` never take a gcd, and `==` compares values by
-    cross-multiplying.  Only the reciprocal reduces, its input and its
-    output, by one multi-argument gcd each; `coeffs`, `derivative` and
-    `constant_term` return Fractions, which are in lowest terms.  A float
-    jet keeps its nonzero float values over `den` 1, so the paths written
-    for a denominator serve both rings.
+    A jet keeps the scalar ring's numerator form (`ring.split`): nonzero
+    int numerators over one shared `den` > 0, not necessarily in lowest
+    terms, for an exact jet, and nonzero floats over `den` 1 for a float
+    jet, so every path written for a denominator serves both rings.  `+`,
+    `-`, `*` and `scale` never take a gcd; `==` compares the shapes, the
+    rings and the values, these by cross-multiplying.  Only the exact
+    reciprocal reduces, its input and output, by one multi-argument gcd.
+    `coeffs`, `derivative` and `constant_term` return scalar ring values
+    (`ring.quotient`): Fractions in lowest terms, or floats.
     """
 
     __slots__ = ("ctx", "ring", "_nums", "den")
 
     def __init__(self, ctx: JetContext, ring, coeffs: dict):
-        self.ctx = ctx
-        self.ring = ring
-        if not ring.exact:
-            self._nums, self.den = {k: v for k, v in coeffs.items() if v != 0}, 1
-            return
-        values = [(k, Fraction(v)) for k, v in coeffs.items() if v != 0]
-        den = math.lcm(*(v.denominator for _, v in values))
-        self._nums = {k: v.numerator * (den // v.denominator) for k, v in values}
-        self.den = den
+        self.ctx, self.ring = ctx, ring
+        self._nums, self.den = ring.split(coeffs)
 
     @property
-    def coeffs(self):
-        """Coefficients by index as scalar ring values (a read-only view)."""
-        if not self.ring.exact:
-            return self._nums
-        return _ExactCoeffs(self._nums, self.den)
+    def coeffs(self) -> dict:
+        """The nonzero coefficients by index, as scalar ring values."""
+        q, den = self.ring.quotient, self.den
+        return {k: q(v, den) for k, v in self._nums.items()}
 
     def _like(self, nums: dict, den) -> "Jet":
         """Jet of this shape from nonzero numerators over den (1 for floats)."""
@@ -325,19 +313,19 @@ class Jet:
     __rmul__ = __mul__
 
     def scale(self, c):
-        if c == 0:
-            return Jet(self.ctx, self.ring, {})
-        if self.ring.exact:
-            c = Fraction(c)
-            p = c.numerator
-            return self._like({k: v * p for k, v in self._nums.items()},
-                              self.den * c.denominator)
-        return Jet(self.ctx, self.ring, {k: v * c for k, v in self._nums.items()})
+        nums, den = self.ring.split({0: c})
+        if not nums:
+            return self._like({}, 1)
+        p = nums[0]  # float products can underflow to zero
+        return self._like({k: w for k, v in self._nums.items() if (w := v * p)},
+                          self.den * den)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
         if self.ring.exact != other.ring.exact:
+            return False
+        if self.ctx is not other.ctx and self.ctx.exponents != other.ctx.exponents:
             return False
         a, b, da, db = self._nums, other._nums, self.den, other.den
         if da == db:
@@ -354,9 +342,7 @@ class Jet:
     # -- queries ------------------------------------------------------
 
     def constant_term(self):
-        if self.ring.exact:
-            return Fraction(self._nums.get(0, 0), self.den)
-        return self._nums.get(0, self.ring.zero())
+        return self.ring.quotient(self._nums.get(0, 0), self.den)
 
     def derivative(self, alpha: tuple) -> object:
         """Partial derivative d^alpha at the base point (coefficient * alpha!)."""
@@ -366,12 +352,8 @@ class Jet:
         k = ctx.index.get(tuple(alpha))
         if k is None:
             raise OrderExceeded(f"d^{tuple(alpha)} lies outside the jet's support")
-        c = self._nums.get(k)
-        if c is None:
-            return self.ring.zero()
-        if self.ring.exact:
-            return Fraction(c * multi_index_factorial(alpha), self.den)
-        return c * multi_index_factorial(alpha)
+        return self.ring.quotient(self._nums.get(k, 0) * multi_index_factorial(alpha),
+                                  self.den)
 
     def __repr__(self):
         terms = ", ".join(
@@ -386,7 +368,6 @@ class JetRing:
     def __init__(self, ctx: JetContext, scalar_ring=RATIONALS):
         self.ctx = ctx
         self.scalar_ring = scalar_ring
-        self.exact = scalar_ring.exact
 
     def zero(self) -> Jet:
         return Jet(self.ctx, self.scalar_ring, {})
@@ -397,27 +378,18 @@ class JetRing:
     def lift(self, v) -> Jet:
         if isinstance(v, Jet):
             return v
-        sv = self.scalar_ring.lift(v)
-        if sv == 0:
-            return self.zero()
-        return Jet(self.ctx, self.scalar_ring, {0: sv})
+        return Jet(self.ctx, self.scalar_ring, {0: self.scalar_ring.lift(v)})
 
     def seed(self, i: int, value) -> Jet:
         """Jet of the i-th coordinate function at base value `value`."""
         ctx = self.ctx
         if not 0 <= i < ctx.num_vars:
             raise InvalidParams(f"variable index {i} out of range")
-        coeffs = {}
-        sv = self.scalar_ring.lift(value)
-        if sv != 0:
-            coeffs[0] = sv
+        coeffs = {0: self.scalar_ring.lift(value)}  # split drops a zero
         unit = ctx.index.get(tuple(1 if k == i else 0 for k in range(ctx.num_vars)))
         if unit is not None:
             coeffs[unit] = self.scalar_ring.one()
         return Jet(ctx, self.scalar_ring, coeffs)
-
-    def is_zero(self, jet: Jet) -> bool:
-        return not jet._nums
 
     def invert(self, jet: Jet) -> Jet:
         return self.reciprocal(jet)
@@ -450,7 +422,7 @@ class JetRing:
             jet = jet._lowest()
         rest = dict(jet._nums)
         a0 = rest.pop(0, 0)
-        if sr.is_zero(a0):
+        if not a0:
             raise NonInvertibleConstantTerm("jet constant term is not invertible")
         top = len(ctx.layers) - 1
         inv0 = None if exact else sr.invert(a0)

@@ -225,7 +225,7 @@ def test_paravector_inverse():
     one = Multivector.scalar(3, R, 1)
     for _ in range(10):
         y = pv(*[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)])
-        if R.is_zero(y.norm_sq()):
+        if not y.norm_sq():
             continue
         assert y * y.inverse() == one
         assert y.inverse() * y == one
@@ -314,7 +314,7 @@ def test_multivector_works_over_float_and_jet_rings():
     a = Multivector(1, jr, {0: jr.seed(0, 1)})
     b = Multivector.basis_vector(1, jr, 1)
     prod = (a + b) * (a - b)  # (x + e1)(x - e1) = x^2 + 1 over jets
-    assert jr.is_zero(prod.coeffs[1])
+    assert not prod.coeffs[1]
     assert prod.coeffs[0].derivative((0, 0)) == 2  # 1^2 + 1
     assert prod.coeffs[0].derivative((1, 0)) == 2
 

@@ -48,6 +48,12 @@ FLOAT = {
     "special-cases": "4c90b479a52c7563cd26dba8cf59c3c32c117b1ec240a5e10de87dea84703564",
     "polyharmonic": "1afbf33e9f79f9aaab46db4be8e4d1010662bcca50c06fbb6cab51773469c6f9",
     "theorem-dbar": "5ba81d7b5d6f95a8d02b8118adde4409f7b3327e404598a33a45bd51185a562a",
+    "theorem-d": "2539ae764adc3027f9f2c7a4252d630d23005f0b0ca24b3d8dfbfaf59c322a02",
+    "lemmas": "a79cc4893906e4246efc926fb6005298910fb5a4abd8bcff049421b17917988e",
+    "monogenic": "c80eee44f09b3c66a1f9ece938fb73a1c2203727f5633abf8f5c51e8104b9f7c",
+    "forms": "25875aad409530d0dae41d49e45aeb9e7c1d40689c89f9ccb9c94a9457b89c04",
+    "catalog": "255853412535327032832cf009bcbca716bd39302fe606d1da10c942c09014ec",
+    "series": "bdd8e73cccc7d9a3d45da66d45a3a14b2ecad3a63a01cab3bf86d8f063a53658",
 }
 
 # Float reports whose sums run through the jet product, the layered jet
@@ -60,7 +66,7 @@ QUADRATURE_256 = "1c392402f33a6a110445ce5bf9de5a99a25aaa1099cfd3188b9c9006e1baf5
 
 EXACT_EXTRA = {"appendix": {"hn_max": 6}, "series": {"series_terms": 20},
                "quadrature": {"quad_nodes": 64}}
-FLOAT_N = {"special-cases": (3, 5, 9), "polyharmonic": (3, 5, 9), "theorem-dbar": (3, 5)}
+FLOAT_N = {"special-cases": (3, 5, 9), "polyharmonic": (3, 5, 9)}  # others: n=3,5
 
 
 def _digest(config: SuiteConfig) -> str:
@@ -91,8 +97,8 @@ def test_exact_n9_report_digest(suite):
 
 @pytest.mark.parametrize("suite", sorted(FLOAT))
 def test_float_report_digest(suite):
-    config = SuiteConfig(suite=suite, n_values=FLOAT_N[suite], trials=1, mode="float",
-                         tol=1e-8, seed=0, jobs=1)
+    config = SuiteConfig(suite=suite, n_values=FLOAT_N.get(suite, (3, 5)), trials=1,
+                         mode="float", tol=1e-8, seed=0, jobs=1)
     assert _digest(config) == FLOAT[suite]
 
 

@@ -269,7 +269,7 @@ def test_sample_point_pair_is_deterministic_and_regular():
     for _ in range(20):
         s, x = K.sample_point_pair(3, Random(_))
         assert not same_sphere(s, x)
-        assert not R.is_zero(K.pseudo_denominator(s, x).norm_sq())
+        assert K.pseudo_denominator(s, x).norm_sq()
 
 
 def test_series_pair_radius():
