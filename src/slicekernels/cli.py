@@ -201,10 +201,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return _cmd_eval(args)
         return _cmd_verify(args)
-    except SliceKernelsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SliceKernelsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -350,11 +350,16 @@ class Paravector:
         return self._inverse(self.norm_sq())
 
     def _inverse(self, ns) -> "Paravector":
-        """The inverse, given ns = self.norm_sq()."""
+        """The inverse, given ns = self.norm_sq(); over floats, an inverse
+        outside float range raises InvalidParams."""
         ring = self.ring
-        if isinstance(ns, float) and ns in (0.0, math.inf) and (e := self.binary_exponent()):
-            # |x|^2 left float range: invert x / 2^e, whose norm is moderate
-            return self.ldexp(-e).inverse().ldexp(-e)
+        if (isinstance(ns, float) and not 2.0 ** -1022 <= ns <= 2.0 ** 1022
+                and (e := self.binary_exponent())):
+            # |x|^2 or 1 / |x|^2 is not a normal float: invert x / 2^e, of norm near 1
+            try:
+                return self.ldexp(-e).inverse().ldexp(-e)
+            except OverflowError:
+                raise InvalidParams("paravector inverse lies outside float range") from None
         if ns == 0:
             raise ZeroNorm("paravector has zero norm")
         inv = ring.invert(ns)
@@ -452,19 +457,11 @@ def same_sphere(x: Paravector, y: Paravector) -> bool:
 # -- text encoding ------------------------------------------------------
 
 
-def _format_coeff(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, float):
-        return repr(c)
-    return str(c)
-
-
 def format_multivector(mv: Multivector) -> str:
     parts = []
     for mask, c in mv.blades.items():
         name = blade_name(mask)
-        text = _format_coeff(c)
+        text = str(c)
         negative = text.startswith("-")
         if negative:
             text = text[1:]
@@ -516,7 +513,7 @@ def parse_multivector(text: str, n: int, ring=RATIONALS) -> Multivector:
 
 
 def format_paravector(x: Paravector) -> str:
-    return ",".join(_format_coeff(c) for c in x.coords())
+    return ",".join(map(str, x.coords()))
 
 
 def parse_paravector(text: str, n: int, ring=RATIONALS) -> Paravector:

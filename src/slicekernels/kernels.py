@@ -19,7 +19,7 @@ from random import Random
 from typing import Callable, Optional
 
 from . import coeffs as cf
-from .clifford import Multivector, Paravector, same_sphere
+from .clifford import Multivector, Paravector
 from .diffop import (
     DiffOperator,
     make_dirac,
@@ -58,7 +58,8 @@ def _checked_denominator(s: Paravector, x: Paravector) -> tuple:
     against a tolerance relative to the squared magnitudes of s and x.  When
     either side of that test leaves float range, it is made on copies of s
     and x divided by a power of two, which is exact and leaves the relative
-    test unchanged because Q is homogeneous; |Q|^2 is still that of Q.
+    test unchanged because Q is homogeneous; |Q|^2 is still that of Q. A Q
+    that overflows, or that underflows to zero off [x], raises InvalidParams.
     """
     q = pseudo_denominator(s, x)
     nq = q.norm_sq()
@@ -74,6 +75,8 @@ def _checked_denominator(s: Paravector, x: Paravector) -> tuple:
             bound = SINGULAR_TOL * _singular_scale(s, x)
         if abs(test) <= bound:
             raise SingularKernel("singular: s in [x]")
+        if not nq and not any(q.coords()):
+            raise InvalidParams("Q_{c,s}(x) lies outside float range")
     elif not nq:
         raise SingularKernel("singular: s in [x]")
     return q, nq
@@ -504,9 +507,7 @@ def sample_point_pair(n: int, rng: Random, ring=RATIONALS) -> tuple[Paravector, 
         x = Paravector.from_coords(RATIONALS, [_random_fraction(rng) for _ in range(n + 1)])
         if not s.norm_sq() or not x.norm_sq():
             continue
-        if same_sphere(s, x):
-            continue
-        if not pseudo_denominator(s, x).norm_sq():
+        if not pseudo_denominator(s, x).norm_sq():  # zero exactly when s is on [x]
             continue
         if ring is not RATIONALS:
             return s.cast(ring), x.cast(ring)

@@ -8,7 +8,8 @@ zero; in float mode the residual norm is compared against
 ``tol * max(1, |lhs|, |rhs|)``.
 
 Every kind of case is one row of `CHECKS`, and `SUITES` lists the kinds
-each suite runs; `_run_case` runs a case of any kind.
+each suite runs; `_run_case` runs a case of any kind. An oracle row names
+its operator D^beta Delta^m, and `_operator` builds each one once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .clifford import MAX_DIMENSION, Multivector, Paravector, format_paravector
 from .diffop import (
     make_dirac,
     make_dirac_conj,
-    make_laplacian,
     operator_power_compose,
     oracle_apply,
 )
@@ -139,19 +139,11 @@ def _compare(a: Multivector, b: Multivector, config: SuiteConfig) -> tuple[float
     """Residual norm and pass flag under the configured mode."""
     diff = a - b
     if config.mode == "exact":
-        return _zero_check(diff, config)
+        return (0.0, True) if diff.is_zero() else (diff.norm_float(), False)
     residual = diff.norm_float()
     scale = max(1.0, a.norm_float(), b.norm_float())
     return residual, residual <= config.tol * scale
 
-
-def _zero_check(a: Multivector, config: SuiteConfig) -> tuple[float, bool]:
-    if config.mode == "exact":
-        if a.is_zero():
-            return 0.0, True
-        return a.norm_float(), False
-    residual = a.norm_float()
-    return residual, residual <= config.tol
 
 def _point_record(s: Paravector, x: Paravector) -> dict:
     return {"s": format_paravector(s), "x": format_paravector(x)}
@@ -290,11 +282,16 @@ class Check:
     set:
 
     - `pair(params, s, x)` gives two values that must agree;
-    - `zero(params, s, x)` gives a value that must vanish;
     - `holds(params)` checks an exact coefficient identity;
     - `quad(params, x)` gives a float quadrature value and its exact value at
       a point drawn by `sample(n, rng)`, which must agree within `tol`;
     - `run(params, config)` builds the whole case record itself.
+
+    An oracle row names its operator as `op(params) = (base, beta, m)`:
+    D^beta Delta^m for base "d", D-bar^beta Delta^m for "dbar". Its `pair` or
+    `quad` gives as second value the function f(ring, x) that the case then
+    replaces by that operator applied to f at x. Float mode skips a point
+    whose order beta + 2m exceeds `FLOAT_ORACLE_MAX_ORDER`.
 
     The oracle, the closed forms and the quadrature routines are looked up
     through their modules when a case runs, never stored in a row, so that a
@@ -304,9 +301,8 @@ class Check:
     key: str | Callable
     grid: Callable
     trials: bool = False
-    float_ok: Callable = lambda params: True  # False: float mode skips the point
+    op: Callable | None = None
     pair: Callable | None = None
-    zero: Callable | None = None
     holds: Callable | None = None
     quad: Callable | None = None
     sample: Callable = _quad_interior_point
@@ -315,29 +311,21 @@ class Check:
 
 
 @lru_cache(maxsize=None)
-def _theorem_operator(op: str, n: int, m: int, beta: int):
-    """D^beta Delta^m or D-bar^beta Delta^m, built once per process; operators
-    have no mutators, so every trial shares one."""
-    base = make_dirac(n) if op == "d" else make_dirac_conj(n)
-    return operator_power_compose(base, beta, m)
+def _operator(n: int, base: str, beta: int, m: int):
+    """The operator an oracle row names, in dimension n, built once per
+    process; operators have no mutators, so every case shares one."""
+    return operator_power_compose((make_dirac if base == "d" else make_dirac_conj)(n), beta, m)
 
 
 def _theorem(p, s, x):
-    n, m, beta = p["n"], p["m"], p["beta"]
-    if p["op"] == "d":
-        closed = K.d_beta_delta_m_kernel(s, x, m, beta)
-    else:
-        closed = K.dbar_beta_delta_m_kernel(s, x, m, beta)
-    op = _theorem_operator(p["op"], n, m, beta)
-    return closed, oracle_apply(op, K.kernel_closure(K.cauchy_left, s), x)
+    kernel = K.d_beta_delta_m_kernel if p["op"] == "d" else K.dbar_beta_delta_m_kernel
+    return kernel(s, x, p["m"], p["beta"]), K.kernel_closure(K.cauchy_left, s)
 
 
 def _quad_fs_oracle(p, x):
-    h = cf.h_of(p["n"])
     f = SliceFunction.from_power_series([0] * p["k"] + [1])
     got = fueter_sce_integral(f, x.cast(FLOATS), _quad_contour(p["n"], p["nodes"]))
-    exact = oracle_apply(make_laplacian(p["n"]).power(h), f.as_ring_function(), x)
-    return got, exact.map_coeffs(float, FLOATS)
+    return got, f.as_ring_function()
 
 
 def _quad_slice_independence(p, x):
@@ -355,7 +343,7 @@ CHECKS = {
                         for n in c.n_values for m in range(cf.h_of(n))
                         for beta in range(1, cf.h_of(n) - m + 1)],
         trials=True,
-        float_ok=lambda p: p["beta"] + 2 * p["m"] <= FLOAT_ORACLE_MAX_ORDER,
+        op=lambda p: (p["op"], p["beta"], p["m"]),
         pair=_theorem,
     ),
     "dbar-boundary": Check(
@@ -396,24 +384,20 @@ CHECKS = {
         grid=lambda c: [dict(n=n, m=m)
                         for n in c.n_values for m in range(1, cf.h_of(n) + 1)],
         trials=True,
-        float_ok=lambda p: 2 * p["m"] <= FLOAT_ORACLE_MAX_ORDER,
-        pair=lambda p, s, x: (
-            K.laplacian_power_kernel(s, x, p["m"]),
-            oracle_apply(make_laplacian(p["n"]).power(p["m"]),
-                         K.kernel_closure(K.cauchy_left, s), x),
-        ),
+        op=lambda p: ("d", 0, p["m"]),
+        pair=lambda p, s, x: (K.laplacian_power_kernel(s, x, p["m"]),
+                              K.kernel_closure(K.cauchy_left, s)),
     ),
     "fueter-link": Check(
         key="n{n}-fueter-{side}-t{trial:03d}",
-        grid=lambda c: [dict(n=n, side=side)
-                        for n in c.n_values for side in ("left", "right")],
+        # Laplacian^h_n: exact mode only, at every n
+        grid=lambda c: [dict(n=n, side=side) for n in c.n_values
+                        for side in ("left", "right") if c.mode == "exact"],
         trials=True,
-        float_ok=lambda p: False,  # Laplacian^h_n: exact mode only, at every n
+        op=lambda p: ("d", 0, cf.h_of(p["n"])),
         pair=lambda p, s, x: (
             K.fueter_sce_kernel(s, x, side=p["side"]),
-            oracle_apply(make_laplacian(p["n"]).power(cf.h_of(p["n"])),
-                         K.kernel_closure(K.cauchy_left if p["side"] == "left"
-                                          else K.cauchy_right, s), x),
+            K.kernel_closure(K.cauchy_left if p["side"] == "left" else K.cauchy_right, s),
         ),
     ),
     "laplacian-power-fueter": Check(
@@ -445,18 +429,18 @@ CHECKS = {
         key="n{n}-t{trial:03d}",
         grid=lambda c: [dict(n=n) for n in c.n_values],
         trials=True,
-        zero=lambda p, s, x: oracle_apply(make_dirac(p["n"]),
-                                          K.kernel_closure(K.fueter_sce_kernel, s), x),
+        op=lambda p: ("d", 1, 0),
+        pair=lambda p, s, x: (Multivector.zero(p["n"], s.ring),
+                              K.kernel_closure(K.fueter_sce_kernel, s)),
     ),
     "polyharmonic": Check(
         key="n{n}-m{m}-t{trial:03d}",
         grid=lambda c: [dict(n=n, m=m)
                         for n in c.n_values for m in range(1, cf.h_of(n) + 1)],
         trials=True,
-        float_ok=lambda p: 2 * (cf.h_of(p["n"]) - p["m"] + 1) <= FLOAT_ORACLE_MAX_ORDER,
-        zero=lambda p, s, x: oracle_apply(
-            make_laplacian(p["n"]).power(cf.h_of(p["n"]) - p["m"] + 1),
-            K.kernel_closure(K.harmonic_kernel, s, m=p["m"]), x),
+        op=lambda p: ("d", 0, cf.h_of(p["n"]) - p["m"] + 1),
+        pair=lambda p, s, x: (Multivector.zero(p["n"], s.ring),
+                              K.kernel_closure(K.harmonic_kernel, s, m=p["m"])),
     ),
     "forms": Check(
         key="n{n}-{side}-t{trial:03d}",
@@ -504,6 +488,7 @@ CHECKS = {
         key="fs-oracle-n{n}-k{k}",
         grid=lambda c: [dict(n=n, k=k, nodes=c.quad_nodes)
                         for n in (3, 5) for k in range(0, 6)],
+        op=lambda p: ("d", 0, cf.h_of(p["n"])),
         quad=_quad_fs_oracle,
         sample=_quad_grid_point,
         tol=1e-8,
@@ -545,8 +530,10 @@ def _build_cases(config: SuiteConfig) -> list:
     for kind in SUITES[config.suite]:
         check = CHECKS[kind]
         for point in check.grid(config):
-            if config.mode == "float" and not check.float_ok(point):
-                continue  # float runs are spot checks; cap the jet order
+            if config.mode == "float" and check.op:
+                _, beta, m = check.op(point)
+                if beta + 2 * m > FLOAT_ORACLE_MAX_ORDER:
+                    continue  # float runs are spot checks; cap the jet order
             for t in range(config.trials) if check.trials else (None,):
                 params = point if t is None else {**point, "trial": t}
                 key = check.key(params) if callable(check.key) else check.key.format(**params)
@@ -562,17 +549,20 @@ def _run_case(params, config: SuiteConfig) -> dict:
     if check.run:
         return check.run(params, config)
     rng = _case_rng(config, params["key"])
+    op = check.op and _operator(params["n"], *check.op(params))
     if check.quad:
         x = check.sample(params["n"], rng)
         got, exact = check.quad(params, x)
+        if op:
+            exact = oracle_apply(op, exact, x).map_coeffs(float, FLOATS)
         residual = (got - exact).norm_float()
         return {"residual": residual, "pass": residual <= check.tol,
                 "point": {"x": format_paravector(x)}}
     s, x = K.sample_point_pair(params["n"], rng, ring=_ring(config))
-    if check.zero:
-        residual, ok = _zero_check(check.zero(params, s, x), config)
-    else:
-        residual, ok = _compare(*check.pair(params, s, x), config)
+    value, other = check.pair(params, s, x)
+    if op:
+        other = oracle_apply(op, other, x)
+    residual, ok = _compare(value, other, config)
     return {"residual": residual, "pass": ok, "point": _point_record(s, x)}
 
 

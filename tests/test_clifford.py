@@ -18,7 +18,7 @@ from slicekernels.clifford import (
     parse_paravector,
     same_sphere,
 )
-from slicekernels.errors import DimensionMismatch, InvalidParams, ZeroNorm
+from slicekernels.errors import DimensionMismatch, InvalidParams, SliceKernelsError, ZeroNorm
 from slicekernels.rings import FLOATS, RATIONALS, Jet, JetRing, jet_context
 
 
@@ -231,14 +231,20 @@ def test_paravector_inverse():
         assert y.inverse() * y == one
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("scale", [1e-200, 1e-157, 1e200])
 def test_float_paravector_inverse_outside_the_norm_range(scale):
-    # |x|^2 underflows to 0 or overflows to inf, but x^-1 is in range
+    # |x|^2 underflows to 0, is subnormal, or overflows to inf, but x^-1 is in range
     x = Paravector.from_coords(FLOATS, [3 * scale, 0.0, 4 * scale, 0.0])
     inv = x.inverse()
     assert inv.coords() == pytest.approx((0.12 / scale, 0.0, -0.16 / scale, 0.0), rel=1e-15, abs=0)
     with pytest.raises(ZeroNorm):
         Paravector.from_coords(FLOATS, [0.0] * 4).inverse()
+
+
+def test_float_paravector_inverse_beyond_float_range():
+    # 1 / 1e-320 exceeds the largest float
+    with pytest.raises(SliceKernelsError, match="outside float range"):
+        Paravector.from_coords(FLOATS, [1e-320, 0, 0, 0]).inverse()
 
 
 def test_paravector_pow():

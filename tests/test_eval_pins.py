@@ -101,6 +101,16 @@ ERRORS = [
      "zero denominator in coordinates '1/0,0,0,0'"),
     (["--kernel", "cauchy-II", "--n", "3", "--mode", "float", "--s", "1e400,0,0,0",
       "--x", "0,1,0,0"], "coordinates '1e400,0,0,0' out of float range"),
+    # Q = 2e-320 is a float, but its inverse is not
+    (["--kernel", "cauchy-II", "--n", "3", "--mode", "float", "--s", "1e-160,0,0,0",
+      "--x", "0,1e-160,0,0"], "paravector inverse lies outside float range"),
+    # Q underflows to zero, or overflows, off [x]; on [x] the point is singular
+    (["--kernel", "cauchy-II", "--n", "3", "--mode", "float", "--s", "1e-170,0,0,0",
+      "--x", "0,1e-170,0,0"], "Q_{c,s}(x) lies outside float range"),
+    (["--kernel", "cauchy-II", "--n", "3", "--mode", "float", "--s", "1e170,0,0,0",
+      "--x", "0,1e170,0,0"], "Q_{c,s}(x) lies outside float range"),
+    (["--kernel", "cauchy-II", "--n", "3", "--mode", "float", "--s", "0,0,1e-170,0",
+      "--x", "0,1e-170,0,0"], "singular: s in [x]"),
     (["--kernel", "harmonic", "--n", "3", "--side", "right", "--s", "2,0,0", "--x", "0,1,0,0"],
      "expected 4 coordinates, got 3"),
     (["--kernel", "harmonic", "--n", "4", "--side", "right", "--s", _point(4), "--x", _point(4)],

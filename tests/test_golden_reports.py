@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from slicekernels.suites import SuiteConfig, run_suite
+from slicekernels.suites import SuiteConfig, _build_cases, run_suite
 
 EXACT = {
     "theorem-d": "daa654bcd56c331101f1704f32f598effb8171974c80e06c2474561946558dd3",
@@ -112,3 +112,29 @@ def test_float_n9_report_digest(suite):
 def test_quadrature_default_nodes_report_digest():
     config = SuiteConfig(suite="quadrature", n_values=(3, 5), trials=1, seed=0, jobs=1)
     assert _digest(config) == QUADRATURE_256
+
+
+# The float case set: the oracle points that float mode runs at each n under
+# its jet-order cap, as case counts at n = 3, 5, 7, 9, 11 (one trial) and the
+# SHA-256 of their keys, one per line in build order.
+FLOAT_CASE_SETS = {
+    "theorem-d": ((1, 3, 5, 6, 6),
+                  "453dce180d993202eb91dc79f9a70044de62547d940e552b1fa35f4d8c4c4ef1"),
+    "theorem-dbar": ((2, 5, 8, 10, 11),
+                     "5a2fa4c1744dbbc0ed0ba64d59bfe5c906d730a7ba271a62350cdab9308e7ce6"),
+    "special-cases": ((4, 7, 9, 11, 13),
+                      "46e74bb3942b8cd30bcba27cfb005e228093ac66abf7207ec9b6a9da4e987f2e"),
+    "polyharmonic": ((1, 2, 2, 2, 2),
+                     "6be676954cb6d885e9fcb9ebf3257700553f9b169b1dffdfa464aabfd82e995f"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FLOAT_CASE_SETS))
+def test_float_case_set(suite):
+    counts, keys = [], []
+    for n in (3, 5, 7, 9, 11):
+        cases = _build_cases(SuiteConfig(suite=suite, n_values=(n,), trials=1, mode="float"))
+        counts.append(len(cases))
+        keys += [case["key"] for case in cases]
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert (tuple(counts), digest) == FLOAT_CASE_SETS[suite]
