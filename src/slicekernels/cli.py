@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import kernels as K
@@ -107,6 +108,8 @@ def _cmd_eval(args) -> int:
         raise InvalidParams(f"no printed right-sided form for {args.kernel}")
     value = form(s, x, **{name: default if (v := getattr(args, name)) is None else v
                           for name, default in defaults.items()})
+    if ring is FLOATS and not all(map(math.isfinite, value.blades.values())):
+        raise InvalidParams(f"{args.kernel} value lies outside float range")
     if args.format == "json":
         blades = {blade_name(m) or "1": str(c) for m, c in value.blades.items()}
         print(json.dumps({"kernel": args.kernel, "n": args.n, "value": blades},

@@ -194,9 +194,18 @@ class Multivector:
                                  {m: v for m, c in self.blades.items() if (v := fn(c))})
 
     def norm_float(self) -> float:
-        """Frobenius norm of the coefficients, as a float (diagnostics)."""
-        mag = self.ring.magnitude
-        return sum(mag(c) ** 2 for c in self.blades.values()) ** 0.5
+        """Frobenius norm of the coefficients, as a float (diagnostics).  When
+        the binary exponent e of the largest magnitude exceeds 500 in size,
+        each magnitude is divided by 2^e, exactly, before it is squared, so no
+        square overflows or loses the norm; otherwise the plain sum of squares
+        is kept bit for bit.  A norm beyond float range reads inf."""
+        mags = list(map(self.ring.magnitude, self.blades.values()))
+        e = math.frexp(max(mags, default=0.0))[1]
+        e = e if abs(e) > 500 else 0
+        try:
+            return math.ldexp(sum(math.ldexp(v, -e) ** 2 for v in mags) ** 0.5, e)
+        except OverflowError:
+            return math.inf
 
     def __repr__(self):
         return f"Multivector(n={self.n}, {self.to_text()})"

@@ -3,20 +3,25 @@ form of the Fueter-Sce map, on axially symmetric balls at desk scale.
 
 Quadrature runs in float arithmetic only; the trapezoidal rule on the
 periodic circle parametrization is spectrally accurate for the analytic
-integrands used here.  Node evaluations are independent and summed
-pairwise for reproducibility.  A contour's nodes and weights are built once
-per contour value (the two most recent contours are kept), and so are the
-values f(s_j) of the most recent slice function on the most recent contour,
-so repeated integrals over one contour pay only for the kernel at each node.
+integrands used here.  The library kernel is evaluated once per node; each
+blade of the integral is then one exactly rounded `math.fsum` over the
+products of kernel blades and blades of w_j f(s_j), so the result does not
+depend on summation order.  A contour's nodes and weights are built once per
+contour value (the two most recent contours are kept), and so are the blade
+columns of w_j f(s_j) for the most recent slice function on the most recent
+contour, so repeated integrals over one contour pay only for the kernel at
+each node.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
-from .clifford import Multivector, Paravector
+from .clifford import Multivector, Paravector, blade_product
 from .errors import DomainError, InvalidParams, ParityError
 from .kernels import cauchy_left, fueter_sce_kernel
 from .rings import FLOATS
@@ -56,39 +61,11 @@ class SliceFunction:
             if a == 0:
                 continue
             for t in range(k + 1):
-                c = a * math.comb(k, t)
-                if t % 2 == 0:
-                    sign = -1 if (t // 2) % 2 else 1
-                    key = (k - t, t)
-                    alpha[key] = alpha.get(key, Fraction(0)) + sign * c
-                else:
-                    sign = -1 if ((t - 1) // 2) % 2 else 1
-                    key = (k - t, t)
-                    beta[key] = beta.get(key, Fraction(0)) + sign * c
+                # the term u^(k-t) (I v)^t of (u + I v)^k, with I^2 = -1
+                part = beta if t % 2 else alpha
+                sign = -1 if (t // 2) % 2 else 1
+                part[k - t, t] = part.get((k - t, t), Fraction(0)) + sign * a * math.comb(k, t)
         return cls(alpha, beta, series=coeffs)
-
-    def is_hyperholomorphic(self) -> bool:
-        """Cauchy-Riemann system du alpha = dv beta, dv alpha = -du beta,
-        checked exactly as polynomial identities."""
-        pairs = set()
-        for (i, j) in self.alpha:
-            pairs.add((i, j))
-        for (i, j) in self.beta:
-            pairs.add((i, j))
-        span_i = max((i for i, _ in pairs), default=0) + 2
-        span_j = max((j for _, j in pairs), default=0) + 2
-        za = Fraction(0)
-        for i in range(span_i):
-            for j in range(span_j):
-                da_du = (i + 1) * self.alpha.get((i + 1, j), za)
-                db_dv = (j + 1) * self.beta.get((i, j + 1), za)
-                if da_du != db_dv:
-                    return False
-                da_dv = (j + 1) * self.alpha.get((i, j + 1), za)
-                db_du = (i + 1) * self.beta.get((i + 1, j), za)
-                if da_dv != -db_du:
-                    return False
-        return True
 
     def eval_components(self, u: float, v: float) -> tuple[float, float]:
         alpha, beta = self.terms
@@ -208,49 +185,60 @@ def _require_interior(x: Paravector, contour: ContourSpec):
         raise DomainError("x lies outside the axially symmetric domain")
 
 
-def _pairwise_sum(values):
-    k = len(values)
-    if k == 1:
-        return values[0]
-    half = k // 2
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+def _columns(multivectors) -> dict:
+    """mask -> that blade's values over the sequence, 0.0 where absent."""
+    blades = [mv.blades for mv in multivectors]
+    return {m: [b.get(m, 0.0) for b in blades] for m in set().union(*blades)}
 
 
-# (key, f(s_j) values) of the most recent slice function on the most recent
-# contour: one entry, so the memo never grows with the run, and replaced as
-# one tuple, so a reader never pairs one key with another key's values
-_last_integrand: tuple = (None, ())
+# (key, columns of w_j f(s_j)) of the most recent slice function on the most
+# recent contour: one entry, so the memo never grows with the run, and
+# replaced as one tuple, so a reader never pairs one key with another's columns
+_last_integrand: tuple = (None, {})
 
 
 def _integrand(f, contour: ContourSpec):
-    """(s_j, w_j as a multivector, f(s_j)) for every node of the contour."""
+    """The nodes s_j and, per blade p of w_j f(s_j), (column, -column)."""
     global _last_integrand
     _, points, weights = _nodes(contour.key)
-    if not isinstance(f, SliceFunction):
-        return zip(points, weights, map(f, points))
-    key = (f.terms, contour.key)
-    last, values = _last_integrand
-    if last != key:
-        values = tuple(map(f, points))
-        _last_integrand = key, values
-    return zip(points, weights, values)
+    key = (f.terms, contour.key) if isinstance(f, SliceFunction) else None
+    last, columns = _last_integrand
+    if key is None or last != key:
+        products = map(operator.mul, weights, map(f, points))
+        columns = {p: (tuple(col), tuple(-v for v in col))
+                   for p, col in _columns(products).items()}
+        if key is not None:
+            _last_integrand = key, columns
+    return points, columns
+
+
+def _integral(kernel, f, x: Paravector, contour: ContourSpec) -> Multivector:
+    """(1/2pi) sum of kernel(s_j, x) w_j f(s_j), one kernel call per node.  By
+    bilinearity, blade m^p of the sum is one exactly rounded fsum of
+    sign(m, p) K_j[m] (w_j f(s_j))[p] over every node j and blade pair (m, p)."""
+    _require_interior(x, contour)
+    points, columns = _integrand(f, contour)
+    terms: dict = {}
+    for m, kc in _columns(kernel(s, x) for s in points).items():
+        for p, signed in columns.items():
+            mask, sign = blade_product(m, p)
+            terms.setdefault(mask, []).append(map(operator.mul, kc, signed[sign < 0]))
+    scale = 1.0 / (2.0 * math.pi)
+    blades = {mask: v for mask in sorted(terms)
+              if (v := math.fsum(chain.from_iterable(terms[mask])) * scale)}
+    return Multivector._make(x.n, FLOATS, blades)
 
 
 def cauchy_reconstruct(f, x: Paravector, contour: ContourSpec) -> Multivector:
     """(1/2pi) sum of S_L^{-1}(s_j, x) ds_I f(s_j) over the circle nodes."""
-    _require_interior(x, contour)
-    terms = [cauchy_left(s, x, form="II") * w * fs for s, w, fs in _integrand(f, contour)]
-    return _pairwise_sum(terms).scale(1.0 / (2.0 * math.pi))
+    return _integral(lambda s, y: cauchy_left(s, y, form="II"), f, x, contour)
 
 
 def fueter_sce_integral(f, x: Paravector, contour: ContourSpec) -> Multivector:
     """(1/2pi) sum of F_L^n(s_j, x) ds_I f(s_j); the axially monogenic image."""
     if x.n % 2 == 0 or x.n < 3:
         raise InvalidParams("integral Fueter-Sce map needs odd dimension >= 3")
-    _require_interior(x, contour)
-    terms = [fueter_sce_kernel(s, x, side="left") * w * fs
-             for s, w, fs in _integrand(f, contour)]
-    return _pairwise_sum(terms).scale(1.0 / (2.0 * math.pi))
+    return _integral(lambda s, y: fueter_sce_kernel(s, y, side="left"), f, x, contour)
 
 
 def convergence_table(integral, f, x: Paravector, contour: ContourSpec,

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
@@ -150,7 +151,14 @@ def test_sparse_operations_match_dense_loops(kind, n, data):
         assert list(mv.blades) == sorted(mv.blades) and all(mv.blades.values())
         assert mv.coeffs == tuple(dense_result)
     if kind != "jet":
-        assert a.norm_float() == _dense_norm(ring, da)
+        # the plain sum of squares, bit for bit, while the largest magnitude
+        # is well inside float range; beyond, that sum overflows or loses the
+        # norm, and norm_float rescales
+        mags = [ring.magnitude(v) for v in da if v]
+        if 2.0 ** -400 <= max(mags, default=1.0) <= 2.0 ** 400:
+            assert a.norm_float() == _dense_norm(ring, da)
+        else:
+            assert a.norm_float() == pytest.approx(math.hypot(*mags), rel=1e-15)
 
 
 def test_norm_float_sums_in_mask_order():
@@ -158,6 +166,22 @@ def test_norm_float_sums_in_mask_order():
     for n in (3, 5, 7):
         d = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(1 << n)]
         assert Multivector(n, FLOATS, d).norm_float() == _dense_norm(FLOATS, d)
+
+
+def test_norm_float_at_the_ends_of_float_range():
+    # far outside 2^±500, magnitudes are divided by a power of two before
+    # they are squared, so neither 1e200 overflows nor 1e-200 underflows
+    for v in (1e200, -1e200, 1e-200, 5e-324, 1.7e308):
+        assert Multivector.scalar(3, FLOATS, v).norm_float() == abs(v)
+    for scale in (1e200, 1e-200):
+        pair = Multivector(3, FLOATS, {0: 3 * scale, 6: -4 * scale})
+        assert pair.norm_float() == pytest.approx(5 * scale, rel=1e-15)
+    assert Multivector(3, FLOATS, {0: 1.7e308, 1: 1.7e308}).norm_float() == math.inf
+    # a NaN or infinity passes through, wherever it stands
+    assert math.isnan(Multivector(3, FLOATS, {0: math.nan, 1: 4.0}).norm_float())
+    assert math.isnan(Multivector(3, FLOATS, {0: 4.0, 1: math.nan}).norm_float())
+    assert math.isnan(Multivector(3, FLOATS, {0: math.inf, 1: math.nan}).norm_float())
+    assert Multivector(3, FLOATS, {0: 4.0, 2: -math.inf}).norm_float() == math.inf
 
 
 def test_stored_zero_equals_absent_blade():

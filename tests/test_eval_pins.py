@@ -111,6 +111,11 @@ ERRORS = [
       "--x", "0,1e170,0,0"], "Q_{c,s}(x) lies outside float range"),
     (["--kernel", "cauchy-II", "--n", "3", "--mode", "float", "--s", "0,0,1e-170,0",
       "--x", "0,1e-170,0,0"], "singular: s in [x]"),
+    # Q^-1 is a float, but its powers in the kernel value are not
+    (["--kernel", "fueter-sce", "--n", "3", "--mode", "float", "--s", "1e-150,0,0,0",
+      "--x", "0,1e-150,0,0"], "fueter-sce value lies outside float range"),
+    (["--kernel", "laplacian-power", "--n", "3", "--mode", "float", "--s", "1e-145,0,0,0",
+      "--x", "0,1e-145,0,0"], "laplacian-power value lies outside float range"),
     (["--kernel", "harmonic", "--n", "3", "--side", "right", "--s", "2,0,0", "--x", "0,1,0,0"],
      "expected 4 coordinates, got 3"),
     (["--kernel", "harmonic", "--n", "4", "--side", "right", "--s", _point(4), "--x", _point(4)],

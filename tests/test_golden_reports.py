@@ -24,7 +24,7 @@ EXACT = {
     "forms": "017f9e0d1ff1b4b0343cbbc2d7694fc1a1eb81be549c621f3a4a125384fa07dd",
     "series": "d66415b72f694fd0d8abb4b1f1215fb8b69f442866baeea8ac9eb2ebedfeee54",
     "catalog": "9d59998218230cd8b40d2c814aa809256716a63e5af61298bcbd48ff72c52412",
-    "quadrature": "c2ed168bf31a2c3594a031b69a3a86f1a557ba4300be359d1155720c6d2cc2a4",
+    "quadrature": "c65a0ba221de26493b85353e6bee9293743e62f6ed54c22f913e730337fcd783",
 }
 
 # n=7 is where the oracle costs most: operators up to order 6 (Laplacian^3)
@@ -62,7 +62,7 @@ FLOAT = {
 FLOAT_N9 = {
     "theorem-dbar": "517248bd8612fd090917c3d1cbc17e1f99024662d13b4f71fe874bde5ae189a4",
 }
-QUADRATURE_256 = "1c392402f33a6a110445ce5bf9de5a99a25aaa1099cfd3188b9c9006e1baf57a"
+QUADRATURE_256 = "504853818cfe3a269c0519406fce689f0356d87c7d7c795b059704df50338ead"
 
 EXACT_EXTRA = {"appendix": {"hn_max": 6}, "series": {"series_terms": 20},
                "quadrature": {"quad_nodes": 64}}

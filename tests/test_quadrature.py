@@ -1,10 +1,12 @@
 import io
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slicekernels import quadrature
-from slicekernels.clifford import Multivector, Paravector
+from slicekernels import clifford, quadrature
+from slicekernels.clifford import Multivector, Paravector, blade_product
 from slicekernels.errors import DomainError, InvalidParams, ParityError
 from slicekernels.kernels import cauchy_left, fueter_sce_kernel
 from slicekernels.quadrature import (
@@ -41,7 +43,6 @@ def test_square_slice_function():
     f = SliceFunction({(2, 0): 1, (0, 2): -1}, {(1, 1): 2})
     x = fpv(0.5, 0.2, -0.3, 0.1)
     assert (f(x) - x.pow(2).to_multivector()).norm_float() < 1e-14
-    assert f.is_hyperholomorphic()
     # vanishing vector part falls back to alpha(x0, 0)
     real = fpv(0.7, 0.0, 0.0, 0.0)
     assert (f(real) - Multivector.scalar(3, FLOATS, 0.49)).norm_float() < 1e-15
@@ -49,7 +50,6 @@ def test_square_slice_function():
 
 def test_power_series_matches_direct_powers():
     f = SliceFunction.from_power_series([1, 0, 3, 2])  # 1 + 3x^2 + 2x^3
-    assert f.is_hyperholomorphic()
     x = fpv(0.4, -0.1, 0.25, 0.3)
     expected = (
         Multivector.scalar(3, FLOATS, 1.0)
@@ -59,12 +59,6 @@ def test_power_series_matches_direct_powers():
     assert (f(x) - expected).norm_float() < 1e-13
     g = f.as_ring_function()
     assert (g(FLOATS, x) - expected).norm_float() < 1e-13
-
-
-def test_not_hyperholomorphic():
-    # alpha = u^2 alone fails Cauchy-Riemann
-    f = SliceFunction({(2, 0): 1}, {})
-    assert not f.is_hyperholomorphic()
 
 
 def test_contour_spec_validation():
@@ -204,9 +198,37 @@ def test_convergence_csv():
 
 def _direct(kernel, f, x, contour):
     # the integral with nothing kept between calls: each node builds its
-    # weight's multivector and evaluates f afresh, in the same float order
+    # weight's multivector and w f(s) afresh, and each blade is one fsum of
+    # the same products K_j[m] (w_j f(s_j))[p]; fsum is exactly rounded, so
+    # the order of the terms does not matter
+    terms = {}
+    for s, w in contour_nodes(contour):
+        wf = w.to_multivector() * f(s)
+        for m, k in kernel(s, x).blades.items():
+            for p, v in wf.blades.items():
+                mask, sign = blade_product(m, p)
+                terms.setdefault(mask, []).append(k * v if sign > 0 else k * -v)
+    scale = 1.0 / (2.0 * math.pi)
+    return Multivector(x.n, FLOATS, {m: math.fsum(t) * scale for m, t in terms.items()})
+
+
+def _pairwise(kernel, f, x, contour):
+    # the formula before exactly rounded sums: (K_j w_j) f(s_j) per node,
+    # summed as a balanced tree of multivector additions
+    def tree(values):
+        half = len(values) // 2
+        return values[0] if half == 0 else tree(values[:half]) + tree(values[half:])
+
     terms = [kernel(s, x) * w.to_multivector() * f(s) for s, w in contour_nodes(contour)]
-    return quadrature._pairwise_sum(terms).scale(1.0 / (2.0 * math.pi))
+    return tree(terms).scale(1.0 / (2.0 * math.pi))
+
+
+def _left(s, y):
+    return cauchy_left(s, y, form="II")
+
+
+def _fueter(s, y):
+    return fueter_sce_kernel(s, y, side="left")
 
 
 def test_contour_and_integrand_memos_keep_every_bit():
@@ -222,9 +244,55 @@ def test_contour_and_integrand_memos_keep_every_bit():
     assert quadrature._last_integrand[1] is values  # equal coefficients share it
     h = SliceFunction({(2, 0): 1, (0, 2): -1}, {(1, 1): 3})
     wider = ContourSpec(I3, 0.0, 2.5, 64)
-    left = lambda s, y: cauchy_left(s, y, form="II")  # noqa: E731
-    fueter = lambda s, y: fueter_sce_kernel(s, y, side="left")  # noqa: E731
     for fn, contour in ((f, a), (h, a), (h, wider), (f, wider), (g, a)):
-        for integral, kernel in ((cauchy_reconstruct, left), (fueter_sce_integral, fueter)):
+        for integral, kernel in ((cauchy_reconstruct, _left), (fueter_sce_integral, _fueter)):
             got = integral(fn, x, contour)
             assert list(got.blades.items()) == list(_direct(kernel, fn, x, contour).blades.items())
+
+
+TILTED = tuple(1.0 / math.sqrt(3.0) for _ in range(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=5),
+       st.integers(min_value=4, max_value=32), st.sampled_from([I3, TILTED]),
+       st.floats(min_value=-0.5, max_value=0.5),
+       st.lists(st.floats(min_value=-0.3, max_value=0.3), min_size=3, max_size=3))
+def test_fsum_integral_is_the_memo_free_sum_and_near_the_tree_sum(coeffs, half_nodes,
+                                                                  direction, x0, xu):
+    f = SliceFunction.from_power_series(coeffs)
+    contour = ContourSpec(direction, 0.0, 2.0, 2 * half_nodes)
+    x = fpv(x0, *xu)
+    for integral, kernel in ((cauchy_reconstruct, _left), (fueter_sce_integral, _fueter)):
+        got = integral(f, x, contour)
+        assert list(got.blades.items()) == list(_direct(kernel, f, x, contour).blades.items())
+        tree = _pairwise(kernel, f, x, contour)
+        assert (got - tree).norm_float() <= 1e-12 * max(1.0, got.norm_float())
+
+
+def test_one_kernel_call_and_one_product_per_node(monkeypatch):
+    # after the kernel, no node pays for a Clifford product: on a warm memo
+    # the only product per node is the kernel's own
+    contour = ContourSpec(I3, 0.0, 2.0, 64)
+    x = fpv(0.3, 0.1, -0.2, 0.4)
+    f = SliceFunction.from_power_series([0, 1, 2])
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(clifford, "geometric_product",
+                        counted("product", clifford.geometric_product))
+    for integral, name in ((cauchy_reconstruct, "cauchy_left"),
+                           (fueter_sce_integral, "fueter_sce_kernel")):
+        monkeypatch.setattr(quadrature, name, counted(name, getattr(quadrature, name)))
+        monkeypatch.setattr(quadrature, "_last_integrand", (None, {}))
+        integral(f, x, contour)  # fills the memo: one w_j f(s_j) per node
+        assert counts == {name: 64, "product": 128}
+        counts.clear()
+        integral(f, x, contour)
+        assert counts == {name: 64, "product": 64}
+        counts.clear()
