@@ -185,9 +185,6 @@ class Multivector:
     def is_zero(self) -> bool:
         return not self.blades
 
-    def scalar_part(self):
-        return self.blades.get(0, self.ring.zero())
-
     def map_coeffs(self, fn, ring=None) -> "Multivector":
         """Apply `fn` to each stored coefficient; `fn` must map zero to zero."""
         return Multivector._make(self.n, ring or self.ring,

@@ -7,6 +7,11 @@ commutation shortcuts are applied outside the commutative plane generated
 by the parameter paravector s.  The same code paths evaluate over exact
 rationals, floats, and jets, so the differentiation oracle exercises the
 identical kernel expressions it is checked against.
+
+The shared blocks, Q_{c,s}(x) in its plane form (see `pseudo_denominator`),
+its form-I twin with s and x exchanged, and s - xbar, are built in one pass
+from coordinates, with the operations of the paravector compositions they
+stand for in the same order, so float values match those bit for bit.
 """
 
 from __future__ import annotations
@@ -31,23 +36,35 @@ from .errors import InvalidParams, SingularKernel
 from .rings import RATIONALS, FloatRing
 
 
-def pseudo_denominator(s: Paravector, x: Paravector) -> Paravector:
-    """Q_{c,s}(x) = s^2 - 2 x0 s + |x|^2, a paravector in the plane of s."""
+def _plane_quadratic(s: Paravector, x: Paravector, x_norm_sq) -> Paravector:
+    """Q_{c,s}(x), given x_norm_sq = |x|^2."""
     s._check(x)
-    two_x0 = x.x0 + x.x0
-    s2 = s.pow(2)
-    shifted = s.scale(two_x0)
-    return (s2 - shifted).add_scalar(x.norm_sq())
+    s0, two_x0 = s.x0, x.x0 + x.x0
+    two_s0 = s0 + s0
+    a = ((s0 * s0 - s.vector_norm_sq()) - s0 * two_x0) + x_norm_sq
+    return Paravector(s.ring, a, tuple(two_s0 * c - c * two_x0 for c in s.xu))
+
+
+def pseudo_denominator(s: Paravector, x: Paravector) -> Paravector:
+    """Q_{c,s}(x) = s^2 - 2 x0 s + |x|^2, a paravector in the plane of s.
+
+    Built from coordinates as a + b s_u, with a = ((s0 s0 - |s_u|^2) -
+    s0 (2 x0)) + |x|^2 and each vector coordinate (s0 + s0) s_i - s_i (2 x0),
+    in that order.  These are the operations of
+    (s.pow(2) - s.scale(2 x0)).add_scalar(|x|^2), whose plane recurrence
+    only adds products by an exact 1, so the two agree bit for bit.
+    """
+    return _plane_quadratic(s, x, x.norm_sq())
 
 
 # the float singularity guard's bound on |Q|^2 / (|s|^2 + |x|^2)^2
 SINGULAR_TOL = 1e-12
 
 
-def _singular_scale(s: Paravector, x: Paravector) -> float:
+def _singular_scale(s: Paravector, x_norm_sq) -> float:
     # Q is homogeneous of degree 2 in (s, x), so |Q|^2 scales as (|s|^2 + |x|^2)^2
     ring = s.ring
-    base = ring.magnitude(s.norm_sq()) + ring.magnitude(x.norm_sq())
+    base = ring.magnitude(s.norm_sq()) + ring.magnitude(x_norm_sq)
     return base * base
 
 
@@ -61,18 +78,20 @@ def _checked_denominator(s: Paravector, x: Paravector) -> tuple:
     test unchanged because Q is homogeneous; |Q|^2 is still that of Q. A Q
     that overflows, or that underflows to zero off [x], raises InvalidParams.
     """
-    q = pseudo_denominator(s, x)
+    nx = x.norm_sq()
+    q = _plane_quadratic(s, x, nx)
     nq = q.norm_sq()
     ring = s.ring
     if isinstance(ring, FloatRing):
-        test, bound = nq, SINGULAR_TOL * _singular_scale(s, x)
+        test, bound = nq, SINGULAR_TOL * _singular_scale(s, nx)
         if test in (0.0, math.inf) or bound in (0.0, math.inf):
             if not all(map(math.isfinite, q.coords())):
                 raise InvalidParams("Q_{c,s}(x) lies outside float range")
             e = max(s.binary_exponent(), x.binary_exponent())
             s, x = s.ldexp(-e), x.ldexp(-e)
-            test = pseudo_denominator(s, x).norm_sq()
-            bound = SINGULAR_TOL * _singular_scale(s, x)
+            nx = x.norm_sq()
+            test = _plane_quadratic(s, x, nx).norm_sq()
+            bound = SINGULAR_TOL * _singular_scale(s, nx)
         if abs(test) <= bound:
             raise SingularKernel("singular: s in [x]")
         if not nq and not any(q.coords()):
@@ -100,8 +119,14 @@ def pseudo_cauchy_pow(s: Paravector, x: Paravector, m: int) -> Multivector:
 
 
 def _smxbar(s: Paravector, x: Paravector) -> Multivector:
-    """The block s - xbar."""
-    return (s - x.conjugate()).to_multivector()
+    """The block s - xbar: blades s0 - x0 and s_i + x_i, the nonzero ones;
+    a - (-b) is a + b exactly over floats, rationals and jets."""
+    s._check(x)
+    blades = {0: v} if (v := s.x0 - x.x0) else {}
+    for i, (a, b) in enumerate(zip(s.xu, x.xu)):
+        if v := a + b:
+            blades[1 << i] = v
+    return Multivector._make(s.n, s.ring, blades)
 
 
 def _smx0(s: Paravector, x: Paravector) -> Paravector:
@@ -110,9 +135,9 @@ def _smx0(s: Paravector, x: Paravector) -> Paravector:
 
 
 def _form1_denominator(s: Paravector, x: Paravector) -> Paravector:
-    # x^2 - 2 x s0 + |s|^2; its norm vanishes exactly when s is on [x]
-    two_s0 = s.x0 + s.x0
-    return (x.pow(2) - x.scale(two_s0)).add_scalar(s.norm_sq())
+    # x^2 - 2 x s0 + |s|^2, Q with s and x exchanged; its norm vanishes
+    # exactly when s is on [x]
+    return pseudo_denominator(x, s)
 
 
 def cauchy_left(s: Paravector, x: Paravector, form: str = "II") -> Multivector:

@@ -7,10 +7,10 @@ integrands used here.  The library kernel is evaluated once per node; each
 blade of the integral is then one exactly rounded `math.fsum` over the
 products of kernel blades and blades of w_j f(s_j), so the result does not
 depend on summation order.  A contour's nodes and weights are built once per
-contour value (the two most recent contours are kept), and so are the blade
-columns of w_j f(s_j) for the most recent slice function on the most recent
-contour, so repeated integrals over one contour pay only for the kernel at
-each node.
+contour value, and the blade columns of w_j f(s_j) once per slice function
+and contour; each memo keeps its two most recent entries, so repeated
+integrals over one contour, or alternating over two, pay only for the kernel
+at each node.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 from .clifford import Multivector, Paravector, blade_product
@@ -46,7 +46,7 @@ class SliceFunction:
             if j % 2 == 0:
                 raise ParityError("beta carries an even power of v")
         self.series = tuple(Fraction(c) for c in series) if series is not None else None
-        # float terms (i, j, c) in the order eval_components sums them; f(s)
+        # float terms (i, j, c) in the order _slice_value sums them; f(s)
         # depends on nothing else, so they also key the integrand memo
         self.terms = (tuple((i, j, float(c)) for (i, j), c in self.alpha.items()),
                       tuple((i, j, float(c)) for (i, j), c in self.beta.items()))
@@ -67,28 +67,9 @@ class SliceFunction:
                 part[k - t, t] = part.get((k - t, t), Fraction(0)) + sign * a * math.comb(k, t)
         return cls(alpha, beta, series=coeffs)
 
-    def eval_components(self, u: float, v: float) -> tuple[float, float]:
-        alpha, beta = self.terms
-        a = 0.0
-        for i, j, c in alpha:
-            a += c * u**i * v**j
-        b = 0.0
-        for i, j, c in beta:
-            b += c * u**i * v**j
-        return a, b
-
     def __call__(self, x: Paravector) -> Multivector:
         """Slice extension alpha(x0,|xv|) + (xv/|xv|) beta(x0,|xv|)."""
-        u = float(x.x0)
-        v2 = float(x.vector_norm_sq())
-        n = x.n
-        if v2 == 0.0:
-            a, _ = self.eval_components(u, 0.0)
-            return Multivector.scalar(n, FLOATS, a)
-        v = math.sqrt(v2)
-        a, b = self.eval_components(u, v)
-        xu = tuple(float(c) / v * b for c in x.xu)
-        return Paravector(FLOATS, a, xu).to_multivector()
+        return _slice_value(self.terms, x)
 
     def as_ring_function(self):
         """Ring-generic closure sum x^k a_k, usable by the jet oracle."""
@@ -105,6 +86,26 @@ class SliceFunction:
             return acc
 
         return f
+
+
+def _poly(terms, u: float, v: float) -> float:
+    """The sum of c u^i v^j over float terms (i, j, c), in their order."""
+    acc = 0.0
+    for i, j, c in terms:
+        acc += c * u**i * v**j
+    return acc
+
+
+def _slice_value(terms: tuple, x: Paravector) -> Multivector:
+    """The slice function with float terms (alpha, beta) at x."""
+    alpha, beta = terms
+    u = float(x.x0)
+    v2 = float(x.vector_norm_sq())
+    if v2 == 0.0:
+        return Multivector.scalar(x.n, FLOATS, _poly(alpha, u, 0.0))
+    v = math.sqrt(v2)
+    a, b = _poly(alpha, u, v), _poly(beta, u, v)
+    return Paravector(FLOATS, a, tuple(float(c) / v * b for c in x.xu)).to_multivector()
 
 
 class ContourSpec:
@@ -191,25 +192,26 @@ def _columns(multivectors) -> dict:
     return {m: [b.get(m, 0.0) for b in blades] for m in set().union(*blades)}
 
 
-# (key, columns of w_j f(s_j)) of the most recent slice function on the most
-# recent contour: one entry, so the memo never grows with the run, and
-# replaced as one tuple, so a reader never pairs one key with another's columns
-_last_integrand: tuple = (None, {})
-
-
 def _integrand(f, contour: ContourSpec):
     """The nodes s_j and, per blade p of w_j f(s_j), (column, -column)."""
-    global _last_integrand
-    _, points, weights = _nodes(contour.key)
-    key = (f.terms, contour.key) if isinstance(f, SliceFunction) else None
-    last, columns = _last_integrand
-    if key is None or last != key:
-        products = map(operator.mul, weights, map(f, points))
-        columns = {p: (tuple(col), tuple(-v for v in col))
-                   for p, col in _columns(products).items()}
-        if key is not None:
-            _last_integrand = key, columns
-    return points, columns
+    if isinstance(f, SliceFunction):
+        return _slice_integrand(f.terms, contour.key)
+    return _integrand_columns(f, contour.key)
+
+
+# Two entries, as for _nodes: the slice-independence check alternates two
+# contours with one f, and every other check keeps one f on one contour.  A
+# slice function's values depend on its float terms alone, so they key it.
+@lru_cache(maxsize=2)
+def _slice_integrand(terms: tuple, key: tuple) -> tuple:
+    return _integrand_columns(partial(_slice_value, terms), key)
+
+
+def _integrand_columns(f, key: tuple) -> tuple:
+    _, points, weights = _nodes(key)
+    products = map(operator.mul, weights, map(f, points))
+    return points, {p: (tuple(col), tuple(-v for v in col))
+                    for p, col in _columns(products).items()}
 
 
 def _integral(kernel, f, x: Paravector, contour: ContourSpec) -> Multivector:

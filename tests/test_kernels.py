@@ -1,12 +1,16 @@
+import math
+from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slicekernels import kernels as K
+from slicekernels import clifford, kernels as K
 from slicekernels.clifford import Multivector, Paravector, parse_multivector, same_sphere
 from slicekernels.diffop import make_dirac, make_laplacian, oracle_apply
 from slicekernels.errors import InvalidParams, SingularKernel
-from slicekernels.rings import FLOATS, RATIONALS
+from slicekernels.rings import FLOATS, RATIONALS, JetRing, jet_context
 
 R = RATIONALS
 
@@ -276,3 +280,104 @@ def test_series_pair_radius():
     for seed in range(5):
         s, x = K.sample_series_pair(3, Random(seed))
         assert 4 * x.norm_sq() <= s.norm_sq()
+
+
+# -- the plane-form blocks against the paravector compositions they replace
+
+
+def _q_composed(s, x):
+    return (s.pow(2) - s.scale(x.x0 + x.x0)).add_scalar(x.norm_sq())
+
+
+def _form1_composed(s, x):
+    return (x.pow(2) - x.scale(s.x0 + s.x0)).add_scalar(s.norm_sq())
+
+
+def _smxbar_composed(s, x):
+    return (s - x.conjugate()).to_multivector()
+
+
+def _blocks(s, x):
+    """(Q, form-I denominator, s - xbar), from the kernels and composed."""
+    built = (K.pseudo_denominator(s, x), K._form1_denominator(s, x), K._smxbar(s, x))
+    return built, (_q_composed(s, x), _form1_composed(s, x), _smxbar_composed(s, x))
+
+
+def _float_bits(value):
+    """Coordinates or blades as float.hex, so a signed zero, an inf or a NaN counts."""
+    if isinstance(value, Paravector):
+        return [c.hex() for c in value.coords()]
+    return [(m, c.hex()) for m, c in value.blades.items()]
+
+
+_EXTREME = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+
+
+def _float_paravector(n):
+    coord = st.one_of(st.floats(min_value=-2.0, max_value=2.0), _EXTREME)
+    return st.tuples(st.lists(coord, min_size=n + 1, max_size=n + 1),
+                     st.integers(min_value=-500, max_value=500))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(_float_paravector(n), _float_paravector(n))))
+def test_plane_blocks_match_compositions_bit_for_bit_over_floats(pair):
+    (sc, se), (xc, xe) = pair
+    s = Paravector.from_coords(FLOATS, [math.ldexp(c, se) for c in sc])
+    x = Paravector.from_coords(FLOATS, [math.ldexp(c, xe) for c in xc])
+    built, composed = _blocks(s, x)
+    assert list(map(_float_bits, built)) == list(map(_float_bits, composed))
+
+
+_FRACTION = st.fractions(min_value=-64, max_value=64, max_denominator=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(*[st.lists(_FRACTION, min_size=n + 1, max_size=n + 1)] * 2)))
+def test_plane_blocks_match_compositions_over_rationals(pair):
+    s, x = (Paravector.from_coords(R, coords) for coords in pair)
+    built, composed = _blocks(s, x)
+    assert built == composed
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(*[st.lists(_FRACTION, min_size=n + 1, max_size=n + 1)] * 2)),
+    st.integers(min_value=1, max_value=3))
+def test_plane_blocks_match_compositions_over_exact_jets(pair, order):
+    sc, xc = pair
+    num_vars = len(xc)
+    corners = tuple(tuple(order if k == i else 0 for k in range(num_vars))
+                    for i in range(num_vars))
+    ring = JetRing(jet_context(num_vars, corners), R)
+    # x varies in every coordinate, s also moves along the first one
+    x = Paravector.from_coords(ring, [ring.seed(i, c) for i, c in enumerate(xc)])
+    s = Paravector.from_coords(ring, [ring.seed(0, sc[0]), *sc[1:]])
+    built, composed = _blocks(s, x)
+    assert built == composed
+
+
+def test_kernels_build_their_blocks_without_paravector_arithmetic(monkeypatch):
+    # Q and s - xbar come from coordinates: only the power Q^-m is a
+    # Paravector method call, and each kernel makes its one Clifford product
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(clifford, "geometric_product",
+                        counted("product", clifford.geometric_product))
+    for name in ("pow", "scale", "__sub__", "add_scalar", "conjugate"):
+        monkeypatch.setattr(Paravector, name, counted(name, getattr(Paravector, name)))
+    s = Paravector.from_coords(FLOATS, [0.5, 1.5, -0.25, 0.75])
+    x = Paravector.from_coords(FLOATS, [0.3, 0.1, -0.2, 0.4])
+    K.cauchy_left(s, x, form="II")
+    assert counts == {"product": 1}
+    counts.clear()
+    K.fueter_sce_kernel(s, x)
+    assert counts == {"product": 1, "pow": 1}

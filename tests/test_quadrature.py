@@ -1,11 +1,12 @@
 import io
 import math
 from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicekernels import clifford, quadrature
+from slicekernels import clifford, quadrature, suites
 from slicekernels.clifford import Multivector, Paravector, blade_product
 from slicekernels.errors import DomainError, InvalidParams, ParityError
 from slicekernels.kernels import cauchy_left, fueter_sce_kernel
@@ -239,15 +240,36 @@ def test_contour_and_integrand_memos_keep_every_bit():
     f = SliceFunction.from_power_series([0, 0, 1])
     g = SliceFunction({(2, 0): 1, (0, 2): -1}, {(1, 1): 2})  # x^2 again
     first = cauchy_reconstruct(f, x, a)
-    values = quadrature._last_integrand[1]
+    misses = quadrature._slice_integrand.cache_info().misses
     assert list(cauchy_reconstruct(g, x, a).blades.items()) == list(first.blades.items())
-    assert quadrature._last_integrand[1] is values  # equal coefficients share it
+    # equal coefficients share one entry
+    assert quadrature._slice_integrand.cache_info().misses == misses
     h = SliceFunction({(2, 0): 1, (0, 2): -1}, {(1, 1): 3})
     wider = ContourSpec(I3, 0.0, 2.5, 64)
     for fn, contour in ((f, a), (h, a), (h, wider), (f, wider), (g, a)):
         for integral, kernel in ((cauchy_reconstruct, _left), (fueter_sce_integral, _fueter)):
             got = integral(fn, x, contour)
             assert list(got.blades.items()) == list(_direct(kernel, fn, x, contour).blades.items())
+
+
+def test_slice_independence_pairs_evaluate_f_once_per_contour(monkeypatch):
+    # the check alternates a base and a tilted contour with one f: the
+    # two-entry memo evaluates f on each contour once, 2N times in all
+    calls = Counter()
+    slice_value = quadrature._slice_value
+
+    def counted(terms, x):
+        calls["f"] += 1
+        return slice_value(terms, x)
+
+    monkeypatch.setattr(quadrature, "_slice_value", counted)
+    quadrature._slice_integrand.cache_clear()
+    params = dict(n=3, nodes=64)
+    rng = Random(7)
+    for _ in range(3):
+        base, tilted = suites._quad_slice_independence(params, suites._quad_interior_point(3, rng))
+        assert (base - tilted).norm_float() <= 1e-10
+    assert calls["f"] == 2 * 64
 
 
 TILTED = tuple(1.0 / math.sqrt(3.0) for _ in range(3))
@@ -289,7 +311,7 @@ def test_one_kernel_call_and_one_product_per_node(monkeypatch):
     for integral, name in ((cauchy_reconstruct, "cauchy_left"),
                            (fueter_sce_integral, "fueter_sce_kernel")):
         monkeypatch.setattr(quadrature, name, counted(name, getattr(quadrature, name)))
-        monkeypatch.setattr(quadrature, "_last_integrand", (None, {}))
+        quadrature._slice_integrand.cache_clear()
         integral(f, x, contour)  # fills the memo: one w_j f(s_j) per node
         assert counts == {name: 64, "product": 128}
         counts.clear()

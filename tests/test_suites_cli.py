@@ -196,7 +196,7 @@ def test_cli_eval_float_singular_guard_at_any_scale(capsys, s, x, q_inv):
     assert main(argv + ["--kernel", "pseudo-cauchy", "--m", "1"]) == 0
     value = parse_multivector(capsys.readouterr().out.strip(), 3, FLOATS)
     assert value.blades.keys() == {0}
-    assert value.scalar_part() == pytest.approx(q_inv, rel=1e-15, abs=0)
+    assert value.blades.get(0, 0) == pytest.approx(q_inv, rel=1e-15, abs=0)
 
 
 def test_cli_eval_float_q_outside_float_range(capsys):
@@ -216,7 +216,7 @@ def test_cli_eval_float_prints_values_below_the_zero_tolerance(capsys):
     assert capsys.readouterr().out.strip() == "1/100000000000001"
     assert main(argv + ["--mode", "float"]) == 0
     value = parse_multivector(capsys.readouterr().out.strip(), 3, FLOATS)
-    assert value.scalar_part() == pytest.approx(1e-14) and value.blades.keys() == {0}
+    assert value.blades.get(0, 0) == pytest.approx(1e-14) and value.blades.keys() == {0}
     assert main(argv + ["--mode", "float", "--format", "json"]) == 0
     blades = json.loads(capsys.readouterr().out)["value"]
     assert list(blades) == ["1"] and float(blades["1"]) == pytest.approx(1e-14)
