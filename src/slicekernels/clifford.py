@@ -122,13 +122,6 @@ class Multivector:
     def blade(cls, n: int, ring, mask: int, value=1):
         return cls(n, ring, {mask: ring.lift(value)})
 
-    @classmethod
-    def basis_vector(cls, n: int, ring, i: int):
-        """Generator e_i (1-based)."""
-        if not 1 <= i <= n:
-            raise InvalidParams(f"generator index {i} out of range")
-        return cls.blade(n, ring, 1 << (i - 1))
-
     def _check(self, other: "Multivector"):
         if self.n != other.n:
             raise DimensionMismatch(f"dimensions {self.n} and {other.n}")

@@ -236,12 +236,6 @@ def _boundary_families(h_n: int, m: int):
     return (*families, beta // 2)
 
 
-def boundary_survivor(h_n: int, m: int) -> int:
-    """Value 2^(h_n-m) h_n! of the surviving bold coefficient at beta = h_n - m."""
-    A, _, k = _boundary_families(h_n, m)
-    return coeff(A, k, k, m, h_n)
-
-
 def boundary_vanishing_holds(h_n: int, m: int) -> bool:
     """At beta = h_n - m all non-surviving bold coefficients vanish and the
     survivor equals 2^(h_n-m) h_n!."""

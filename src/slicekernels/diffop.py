@@ -15,6 +15,7 @@ formulas it is used to check.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .clifford import Multivector, Paravector, blade_product
 from .errors import DimensionMismatch, InvalidParams
@@ -32,20 +33,21 @@ class DiffOperator:
         self._blade_terms = None
 
     def blade_terms(self) -> tuple:
-        """(E, [(a, [(k, C * alpha!), ...]), ...]): the exact coefficients as
-        ints C over one common denominator E, grouped by coefficient blade a,
-        with k the index of alpha in the jets the oracle seeds for this
-        operator.  Nonzero blades only; computed on first use, and operators
-        have no mutators."""
+        """(ctx, E, [(a, [(k, C * alpha!), ...]), ...]): the jet context the
+        oracle seeds for this operator, the down-set of its support, keyed by
+        the sorted support so that operators with one support share it; the
+        exact coefficients as ints C over one common denominator E, grouped by
+        coefficient blade a, with k the index of alpha in ctx.  Nonzero blades
+        only; computed on first use, and operators have no mutators."""
         if self._blade_terms is None:
-            index = jet_context(self.n + 1, tuple(self.terms)).index
+            ctx = jet_context(self.n + 1, tuple(sorted(self.terms)))
             nums, den = RATIONALS.split({(alpha, a): c for alpha, mv in self.terms.items()
                                          for a, c in mv.blades.items()})
             groups: dict = {}
             for (alpha, a), c in nums.items():
                 groups.setdefault(a, []).append(
-                    (index[alpha], c * multi_index_factorial(alpha)))
-            self._blade_terms = den, list(groups.items())
+                    (ctx.index[alpha], c * multi_index_factorial(alpha)))
+            self._blade_terms = ctx, den, list(groups.items())
         return self._blade_terms
 
     def _check(self, other: "DiffOperator"):
@@ -144,6 +146,14 @@ def operator_power_compose(base: DiffOperator, beta: int, m: int) -> DiffOperato
     return base.power(beta).compose(make_laplacian(base.n).power(m))
 
 
+@lru_cache(maxsize=None)
+def named_operator(n: int, base: str, beta: int, m: int) -> DiffOperator:
+    """D^beta Delta^m for base "d", D-bar^beta Delta^m for "dbar", in
+    dimension n: every operator the verifier applies, built once per process;
+    operators have no mutators, so all callers share one."""
+    return operator_power_compose((make_dirac if base == "d" else make_dirac_conj)(n), beta, m)
+
+
 def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     """Apply `op` to `f` at `x` by one evaluation of `f` over the jet ring.
 
@@ -151,7 +161,8 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     coefficient ring; `x` fixes the base ring of the result.  The jets carry
     exactly the down-set of the operator's support (every multi-index below
     some alpha of `op.terms`), which is all that `op` reads; the shape
-    depends on the operator alone, never on `f`.
+    depends on the operator alone, never on `f`, and comes with its
+    coefficients from `op.blade_terms()`, found once per operator.
 
     The sum of c_alpha * d^alpha f is assembled from numerators: the
     coefficients are ints C_alpha / E over one denominator E and the blades
@@ -164,7 +175,8 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     if x.n != n:
         raise DimensionMismatch(f"operator in dimension {n}, point in {x.n}")
     ring = x.ring
-    jring = JetRing(jet_context(n + 1, tuple(op.terms)), ring)
+    ctx, scale, groups = op.blade_terms()
+    jring = JetRing(ctx, ring)
     seeded = Paravector(
         jring,
         jring.seed(0, x.x0),
@@ -172,7 +184,6 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     )
     value = f(jring, seeded)
     den = math.lcm(*(jet.den for jet in value.blades.values()))
-    scale, groups = op.blade_terms()
     acc = [0] * (1 << n)
     for b, jet in value.blades.items():
         get, up = jet._nums.get, den // jet.den

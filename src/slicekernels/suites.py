@@ -9,7 +9,8 @@ zero; in float mode the residual norm is compared against
 
 Every kind of case is one row of `CHECKS`, and `SUITES` lists the kinds
 each suite runs; `_run_case` runs a case of any kind. An oracle row names
-its operator D^beta Delta^m, and `_operator` builds each one once.
+its operator D^beta Delta^m, and `diffop.named_operator` builds each one
+once.
 """
 
 from __future__ import annotations
@@ -20,19 +21,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from random import Random
 from typing import Callable
 
 from . import coeffs as cf
 from . import kernels as K
 from .clifford import MAX_DIMENSION, Multivector, Paravector, format_paravector
-from .diffop import (
-    make_dirac,
-    make_dirac_conj,
-    operator_power_compose,
-    oracle_apply,
-)
+from .diffop import named_operator, oracle_apply
 from .errors import InvalidParams
 from .quadrature import (
     ContourSpec,
@@ -184,12 +179,14 @@ def _run_series(params, config: SuiteConfig) -> dict:
 def _run_catalog(params, config: SuiteConfig) -> dict:
     """One case per catalog entry; all trial points must agree on the verdict.
 
-    A flagged entry passes when the quoted form mismatches the oracle at
-    every point while the oracle-confirmed alternative matches everywhere.
+    A flagged entry, one that gives a `corrected` form, passes when the
+    quoted form mismatches the oracle at every point while the
+    oracle-confirmed alternative matches everywhere.
     """
     entry = K.catalog_fixture(params["id"])
+    flagged = entry.corrected is not None
     rng = _case_rng(config, params["key"])
-    op = entry.op_factory()
+    op = named_operator(entry.n, *entry.op)
     points = [K.sample_point_pair(entry.n, rng, ring=_ring(config))
               for _ in range(params["trials"])]
     worst = 0.0
@@ -199,24 +196,21 @@ def _run_catalog(params, config: SuiteConfig) -> dict:
         oracle = oracle_apply(op, K.kernel_closure(K.cauchy_left, s), x)
         residual, matches = _compare(entry.printed(s, x), oracle, config)
         printed_matches = printed_matches and matches
-        if entry.expected_match:
-            worst = max(worst, residual)
-        else:
+        if flagged:
             corr_res, corr_ok = _compare(entry.corrected(s, x), oracle, config)
             corrected_matches = corrected_matches and corr_ok
             worst = max(worst, corr_res)
-    if entry.expected_match:
-        ok = printed_matches
-    else:
-        ok = (not printed_matches) and corrected_matches
+        else:
+            worst = max(worst, residual)
+    ok = (not printed_matches and corrected_matches) if flagged else printed_matches
     out = {
         "residual": worst,
         "pass": ok,
         "point": _point_record(*points[0]),
-        "expected_match": entry.expected_match,
-        "flagged": not entry.expected_match,
+        "expected_match": not flagged,
+        "flagged": flagged,
     }
-    if not entry.expected_match:
+    if flagged:
         out["note"] = (
             f"printed: {entry.printed_text}; oracle-confirmed: {entry.corrected_text}"
         )
@@ -288,7 +282,8 @@ class Check:
     - `run(params, config)` builds the whole case record itself.
 
     An oracle row names its operator as `op(params) = (base, beta, m)`:
-    D^beta Delta^m for base "d", D-bar^beta Delta^m for "dbar". Its `pair` or
+    D^beta Delta^m for base "d", D-bar^beta Delta^m for "dbar", which
+    `diffop.named_operator` builds once per process. Its `pair` or
     `quad` gives as second value the function f(ring, x) that the case then
     replaces by that operator applied to f at x. Float mode skips a point
     whose order beta + 2m exceeds `FLOAT_ORACLE_MAX_ORDER`.
@@ -308,13 +303,6 @@ class Check:
     sample: Callable = _quad_interior_point
     tol: float = 0.0
     run: Callable | None = None
-
-
-@lru_cache(maxsize=None)
-def _operator(n: int, base: str, beta: int, m: int):
-    """The operator an oracle row names, in dimension n, built once per
-    process; operators have no mutators, so every case shares one."""
-    return operator_power_compose((make_dirac if base == "d" else make_dirac_conj)(n), beta, m)
 
 
 def _theorem(p, s, x):
@@ -549,7 +537,7 @@ def _run_case(params, config: SuiteConfig) -> dict:
     if check.run:
         return check.run(params, config)
     rng = _case_rng(config, params["key"])
-    op = check.op and _operator(params["n"], *check.op(params))
+    op = check.op and named_operator(params["n"], *check.op(params))
     if check.quad:
         x = check.sample(params["n"], rng)
         got, exact = check.quad(params, x)

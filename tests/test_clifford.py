@@ -43,27 +43,27 @@ def pv(*coords):
 def test_defining_relations():
     n = 4
     for i in range(1, n + 1):
-        ei = Multivector.basis_vector(n, R, i)
+        ei = Multivector.blade(n, R, 1 << (i - 1))
         assert ei * ei == Multivector.scalar(n, R, -1)
         for j in range(1, n + 1):
             if i != j:
-                ej = Multivector.basis_vector(n, R, j)
+                ej = Multivector.blade(n, R, 1 << (j - 1))
                 assert ei * ej == -(ej * ei)
 
 
 def test_blade_reordering_example():
     # e1 e2 * e1 = -e1 e1 e2 = e2, expanded by anticommutation
     n = 2
-    e1 = Multivector.basis_vector(n, R, 1)
+    e1 = Multivector.blade(n, R, 1)
     e12 = Multivector.blade(n, R, 0b11)
-    assert e12 * e1 == Multivector.basis_vector(n, R, 2)
+    assert e12 * e1 == Multivector.blade(n, R, 2)
     assert blade_product(0b11, 0b01) == (0b10, 1)
 
 
 def test_difference_of_squares():
     n = 1
     one = Multivector.scalar(n, R, 1)
-    e1 = Multivector.basis_vector(n, R, 1)
+    e1 = Multivector.blade(n, R, 1)
     assert (one + e1) * (one - e1) == Multivector.scalar(n, R, 2)
 
 
@@ -342,7 +342,7 @@ def test_multivector_works_over_float_and_jet_rings():
     assert abs((xf * xf.conjugate()).blades.get(0, 0) - 5.0) < 1e-12
     jr = JetRing(jet_context(2, degree_corners(2, 2)))
     a = Multivector(1, jr, {0: jr.seed(0, 1)})
-    b = Multivector.basis_vector(1, jr, 1)
+    b = Multivector.blade(1, jr, 1)
     prod = (a + b) * (a - b)  # (x + e1)(x - e1) = x^2 + 1 over jets
     assert not prod.coeffs[1]
     assert prod.coeffs[0].derivative((0, 0)) == 2  # 1^2 + 1

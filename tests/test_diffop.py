@@ -11,6 +11,7 @@ from slicekernels.diffop import (
     make_dirac,
     make_dirac_conj,
     make_laplacian,
+    named_operator,
     operator_power_compose,
     oracle_apply,
 )
@@ -111,8 +112,8 @@ def test_dirac_squared_term_map():
         n,
         {
             (2, 0, 0): Multivector.scalar(n, R, 1),
-            (1, 1, 0): Multivector.basis_vector(n, R, 1).scale(2),
-            (1, 0, 1): Multivector.basis_vector(n, R, 2).scale(2),
+            (1, 1, 0): Multivector.blade(n, R, 1).scale(2),
+            (1, 0, 1): Multivector.blade(n, R, 2).scale(2),
             (0, 2, 0): Multivector.scalar(n, R, -1),
             (0, 0, 2): Multivector.scalar(n, R, -1),
         },
@@ -124,8 +125,8 @@ def test_compose_orders_clifford_coefficients():
     # coefficients multiply in application order: e1 d1 after e2 d2 carries
     # e1 e2, the reverse carries e2 e1 = -e1 e2
     n = 2
-    a = DiffOperator(n, {(0, 1, 0): Multivector.basis_vector(n, R, 1)})
-    b = DiffOperator(n, {(0, 0, 1): Multivector.basis_vector(n, R, 2)})
+    a = DiffOperator(n, {(0, 1, 0): Multivector.blade(n, R, 1)})
+    b = DiffOperator(n, {(0, 0, 1): Multivector.blade(n, R, 2)})
     ab = a.compose(b)
     ba = b.compose(a)
     e12 = Multivector.blade(n, R, 0b11)
@@ -176,16 +177,23 @@ def test_left_multiplication_semantics():
         return Multivector.scalar(n, ring, xx.xu[0])  # f = x1
 
     def e2_times_coordinate(ring, xx):
-        return Multivector.basis_vector(n, ring, 2).scale(xx.xu[0])
+        return Multivector.blade(n, ring, 2).scale(xx.xu[0])
 
     def five_times_coordinate(ring, xx):
         return Multivector.scalar(n, ring, xx.xu[0] * 5)
 
     D = make_dirac(n)
     base = oracle_apply(D, coordinate, x)
-    e2 = Multivector.basis_vector(n, R, 2)
+    e2 = Multivector.blade(n, R, 2)
     assert oracle_apply(D, e2_times_coordinate, x) != e2 * base
     assert oracle_apply(D, five_times_coordinate, x) == base.scale(5)
+
+
+def test_operators_with_one_support_share_one_jet_context():
+    # D^3 and D Delta read the same multi-indices, so their jets are one shape
+    ctx = named_operator(7, "d", 3, 0).blade_terms()[0]
+    assert ctx is named_operator(7, "d", 1, 1).blade_terms()[0]
+    assert ctx is not named_operator(7, "d", 2, 0).blade_terms()[0]
 
 
 def _reference_apply(op, f, x):

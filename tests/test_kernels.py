@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from slicekernels import clifford, kernels as K
 from slicekernels.clifford import Multivector, Paravector, parse_multivector, same_sphere
-from slicekernels.diffop import make_dirac, make_laplacian, oracle_apply
+from slicekernels.diffop import (
+    make_dirac,
+    make_dirac_conj,
+    make_laplacian,
+    named_operator,
+    oracle_apply,
+)
 from slicekernels.errors import InvalidParams, SingularKernel
 from slicekernels.rings import FLOATS, RATIONALS, JetRing, jet_context
 
@@ -249,19 +255,43 @@ def test_catalog_fixtures():
         "q-D", "q-Dbar", "n5-D", "n5-Delta", "n5-DeltaD", "n5-Dbar", "n5-D2",
         "n5-DeltaDbar", "n5-Dbar2",
     }
-    flagged = {cid for cid in K.catalog_ids() if not K.catalog_fixture(cid).expected_match}
+    flagged = {cid for cid in K.catalog_ids() if K.catalog_fixture(cid).corrected is not None}
     assert flagged == {"n5-Delta", "n5-D2", "n5-Dbar2"}
-    for cid in flagged:
-        assert K.catalog_fixture(cid).corrected is not None
     with pytest.raises(InvalidParams):
         K.catalog_fixture("n7-D")
+
+
+def test_named_operators_equal_the_compositions_they_replace():
+    # the compiled form fixes the oracle's float summation order, so it must
+    # match term for term: D Delta and Delta D list their terms in different
+    # orders, but group them into the same columns blade by blade
+    references = {
+        "q-D": make_dirac(3),
+        "q-Dbar": make_dirac_conj(3),
+        "n5-D": make_dirac(5),
+        "n5-Delta": make_laplacian(5),
+        "n5-DeltaD": make_laplacian(5).compose(make_dirac(5)),
+        "n5-Dbar": make_dirac_conj(5),
+        "n5-D2": make_dirac(5).power(2),
+        "n5-DeltaDbar": make_laplacian(5).compose(make_dirac_conj(5)),
+        "n5-Dbar2": make_dirac_conj(5).power(2),
+    }
+    assert set(references) == set(K.catalog_ids())
+    cases = [((K.catalog_fixture(cid).n, *K.catalog_fixture(cid).op), ref)
+             for cid, ref in references.items()]
+    for n in (3, 5, 7):  # the lemma operators
+        cases += [((n, "d", 1, 0), make_dirac(n)), ((n, "dbar", 1, 0), make_dirac_conj(n))]
+    for args, ref in cases:
+        op = named_operator(*args)
+        assert op.blade_terms() == ref.blade_terms(), args
+        assert named_operator(*args) is op
 
 
 def test_catalog_arbitration_spot():
     rng = Random(53)
     entry = K.catalog_fixture("n5-Delta")
     s, x = K.sample_point_pair(5, rng)
-    oracle = oracle_apply(entry.op_factory(), K.kernel_closure(K.cauchy_left, s), x)
+    oracle = oracle_apply(named_operator(5, *entry.op), K.kernel_closure(K.cauchy_left, s), x)
     assert entry.printed(s, x) != oracle
     assert entry.corrected(s, x) == oracle
 

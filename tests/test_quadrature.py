@@ -108,7 +108,7 @@ def test_cauchy_reconstruct_polynomials():
     f2 = SliceFunction.from_power_series([0, 0, 1])
     got = cauchy_reconstruct(f2, x, contour)
     # ((1+e1)/2)^2 = e1/2
-    expected = Multivector.basis_vector(3, FLOATS, 1).scale(0.5)
+    expected = Multivector.blade(3, FLOATS, 1).scale(0.5)
     assert (got - expected).norm_float() < 1e-12
     one = SliceFunction.from_power_series([1])
     assert (

@@ -3,10 +3,12 @@ import os
 
 import pytest
 
+from slicekernels import rings
 from slicekernels.cli import main
 from slicekernels.clifford import parse_multivector
+from slicekernels.diffop import DiffOperator, named_operator
 from slicekernels.errors import InvalidParams
-from slicekernels.rings import FLOATS
+from slicekernels.rings import FLOATS, JetContext
 from slicekernels.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -76,22 +78,56 @@ def test_catalog_unflagged_mismatch_fails(monkeypatch):
     # flagged must fail the suite
     from slicekernels import kernels as K
     from slicekernels.clifford import Multivector
-    from slicekernels.diffop import make_dirac
     from slicekernels.rings import RATIONALS
 
     bad = K.CatalogEntry(
         id="bogus",
         n=3,
-        op_factory=lambda: make_dirac(3),
+        op=("d", 1, 0),
         printed=lambda s, x: Multivector.scalar(3, RATIONALS, 999),
         printed_text="999",
-        expected_match=True,
     )
     monkeypatch.setitem(K._CATALOG, "bogus", bad)
     report = run_suite(small("catalog", trials=1))
     assert report.summary["failed"] == 1
     failing = [c for c in report.cases if not c["pass"]]
     assert failing[0]["key"] == "bogus"
+
+
+def _count_calls(monkeypatch, cls):
+    calls = [0]
+    init = cls.__init__
+
+    def counted(self, *args):
+        calls[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def test_operator_builds_do_not_grow_with_the_case_count(monkeypatch):
+    builds = _count_calls(monkeypatch, DiffOperator)
+    for suite, n_values in (("lemmas", (3,)), ("catalog", (3, 5))):
+        counts = []
+        for trials in (1, 2):
+            named_operator.cache_clear()
+            builds[0] = 0
+            assert run_suite(small(suite, n_values=n_values, trials=trials)).passed
+            counts.append(builds[0])
+        assert counts[0] == counts[1] > 0, (suite, counts)
+
+
+def test_each_operator_support_builds_one_jet_context(monkeypatch):
+    # n=9 theorem-d and special-cases apply 14 operators with 12 supports:
+    # D^3 and D Delta share one, and so do D^3 Delta and D Delta^2
+    named_operator.cache_clear()
+    rings.jet_context.cache_clear()
+    builds = _count_calls(monkeypatch, JetContext)
+    for suite in ("theorem-d", "special-cases"):
+        assert run_suite(SuiteConfig(suite=suite, n_values=(9,), trials=1, seed=0,
+                                     jobs=1)).passed
+    assert builds[0] == 12
 
 
 def test_config_validation():
@@ -286,13 +322,11 @@ def test_raising_case_is_a_failed_entry(monkeypatch, tmp_path, jobs):
     # the suite records the raising case and runs every other case; pool
     # workers are forked from this process, so they see the patched catalog
     from slicekernels import kernels as K
-    from slicekernels.diffop import make_dirac
 
     def boom(s, x):
         raise ZeroDivisionError("boom")
 
-    bad = K.CatalogEntry(id="raises", n=3, op_factory=lambda: make_dirac(3),
-                         printed=boom, printed_text="boom", expected_match=True)
+    bad = K.CatalogEntry(id="raises", n=3, op=("d", 1, 0), printed=boom, printed_text="boom")
     monkeypatch.setitem(K._CATALOG, "raises", bad)
     out = tmp_path / "report.json"
     code = main(["verify", "--suite", "catalog", "--n", "3", "--trials", "1",
