@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatch, InvalidParams, ZeroNorm
-from .rings import RATIONALS, JetRing, mul_into
+from .rings import RATIONALS, JetRing, Lanes, mul_into
 
 MAX_DIMENSION = 15
 
@@ -350,18 +350,24 @@ class Paravector:
 
     def _inverse(self, ns) -> "Paravector":
         """The inverse, given ns = self.norm_sq(); over floats, an inverse
-        outside float range raises InvalidParams."""
+        outside float range raises InvalidParams.  Over lanes, a lane whose
+        ns is not a normal float, and would take the rescale below or
+        raise, reads NaN."""
         ring = self.ring
-        if (isinstance(ns, float) and not 2.0 ** -1022 <= ns <= 2.0 ** 1022
+        if isinstance(ns, Lanes):
+            inv = Lanes([1.0 / v if 2.0 ** -1022 <= v <= 2.0 ** 1022 else math.nan
+                         for v in ns.v])
+        elif (isinstance(ns, float) and not 2.0 ** -1022 <= ns <= 2.0 ** 1022
                 and (e := self.binary_exponent())):
             # |x|^2 or 1 / |x|^2 is not a normal float: invert x / 2^e, of norm near 1
             try:
                 return self.ldexp(-e).inverse().ldexp(-e)
             except OverflowError:
                 raise InvalidParams("paravector inverse lies outside float range") from None
-        if ns == 0:
+        elif ns == 0:
             raise ZeroNorm("paravector has zero norm")
-        inv = ring.invert(ns)
+        else:
+            inv = ring.invert(ns)
         return Paravector(ring, self.x0 * inv, tuple(-c * inv for c in self.xu))
 
     def _plane_powers(self, k: int):
@@ -404,9 +410,6 @@ class Paravector:
     def scale(self, c) -> "Paravector":
         c = self.ring.lift(c)
         return Paravector(self.ring, self.x0 * c, tuple(v * c for v in self.xu))
-
-    def add_scalar(self, c) -> "Paravector":
-        return Paravector(self.ring, self.x0 + self.ring.lift(c), self.xu)
 
     def __add__(self, other):
         if not isinstance(other, Paravector):

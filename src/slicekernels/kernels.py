@@ -27,7 +27,7 @@ from . import coeffs as cf
 from .clifford import Multivector, Paravector
 from .diffop import named_operator, oracle_apply
 from .errors import InvalidParams, SingularKernel
-from .rings import RATIONALS, FloatRing
+from .rings import RATIONALS, FloatRing, LaneRing, Lanes
 
 
 def _plane_quadratic(s: Paravector, x: Paravector, x_norm_sq) -> Paravector:
@@ -44,9 +44,9 @@ def pseudo_denominator(s: Paravector, x: Paravector) -> Paravector:
 
     Built from coordinates as a + b s_u, with a = ((s0 s0 - |s_u|^2) -
     s0 (2 x0)) + |x|^2 and each vector coordinate (s0 + s0) s_i - s_i (2 x0),
-    in that order.  These are the operations of
-    (s.pow(2) - s.scale(2 x0)).add_scalar(|x|^2), whose plane recurrence
-    only adds products by an exact 1, so the two agree bit for bit.
+    in that order.  These are the operations of s.pow(2) - s.scale(2 x0)
+    with |x|^2 then added to its scalar part; the plane recurrence of
+    `pow` only adds products by an exact 1, so the two agree bit for bit.
     """
     return _plane_quadratic(s, x, x.norm_sq())
 
@@ -71,12 +71,17 @@ def _checked_denominator(s: Paravector, x: Paravector) -> tuple:
     and x divided by a power of two, which is exact and leaves the relative
     test unchanged because Q is homogeneous; |Q|^2 is still that of Q. A Q
     that overflows, or that underflows to zero off [x], raises InvalidParams.
+    Over lanes (s over LaneRing), a lane that would take the rescale or
+    raise gets NaN for |Q|^2, so its inverse and kernel read NaN.
     """
     nx = x.norm_sq()
     q = _plane_quadratic(s, x, nx)
     nq = q.norm_sq()
     ring = s.ring
-    if isinstance(ring, FloatRing):
+    if isinstance(ring, LaneRing):
+        bound = SINGULAR_TOL * _singular_scale(s, nx)
+        nq = Lanes([t if 0.0 < b < t < math.inf else math.nan for t, b in zip(nq.v, bound.v)])
+    elif isinstance(ring, FloatRing):
         test, bound = nq, SINGULAR_TOL * _singular_scale(s, nx)
         if test in (0.0, math.inf) or bound in (0.0, math.inf):
             if not all(map(math.isfinite, q.coords())):

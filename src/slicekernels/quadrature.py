@@ -3,14 +3,19 @@ form of the Fueter-Sce map, on axially symmetric balls at desk scale.
 
 Quadrature runs in float arithmetic only; the trapezoidal rule on the
 periodic circle parametrization is spectrally accurate for the analytic
-integrands used here.  The library kernel is evaluated once per node; each
-blade of the integral is then one exactly rounded `math.fsum` over the
-products of kernel blades and blades of w_j f(s_j), so the result does not
-depend on summation order.  A contour's nodes and weights are built once per
-contour value, and the blade columns of w_j f(s_j) once per slice function
-and contour; each memo keeps its two most recent entries, so repeated
-integrals over one contour, or alternating over two, pay only for the kernel
-at each node.
+integrands used here.  The library kernel is evaluated once per integral,
+over the contour's nodes as float lanes (`rings.Lanes`), so each blade of
+the kernel is a column of its values at the nodes, each the float the
+kernel gives at that node alone.  When a node leaves the kernels' common
+float branch, every node is evaluated over floats, in node order, so each
+raises or rescales as it does alone.  Each blade of the integral is then
+one exactly rounded `math.fsum` over the products of kernel blades and
+blades of w_j f(s_j), so the result does not depend on summation order.
+A contour's nodes, node lanes and weights are built once per contour
+value, and the blade columns of w_j f(s_j) once per slice function and
+contour; each memo keeps its two most recent entries, so repeated
+integrals over one contour, or alternating over two, pay only for one
+kernel call.
 """
 
 from __future__ import annotations
@@ -24,7 +29,11 @@ from itertools import chain
 from .clifford import Multivector, Paravector, blade_product
 from .errors import DomainError, InvalidParams, ParityError
 from .kernels import cauchy_left, fueter_sce_kernel
-from .rings import FLOATS
+from .rings import FLOATS, LANES, Lanes
+
+# Nodes per contour, at most: a contour costs about 1.5 KB per node, and the
+# suites' checks converge long before this.
+MAX_NODES = 2**16
 
 
 class SliceFunction:
@@ -126,6 +135,8 @@ class ContourSpec:
             raise InvalidParams("center must be finite")
         if nodes < 8 or nodes % 2:
             raise InvalidParams("node count must be even and >= 8")
+        if nodes > MAX_NODES:
+            raise InvalidParams(f"node count must be <= {MAX_NODES}, got {nodes}")
         self.I = I
         self.center = center
         self.radius = radius
@@ -158,8 +169,9 @@ def contour_nodes(contour: ContourSpec) -> tuple:
 # every other check stays on one, so a larger cache only holds more memory.
 @lru_cache(maxsize=2)
 def _nodes(key: tuple) -> tuple:
-    """The (s, w) pairs of a contour, its nodes s_j and its weights as
-    multivectors, built once per contour value."""
+    """The (s, w) pairs of a contour, its nodes s_j, the nodes as one
+    paravector over lanes, and its weights as multivectors, built once per
+    contour value."""
     *values, N = key
     *I, c, r = map(float.fromhex, values)
     step = 2.0 * math.pi / N
@@ -170,17 +182,23 @@ def _nodes(key: tuple) -> tuple:
         s = Paravector(FLOATS, c + r * ct, tuple(comp * (r * st) for comp in I))
         w = Paravector(FLOATS, r * ct * step, tuple(comp * (r * st * step) for comp in I))
         pairs.append((s, w))
-    return (tuple(pairs), tuple(s for s, _ in pairs),
+    points = tuple(s for s, _ in pairs)
+    lanes = [Lanes(list(c)) for c in zip(*(s.coords() for s in points))]
+    return (tuple(pairs), points, Paravector(LANES, lanes[0], lanes[1:]),
             tuple(w.to_multivector() for _, w in pairs))
 
 
 def _require_interior(x: Paravector, contour: ContourSpec):
+    """Refuse an x that is not finite, or not inside the contour by more
+    than 1e-9 of its radius; hypot scales, so no radius over- or underflows."""
     if x.n != contour.n:
         raise InvalidParams("point and contour dimensions differ")
-    v = math.sqrt(float(x.vector_norm_sq()))
-    dist = math.hypot(float(x.x0) - contour.center, v)
+    coords = [float(c) for c in x.coords()]
+    if not all(map(math.isfinite, coords)):
+        raise InvalidParams("x must be finite")
+    dist = math.hypot(coords[0] - contour.center, *coords[1:])
     r = contour.radius
-    if abs(dist - r) <= 1e-9 * max(1.0, r):
+    if abs(dist - r) <= 1e-9 * r:
         raise DomainError("x lies on the contour")
     if dist > r:
         raise DomainError("x lies outside the axially symmetric domain")
@@ -192,8 +210,24 @@ def _columns(multivectors) -> dict:
     return {m: [b.get(m, 0.0) for b in blades] for m in set().union(*blades)}
 
 
+def _kernel_columns(kernel, x: Paravector, key: tuple) -> dict:
+    """mask -> kernel(s_j, x)[mask] over the nodes, zero where absent.
+
+    One kernel call over the node lanes; each finite lane is its node's
+    float kernel, but for the sign of a zero.  A lane that is not finite
+    left the kernels' common float branch, or overflowed, and a kernel that
+    is zero in every lane would hide one; then every node is evaluated
+    alone, in node order, so the first that raises raises as it does alone.
+    """
+    _, points, lanes, _ = _nodes(key)
+    columns = {m: c.v for m, c in kernel(lanes, x).blades.items()}
+    if columns and all(math.isfinite(sum(col)) for col in columns.values()):
+        return columns
+    return _columns(kernel(s, x) for s in points)
+
+
 def _integrand(f, contour: ContourSpec):
-    """The nodes s_j and, per blade p of w_j f(s_j), (column, -column)."""
+    """Per blade p of w_j f(s_j), (column, -column) over the nodes."""
     if isinstance(f, SliceFunction):
         return _slice_integrand(f.terms, contour.key)
     return _integrand_columns(f, contour.key)
@@ -203,25 +237,25 @@ def _integrand(f, contour: ContourSpec):
 # contours with one f, and every other check keeps one f on one contour.  A
 # slice function's values depend on its float terms alone, so they key it.
 @lru_cache(maxsize=2)
-def _slice_integrand(terms: tuple, key: tuple) -> tuple:
+def _slice_integrand(terms: tuple, key: tuple) -> dict:
     return _integrand_columns(partial(_slice_value, terms), key)
 
 
-def _integrand_columns(f, key: tuple) -> tuple:
-    _, points, weights = _nodes(key)
+def _integrand_columns(f, key: tuple) -> dict:
+    _, points, _, weights = _nodes(key)
     products = map(operator.mul, weights, map(f, points))
-    return points, {p: (tuple(col), tuple(-v for v in col))
-                    for p, col in _columns(products).items()}
+    return {p: (tuple(col), tuple(-v for v in col)) for p, col in _columns(products).items()}
 
 
 def _integral(kernel, f, x: Paravector, contour: ContourSpec) -> Multivector:
-    """(1/2pi) sum of kernel(s_j, x) w_j f(s_j), one kernel call per node.  By
-    bilinearity, blade m^p of the sum is one exactly rounded fsum of
-    sign(m, p) K_j[m] (w_j f(s_j))[p] over every node j and blade pair (m, p)."""
+    """(1/2pi) sum of kernel(s_j, x) w_j f(s_j), one kernel call over the
+    node lanes.  By bilinearity, blade m^p of the sum is one exactly rounded
+    fsum of sign(m, p) K_j[m] (w_j f(s_j))[p] over every node j and blade
+    pair (m, p)."""
     _require_interior(x, contour)
-    points, columns = _integrand(f, contour)
+    columns = _integrand(f, contour)
     terms: dict = {}
-    for m, kc in _columns(kernel(s, x) for s in points).items():
+    for m, kc in _kernel_columns(kernel, x, contour.key).items():
         for p, signed in columns.items():
             mask, sign = blade_product(m, p)
             terms.setdefault(mask, []).append(map(operator.mul, kc, signed[sign < 0]))

@@ -1,4 +1,5 @@
-"""Coefficient rings: exact rationals, floats, and truncated Taylor jets.
+"""Coefficient rings: exact rationals, floats, float lanes, and truncated
+Taylor jets.
 
 All algebraic containers in this library (multivectors, paravectors,
 differential operators) are generic over a small ring interface:
@@ -6,8 +7,10 @@ differential operators) are generic over a small ring interface:
     ring.zero(), ring.one(), ring.lift(v), ring.invert(v), ring.magnitude(v)
 
 Ring *elements* combine through ordinary Python operators, so ``Fraction``,
-``float`` and :class:`Jet` all drive the same Clifford arithmetic, and zero
-is exact in every ring: an element is zero iff it is false (``not v``).
+``float``, :class:`Lanes` and :class:`Jet` all drive the same Clifford
+arithmetic, and zero is exact in every ring: an element is zero iff it is
+false (``not v``).  Lanes hold one float per lane (per quadrature node), so
+one kernel call over lanes gives every lane's float value.
 The two scalar rings also own their number format: ``split(values)`` gives
 the nonzero values as numerators over one denominator (ints over their lcm
 for rationals, the floats themselves over 1), and ``quotient(num, den)``
@@ -105,8 +108,92 @@ class FloatRing:
         return "FloatRing()"
 
 
+class Lanes:
+    """One float per lane, such as one per quadrature node, combined lane by lane.
+
+    `+`, `-`, `*` and unary `-` apply FloatRing's IEEE operation to each
+    pair of lanes, or to each lane and a plain number on the other side, in
+    the written operand order, so every lane holds the float it would hold
+    alone.  A value is true when any lane is nonzero, so a multivector over
+    lanes keeps a blade that any lane has.  `v` is the list of lane values;
+    operands of one operation have the same number of lanes.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, values: list):
+        self.v = values
+
+    def __add__(self, other):
+        if isinstance(other, Lanes):
+            return Lanes([a + b for a, b in zip(self.v, other.v)])
+        return Lanes([a + other for a in self.v])
+
+    def __radd__(self, other):
+        return Lanes([other + a for a in self.v])
+
+    def __sub__(self, other):
+        if isinstance(other, Lanes):
+            return Lanes([a - b for a, b in zip(self.v, other.v)])
+        return Lanes([a - other for a in self.v])
+
+    def __rsub__(self, other):
+        return Lanes([other - a for a in self.v])
+
+    def __mul__(self, other):
+        if isinstance(other, Lanes):
+            return Lanes([a * b for a, b in zip(self.v, other.v)])
+        return Lanes([a * other for a in self.v])
+
+    def __rmul__(self, other):
+        return Lanes([other * a for a in self.v])
+
+    def __neg__(self):
+        return Lanes([-a for a in self.v])
+
+    def __abs__(self):
+        return Lanes([abs(a) for a in self.v])
+
+    def __bool__(self):
+        return any(self.v)
+
+    def __repr__(self):
+        return f"Lanes({self.v!r})"
+
+
+class LaneRing:
+    """Floats over lanes (`Lanes`), so one kernel call serves every lane.
+
+    Its zero, one and lifts of plain numbers are plain floats, which
+    broadcast against lanes.  Kernels evaluate over lanes with FloatRing's
+    operations; only the float branches that test a value (the kernels'
+    singular guard and the range rescale of a paravector inverse) read each
+    lane.  Every lane that takes their common branch holds its float
+    result, and a lane that would take another branch reads NaN from there
+    on, for the caller to evaluate over FloatRing alone.  There is no
+    `invert`: the one inverse over lanes, `Paravector._inverse`, reads each
+    lane itself.
+    """
+
+    def zero(self) -> float:
+        return 0.0
+
+    def one(self) -> float:
+        return 1.0
+
+    def lift(self, v):
+        return v if isinstance(v, Lanes) else float(v)
+
+    def magnitude(self, v):
+        return abs(v)
+
+    def __repr__(self):
+        return "LaneRing()"
+
+
 RATIONALS = RationalRing()
 FLOATS = FloatRing()
+LANES = LaneRing()
 
 
 def _box(corner: tuple):

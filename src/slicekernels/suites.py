@@ -30,6 +30,7 @@ from .clifford import MAX_DIMENSION, Multivector, Paravector, format_paravector
 from .diffop import named_operator, oracle_apply
 from .errors import InvalidParams
 from .quadrature import (
+    MAX_NODES,
     ContourSpec,
     SliceFunction,
     cauchy_reconstruct,
@@ -80,6 +81,8 @@ class SuiteConfig:
             raise InvalidParams(f"series_terms must be >= 0, got {self.series_terms}")
         if self.quad_nodes < 8 or self.quad_nodes % 2:
             raise InvalidParams(f"quad_nodes must be even and >= 8, got {self.quad_nodes}")
+        if self.quad_nodes > MAX_NODES:
+            raise InvalidParams(f"quad_nodes must be <= {MAX_NODES}, got {self.quad_nodes}")
         if self.jobs is not None and self.jobs < 1:
             raise InvalidParams(f"jobs must be >= 1, got {self.jobs}")
         if not self.n_values:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from slicekernels import clifford, quadrature, suites
 from slicekernels.clifford import Multivector, Paravector, blade_product
-from slicekernels.errors import DomainError, InvalidParams, ParityError
+from slicekernels.errors import DomainError, InvalidParams, ParityError, SingularKernel
 from slicekernels.kernels import cauchy_left, fueter_sce_kernel
 from slicekernels.quadrature import (
     ContourSpec,
@@ -292,9 +292,9 @@ def test_fsum_integral_is_the_memo_free_sum_and_near_the_tree_sum(coeffs, half_n
         assert (got - tree).norm_float() <= 1e-12 * max(1.0, got.norm_float())
 
 
-def test_one_kernel_call_and_one_product_per_node(monkeypatch):
-    # after the kernel, no node pays for a Clifford product: on a warm memo
-    # the only product per node is the kernel's own
+def test_one_kernel_call_and_one_kernel_product_per_integral(monkeypatch):
+    # the kernel runs once, over the node lanes, and no node pays for a
+    # Clifford product: on a warm memo the only product is the kernel's own
     contour = ContourSpec(I3, 0.0, 2.0, 64)
     x = fpv(0.3, 0.1, -0.2, 0.4)
     f = SliceFunction.from_power_series([0, 1, 2])
@@ -313,8 +313,99 @@ def test_one_kernel_call_and_one_product_per_node(monkeypatch):
         monkeypatch.setattr(quadrature, name, counted(name, getattr(quadrature, name)))
         quadrature._slice_integrand.cache_clear()
         integral(f, x, contour)  # fills the memo: one w_j f(s_j) per node
-        assert counts == {name: 64, "product": 128}
+        assert counts == {name: 1, "product": 65}
         counts.clear()
         integral(f, x, contour)
-        assert counts == {name: 64, "product": 64}
+        assert counts == {name: 1, "product": 1}
         counts.clear()
+
+
+def _outcome(integral, *args):
+    """An integral's blades as float.hex, or the type and message it raises."""
+    try:
+        return [(m, v.hex()) for m, v in integral(*args).blades.items()]
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _scaled(e, coords):
+    return fpv(*(math.ldexp(c, e) for c in coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3),
+       st.integers(min_value=4, max_value=32), st.sampled_from([I3, TILTED]),
+       # scales where the nodes leave the kernels' common float branch, some
+       # or all of them, are drawn more often
+       st.one_of(st.integers(min_value=-300, max_value=300),
+                 st.integers(min_value=-260, max_value=-252),
+                 st.integers(min_value=252, max_value=258)),
+       st.floats(min_value=-1.2, max_value=1.2),
+       st.lists(st.floats(min_value=-0.8, max_value=0.8), min_size=3, max_size=3))
+def test_lane_integrals_are_the_per_node_integrals_at_any_scale(coeffs, half_nodes, direction,
+                                                                 e, x0, xu):
+    # bit for bit, or the same exception: a scale of 2^e moves |Q|^2 by
+    # 2^(4e), so near |e| = 255 some nodes, and beyond it all, take the
+    # float kernels' rescale, and the Fueter-Sce kernel may over- or underflow
+    f = SliceFunction.from_power_series(coeffs)
+    contour = ContourSpec(direction, 0.0, math.ldexp(2.0, e), 2 * half_nodes)
+    x = _scaled(e, (x0, *xu))
+    for integral, kernel in ((cauchy_reconstruct, _left), (fueter_sce_integral, _fueter)):
+        assert _outcome(integral, f, x, contour) == _outcome(_direct, kernel, f, x, contour)
+
+
+def test_a_node_that_raises_raises_what_the_per_node_loop_raises():
+    f = SliceFunction.from_power_series([0, 1])
+    contour = ContourSpec(I3, 0.0, 2.0, 8)
+    s = contour_nodes(contour)[2][0]  # the node at I
+    # x just inside the contour, on the sphere of that node alone
+    x = Paravector(FLOATS, s.x0 * (1 - 1e-8), tuple(c * (1 - 1e-8) for c in s.xu))
+    big = ContourSpec(I3, 0.0, 2.0 ** 540, 8)
+    for integral, kernel in ((cauchy_reconstruct, _left), (fueter_sce_integral, _fueter)):
+        with pytest.raises(SingularKernel, match=r"^singular: s in \[x\]$"):
+            integral(f, x, contour)
+        assert _outcome(integral, f, x, contour) == _outcome(_direct, kernel, f, x, contour)
+        y = _scaled(540, (0.3, 0.1, -0.2, 0.4))
+        with pytest.raises(InvalidParams, match=r"^Q_\{c,s\}\(x\) lies outside float range$"):
+            integral(f, y, big)
+        assert _outcome(integral, f, y, big) == _outcome(_direct, kernel, f, y, big)
+
+
+@pytest.mark.parametrize("e", [-300, -200, 200, 300])
+def test_reconstruction_is_scale_free(e):
+    # x at a quarter of the radius and the identity f(x) = x, on both sides
+    # of the scales (about 2^+-255) beyond which the kernels rescale
+    f = SliceFunction.from_power_series([0, 1])
+    x = _scaled(e, (0.25, 0.1, -0.2, 0.3))
+    got = cauchy_reconstruct(f, x, ContourSpec(I3, 0.0, math.ldexp(2.0, e), 64))
+    expected = x.to_multivector()
+    assert (got - expected).norm_float() <= 1e-14 * expected.norm_float()
+
+
+def test_interior_test_is_scale_free_and_refuses_non_finite_points():
+    for r in (2.0 ** -540, 2.0 ** 540, 1.0):
+        contour = ContourSpec(I3, 0.0, r, 8)
+        quadrature._require_interior(fpv(r / 4, 0.0, 0.0, 0.0), contour)  # no error
+        with pytest.raises(DomainError, match="on the contour"):
+            quadrature._require_interior(fpv(0.0, 0.0, r, 0.0), contour)
+        with pytest.raises(DomainError, match="outside"):
+            quadrature._require_interior(fpv(0.0, r, 0.0, r), contour)
+    # |x|^2 overflows here, though x is well inside
+    quadrature._require_interior(fpv(1e300, 1e299, 0.0, 0.0), ContourSpec(I3, 1e300, 1e300, 8))
+    contour = ContourSpec(I3, 0.0, 2.0, 8)
+    f = SliceFunction.from_power_series([0, 1])
+    nan, inf = math.nan, math.inf
+    for coords in ((nan, 0.0, 0.0, 0.0), (0.0, 0.1, nan, 0.0), (0.0, inf, 0.0, 0.0)):
+        with pytest.raises(InvalidParams, match="^x must be finite$"):
+            cauchy_reconstruct(f, fpv(*coords), contour)
+
+
+def test_node_count_is_capped_before_anything_is_built():
+    quadrature._nodes.cache_clear()
+    assert ContourSpec(I3, 0.0, 2.0, quadrature.MAX_NODES).nodes == 2**16
+    for nodes in (2**16 + 2, 2**24, 2**60):
+        with pytest.raises(InvalidParams, match=f"^node count must be <= 65536, got {nodes}$"):
+            ContourSpec(I3, 0.0, 2.0, nodes)
+        with pytest.raises(InvalidParams, match=f"^quad_nodes must be <= 65536, got {nodes}$"):
+            suites.SuiteConfig(suite="quadrature", quad_nodes=nodes).validate()
+    assert quadrature._nodes.cache_info().currsize == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,11 @@ from slicekernels.clifford import (
 from slicekernels.errors import InvalidParams, NonInvertibleConstantTerm, OrderExceeded
 from slicekernels.rings import (
     FLOATS,
+    LANES,
     RATIONALS,
     Jet,
     JetRing,
+    Lanes,
     jet_context,
     mul_into,
 )
@@ -542,3 +545,36 @@ def test_exact_jet_geometric_product_checks_the_jet_shape():
     c = Jet(jet_context(2, ((2, 0), (1, 0))), RATIONALS, {0: 1, 1: 2})
     assert (geometric_product(Multivector(1, ring, {1: a}), Multivector(1, ring, {1: c}))
             == Multivector(1, ring, {0: -(a * a)}))
+
+
+# Values where IEEE arithmetic has its edge cases: signed zeros, subnormals,
+# infinities, NaN, and magnitudes whose products over- or underflow.
+_EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1074 * 3, 2.0 ** -1022 / 3,
+                         2.0 ** -1000, -2.0 ** -1000, 2.0 ** 1000, -2.0 ** 1000,
+                         1.7976931348623157e308, math.inf, -math.inf, math.nan])
+_LANE = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _EDGE)
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda k: st.tuples(*[st.lists(_LANE, min_size=k, max_size=k)] * 2)), _LANE)
+def test_lane_operations_are_float_operations_lane_by_lane(lanes, c):
+    a, b = lanes
+    x, y = Lanes(list(a)), Lanes(list(b))
+    for op in (operator.add, operator.sub, operator.mul):
+        assert _hexes(op(x, y).v) == _hexes(map(op, a, b))
+        # a plain float broadcasts, on either side and in its operand order
+        assert _hexes(op(x, c).v) == _hexes(op(u, c) for u in a)
+        assert _hexes(op(c, x).v) == _hexes(op(c, u) for u in a)
+    assert _hexes((-x).v) == _hexes(-u for u in a)
+    assert _hexes(abs(x).v) == _hexes(map(abs, a))
+    assert _hexes(LANES.magnitude(x).v) == _hexes(map(FLOATS.magnitude, a))
+    # true when any lane is nonzero: -0.0 is zero, NaN is not
+    assert bool(x) is any(u != 0.0 for u in a)
+    assert _hexes(x.v) == _hexes(a)  # no operation changed its operand
+    assert LANES.lift(x) is x
+    assert [LANES.zero(), LANES.one(), LANES.lift(Fraction(1, 4))] == [0.0, 1.0, 0.25]

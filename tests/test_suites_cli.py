@@ -380,6 +380,10 @@ def test_cli_eval_float_overflow(capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--suite", "quadrature", "--nodes", "7"], "error: quad_nodes must be even and >= 8, got 7"),
     (["--suite", "quadrature", "--nodes", "-4"], "error: quad_nodes must be even and >= 8, got -4"),
+    (["--suite", "quadrature", "--nodes", "65538"],
+     "error: quad_nodes must be <= 65536, got 65538"),
+    (["--suite", "quadrature", "--nodes", str(2**24)],
+     "error: quad_nodes must be <= 65536, got 16777216"),
     (["--suite", "series", "--terms", "-1"], "error: series_terms must be >= 0, got -1"),
     (["--suite", "forms", "--jobs", "0"], "error: jobs must be >= 1, got 0"),
     (["--suite", "forms", "--jobs", "-2"], "error: jobs must be >= 1, got -2"),
