@@ -33,7 +33,6 @@ from .errors import (
     InvalidParams,
     NonInvertibleConstantTerm,
     OrderExceeded,
-    ParityError,
     SingularKernel,
     SliceKernelsError,
     ZeroNorm,

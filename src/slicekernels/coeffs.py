@@ -128,18 +128,46 @@ class IdentityCase:
     j: int
 
 
+def _only_j0(k: int) -> range:
+    """The j range of an identity that takes no j."""
+    return range(1)
+
+
+# identity -> (least k, d, the j range at k): the admissible parameters are
+# k >= least k, 0 <= m <= h_n - 2k - d and j in that range.  The lowercase
+# identities arise when one more Dirac operator is applied at even power
+# 2*k2, so they need k2 >= 1 and h_n >= m + 2*k2; the uppercase ones step
+# from odd power 2*k1+3 to 2*k1+4 and need k1 >= 0 and h_n >= m + 2*k1 + 3.
+IDENTITY_RANGES = {
+    "c1": (1, 0, _only_j0),
+    "c2": (1, 0, lambda k: range(0, k - 1)),
+    "c3": (1, 0, _only_j0),
+    "c4": (1, 0, lambda k: range(1, k)),
+    "c5": (1, 0, _only_j0),
+    "C1": (0, 3, lambda k: range(0, k + 1)),
+    "C2": (0, 3, _only_j0),
+    "C3": (0, 3, lambda k: range(0, k + 1)),
+    "C4": (0, 3, _only_j0),
+}
+LOWER_IDENTITIES = tuple(i for i in IDENTITY_RANGES if i.islower())
+UPPER_IDENTITIES = tuple(i for i in IDENTITY_RANGES if i.isupper())
+
+
 def check_appendix_identity(identity: str, h_n: int, m: int, k: int, j: int = 0) -> bool:
     """Exact LHS-RHS evaluation of one coefficient identity; True iff zero.
 
     `k` is k2 for the lowercase identities and k1 for the uppercase ones.
-    Parameters must be admissible (see `appendix_cases` for ranges).
+    Parameters outside the identity's range (`IDENTITY_RANGES`) raise.
     """
+    if identity not in IDENTITY_RANGES:
+        raise InvalidParams(f"unknown identity {identity!r}")
+    least_k, d, js = IDENTITY_RANGES[identity]
+    if not (k >= least_k and 0 <= m <= h_n - 2 * k - d and j in js(k)):
+        raise InvalidParams(f"{identity} is not defined at h_n={h_n}, m={m}, k={k}, j={j}")
     if identity == "c1":
         lhs = 2 * (m + 2 * k) * coeff("b2", k - 1, k, m, h_n)
         rhs = 2 * coeff("a1", k - 1, k, m, h_n)
     elif identity == "c2":
-        if not 0 <= j <= k - 2:
-            raise InvalidParams("c2 needs 0 <= j <= k2-2")
         lhs = ((-2 * j - 2) * coeff("a2", j + 1, k, m, h_n)
                + 2 * (m + k + j + 1) * coeff("b2", j, k, m, h_n))
         rhs = 2 * coeff("a1", j, k, m, h_n)
@@ -147,8 +175,6 @@ def check_appendix_identity(identity: str, h_n: int, m: int, k: int, j: int = 0)
         lhs = 2 * coeff("a2", 0, k, m, h_n) * (h_n - m - k) - coeff("b2", 0, k, m, h_n)
         rhs = 2 * coeff("b1", 0, k, m, h_n)
     elif identity == "c4":
-        if not 1 <= j <= k - 1:
-            raise InvalidParams("c4 needs 1 <= j <= k2-1")
         lhs = (
             2 * coeff("a2", j, k, m, h_n) * (h_n - m - j - k)
             + 4 * (m + k + j) * coeff("b2", j - 1, k, m, h_n)
@@ -159,8 +185,6 @@ def check_appendix_identity(identity: str, h_n: int, m: int, k: int, j: int = 0)
         lhs = 4 * (m + 2 * k) * coeff("b2", k - 1, k, m, h_n)
         rhs = 2 * coeff("b1", k, k, m, h_n)
     elif identity == "C1":
-        if not 0 <= j <= k:
-            raise InvalidParams("C1 needs 0 <= j <= k1")
         lhs = (-(2 * j + 1) * coeff("a1", j, k + 1, m, h_n)
                + 2 * (m + k + j + 2) * coeff("b1", j, k + 1, m, h_n))
         rhs = 2 * coeff("a2", j, k + 2, m, h_n)
@@ -168,53 +192,27 @@ def check_appendix_identity(identity: str, h_n: int, m: int, k: int, j: int = 0)
         lhs = 2 * (m + 2 * k + 3) * coeff("b1", k + 1, k + 1, m, h_n)
         rhs = 2 * coeff("a2", k + 1, k + 2, m, h_n)
     elif identity == "C3":
-        if not 0 <= j <= k:
-            raise InvalidParams("C3 needs 0 <= j <= k1")
         lhs = (
             2 * (h_n - m - k - 2 - j) * coeff("a1", j, k + 1, m, h_n)
             + 4 * (m + k + j + 2) * coeff("b1", j, k + 1, m, h_n)
             - 2 * (j + 1) * coeff("b1", j + 1, k + 1, m, h_n)
         )
         rhs = 2 * coeff("b2", j, k + 2, m, h_n)
-    elif identity == "C4":
+    else:  # C4
         lhs = 4 * (m + 2 * k + 3) * coeff("b1", k + 1, k + 1, m, h_n)
         rhs = 2 * coeff("b2", k + 1, k + 2, m, h_n)
-    else:
-        raise InvalidParams(f"unknown identity {identity!r}")
     return lhs == rhs
 
 
-LOWER_IDENTITIES = ("c1", "c2", "c3", "c4", "c5")
-UPPER_IDENTITIES = ("C1", "C2", "C3", "C4")
-
-
 def appendix_cases(hn_max: int):
-    """All admissible parameter combinations for the nine identities.
-
-    The lowercase identities arise when one more Dirac operator is applied
-    at even power 2*k2, so they need h_n >= m + 2*k2; the uppercase ones
-    step from odd power 2*k1+3 to 2*k1+4 and need h_n >= m + 2*k1 + 3.
-    """
+    """Every admissible parameter combination of the nine identities, by
+    h_n, then identity, k, m and j."""
     for h_n in range(1, hn_max + 1):
-        for ident in LOWER_IDENTITIES:
-            for k2 in range(1, h_n // 2 + 1):
-                for m in range(0, h_n - 2 * k2 + 1):
-                    if ident == "c2":
-                        for j in range(0, k2 - 1):
-                            yield IdentityCase(ident, h_n, m, k2, j)
-                    elif ident == "c4":
-                        for j in range(1, k2):
-                            yield IdentityCase(ident, h_n, m, k2, j)
-                    else:
-                        yield IdentityCase(ident, h_n, m, k2, 0)
-        for ident in UPPER_IDENTITIES:
-            for k1 in range(0, (h_n - 3) // 2 + 1):
-                for m in range(0, h_n - 2 * k1 - 3 + 1):
-                    if ident in ("C1", "C3"):
-                        for j in range(0, k1 + 1):
-                            yield IdentityCase(ident, h_n, m, k1, j)
-                    else:
-                        yield IdentityCase(ident, h_n, m, k1, 0)
+        for ident, (least_k, d, js) in IDENTITY_RANGES.items():
+            for k in range(least_k, (h_n - d) // 2 + 1):
+                for m in range(0, h_n - 2 * k - d + 1):
+                    for j in js(k):
+                        yield IdentityCase(ident, h_n, m, k, j)
 
 
 def check_stifel(p: int, q: int) -> bool:

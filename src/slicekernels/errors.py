@@ -29,9 +29,5 @@ class InvalidParams(SliceKernelsError):
     """Parameters outside the admissible range of a formula."""
 
 
-class ParityError(SliceKernelsError):
-    """Slice-function components violate the even/odd conditions."""
-
-
 class DomainError(SliceKernelsError):
     """Evaluation point outside (or on the boundary of) the valid domain."""

@@ -3,19 +3,19 @@ form of the Fueter-Sce map, on axially symmetric balls at desk scale.
 
 Quadrature runs in float arithmetic only; the trapezoidal rule on the
 periodic circle parametrization is spectrally accurate for the analytic
-integrands used here.  The library kernel is evaluated once per integral,
-over the contour's nodes as float lanes (`rings.Lanes`), so each blade of
-the kernel is a column of its values at the nodes, each the float the
-kernel gives at that node alone.  When a node leaves the kernels' common
-float branch, every node is evaluated over floats, in node order, so each
-raises or rescales as it does alone.  Each blade of the integral is then
-one exactly rounded `math.fsum` over the products of kernel blades and
-blades of w_j f(s_j), so the result does not depend on summation order.
-A contour's nodes, node lanes and weights are built once per contour
-value, and the blade columns of w_j f(s_j) once per slice function and
-contour; each memo keeps its two most recent entries, so repeated
-integrals over one contour, or alternating over two, pay only for one
-kernel call.
+integrands used here.  Each integral evaluates over the contour's nodes as
+float lanes (`rings.Lanes`), so each blade is a column of its values at the
+nodes, each the float it takes at that node alone: the integrand w_j f(s_j)
+is one lane product of the weights and f, and the library kernel is one
+call.  When a node leaves the kernels' common float branch, the kernel is
+evaluated over floats at every node, in node order, so each raises or
+rescales as it does alone.  Each blade of the integral is then one exactly
+rounded `math.fsum` over the products of kernel blades and integrand
+blades, so the result does not depend on summation order; an integral
+outside float range is refused.  A contour's nodes, node lanes and weights
+are built once per contour value, and the memo keeps its two most recent
+contours, so repeated integrals over one contour, or alternating over two,
+build none.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 
 from .clifford import Multivector, Paravector, blade_product
-from .errors import DomainError, InvalidParams, ParityError
+from .errors import DomainError, InvalidParams
 from .kernels import cauchy_left, fueter_sce_kernel
 from .rings import FLOATS, LANES, Lanes
 
@@ -37,84 +37,30 @@ MAX_NODES = 2**16
 
 
 class SliceFunction:
-    """Polynomial slice function alpha(u,v) + I beta(u,v).
+    """The intrinsic slice function f(x) = sum of a_k x^k, real a_k.
 
-    `alpha` and `beta` map exponent pairs (i, j) of u^i v^j to real
-    coefficients; evaluation reads their float values, taken once at
-    construction.  The even-odd conditions are enforced structurally: alpha
-    may only carry even powers of v and beta only odd powers.
+    `coeffs` holds a_0, a_1, ... as Fractions.  `f(x)` evaluates the series
+    in the ring of the paravector x (rationals, floats, node lanes or
+    jets), so over floats it is the slice extension alpha(x0, |xv|)
+    + (xv/|xv|) beta(x0, |xv|) of the holomorphic polynomial.
     """
 
-    def __init__(self, alpha: dict, beta: dict, series=None):
-        self.alpha = {k: Fraction(v) for k, v in alpha.items() if v != 0}
-        self.beta = {k: Fraction(v) for k, v in beta.items() if v != 0}
-        for (_, j) in self.alpha:
-            if j % 2 == 1:
-                raise ParityError("alpha carries an odd power of v")
-        for (_, j) in self.beta:
-            if j % 2 == 0:
-                raise ParityError("beta carries an even power of v")
-        self.series = tuple(Fraction(c) for c in series) if series is not None else None
-        # float terms (i, j, c) in the order _slice_value sums them; f(s)
-        # depends on nothing else, so they also key the integrand memo
-        self.terms = (tuple((i, j, float(c)) for (i, j), c in self.alpha.items()),
-                      tuple((i, j, float(c)) for (i, j), c in self.beta.items()))
+    __slots__ = ("coeffs",)
 
-    @classmethod
-    def from_power_series(cls, coeffs) -> "SliceFunction":
-        """Intrinsic polynomial sum a_k x^k with real coefficients."""
-        alpha: dict = {}
-        beta: dict = {}
-        for k, a in enumerate(coeffs):
-            a = Fraction(a)
-            if a == 0:
-                continue
-            for t in range(k + 1):
-                # the term u^(k-t) (I v)^t of (u + I v)^k, with I^2 = -1
-                part = beta if t % 2 else alpha
-                sign = -1 if (t // 2) % 2 else 1
-                part[k - t, t] = part.get((k - t, t), Fraction(0)) + sign * a * math.comb(k, t)
-        return cls(alpha, beta, series=coeffs)
+    def __init__(self, coeffs):
+        self.coeffs = tuple(map(Fraction, coeffs))
 
     def __call__(self, x: Paravector) -> Multivector:
-        """Slice extension alpha(x0,|xv|) + (xv/|xv|) beta(x0,|xv|)."""
-        return _slice_value(self.terms, x)
+        ring = x.ring
+        acc = Multivector.zero(x.n, ring)
+        for k, a in enumerate(self.coeffs):
+            if a:
+                acc = acc + x.pow(k).to_multivector().scale(ring.lift(a))
+        return acc
 
     def as_ring_function(self):
-        """Ring-generic closure sum x^k a_k, usable by the jet oracle."""
-        if self.series is None:
-            raise InvalidParams("no power-series representation available")
-        series = self.series
-
-        def f(ring, x):
-            acc = Multivector.zero(x.n, ring)
-            for k, a in enumerate(series):
-                if a == 0:
-                    continue
-                acc = acc + x.pow(k).to_multivector().scale(ring.lift(a))
-            return acc
-
-        return f
-
-
-def _poly(terms, u: float, v: float) -> float:
-    """The sum of c u^i v^j over float terms (i, j, c), in their order."""
-    acc = 0.0
-    for i, j, c in terms:
-        acc += c * u**i * v**j
-    return acc
-
-
-def _slice_value(terms: tuple, x: Paravector) -> Multivector:
-    """The slice function with float terms (alpha, beta) at x."""
-    alpha, beta = terms
-    u = float(x.x0)
-    v2 = float(x.vector_norm_sq())
-    if v2 == 0.0:
-        return Multivector.scalar(x.n, FLOATS, _poly(alpha, u, 0.0))
-    v = math.sqrt(v2)
-    a, b = _poly(alpha, u, v), _poly(beta, u, v)
-    return Paravector(FLOATS, a, tuple(float(c) / v * b for c in x.xu)).to_multivector()
+        """The series as f(ring, x), the form the jet oracle evaluates."""
+        return lambda ring, x: self(x)
 
 
 class ContourSpec:
@@ -169,9 +115,9 @@ def contour_nodes(contour: ContourSpec) -> tuple:
 # every other check stays on one, so a larger cache only holds more memory.
 @lru_cache(maxsize=2)
 def _nodes(key: tuple) -> tuple:
-    """The (s, w) pairs of a contour, its nodes s_j, the nodes as one
-    paravector over lanes, and its weights as multivectors, built once per
-    contour value."""
+    """The (s, w) pairs of a contour, its nodes s_j, and the nodes and the
+    weights as one paravector and one multivector over lanes, built once
+    per contour value."""
     *values, N = key
     *I, c, r = map(float.fromhex, values)
     step = 2.0 * math.pi / N
@@ -183,9 +129,13 @@ def _nodes(key: tuple) -> tuple:
         w = Paravector(FLOATS, r * ct * step, tuple(comp * (r * st * step) for comp in I))
         pairs.append((s, w))
     points = tuple(s for s, _ in pairs)
-    lanes = [Lanes(list(c)) for c in zip(*(s.coords() for s in points))]
-    return (tuple(pairs), points, Paravector(LANES, lanes[0], lanes[1:]),
-            tuple(w.to_multivector() for _, w in pairs))
+
+    def lanes(paravectors):
+        x0, *xu = (Lanes(list(c)) for c in zip(*(p.coords() for p in paravectors)))
+        return Paravector(LANES, x0, xu)
+
+    return (tuple(pairs), points, lanes(points),
+            lanes(w for _, w in pairs).to_multivector())
 
 
 def _require_interior(x: Paravector, contour: ContourSpec):
@@ -226,43 +176,36 @@ def _kernel_columns(kernel, x: Paravector, key: tuple) -> dict:
     return _columns(kernel(s, x) for s in points)
 
 
-def _integrand(f, contour: ContourSpec):
-    """Per blade p of w_j f(s_j), (column, -column) over the nodes."""
-    if isinstance(f, SliceFunction):
-        return _slice_integrand(f.terms, contour.key)
-    return _integrand_columns(f, contour.key)
-
-
-# Two entries, as for _nodes: the slice-independence check alternates two
-# contours with one f, and every other check keeps one f on one contour.  A
-# slice function's values depend on its float terms alone, so they key it.
-@lru_cache(maxsize=2)
-def _slice_integrand(terms: tuple, key: tuple) -> dict:
-    return _integrand_columns(partial(_slice_value, terms), key)
-
-
-def _integrand_columns(f, key: tuple) -> dict:
-    _, points, _, weights = _nodes(key)
-    products = map(operator.mul, weights, map(f, points))
-    return {p: (tuple(col), tuple(-v for v in col)) for p, col in _columns(products).items()}
-
-
 def _integral(kernel, f, x: Paravector, contour: ContourSpec) -> Multivector:
-    """(1/2pi) sum of kernel(s_j, x) w_j f(s_j), one kernel call over the
-    node lanes.  By bilinearity, blade m^p of the sum is one exactly rounded
-    fsum of sign(m, p) K_j[m] (w_j f(s_j))[p] over every node j and blade
-    pair (m, p)."""
+    """(1/2pi) sum of kernel(s_j, x) w_j f(s_j), one kernel call and one
+    lane product w_j f(s_j) over the node lanes.  By bilinearity, blade
+    m^p of the sum is one exactly rounded fsum of sign(m, p) K_j[m]
+    (w_j f(s_j))[p] over every node j and blade pair (m, p); a sum that is
+    not a finite float is refused."""
     _require_interior(x, contour)
-    columns = _integrand(f, contour)
+    key = contour.key
+    _, _, lanes, weights = _nodes(key)
+    integrand = {p: (c.v, [-v for v in c.v]) for p, c in (weights * f(lanes)).blades.items()}
     terms: dict = {}
-    for m, kc in _kernel_columns(kernel, x, contour.key).items():
-        for p, signed in columns.items():
+    for m, kc in _kernel_columns(kernel, x, key).items():
+        for p, signed in integrand.items():
             mask, sign = blade_product(m, p)
             terms.setdefault(mask, []).append(map(operator.mul, kc, signed[sign < 0]))
     scale = 1.0 / (2.0 * math.pi)
     blades = {mask: v for mask in sorted(terms)
-              if (v := math.fsum(chain.from_iterable(terms[mask])) * scale)}
+              if (v := _finite_fsum(chain.from_iterable(terms[mask])) * scale)}
     return Multivector._make(x.n, FLOATS, blades)
+
+
+def _finite_fsum(terms) -> float:
+    """math.fsum of the terms, refused when it is not a finite float."""
+    try:
+        total = math.fsum(terms)
+    except (ValueError, OverflowError):  # inf - inf, or a partial sum overflowed
+        total = math.nan
+    if not math.isfinite(total):
+        raise InvalidParams("integral lies outside float range")
+    return total
 
 
 def cauchy_reconstruct(f, x: Paravector, contour: ContourSpec) -> Multivector:

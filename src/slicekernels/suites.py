@@ -46,6 +46,14 @@ SCHEMA_VERSION = 1
 # the float reports (and the benchmark's float-n9 case counts) pin that set.
 FLOAT_ORACLE_MAX_ORDER = 4
 
+# Upper bounds of the config, checked before any case is built, because every
+# case is built before any runs: past them a case list or one case takes
+# seconds or more (`appendix` at hn_max 32 has 58,376 cases; one n=3
+# `series` case at 960 terms takes about 3 s).
+MAX_TRIALS = 10_000
+MAX_HN = 32
+MAX_SERIES_TERMS = 1000
+
 
 @dataclass
 class SuiteConfig:
@@ -81,8 +89,10 @@ class SuiteConfig:
             raise InvalidParams(f"series_terms must be >= 0, got {self.series_terms}")
         if self.quad_nodes < 8 or self.quad_nodes % 2:
             raise InvalidParams(f"quad_nodes must be even and >= 8, got {self.quad_nodes}")
-        if self.quad_nodes > MAX_NODES:
-            raise InvalidParams(f"quad_nodes must be <= {MAX_NODES}, got {self.quad_nodes}")
+        for name, bound in (("trials", MAX_TRIALS), ("hn_max", MAX_HN),
+                            ("series_terms", MAX_SERIES_TERMS), ("quad_nodes", MAX_NODES)):
+            if (value := getattr(self, name)) > bound:
+                raise InvalidParams(f"{name} must be <= {bound}, got {value}")
         if self.jobs is not None and self.jobs < 1:
             raise InvalidParams(f"jobs must be >= 1, got {self.jobs}")
         if not self.n_values:
@@ -244,7 +254,7 @@ def _run_quad_convergence(params, config: SuiteConfig) -> dict:
     n = params["n"]
     rng = _case_rng(config, params["key"])
     x = _quad_interior_point(n, rng)
-    f = SliceFunction.from_power_series([0, 0, 0, 1])
+    f = SliceFunction([0, 0, 0, 1])
     exact = x.pow(3).to_multivector()
     counts = [2**i for i in range(3, params["nodes"].bit_length())]  # 8, 16, ... <= nodes
     rows = convergence_table(
@@ -314,13 +324,13 @@ def _theorem(p, s, x):
 
 
 def _quad_fs_oracle(p, x):
-    f = SliceFunction.from_power_series([0] * p["k"] + [1])
+    f = SliceFunction([0] * p["k"] + [1])
     got = fueter_sce_integral(f, x.cast(FLOATS), _quad_contour(p["n"], p["nodes"]))
     return got, f.as_ring_function()
 
 
 def _quad_slice_independence(p, x):
-    f = SliceFunction.from_power_series([0, 1, 2, 0, 3])
+    f = SliceFunction([0, 1, 2, 0, 3])
     tilted_dir = tuple(1.0 / math.sqrt(3) if i < 3 else 0.0 for i in range(p["n"]))
     tilted = ContourSpec(tilted_dir, 0.0, 2.0, p["nodes"])
     base = cauchy_reconstruct(f, x, _quad_contour(p["n"], p["nodes"]))
@@ -458,7 +468,7 @@ CHECKS = {
         grid=lambda c: [dict(n=3, k=k, nodes=c.quad_nodes, trial=t)
                         for k in range(0, 9) for t in range(5)],
         quad=lambda p, x: (
-            cauchy_reconstruct(SliceFunction.from_power_series([0] * p["k"] + [1]), x,
+            cauchy_reconstruct(SliceFunction([0] * p["k"] + [1]), x,
                                _quad_contour(p["n"], p["nodes"])),
             x.pow(p["k"]).to_multivector(),
         ),
@@ -469,7 +479,7 @@ CHECKS = {
         grid=lambda c: [dict(n=3, nodes=c.quad_nodes, trial=t) for t in range(5)],
         # Laplacian of x^2 in R^4 is the constant 2 - 2n = -4
         quad=lambda p, x: (
-            fueter_sce_integral(SliceFunction.from_power_series([0, 0, 1]), x,
+            fueter_sce_integral(SliceFunction([0, 0, 1]), x,
                                 _quad_contour(p["n"], p["nodes"])),
             Multivector.scalar(p["n"], FLOATS, 2 - 2 * p["n"]),
         ),

@@ -115,6 +115,27 @@ def test_appendix_out_of_range_params_raise():
         cf.check_appendix_identity("c2", 8, 0, 1, j=0)   # c2 needs j <= k2-2
     with pytest.raises(InvalidParams):
         cf.check_appendix_identity("zz", 4, 0, 1)
+    # m and k outside the range, where the sides once compared anyway
+    with pytest.raises(InvalidParams, match=r"^c3 is not defined at h_n=3, m=5, k=1, j=0$"):
+        cf.check_appendix_identity("c3", 3, 5, 1)
+    with pytest.raises(InvalidParams, match=r"^c1 is not defined at h_n=2, m=0, k=5, j=0$"):
+        cf.check_appendix_identity("c1", 2, 0, 5)
+
+
+def test_appendix_cases_are_exactly_the_parameters_the_checker_admits():
+    hn_max = 9
+    admitted = []
+    for h in range(0, hn_max + 1):
+        for ident in cf.IDENTITY_RANGES:
+            for k in range(-1, h + 2):
+                for m in range(-1, h + 2):
+                    for j in range(-1, k + 3):
+                        try:
+                            cf.check_appendix_identity(ident, h, m, k, j)
+                        except InvalidParams:
+                            continue
+                        admitted.append(cf.IdentityCase(ident, h, m, k, j))
+    assert sorted(admitted, key=repr) == sorted(cf.appendix_cases(hn_max), key=repr)
 
 
 def test_sigma_gamma_link():

@@ -24,7 +24,7 @@ EXACT = {
     "forms": "017f9e0d1ff1b4b0343cbbc2d7694fc1a1eb81be549c621f3a4a125384fa07dd",
     "series": "d66415b72f694fd0d8abb4b1f1215fb8b69f442866baeea8ac9eb2ebedfeee54",
     "catalog": "9d59998218230cd8b40d2c814aa809256716a63e5af61298bcbd48ff72c52412",
-    "quadrature": "c65a0ba221de26493b85353e6bee9293743e62f6ed54c22f913e730337fcd783",
+    "quadrature": "0bed75d562e4df4767a3c0f51ee95dd6e8f4cd7eb27fa5b3067694478b3ff8e4",
 }
 
 # n=7 is where the oracle costs most: operators up to order 6 (Laplacian^3)
@@ -62,7 +62,7 @@ FLOAT = {
 FLOAT_N9 = {
     "theorem-dbar": "517248bd8612fd090917c3d1cbc17e1f99024662d13b4f71fe874bde5ae189a4",
 }
-QUADRATURE_256 = "504853818cfe3a269c0519406fce689f0356d87c7d7c795b059704df50338ead"
+QUADRATURE_256 = "647db55c32da36151e7d8103287396767ad648a7f3301f7043f81b8b8bcd0f44"
 
 EXACT_EXTRA = {"appendix": {"hn_max": 6}, "series": {"series_terms": 20},
                "quadrature": {"quad_nodes": 64}}

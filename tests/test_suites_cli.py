@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from slicekernels import rings
+from slicekernels import rings, suites
 from slicekernels.cli import main
 from slicekernels.clifford import parse_multivector
 from slicekernels.diffop import DiffOperator, named_operator
@@ -385,6 +385,11 @@ def test_cli_eval_float_overflow(capsys):
     (["--suite", "quadrature", "--nodes", str(2**24)],
      "error: quad_nodes must be <= 65536, got 16777216"),
     (["--suite", "series", "--terms", "-1"], "error: series_terms must be >= 0, got -1"),
+    (["--suite", "series", "--terms", "1001"], "error: series_terms must be <= 1000, got 1001"),
+    (["--suite", "appendix", "--hn-max", "33"], "error: hn_max must be <= 32, got 33"),
+    (["--suite", "theorem-d", "--trials", "10001"], "error: trials must be <= 10000, got 10001"),
+    (["--suite", "theorem-d", "--trials", "100000000"],
+     "error: trials must be <= 10000, got 100000000"),
     (["--suite", "forms", "--jobs", "0"], "error: jobs must be >= 1, got 0"),
     (["--suite", "forms", "--jobs", "-2"], "error: jobs must be >= 1, got -2"),
     (["--suite", "forms", "--n="], "error: n_values must name at least one dimension"),
@@ -406,6 +411,11 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, flags, message):
     assert captured.err.splitlines() == [message]
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_config_bounds_themselves_are_admitted():
+    SuiteConfig(suite="appendix", trials=suites.MAX_TRIALS, hn_max=suites.MAX_HN,
+                series_terms=suites.MAX_SERIES_TERMS).validate()
 
 
 def test_cli_eval_lemma_runs_no_oracle(monkeypatch, capsys):
