@@ -15,7 +15,7 @@ from .clifford import MAX_DIMENSION, format_multivector, blade_name, parse_parav
 from .errors import InvalidParams, SliceKernelsError
 from .quadrature import write_convergence_csv
 from .rings import FLOATS, RATIONALS
-from .suites import SUITE_NAMES, SuiteConfig, run_suite
+from .suites import MAX_SERIES_TERMS, SUITE_NAMES, SuiteConfig, run_suite
 
 
 def _cauchy(form: str):
@@ -100,6 +100,8 @@ def _cmd_eval(args) -> int:
         raise InvalidParams("kernel dimension must be odd and >= 3")
     if args.n > MAX_DIMENSION:
         raise InvalidParams(f"dimension {args.n} outside 1..{MAX_DIMENSION}")
+    if args.terms is not None and args.terms > MAX_SERIES_TERMS:
+        raise InvalidParams(f"terms must be <= {MAX_SERIES_TERMS}, got {args.terms}")
     ring = RATIONALS if args.mode == "exact" else FLOATS
     s = parse_paravector(args.s, args.n, ring)
     x = parse_paravector(args.x, args.n, ring)

@@ -157,12 +157,14 @@ def named_operator(n: int, base: str, beta: int, m: int) -> DiffOperator:
 def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     """Apply `op` to `f` at `x` by one evaluation of `f` over the jet ring.
 
-    `f(ring, x)` must evaluate with paravector coordinates drawn from any
-    coefficient ring; `x` fixes the base ring of the result.  The jets carry
-    exactly the down-set of the operator's support (every multi-index below
-    some alpha of `op.terms`), which is all that `op` reads; the shape
-    depends on the operator alone, never on `f`, and comes with its
-    coefficients from `op.blade_terms()`, found once per operator.
+    `f(x)` must evaluate over the ring of the paravector x, as a
+    `quadrature.SliceFunction` and a `kernels.kernel_closure` do; it is
+    called once, at `x` seeded over jets of the ring of `x`, which is the
+    ring of the result.  The jets carry exactly the down-set of the
+    operator's support (every multi-index below some alpha of `op.terms`),
+    which is all that `op` reads; the shape depends on the operator alone,
+    never on `f`, and comes with its coefficients from `op.blade_terms()`,
+    found once per operator.
 
     The sum of c_alpha * d^alpha f is assembled from numerators: the
     coefficients are ints C_alpha / E over one denominator E and the blades
@@ -182,7 +184,7 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
         jring.seed(0, x.x0),
         tuple(jring.seed(i + 1, c) for i, c in enumerate(x.xu)),
     )
-    value = f(jring, seeded)
+    value = f(seeded)
     den = math.lcm(*(jet.den for jet in value.blades.values()))
     acc = [0] * (1 << n)
     for b, jet in value.blades.items():

@@ -27,7 +27,7 @@ from . import coeffs as cf
 from .clifford import Multivector, Paravector
 from .diffop import named_operator, oracle_apply
 from .errors import InvalidParams, SingularKernel
-from .rings import RATIONALS, FloatRing, LaneRing, Lanes
+from .rings import RATIONALS, Lanes
 
 
 def _plane_quadratic(s: Paravector, x: Paravector, x_norm_sq) -> Paravector:
@@ -65,23 +65,24 @@ def _singular_scale(s: Paravector, x_norm_sq) -> float:
 def _checked_denominator(s: Paravector, x: Paravector) -> tuple:
     """(Q_{c,s}(x), |Q|^2), raising SingularKernel when s lies on [x].
 
-    Exact zero test over exact rings; over floats the norm of Q is compared
-    against a tolerance relative to the squared magnitudes of s and x.  When
-    either side of that test leaves float range, it is made on copies of s
-    and x divided by a power of two, which is exact and leaves the relative
-    test unchanged because Q is homogeneous; |Q|^2 is still that of Q. A Q
-    that overflows, or that underflows to zero off [x], raises InvalidParams.
-    Over lanes (s over LaneRing), a lane that would take the rescale or
-    raise gets NaN for |Q|^2, so its inverse and kernel read NaN.
+    The test follows the value of |Q|^2, as `Paravector._inverse` does.  A
+    float is compared against a tolerance relative to the squared
+    magnitudes of s and x.  When either side of that test leaves float
+    range, it is made on copies of s and x divided by a power of two, which
+    is exact and leaves the relative test unchanged because Q is
+    homogeneous; |Q|^2 is still that of Q. A Q that overflows, or that
+    underflows to zero off [x], raises InvalidParams.  Over node lanes
+    (`Lanes`), a lane that would take the rescale or raise gets NaN for
+    |Q|^2, so its inverse and kernel read NaN.  Any other value (a rational
+    or a jet) takes an exact zero test.
     """
     nx = x.norm_sq()
     q = _plane_quadratic(s, x, nx)
     nq = q.norm_sq()
-    ring = s.ring
-    if isinstance(ring, LaneRing):
+    if isinstance(nq, Lanes):
         bound = SINGULAR_TOL * _singular_scale(s, nx)
         nq = Lanes([t if 0.0 < b < t < math.inf else math.nan for t, b in zip(nq.v, bound.v)])
-    elif isinstance(ring, FloatRing):
+    elif isinstance(nq, float):
         test, bound = nq, SINGULAR_TOL * _singular_scale(s, nx)
         if test in (0.0, math.inf) or bound in (0.0, math.inf):
             if not all(map(math.isfinite, q.coords())):
@@ -547,9 +548,9 @@ def sample_series_pair(n: int, rng: Random) -> tuple[Paravector, Paravector]:
 
 
 def kernel_closure(kernel, s: Paravector, **options):
-    """kernel(s, x, **options) as a ring-generic function of x with s baked
-    in, the form `oracle_apply` evaluates over jets."""
-    return lambda ring, x: kernel(s.cast(ring), x, **options)
+    """kernel(s, x, **options) as a function f(x) with s baked in, cast to
+    the ring of x: the form `oracle_apply` evaluates over jets."""
+    return lambda x: kernel(s.cast(x.ring), x, **options)
 
 
 def cauchy_closure(s: Paravector):

@@ -4,8 +4,9 @@ form of the Fueter-Sce map, on axially symmetric balls at desk scale.
 Quadrature runs in float arithmetic only; the trapezoidal rule on the
 periodic circle parametrization is spectrally accurate for the analytic
 integrands used here.  Each integral evaluates over the contour's nodes as
-float lanes (`rings.Lanes`), so each blade is a column of its values at the
-nodes, each the float it takes at that node alone: the integrand w_j f(s_j)
+one float paravector whose coordinates are node lanes (`rings.Lanes`), so
+each blade is a column of its values at the nodes, each the float it takes
+at that node alone: the integrand w_j f(s_j)
 is one lane product of the weights and f, and the library kernel is one
 call.  When a node leaves the kernels' common float branch, the kernel is
 evaluated over floats at every node, in node order, so each raises or
@@ -29,7 +30,7 @@ from itertools import chain
 from .clifford import Multivector, Paravector, blade_product
 from .errors import DomainError, InvalidParams
 from .kernels import cauchy_left, fueter_sce_kernel
-from .rings import FLOATS, LANES, Lanes
+from .rings import FLOATS, Lanes
 
 # Nodes per contour, at most: a contour costs about 1.5 KB per node, and the
 # suites' checks converge long before this.
@@ -42,7 +43,9 @@ class SliceFunction:
     `coeffs` holds a_0, a_1, ... as Fractions.  `f(x)` evaluates the series
     in the ring of the paravector x (rationals, floats, node lanes or
     jets), so over floats it is the slice extension alpha(x0, |xv|)
-    + (xv/|xv|) beta(x0, |xv|) of the holomorphic polynomial.
+    + (xv/|xv|) beta(x0, |xv|) of the holomorphic polynomial.  It is the
+    form the quadrature and the jet oracle both evaluate.  Over floats, a
+    coefficient outside float range raises InvalidParams.
     """
 
     __slots__ = ("coeffs",)
@@ -52,15 +55,14 @@ class SliceFunction:
 
     def __call__(self, x: Paravector) -> Multivector:
         ring = x.ring
+        try:
+            terms = [(k, ring.lift(a)) for k, a in enumerate(self.coeffs) if a]
+        except OverflowError:
+            raise InvalidParams("slice function coefficient lies outside float range") from None
         acc = Multivector.zero(x.n, ring)
-        for k, a in enumerate(self.coeffs):
-            if a:
-                acc = acc + x.pow(k).to_multivector().scale(ring.lift(a))
+        for k, a in terms:
+            acc = acc + x.pow(k).to_multivector().scale(a)
         return acc
-
-    def as_ring_function(self):
-        """The series as f(ring, x), the form the jet oracle evaluates."""
-        return lambda ring, x: self(x)
 
 
 class ContourSpec:
@@ -116,8 +118,8 @@ def contour_nodes(contour: ContourSpec) -> tuple:
 @lru_cache(maxsize=2)
 def _nodes(key: tuple) -> tuple:
     """The (s, w) pairs of a contour, its nodes s_j, and the nodes and the
-    weights as one paravector and one multivector over lanes, built once
-    per contour value."""
+    weights as one float paravector and one float multivector whose values
+    are node lanes, built once per contour value."""
     *values, N = key
     *I, c, r = map(float.fromhex, values)
     step = 2.0 * math.pi / N
@@ -132,7 +134,7 @@ def _nodes(key: tuple) -> tuple:
 
     def lanes(paravectors):
         x0, *xu = (Lanes(list(c)) for c in zip(*(p.coords() for p in paravectors)))
-        return Paravector(LANES, x0, xu)
+        return Paravector(FLOATS, x0, xu)
 
     return (tuple(pairs), points, lanes(points),
             lanes(w for _, w in pairs).to_multivector())

@@ -1,5 +1,4 @@
-"""Coefficient rings: exact rationals, floats, float lanes, and truncated
-Taylor jets.
+"""Coefficient rings: exact rationals, floats, and truncated Taylor jets.
 
 All algebraic containers in this library (multivectors, paravectors,
 differential operators) are generic over a small ring interface:
@@ -9,8 +8,9 @@ differential operators) are generic over a small ring interface:
 Ring *elements* combine through ordinary Python operators, so ``Fraction``,
 ``float``, :class:`Lanes` and :class:`Jet` all drive the same Clifford
 arithmetic, and zero is exact in every ring: an element is zero iff it is
-false (``not v``).  Lanes hold one float per lane (per quadrature node), so
-one kernel call over lanes gives every lane's float value.
+false (``not v``).  A :class:`Lanes` value is a float ring value with one
+float per lane (per quadrature node), so one kernel call over lanes gives
+every lane's float value.
 The two scalar rings also own their number format: ``split(values)`` gives
 the nonzero values as numerators over one denominator (ints over their lcm
 for rationals, the floats themselves over 1), and ``quotient(num, den)``
@@ -117,6 +117,17 @@ class Lanes:
     alone.  A value is true when any lane is nonzero, so a multivector over
     lanes keeps a blade that any lane has.  `v` is the list of lane values;
     operands of one operation have the same number of lanes.
+
+    Lanes are FloatRing values: a paravector over lanes is a `FLOATS`
+    paravector whose coordinates are lanes, and FloatRing's zero, one and
+    lifts are plain floats, which broadcast against them.  Only the float
+    branches that test a value (the kernels' singular guard and the range
+    rescale of a paravector inverse) read each lane; they choose their
+    branch from the value.  Every lane that takes their common branch
+    holds its float result, and a lane that would take another branch
+    reads NaN from there on, for the caller to evaluate over plain floats.
+    `FLOATS.lift` and `FLOATS.invert` take no lanes: the one inverse over
+    lanes, `Paravector._inverse`, reads each lane itself.
     """
 
     __slots__ = ("v",)
@@ -161,39 +172,8 @@ class Lanes:
         return f"Lanes({self.v!r})"
 
 
-class LaneRing:
-    """Floats over lanes (`Lanes`), so one kernel call serves every lane.
-
-    Its zero, one and lifts of plain numbers are plain floats, which
-    broadcast against lanes.  Kernels evaluate over lanes with FloatRing's
-    operations; only the float branches that test a value (the kernels'
-    singular guard and the range rescale of a paravector inverse) read each
-    lane.  Every lane that takes their common branch holds its float
-    result, and a lane that would take another branch reads NaN from there
-    on, for the caller to evaluate over FloatRing alone.  There is no
-    `invert`: the one inverse over lanes, `Paravector._inverse`, reads each
-    lane itself.
-    """
-
-    def zero(self) -> float:
-        return 0.0
-
-    def one(self) -> float:
-        return 1.0
-
-    def lift(self, v):
-        return v if isinstance(v, Lanes) else float(v)
-
-    def magnitude(self, v):
-        return abs(v)
-
-    def __repr__(self):
-        return "LaneRing()"
-
-
 RATIONALS = RationalRing()
 FLOATS = FloatRing()
-LANES = LaneRing()
 
 
 def _box(corner: tuple):

@@ -23,7 +23,8 @@ from slicekernels.kernels import (
     kernel_closure,
     sample_point_pair,
 )
-from slicekernels.rings import RATIONALS, JetRing, jet_context
+from slicekernels.quadrature import SliceFunction
+from slicekernels.rings import FLOATS, RATIONALS, JetRing, jet_context
 
 R = RATIONALS
 
@@ -32,15 +33,15 @@ def pv(*coords):
     return Paravector.from_coords(R, list(coords))
 
 
-def _identity_fn(ring, x):
+def _identity_fn(x):
     return x.to_multivector()
 
 
-def _norm_sq_fn(ring, x):
-    return Multivector.scalar(x.n, ring, x.norm_sq())
+def _norm_sq_fn(x):
+    return Multivector.scalar(x.n, x.ring, x.norm_sq())
 
 
-def _square_fn(ring, x):
+def _square_fn(x):
     return x.pow(2).to_multivector()
 
 
@@ -67,6 +68,24 @@ def test_laplacian_on_square():
     x = pv(1, Fraction(1, 3), 0, 2)
     got = oracle_apply(make_laplacian(n), _square_fn, x)
     assert got == Multivector.scalar(n, R, 2 - 2 * n)
+
+
+def test_oracle_takes_a_slice_function_as_it_is():
+    # f(x) = x^2 + 3 x^3 is a function of x alone, so the oracle calls it
+    # as it calls any other f(x): once, at x seeded over jets
+    f = SliceFunction([0, 0, 1, 3])
+
+    def by_hand(xx):
+        return xx.pow(2).to_multivector() + xx.pow(3).to_multivector().scale(3)
+
+    n = 3
+    for x in (pv(1, Fraction(1, 3), 0, 2),
+              Paravector.from_coords(FLOATS, [0.5, 0.25, -1.0, 0.125])):
+        for op in (make_laplacian(n), make_dirac(n), make_dirac_conj(n)):
+            assert oracle_apply(op, f, x) == oracle_apply(op, by_hand, x)
+        # the Laplacian of x^2 is the constant 2 - 2n
+        assert (oracle_apply(make_laplacian(n), SliceFunction([0, 0, 1]), x)
+                == Multivector.scalar(n, x.ring, 2 - 2 * n))
 
 
 def test_factorizations_of_laplacian():
@@ -137,7 +156,7 @@ def test_compose_orders_clifford_coefficients():
     # agrees with the Laplacian after D on a cubic
     x = pv(Fraction(1, 3), Fraction(-1, 2), 1)
 
-    def cube(ring, xx):
+    def cube(xx):
         return xx.pow(3).to_multivector()
 
     D, L = make_dirac(n), make_laplacian(n)
@@ -161,8 +180,8 @@ def test_oracle_linearity():
     f = kernel_closure(cauchy_left, s1)
     g = kernel_closure(cauchy_left, s2)
 
-    def fg(ring, xx):
-        return f(ring, xx) + g(ring, xx)
+    def fg(xx):
+        return f(xx) + g(xx)
 
     assert oracle_apply(D, fg, x) == oracle_apply(D, f, x) + oracle_apply(D, g, x)
 
@@ -173,14 +192,14 @@ def test_left_multiplication_semantics():
     n = 2
     x = pv(Fraction(1, 5), Fraction(2, 3), 1)
 
-    def coordinate(ring, xx):
-        return Multivector.scalar(n, ring, xx.xu[0])  # f = x1
+    def coordinate(xx):
+        return Multivector.scalar(n, xx.ring, xx.xu[0])  # f = x1
 
-    def e2_times_coordinate(ring, xx):
-        return Multivector.blade(n, ring, 2).scale(xx.xu[0])
+    def e2_times_coordinate(xx):
+        return Multivector.blade(n, xx.ring, 2).scale(xx.xu[0])
 
-    def five_times_coordinate(ring, xx):
-        return Multivector.scalar(n, ring, xx.xu[0] * 5)
+    def five_times_coordinate(xx):
+        return Multivector.scalar(n, xx.ring, xx.xu[0] * 5)
 
     D = make_dirac(n)
     base = oracle_apply(D, coordinate, x)
@@ -200,8 +219,8 @@ def _reference_apply(op, f, x):
     # sum of c_alpha * d^alpha f as Fraction Clifford products of the jet
     # derivatives, one term at a time
     jring = JetRing(jet_context(op.n + 1, tuple(op.terms)), R)
-    value = f(jring, Paravector(jring, jring.seed(0, x.x0),
-                                [jring.seed(i + 1, c) for i, c in enumerate(x.xu)]))
+    value = f(Paravector(jring, jring.seed(0, x.x0),
+                         [jring.seed(i + 1, c) for i, c in enumerate(x.xu)]))
     acc = Multivector.zero(op.n, R)
     for alpha, c in op.terms.items():
         acc = acc + c * Multivector(op.n, R, [jet.derivative(alpha) for jet in value.coeffs])

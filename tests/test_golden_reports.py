@@ -17,7 +17,7 @@ EXACT = {
     "theorem-d": "daa654bcd56c331101f1704f32f598effb8171974c80e06c2474561946558dd3",
     "theorem-dbar": "9c1abc48bee7c5ffb7cd1d76ea7cccb35147af1e45223de31e9eeb37968e01c9",
     "lemmas": "187f3f4cd6b0a1e35181d8ebcee6954d9b29a4c295271576ceb7d4e68c17e49e",
-    "special-cases": "8f180854b9ee1bb335d211593dbe45322624bb1df39547c9ffa5c8262da5c1d6",
+    "special-cases": "cd0b0ed8bf0a9191d5b90b4b2037e79dd76cca09cea94ff8b60cd03a5c249c7e",
     "appendix": "9f6d35731a2b3674c6c7d660fe62f2a4dd844b1184dd9ab318ff77edd75d7de8",
     "monogenic": "bc76743462eeb8b2793babc23a6f5b57e1578d98e07bd7c3a47e8202dbbba9aa",
     "polyharmonic": "b10819dce479aaeea48828cf2412c2777d92285d56aeac578ba9cad8380b0949",
@@ -32,7 +32,7 @@ EXACT = {
 EXACT_N7 = {
     "theorem-d": "42e304b7cb1d28905ab9b396378124d9d37d0838caf7482420367dfc38c793eb",
     "theorem-dbar": "99946e311e04f63e6853984d6502349bb72e7e38e8353d683d85f79329112202",
-    "special-cases": "8f3c4c8c7a5ff63f823791c6634a7d0166c171cda07dee2478539b13d772e5bf",
+    "special-cases": "df45ad57f50a9cea86b0c061f05b892a74c2828899d0baf6e3be2f059d1d527c",
     "polyharmonic": "0d30c52e3d649b2cac018e24d0be1f15d8143db84f28371c8f623462a7f258b4",
     "lemmas": "688a112b983effeb4b853e9bf9045a63c9eab4be4d77d9650f16018de8f01464",
 }
@@ -41,11 +41,11 @@ EXACT_N7 = {
 EXACT_N9 = {
     "theorem-d": "bb044a5f19a4c7db30e95eb63dba6629e5f0738d4fa074b6323b8335a3e4bf1b",
     "theorem-dbar": "4a4172f7730fbd0d4d37f911e4a0ce700d39b262c1d99b138f3d26c0335ba250",
-    "special-cases": "72a987c364d01bbfd1b6deffef4c18bd541bc08272ac8ab942ea4c4c949ff3ae",
+    "special-cases": "fac2ed1452d3ae517291a7cf1879ed164e7ab76ab80e7b3ad7c01c1aa1435677",
 }
 
 FLOAT = {
-    "special-cases": "4c90b479a52c7563cd26dba8cf59c3c32c117b1ec240a5e10de87dea84703564",
+    "special-cases": "b783e0b833df80903b55b52eaaed8b0755d90aeeef9983e6d4fc5a1cfc76db08",
     "polyharmonic": "1afbf33e9f79f9aaab46db4be8e4d1010662bcca50c06fbb6cab51773469c6f9",
     "theorem-dbar": "5ba81d7b5d6f95a8d02b8118adde4409f7b3327e404598a33a45bd51185a562a",
     "theorem-d": "2539ae764adc3027f9f2c7a4252d630d23005f0b0ca24b3d8dfbfaf59c322a02",
@@ -122,8 +122,8 @@ FLOAT_CASE_SETS = {
                   "453dce180d993202eb91dc79f9a70044de62547d940e552b1fa35f4d8c4c4ef1"),
     "theorem-dbar": ((2, 5, 8, 10, 11),
                      "5a2fa4c1744dbbc0ed0ba64d59bfe5c906d730a7ba271a62350cdab9308e7ce6"),
-    "special-cases": ((4, 7, 9, 11, 13),
-                      "46e74bb3942b8cd30bcba27cfb005e228093ac66abf7207ec9b6a9da4e987f2e"),
+    "special-cases": ((3, 6, 9, 11, 13),
+                      "98dde48933f08565e8f37617abe6b037a63b1599653a3c2dce1e8b1be2a0615a"),
     "polyharmonic": ((1, 2, 2, 2, 2),
                      "6be676954cb6d885e9fcb9ebf3257700553f9b169b1dffdfa464aabfd82e995f"),
 }

@@ -16,7 +16,7 @@ from slicekernels.diffop import (
     oracle_apply,
 )
 from slicekernels.errors import InvalidParams, SingularKernel, ZeroNorm
-from slicekernels.rings import FLOATS, LANES, RATIONALS, JetRing, Lanes, jet_context
+from slicekernels.rings import FLOATS, RATIONALS, JetRing, Lanes, jet_context
 
 R = RATIONALS
 
@@ -135,6 +135,19 @@ def test_fueter_sce_is_laplacian_power_image():
         assert oracle == K.fueter_sce_kernel(s, x)
         fs = K.kernel_closure(K.fueter_sce_kernel, s)
         assert oracle_apply(make_dirac(n), fs, x).is_zero()
+
+
+def test_kernel_closure_is_the_kernel_at_s_cast_to_the_ring_of_x():
+    s, x = K.sample_point_pair(3, Random(31))
+    jring = JetRing(jet_context(4, ((1, 1, 0, 0), (0, 0, 2, 0))), RATIONALS)
+    jets = Paravector(jring, jring.seed(0, x.x0),
+                      [jring.seed(i + 1, c) for i, c in enumerate(x.xu)])
+    for point in (x, x.cast(FLOATS), jets):
+        for kernel, options in ((K.cauchy_left, {}), (K.cauchy_right, {"form": "I"}),
+                                (K.harmonic_kernel, {"m": 1})):
+            got = K.kernel_closure(kernel, s, **options)(point)
+            assert got.ring is point.ring
+            assert got == kernel(s.cast(point.ring), point, **options)
 
 
 def test_d_beta_delta_m_reference_values():
@@ -436,7 +449,8 @@ def test_kernels_over_lanes_are_the_float_kernels_lane_by_lane(case):
     if on_sphere:
         nodes[0] = x.conjugate()  # s on [x]: singular, or out of range
     columns = zip(*(s.coords() for s in nodes))
-    lanes = Paravector.from_coords(LANES, [Lanes(list(c)) for c in columns])
+    x0, *xu = (Lanes(list(c)) for c in columns)
+    lanes = Paravector(FLOATS, x0, xu)
     for kernel in (lambda s, y: K.cauchy_left(s, y, form="II"), K.fueter_sce_kernel):
         got = kernel(lanes, x).blades
         for j, s in enumerate(nodes):

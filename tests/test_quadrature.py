@@ -20,7 +20,7 @@ from slicekernels.quadrature import (
     fueter_sce_integral,
     write_convergence_csv,
 )
-from slicekernels.rings import FLOATS, LANES, Lanes
+from slicekernels.rings import FLOATS, RATIONALS, Lanes
 
 I3 = (1.0, 0.0, 0.0)
 
@@ -49,8 +49,19 @@ def test_power_series_matches_direct_powers():
         + x.pow(3).to_multivector().scale(2.0)
     )
     assert (f(x) - expected).norm_float() < 1e-13
-    g = f.as_ring_function()
-    assert (g(FLOATS, x) - expected).norm_float() < 1e-13
+
+
+def test_slice_function_coefficient_outside_float_range_is_refused():
+    f = SliceFunction([10**400])
+    x = fpv(0.1, 0.2, 0.0, 0.0)
+    with pytest.raises(InvalidParams, match="coefficient lies outside float range"):
+        f(x)
+    # over node lanes, and so in a quadrature
+    with pytest.raises(InvalidParams, match="coefficient lies outside float range"):
+        cauchy_reconstruct(f, x, ContourSpec(I3, 0.0, 2.0, 16))
+    # exact evaluation keeps the coefficient
+    exact = x.cast(RATIONALS)
+    assert f(exact) == Multivector.scalar(3, RATIONALS, 10**400)
 
 
 def test_contour_spec_validation():
@@ -163,7 +174,6 @@ def test_integral_output_is_monogenic():
     from fractions import Fraction
 
     from slicekernels.diffop import make_dirac, make_laplacian, oracle_apply
-    from slicekernels.rings import RATIONALS
 
     for n, k in ((3, 3), (3, 4), (5, 4), (5, 5)):
         h = (n - 1) // 2
@@ -172,7 +182,7 @@ def test_integral_output_is_monogenic():
         x = Paravector.from_coords(
             RATIONALS, [Fraction(1, 3), Fraction(1, 4)] + [Fraction(1, 5)] * (n - 1)
         )
-        assert oracle_apply(op, f.as_ring_function(), x).is_zero()
+        assert oracle_apply(op, f, x).is_zero()
 
 
 def test_convergence_csv():
@@ -332,7 +342,7 @@ def test_f_over_node_lanes_is_f_at_each_node(coeffs, half_nodes, direction, e, c
     points = [s for s, _ in contour_nodes(contour)]
     coords = zip(*(s.coords() for s in points))
     x0, *xu = (Lanes(list(c)) for c in coords)
-    lanes = f(Paravector(LANES, x0, xu))
+    lanes = f(Paravector(FLOATS, x0, xu))
     for j, s in enumerate(points):
         at_node = {m: c.hex() for m, v in lanes.blades.items()
                    if (c := v.v[j] if isinstance(v, Lanes) else v)}  # a constant is a float

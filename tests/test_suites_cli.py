@@ -175,13 +175,24 @@ def test_cli_eval_text(capsys):
     assert capsys.readouterr().out.strip() == "-8/25 - 4/25*e1"
 
 
-def test_cli_eval_validation(capsys):
+def test_cli_eval_validation(monkeypatch, capsys):
     point = ["--s", "2,0,0,0", "--x", "0,1,0,0"]
     assert main(["eval", "--kernel", "cauchy-II", "--n", "4",
                  "--s", "2,0,0,0,0", "--x", "0,1,0,0,0"]) == 2
     assert capsys.readouterr().err == "error: kernel dimension must be odd and >= 3\n"
     assert main(["eval", "--kernel", "harmonic", "--n", "3", "--side", "right", *point]) == 2
     assert capsys.readouterr().err == "error: no printed right-sided form for harmonic\n"
+    # the series bound is the one verify applies, checked before any sum is formed
+    from slicekernels import kernels as K
+
+    monkeypatch.setattr(K, "cauchy_series_sums", lambda *args: pytest.fail("summed"))
+    limit = suites.MAX_SERIES_TERMS
+    assert main(["eval", "--kernel", "series", "--n", "3", "--terms", str(limit + 1),
+                 *point]) == 2
+    assert capsys.readouterr().err == f"error: terms must be <= {limit}, got {limit + 1}\n"
+    assert main(["eval", "--kernel", "series", "--n", "3", "--terms", "1600", *point]) == 2
+    assert capsys.readouterr().err == f"error: terms must be <= {limit}, got 1600\n"
+    monkeypatch.undo()
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--kernel", "mystery", "--n", "3", *point])
     assert exc.value.code == 2
