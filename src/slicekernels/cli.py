@@ -30,6 +30,10 @@ def _catalog(s, x, catalog_id):
     return entry.printed(s, x)
 
 
+# Largest `eval --m` and `--k`, as a float zero is rechecked exactly: exact Q^-m
+# and lemma sides take 0.3 s at m = k = 100 and n=3, and ran past 100 s at 1000.
+MAX_POWER = 100
+
 # `eval --kernel` name: (closed form, the options it reads with their defaults).
 # The form is called as form(s, x, **options), an option left unset taking its
 # default; options a flavor does not read are ignored. A flavor has a printed
@@ -100,18 +104,23 @@ def _cmd_eval(args) -> int:
         raise InvalidParams("kernel dimension must be odd and >= 3")
     if args.n > MAX_DIMENSION:
         raise InvalidParams(f"dimension {args.n} outside 1..{MAX_DIMENSION}")
-    if args.terms is not None and args.terms > MAX_SERIES_TERMS:
-        raise InvalidParams(f"terms must be <= {MAX_SERIES_TERMS}, got {args.terms}")
+    for name, bound in (("terms", MAX_SERIES_TERMS), ("m", MAX_POWER), ("k", MAX_POWER)):
+        if (value := getattr(args, name)) is not None and value > bound:
+            raise InvalidParams(f"{name} must be <= {bound}, got {value}")
     ring = RATIONALS if args.mode == "exact" else FLOATS
     s = parse_paravector(args.s, args.n, ring)
     x = parse_paravector(args.x, args.n, ring)
     form, defaults = KERNELS[args.kernel]
     if args.side == "right" and "side" not in defaults:
         raise InvalidParams(f"no printed right-sided form for {args.kernel}")
-    value = form(s, x, **{name: default if (v := getattr(args, name)) is None else v
-                          for name, default in defaults.items()})
+    options = {name: default if (v := getattr(args, name)) is None else v
+               for name, default in defaults.items()}
+    value = form(s, x, **options)
     if ring is FLOATS and not all(map(math.isfinite, value.blades.values())):
         raise InvalidParams(f"{args.kernel} value lies outside float range")
+    if ring is FLOATS and value.is_zero() and not form(  # exact at the same point
+            s.cast(RATIONALS), x.cast(RATIONALS), **options).is_zero():
+        raise InvalidParams(f"{args.kernel} value underflows to 0 in float mode")
     if args.format == "json":
         blades = {blade_name(m) or "1": str(c) for m, c in value.blades.items()}
         print(json.dumps({"kernel": args.kernel, "n": args.n, "value": blades},

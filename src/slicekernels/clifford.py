@@ -188,12 +188,16 @@ class Multivector:
         the binary exponent e of the largest magnitude exceeds 500 in size,
         each magnitude is divided by 2^e, exactly, before it is squared, so no
         square overflows or loses the norm; otherwise the plain sum of squares
-        is kept bit for bit.  A norm beyond float range reads inf."""
+        is kept bit for bit, added left to right on every Python (the built-in
+        `sum` compensates from 3.12 on).  A norm beyond float range reads inf."""
         mags = list(map(self.ring.magnitude, self.blades.values()))
         e = math.frexp(max(mags, default=0.0))[1]
         e = e if abs(e) > 500 else 0
+        total = 0.0
         try:
-            return math.ldexp(sum(math.ldexp(v, -e) ** 2 for v in mags) ** 0.5, e)
+            for v in mags:
+                total += math.ldexp(v, -e) ** 2
+            return math.ldexp(total ** 0.5, e)
         except OverflowError:
             return math.inf
 

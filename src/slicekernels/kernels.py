@@ -134,35 +134,29 @@ def _smx0(s: Paravector, x: Paravector) -> Paravector:
     return Paravector(x.ring, s.x0 - x.x0, s.xu)
 
 
-def _form1_denominator(s: Paravector, x: Paravector) -> Paravector:
-    # x^2 - 2 x s0 + |s|^2, Q with s and x exchanged; its norm vanishes
-    # exactly when s is on [x]
-    return pseudo_denominator(x, s)
-
-
 def cauchy_left(s: Paravector, x: Paravector, form: str = "II") -> Multivector:
     """Left Cauchy kernel for slice hyperholomorphic functions."""
-    if form == "II":
-        qinv = pseudo_inverse(s, x)
-        return _smxbar(s, x) * qinv.to_multivector()
-    if form == "I":
-        check_not_singular(s, x)
-        p = _form1_denominator(s, x)
-        pinv = p.inverse().to_multivector()
-        return -(pinv * (x - s.conjugate()).to_multivector())
-    raise InvalidParams(f"unknown form {form!r}")
+    return _cauchy(s, x, form, left=True)
 
 
 def cauchy_right(s: Paravector, x: Paravector, form: str = "II") -> Multivector:
     """Right Cauchy kernel; mirror multiplication order of the left one."""
+    return _cauchy(s, x, form, left=False)
+
+
+def _cauchy(s: Paravector, x: Paravector, form: str, left: bool) -> Multivector:
+    """a * b on the left, b * a on the right: form II is (s - xbar) Q^{-1},
+    form I is -P^{-1} (x - sbar), with P = Q with s and x exchanged."""
     if form == "II":
-        qinv = pseudo_inverse(s, x)
-        return qinv.to_multivector() * _smxbar(s, x)
+        a, b = _smxbar(s, x), pseudo_inverse(s, x).to_multivector()
+        return a * b if left else b * a
     if form == "I":
         check_not_singular(s, x)
-        p = _form1_denominator(s, x)
-        pinv = p.inverse().to_multivector()
-        return -((x - s.conjugate()).to_multivector() * pinv)
+        # x^2 - 2 x s0 + |s|^2, Q with s and x exchanged; its norm vanishes
+        # exactly when s is on [x]
+        a = pseudo_denominator(x, s).inverse().to_multivector()
+        b = (x - s.conjugate()).to_multivector()
+        return -(a * b if left else b * a)
     raise InvalidParams(f"unknown form {form!r}")
 
 
@@ -308,71 +302,59 @@ def _block(s, x, formula: int, m: int, k: int) -> Multivector:
     raise InvalidParams(f"unknown block formula {formula}")
 
 
+# The printed sides, keyed by (lemma, formula).  Each term is its coefficient,
+# an integer times m, k, h - m or h - m + 1, then its factors in written order:
+# "b" is s - xbar, "q" and "q1" are Q^-m and Q^-(m+1), "p-", "p" and "p+" are
+# (s-x0)^(k-1), (s-x0)^k and (s-x0)^(k+1).  Formulas 1 and 2 read k = 0.
+_LEMMA_SIDES = {
+    (LEMMA_DIRAC, 1): ((-2, "h-m+1", "q"),),
+    (LEMMA_DIRAC, 2): ((4, "m", "p+", "q1"), (-2, "m", "b", "q1")),
+    (LEMMA_DIRAC, 3): ((4, "m", "p+", "q1"), (-2, "m", "b", "q1", "p"), (-1, "k", "p-", "q")),
+    (LEMMA_DIRAC, 4): ((-2, "h-m+1", "q", "p"), (-1, "k", "b", "q", "p-")),
+    (LEMMA_DIRAC_CONJ, 1): ((2, "h-m", "q"), (4, "m", "b", "p+", "q1")),
+    (LEMMA_DIRAC_CONJ, 2): ((2, "m", "b", "q1"),),
+    (LEMMA_DIRAC_CONJ, 3): ((2, "m", "b", "p", "q1"), (-1, "k", "p-", "q")),
+    (LEMMA_DIRAC_CONJ, 4): ((2, "h-m", "q", "p"), (4, "m", "b", "q1", "p+"),
+                            (-1, "k", "b", "p-", "q")),
+}
+
+
 def _lemma_rhs(lemma: str, formula: int, s, x, m: int, k: int) -> Multivector:
-    n = x.n
-    h = cf.h_of(n)
-    qinv = pseudo_inverse(s, x)
-    qm, qm1 = (q.to_multivector() for q in qinv.powers(m + 1)[m:])
-    smxbar = _smxbar(s, x)
-    smx0 = _smx0(s, x)
-    sk = smx0.powers(k + 1)
-    if lemma == LEMMA_DIRAC:
-        if formula == 1:
-            return qm.scale(-2 * (h - m + 1))
-        if formula == 2:
-            return (smx0.to_multivector() * qm1).scale(4 * m) - (smxbar * qm1).scale(2 * m)
-        if formula == 3:
-            out = (sk[k + 1].to_multivector() * qm1).scale(4 * m)
-            out = out - (smxbar * qm1 * sk[k].to_multivector()).scale(2 * m)
-            if k > 0:
-                out = out - (sk[k - 1].to_multivector() * qm).scale(k)
-            return out
-        if formula == 4:
-            out = (qm * sk[k].to_multivector()).scale(2 * (m - h - 1))
-            if k > 0:
-                out = out - (smxbar * qm * sk[k - 1].to_multivector()).scale(k)
-            return out
-    elif lemma == LEMMA_DIRAC_CONJ:
-        if formula == 1:
-            return qm.scale(2 * (h - m)) + (smxbar * smx0.to_multivector() * qm1).scale(4 * m)
-        if formula == 2:
-            return (smxbar * qm1).scale(2 * m)
-        if formula == 3:
-            out = (smxbar * sk[k].to_multivector() * qm1).scale(2 * m)
-            if k > 0:
-                out = out - (sk[k - 1].to_multivector() * qm).scale(k)
-            return out
-        if formula == 4:
-            out = (qm * sk[k].to_multivector()).scale(2 * (h - m))
-            out = out + (smxbar * qm1 * sk[k + 1].to_multivector()).scale(4 * m)
-            if k > 0:
-                out = out - (smxbar * sk[k - 1].to_multivector() * qm).scale(k)
-            return out
-    raise InvalidParams(f"unknown lemma {lemma!r} or formula {formula}")
-
-
-def _lemma_k(formula: int, m: int, k: int) -> int:
-    """k after the checks of every lemma block; formulas 1 and 2 have no k."""
+    """The printed side: each term with a nonzero coefficient is its factors
+    multiplied left to right, then scaled; terms are added in table order."""
     if m < 0 or k < 0:
         raise InvalidParams("lemma blocks need m >= 0 and k >= 0")
-    return 0 if formula in (1, 2) else k
+    terms = _LEMMA_SIDES.get((lemma, formula))
+    if terms is None:
+        raise InvalidParams(f"unknown lemma {lemma!r} or formula {formula}")
+    k = k if formula in (3, 4) else 0
+    h = cf.h_of(x.n)
+    weights = {"m": m, "k": k, "h-m": h - m, "h-m+1": h - m + 1}
+    qm, qm1 = (q.to_multivector() for q in pseudo_inverse(s, x).powers(m + 1)[m:])
+    p = [None] + [v.to_multivector() for v in _smx0(s, x).powers(k + 1)]  # p[j] = (s-x0)^(j-1)
+    factors = {"b": _smxbar(s, x), "q": qm, "q1": qm1, "p-": p[k], "p": p[k + 1], "p+": p[k + 2]}
+    out = Multivector.zero(x.n, x.ring)
+    for a, weight, first, *rest in terms:
+        if c := a * weights[weight]:
+            term = factors[first]
+            for name in rest:
+                term = term * factors[name]
+            out = out + term.scale(c)
+    return out
 
 
-def lemma_rhs(
-    s: Paravector, x: Paravector, lemma: str, formula: int, m: int, k: int = 0
-) -> Multivector:
+def lemma_rhs(s: Paravector, x: Paravector, lemma: str, formula: int, m: int,
+              k: int = 0) -> Multivector:
     """The printed side of a lemma block alone, without the oracle."""
-    return _lemma_rhs(lemma, formula, s, x, m, _lemma_k(formula, m, k))
+    return _lemma_rhs(lemma, formula, s, x, m, k)
 
 
-def lemma_block_lhs_rhs(
-    s: Paravector, x: Paravector, lemma: str, formula: int, m: int, k: int = 0
-) -> tuple[Multivector, Multivector]:
+def lemma_block_lhs_rhs(s: Paravector, x: Paravector, lemma: str, formula: int, m: int,
+                        k: int = 0) -> tuple[Multivector, Multivector]:
     """LHS by differentiation oracle, RHS by the printed closed form."""
-    k = _lemma_k(formula, m, k)
+    rhs = _lemma_rhs(lemma, formula, s, x, m, k)
     op = named_operator(x.n, "d" if lemma == LEMMA_DIRAC else "dbar", 1, 0)
     lhs = oracle_apply(op, kernel_closure(_block, s, formula=formula, m=m, k=k), x)
-    rhs = _lemma_rhs(lemma, formula, s, x, m, k)
     return lhs, rhs
 
 

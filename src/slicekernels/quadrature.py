@@ -44,14 +44,17 @@ class SliceFunction:
     in the ring of the paravector x (rationals, floats, node lanes or
     jets), so over floats it is the slice extension alpha(x0, |xv|)
     + (xv/|xv|) beta(x0, |xv|) of the holomorphic polynomial.  It is the
-    form the quadrature and the jet oracle both evaluate.  Over floats, a
-    coefficient outside float range raises InvalidParams.
+    form the quadrature and the jet oracle both evaluate.  A coefficient that
+    is not finite, or over floats not a float, raises InvalidParams.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(map(Fraction, coeffs))
+        try:
+            self.coeffs = tuple(map(Fraction, coeffs))
+        except (OverflowError, ValueError, ZeroDivisionError):  # inf, nan, 1/0
+            raise InvalidParams("slice function coefficient is not a finite number") from None
 
     def __call__(self, x: Paravector) -> Multivector:
         ring = x.ring

@@ -385,7 +385,7 @@ CHECKS = {
         key="n{n}-lap-oracle-m{m}-t{trial:03d}",
         # m = h_n is left out: its closed form is the Fueter-Sce kernel
         # (laplacian-power-fueter), which fueter-link checks against the
-        # same oracle in exact mode
+        # same oracle
         grid=lambda c: [dict(n=n, m=m)
                         for n in c.n_values for m in range(1, cf.h_of(n))],
         trials=True,
@@ -395,9 +395,7 @@ CHECKS = {
     ),
     "fueter-link": Check(
         key="n{n}-fueter-{side}-t{trial:03d}",
-        # Laplacian^h_n: exact mode only, at every n
-        grid=lambda c: [dict(n=n, side=side) for n in c.n_values
-                        for side in ("left", "right") if c.mode == "exact"],
+        grid=lambda c: [dict(n=n, side=side) for n in c.n_values for side in ("left", "right")],
         trials=True,
         op=lambda p: ("d", 0, cf.h_of(p["n"])),
         pair=lambda p, s, x: (
@@ -596,6 +594,9 @@ def _usable_cpus() -> int:
 def run_suite(config: SuiteConfig) -> VerificationReport:
     config.validate()
     cases = _build_cases(config)
+    if not cases:
+        dims = ",".join(map(str, config.n_values))
+        raise InvalidParams(f"suite {config.suite} has no cases at n={dims} in {config.mode} mode")
     # the pool forks every worker at its first submit, so size it to the work
     cpus = _usable_cpus()
     jobs = min(config.jobs or cpus, cpus, len(cases))

@@ -115,7 +115,12 @@ def _dense_product(ring, a, b):
 
 
 def _dense_norm(ring, coeffs):
-    return sum(ring.magnitude(c) ** 2 for c in coeffs) ** 0.5
+    # the plain sum of squares, left to right: the built-in sum compensates
+    # float sums from Python 3.12 on
+    total = 0.0
+    for c in coeffs:
+        total += ring.magnitude(c) ** 2
+    return total ** 0.5
 
 
 # every coefficient kind with exact zeros among the draws; the small floats
@@ -166,6 +171,13 @@ def test_norm_float_sums_in_mask_order():
     for n in (3, 5, 7):
         d = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(1 << n)]
         assert Multivector(n, FLOATS, d).norm_float() == _dense_norm(FLOATS, d)
+
+
+def test_norm_float_is_the_same_on_every_python():
+    # left to right, 1 + 1e-16 rounds back to 1 four times; a compensated sum
+    # (the built-in sum from Python 3.12 on) gives 1.0000000000000002
+    mv = Multivector(3, FLOATS, {0: 1.0, 1: 1e-8, 2: 1e-8, 4: 1e-8, 7: 1e-8})
+    assert mv.norm_float() == 1.0
 
 
 def test_norm_float_at_the_ends_of_float_range():

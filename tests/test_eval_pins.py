@@ -57,8 +57,8 @@ def test_float_eval_at_extreme_scales(capsys, s, x, expected):
 
 
 # Each run gives exit 2 and this one stderr line. Checks run in this order:
-# the dimension, the coordinates of s then x, the side, then the flavor's
-# own parameters.
+# the dimension, the bounds of --terms, --m and --k, the coordinates of s
+# then x, the side, the flavor's own parameters, then the value.
 ERRORS = [
     (["--kernel", "catalog", "--n", "3", *P3], "unknown catalog id ''"),
     (["--kernel", "catalog", "--n", "3", "--catalog-id", "n7-D", *P3],
@@ -78,6 +78,9 @@ ERRORS = [
     (["--kernel", "lemma", "--n", "3", "--k", "-1", "--formula", "3", *P3],
      "lemma blocks need m >= 0 and k >= 0"),
     (["--kernel", "lemma", "--n", "3", "--m", "-1", *P3], "lemma blocks need m >= 0 and k >= 0"),
+    (["--kernel", "pseudo-cauchy", "--n", "3", "--m", "101", *P3], "m must be <= 100, got 101"),
+    (["--kernel", "lemma", "--n", "3", "--k", "500", "--formula", "3", *P3],
+     "k must be <= 100, got 500"),
     (["--kernel", "d-beta-delta-m", "--n", "5", "--m", "2", "--beta", "1", *P5],
      "need beta >= 1, m >= 0, m + beta <= h_n = 2; got m=2, beta=1"),
     (["--kernel", "dbar-beta-delta-m", "--n", "5", "--beta", "0", *P5],
@@ -116,6 +119,12 @@ ERRORS = [
       "--x", "0,1e-150,0,0"], "fueter-sce value lies outside float range"),
     (["--kernel", "laplacian-power", "--n", "3", "--mode", "float", "--s", "1e-145,0,0,0",
       "--x", "0,1e-145,0,0"], "laplacian-power value lies outside float range"),
+    # a float value of 0 whose exact value at the same point is not 0:
+    # -1e-300 - 1e-300*e1, and (1e12 + 1)^-100
+    (["--kernel", "fueter-sce", "--n", "3", "--mode", "float", "--s", "1e100,0,0,0",
+      "--x", "0,1e100,0,0"], "fueter-sce value underflows to 0 in float mode"),
+    (["--kernel", "pseudo-cauchy", "--n", "3", "--mode", "float", "--s", "1e6,0,0,0",
+      "--x", "0,1,0,0", "--m", "100"], "pseudo-cauchy value underflows to 0 in float mode"),
     (["--kernel", "harmonic", "--n", "3", "--side", "right", "--s", "2,0,0", "--x", "0,1,0,0"],
      "expected 4 coordinates, got 3"),
     (["--kernel", "harmonic", "--n", "4", "--side", "right", "--s", _point(4), "--x", _point(4)],

@@ -45,7 +45,7 @@ EXACT_N9 = {
 }
 
 FLOAT = {
-    "special-cases": "b783e0b833df80903b55b52eaaed8b0755d90aeeef9983e6d4fc5a1cfc76db08",
+    "special-cases": "fa15b33a1b8b029007c13d3cc6ba41fd8eef398fbb70201612c236ff46a88f5d",
     "polyharmonic": "1afbf33e9f79f9aaab46db4be8e4d1010662bcca50c06fbb6cab51773469c6f9",
     "theorem-dbar": "5ba81d7b5d6f95a8d02b8118adde4409f7b3327e404598a33a45bd51185a562a",
     "theorem-d": "2539ae764adc3027f9f2c7a4252d630d23005f0b0ca24b3d8dfbfaf59c322a02",
@@ -122,8 +122,8 @@ FLOAT_CASE_SETS = {
                   "453dce180d993202eb91dc79f9a70044de62547d940e552b1fa35f4d8c4c4ef1"),
     "theorem-dbar": ((2, 5, 8, 10, 11),
                      "5a2fa4c1744dbbc0ed0ba64d59bfe5c906d730a7ba271a62350cdab9308e7ce6"),
-    "special-cases": ((3, 6, 9, 11, 13),
-                      "98dde48933f08565e8f37617abe6b037a63b1599653a3c2dce1e8b1be2a0615a"),
+    "special-cases": ((5, 8, 9, 11, 13),
+                      "68c83fafa4b13fd802b777b6e59ccc0d0aca12e73a537892a8b90e20f0ca2b7c"),
     "polyharmonic": ((1, 2, 2, 2, 2),
                      "6be676954cb6d885e9fcb9ebf3257700553f9b169b1dffdfa464aabfd82e995f"),
 }

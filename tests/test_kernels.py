@@ -344,7 +344,7 @@ def _smxbar_composed(s, x):
 
 def _blocks(s, x):
     """(Q, form-I denominator, s - xbar), from the kernels and composed."""
-    built = (K.pseudo_denominator(s, x), K._form1_denominator(s, x), K._smxbar(s, x))
+    built = (K.pseudo_denominator(s, x), K.pseudo_denominator(x, s), K._smxbar(s, x))
     return built, (_q_composed(s, x), _form1_composed(s, x), _smxbar_composed(s, x))
 
 

@@ -64,6 +64,12 @@ def test_slice_function_coefficient_outside_float_range_is_refused():
     assert f(exact) == Multivector.scalar(3, RATIONALS, 10**400)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "1/0"])
+def test_slice_function_coefficient_that_is_not_a_finite_number_is_refused(bad):
+    with pytest.raises(InvalidParams, match="coefficient is not a finite number"):
+        SliceFunction([0, bad])
+
+
 def test_contour_spec_validation():
     with pytest.raises(InvalidParams):
         ContourSpec((0.5, 0.0, 0.0), 0.0, 2.0, 16)  # not unit

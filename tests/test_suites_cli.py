@@ -192,6 +192,12 @@ def test_cli_eval_validation(monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: terms must be <= {limit}, got {limit + 1}\n"
     assert main(["eval", "--kernel", "series", "--n", "3", "--terms", "1600", *point]) == 2
     assert capsys.readouterr().err == f"error: terms must be <= {limit}, got 1600\n"
+    # so are --m and --k, as a float zero is rechecked exactly
+    monkeypatch.setattr(K, "pseudo_inverse", lambda *args: pytest.fail("computed"))
+    for flag, kernel in (("--m", "pseudo-cauchy"), ("--k", "lemma")):
+        assert main(["eval", "--kernel", kernel, "--n", "3", flag, "100000", "--formula", "3",
+                     "--mode", "float", *point]) == 2
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be <= 100, got 100000\n"
     monkeypatch.undo()
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--kernel", "mystery", "--n", "3", *point])
@@ -199,6 +205,17 @@ def test_cli_eval_validation(monkeypatch, capsys):
     assert "invalid choice: 'mystery'" in capsys.readouterr().err
     assert main(["eval", "--kernel", "cauchy-II", "--n", "3", *point]) == 0
     assert capsys.readouterr().out == "2/5 + 1/5*e1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # (s - x0)^2 = 0 at s = x0
+    ["--kernel", "polyanalytic", "--n", "5", "--s", "1,0,0,0,0,0", "--x", "1,2,0,0,0,0"],
+    # the coefficient -2 (h - m + 1) of the first D lemma side is 0 at m = h + 1
+    ["--kernel", "lemma", "--n", "3", "--s", "2,0,0,0", "--x", "0,1,0,0", "--m", "2"],
+])
+def test_cli_eval_prints_a_float_zero_that_is_exact(capsys, argv):
+    assert main(["eval", *argv, "--mode", "float"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_cli_eval_json(capsys):
@@ -412,6 +429,9 @@ def test_cli_eval_float_overflow(capsys):
     (["--suite", "forms", "--n", "5,3,5"], "error: suite dimension 5 is repeated"),
     (["--suite", "forms", "--n", "17"], "error: suite dimension 17 outside 1..15"),
     (["--suite", "forms", "--n", "3,21"], "error: suite dimension 21 outside 1..15"),
+    # the catalog has entries at n=3 and 5 only: a run that checks nothing
+    (["--suite", "catalog", "--n", "7", "--trials", "1", "--format", "text"],
+     "error: suite catalog has no cases at n=7 in exact mode"),
 ])
 def test_cli_refuses_bad_config_values(tmp_path, capsys, flags, message):
     # refused before any case runs: exit 2, one stderr line, no report
