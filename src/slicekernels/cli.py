@@ -121,12 +121,17 @@ def _cmd_eval(args) -> int:
     if ring is FLOATS and value.is_zero() and not form(  # exact at the same point
             s.cast(RATIONALS), x.cast(RATIONALS), **options).is_zero():
         raise InvalidParams(f"{args.kernel} value underflows to 0 in float mode")
-    if args.format == "json":
-        blades = {blade_name(m) or "1": str(c) for m, c in value.blades.items()}
-        print(json.dumps({"kernel": args.kernel, "n": args.n, "value": blades},
-                         sort_keys=True))
-    else:
-        print(format_multivector(value))
+    try:
+        if args.format == "json":
+            blades = {blade_name(m) or "1": str(c) for m, c in value.blades.items()}
+            text = json.dumps({"kernel": args.kernel, "n": args.n, "value": blades},
+                              sort_keys=True)
+        else:
+            text = format_multivector(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits() digits
+        raise InvalidParams(f"exact {args.kernel} value has an integer too long to print; "
+                            f"use --mode float") from None
+    print(text)
     return 0
 
 

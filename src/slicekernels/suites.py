@@ -9,8 +9,9 @@ zero; in float mode the residual norm is compared against
 
 Every kind of case is one row of `CHECKS`, and `SUITES` lists the kinds
 each suite runs; `_run_case` runs a case of any kind. An oracle row names
-its operator D^beta Delta^m, and `diffop.named_operator` builds each one
-once.
+its operator D^beta Delta^m and the function it differentiates. In exact
+mode the axial oracle (`axial.apply`) decides it; in float mode the jet
+oracle does, with the operator `diffop.named_operator` builds once.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from random import Random
 from typing import Callable
 
+from . import axial
 from . import coeffs as cf
 from . import kernels as K
 from .clifford import MAX_DIMENSION, Multivector, Paravector, format_paravector
-from .diffop import named_operator, oracle_apply
+from .diffop import jet_cost, named_operator, oracle_apply
 from .errors import InvalidParams
 from .quadrature import (
     MAX_NODES,
@@ -53,6 +55,12 @@ FLOAT_ORACLE_MAX_ORDER = 4
 MAX_TRIALS = 10_000
 MAX_HN = 32
 MAX_SERIES_TERMS = 1000
+
+# Largest product table, in entries, that a case may have the jet oracle
+# build, checked before any case runs: the n=11 Laplacian^5 table has 5.7 M
+# entries (exact n=11 theorem-d through the jet oracle peaked at 1.4 GB),
+# the n=13 Laplacian^6 one would have 136.5 M.
+MAX_JET_TABLE = 20_000_000
 
 
 @dataclass
@@ -295,11 +303,16 @@ class Check:
     - `run(params, config)` builds the whole case record itself.
 
     An oracle row names its operator as `op(params) = (base, beta, m)`:
-    D^beta Delta^m for base "d", D-bar^beta Delta^m for "dbar", which
-    `diffop.named_operator` builds once per process. Its `pair` or
-    `quad` gives as second value a function f(x), evaluated over the ring
-    of x, that the case then replaces by that operator applied to f at x.
-    Float mode skips a point whose order beta + 2m exceeds
+    D^beta Delta^m for base "d", D-bar^beta Delta^m for "dbar". A row that
+    also names `source(params) = (name, *args)`, a key of `axial.SOURCES`
+    and of `JET_SOURCES`, gives as `pair` the closed form alone, which must
+    agree with the operator applied to that function at x: by the axial
+    oracle in exact mode, by the jet oracle in float mode. `axial-link`
+    sets no `pair` and compares the two oracles. A `quad` row with an `op`
+    gives as second value a function f(x) that the case replaces by the
+    operator applied to f at x by the jet oracle. The jet oracle applies
+    the operator `diffop.named_operator` builds once per process. Float
+    mode skips a point whose order beta + 2m exceeds
     `FLOAT_ORACLE_MAX_ORDER`.
 
     The oracle, the closed forms and the quadrature routines are looked up
@@ -311,6 +324,7 @@ class Check:
     grid: Callable
     trials: bool = False
     op: Callable | None = None
+    source: Callable | None = None
     pair: Callable | None = None
     holds: Callable | None = None
     quad: Callable | None = None
@@ -319,9 +333,33 @@ class Check:
     run: Callable | None = None
 
 
+# The jet oracle's form of each source: the library kernel, evaluated over jets.
+JET_SOURCES = {
+    "cauchy-left": lambda s: K.kernel_closure(K.cauchy_left, s),
+    "cauchy-right": lambda s: K.kernel_closure(K.cauchy_right, s),
+    "fueter-sce": lambda s: K.kernel_closure(K.fueter_sce_kernel, s),
+    "harmonic": lambda s, m: K.kernel_closure(K.harmonic_kernel, s, m=m),
+}
+
+
 def _theorem(p, s, x):
     kernel = K.d_beta_delta_m_kernel if p["op"] == "d" else K.dbar_beta_delta_m_kernel
-    return kernel(s, x, p["m"], p["beta"]), K.kernel_closure(K.cauchy_left, s)
+    return kernel(s, x, p["m"], p["beta"])
+
+
+def _axial_link_grid(c: SuiteConfig) -> list:
+    """Each (n, operator, source) that an exact oracle row of any suite
+    decides at the configured dimensions, once."""
+    if c.mode != "exact":
+        return []
+    points = {}
+    for suite, kinds in SUITES.items():
+        for check in (CHECKS[kind] for kind in kinds):
+            if check.source and check.pair:
+                for p in check.grid(replace(c, suite=suite)):
+                    points.setdefault((p["n"], *check.op(p), check.source(p)), None)
+    return [dict(n=n, base=base, beta=beta, m=m, source=source)
+            for n, base, beta, m, source in points]
 
 
 def _quad_fs_oracle(p, x):
@@ -346,6 +384,7 @@ CHECKS = {
                         for beta in range(1, cf.h_of(n) - m + 1)],
         trials=True,
         op=lambda p: (p["op"], p["beta"], p["m"]),
+        source=lambda p: ("cauchy-left",),
         pair=_theorem,
     ),
     "dbar-boundary": Check(
@@ -390,18 +429,16 @@ CHECKS = {
                         for n in c.n_values for m in range(1, cf.h_of(n))],
         trials=True,
         op=lambda p: ("d", 0, p["m"]),
-        pair=lambda p, s, x: (K.laplacian_power_kernel(s, x, p["m"]),
-                              K.kernel_closure(K.cauchy_left, s)),
+        source=lambda p: ("cauchy-left",),
+        pair=lambda p, s, x: K.laplacian_power_kernel(s, x, p["m"]),
     ),
     "fueter-link": Check(
         key="n{n}-fueter-{side}-t{trial:03d}",
         grid=lambda c: [dict(n=n, side=side) for n in c.n_values for side in ("left", "right")],
         trials=True,
         op=lambda p: ("d", 0, cf.h_of(p["n"])),
-        pair=lambda p, s, x: (
-            K.fueter_sce_kernel(s, x, side=p["side"]),
-            K.kernel_closure(K.cauchy_left if p["side"] == "left" else K.cauchy_right, s),
-        ),
+        source=lambda p: (f"cauchy-{p['side']}",),
+        pair=lambda p, s, x: K.fueter_sce_kernel(s, x, side=p["side"]),
     ),
     "laplacian-power-fueter": Check(
         key="n{n}-lapfueter-t{trial:03d}",
@@ -433,8 +470,8 @@ CHECKS = {
         grid=lambda c: [dict(n=n) for n in c.n_values],
         trials=True,
         op=lambda p: ("d", 1, 0),
-        pair=lambda p, s, x: (Multivector.zero(p["n"], s.ring),
-                              K.kernel_closure(K.fueter_sce_kernel, s)),
+        source=lambda p: ("fueter-sce",),
+        pair=lambda p, s, x: Multivector.zero(p["n"], s.ring),
     ),
     "polyharmonic": Check(
         key="n{n}-m{m}-t{trial:03d}",
@@ -442,8 +479,8 @@ CHECKS = {
                         for n in c.n_values for m in range(1, cf.h_of(n) + 1)],
         trials=True,
         op=lambda p: ("d", 0, cf.h_of(p["n"]) - p["m"] + 1),
-        pair=lambda p, s, x: (Multivector.zero(p["n"], s.ring),
-                              K.kernel_closure(K.harmonic_kernel, s, m=p["m"])),
+        source=lambda p: ("harmonic", p["m"]),
+        pair=lambda p, s, x: Multivector.zero(p["n"], s.ring),
     ),
     "forms": Check(
         key="n{n}-{side}-t{trial:03d}",
@@ -507,6 +544,14 @@ CHECKS = {
         grid=lambda c: [dict(n=3, nodes=c.quad_nodes)],
         run=_run_quad_convergence,
     ),
+    "axial-link": Check(
+        key=lambda p: "n{n}-{base}-b{beta}-m{m}-{src}-t{trial:03d}".format(
+            src="-".join(map(str, p["source"])), **p),
+        grid=_axial_link_grid,
+        trials=True,
+        op=lambda p: (p["base"], p["beta"], p["m"]),
+        source=lambda p: tuple(p["source"]),
+    ),
 }
 
 SUITES = {
@@ -521,6 +566,7 @@ SUITES = {
     "forms": ("forms",),
     "series": ("series",),
     "catalog": ("catalog",),
+    "axial-link": ("axial-link",),
     "quadrature": ("quad-reconstruct", "quad-fs-constant", "quad-fs-oracle",
                    "quad-slice-independence", "quad-convergence"),
 }
@@ -552,19 +598,26 @@ def _run_case(params, config: SuiteConfig) -> dict:
     if check.run:
         return check.run(params, config)
     rng = _case_rng(config, params["key"])
-    op = check.op and named_operator(params["n"], *check.op(params))
     if check.quad:
         x = check.sample(params["n"], rng)
         got, exact = check.quad(params, x)
-        if op:
+        if check.op:
+            op = named_operator(params["n"], *check.op(params))
             exact = oracle_apply(op, exact, x).map_coeffs(float, FLOATS)
         residual = (got - exact).norm_float()
         return {"residual": residual, "pass": residual <= check.tol,
                 "point": {"x": format_paravector(x)}}
     s, x = K.sample_point_pair(params["n"], rng, ring=_ring(config))
-    value, other = check.pair(params, s, x)
-    if op:
-        other = oracle_apply(op, other, x)
+    if check.source:  # the closed form, or for axial-link the axial oracle, against an oracle
+        op, source = check.op(params), check.source(params)
+        value = check.pair(params, s, x) if check.pair else axial.apply(op, source, s, x)
+        if check.pair and config.mode == "exact":
+            other = axial.apply(op, source, s, x)
+        else:
+            name, *args = source
+            other = oracle_apply(named_operator(params["n"], *op), JET_SOURCES[name](s, *args), x)
+    else:
+        value, other = check.pair(params, s, x)
     residual, ok = _compare(value, other, config)
     return {"residual": residual, "pass": ok, "point": _point_record(s, x)}
 
@@ -591,12 +644,37 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _check_jet_budget(cases: list, config: SuiteConfig) -> None:
+    """Refuse a run in which a case would have the jet oracle build a product
+    table above `MAX_JET_TABLE`, largest operators first.  An operator of
+    order d in n+1 variables needs at most C(d + 2n + 2, 2n + 2) entries, the
+    table of all jets of order d; only one that may pass the limit is built
+    and counted.  Lemma rows (D or D-bar alone) and catalog rows (order <= 3
+    at n <= 5) are left out."""
+    ops = set()
+    for case in cases:
+        check = CHECKS[case["kind"]]
+        if check.op and not (config.mode == "exact" and check.source and check.pair):
+            ops.add((case["n"], *check.op(case)))
+    for n, base, beta, m in sorted(ops, key=lambda o: (-o[2] - 2 * o[3], o)):
+        if math.comb(beta + 2 * m + 2 * n + 2, 2 * n + 2) <= MAX_JET_TABLE:
+            continue
+        size, entries = jet_cost(named_operator(n, base, beta, m))
+        if entries > MAX_JET_TABLE:
+            name = "D" if base == "d" else "Dbar"
+            raise InvalidParams(
+                f"{config.suite} at n={n}: the jet oracle for {name}^{beta} Delta^{m} "
+                f"needs {size:,} jet indices and a {entries:,}-entry product table, "
+                f"over the limit of {MAX_JET_TABLE:,} entries")
+
+
 def run_suite(config: SuiteConfig) -> VerificationReport:
     config.validate()
     cases = _build_cases(config)
     if not cases:
         dims = ",".join(map(str, config.n_values))
         raise InvalidParams(f"suite {config.suite} has no cases at n={dims} in {config.mode} mode")
+    _check_jet_budget(cases, config)
     # the pool forks every worker at its first submit, so size it to the work
     cpus = _usable_cpus()
     jobs = min(config.jobs or cpus, cpus, len(cases))

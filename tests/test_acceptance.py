@@ -176,3 +176,24 @@ def test_criterion_9_catalog_arbitration():
     for c in report.cases:
         if c.get("flagged"):
             assert "oracle-confirmed" in c["note"]
+
+
+def test_criterion_10_axial_oracle_link():
+    config = SuiteConfig(
+        suite="axial-link", n_values=NS, trials=2, mode="exact", seed=0, jobs=JOBS
+    )
+    report, _ = _run("10 (axial oracle = jet oracle on every exact oracle row)", config)
+    assert all(c["residual"] == 0.0 for c in report.cases)
+    # n=9 at one trial runs in test_each_operator_support_builds_one_jet_context
+
+
+def test_criterion_11_exact_beyond_n9():
+    started = time.perf_counter()
+    for n in (13, 15):
+        for suite in ("theorem-d", "theorem-dbar", "special-cases", "polyharmonic",
+                      "monogenic"):
+            config = SuiteConfig(suite=suite, n_values=(n,), trials=1, mode="exact",
+                                 seed=0, jobs=1)
+            report, _ = _run(f"11 ({suite}, n={n} exact)", config)
+            assert all(c["residual"] == 0.0 for c in report.cases)
+    assert time.perf_counter() - started < 30.0

@@ -86,6 +86,9 @@ ERRORS = [
     (["--kernel", "dbar-beta-delta-m", "--n", "5", "--beta", "0", *P5],
      "need beta >= 1, m >= 0, m + beta <= h_n = 2; got m=0, beta=0"),
     (["--kernel", "harmonic", "--n", "5", "--m", "3", *P5], "harmonic kernel needs 1 <= m <= 2"),
+    (["--kernel", "pseudo-cauchy", "--n", "3", "--s", "1e300,0,0,0", "--x", "0,1,0,0",
+      "--m", "20"],
+     "exact pseudo-cauchy value has an integer too long to print; use --mode float"),
     (["--kernel", "laplacian-power", "--n", "5", "--m", "0", *P5],
      "laplacian power kernel needs 1 <= m <= 2"),
     (["--kernel", "polyanalytic", "--n", "5", "--ell", "3", *P5],

@@ -44,6 +44,13 @@ EXACT_N9 = {
     "special-cases": "fac2ed1452d3ae517291a7cf1879ed164e7ab76ab80e7b3ad7c01c1aa1435677",
 }
 
+# n=11, one trial: made with the jet oracle (about 27 s and 1.4 GB each on a
+# 2-core VM), now decided by the axial oracle
+EXACT_N11 = {
+    "theorem-d": "f9a38de57b8c6fb6f6228c160e41d340199bb5cee70604499bacde59acd6aea0",
+    "theorem-dbar": "da74c992cee05c35445d6f4cf3e4b7d2527d155f39fbc6f05ad7c7cd8941659c",
+}
+
 FLOAT = {
     "special-cases": "fa15b33a1b8b029007c13d3cc6ba41fd8eef398fbb70201612c236ff46a88f5d",
     "polyharmonic": "1afbf33e9f79f9aaab46db4be8e4d1010662bcca50c06fbb6cab51773469c6f9",
@@ -93,6 +100,12 @@ def test_exact_n7_report_digest(suite):
 def test_exact_n9_report_digest(suite):
     config = SuiteConfig(suite=suite, n_values=(9,), trials=1, seed=0, jobs=1)
     assert _digest(config) == EXACT_N9[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(EXACT_N11))
+def test_exact_n11_report_digest(suite):
+    config = SuiteConfig(suite=suite, n_values=(11,), trials=1, seed=0, jobs=1)
+    assert _digest(config) == EXACT_N11[suite]
 
 
 @pytest.mark.parametrize("suite", sorted(FLOAT))

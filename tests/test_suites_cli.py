@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from slicekernels import rings, suites
+from slicekernels import axial, rings, suites
 from slicekernels.cli import main
 from slicekernels.clifford import parse_multivector
 from slicekernels.diffop import DiffOperator, named_operator
@@ -119,15 +119,17 @@ def test_operator_builds_do_not_grow_with_the_case_count(monkeypatch):
 
 
 def test_each_operator_support_builds_one_jet_context(monkeypatch):
-    # n=9 theorem-d and special-cases apply 14 operators with 12 supports:
-    # D^3 and D Delta share one, and so do D^3 Delta and D Delta^2
+    # n=9 axial-link applies 24 operators through the jet oracle, with 12
+    # supports: D^3 and D Delta share one, and so do D^3 Delta and D Delta^2,
+    # and D-bar^beta Delta^m has the support of D^beta Delta^m; the axial
+    # oracle adds one 3-variable context for each order 1..8
     named_operator.cache_clear()
     rings.jet_context.cache_clear()
+    axial._shifts.cache_clear()
     builds = _count_calls(monkeypatch, JetContext)
-    for suite in ("theorem-d", "special-cases"):
-        assert run_suite(SuiteConfig(suite=suite, n_values=(9,), trials=1, seed=0,
-                                     jobs=1)).passed
-    assert builds[0] == 12
+    assert run_suite(SuiteConfig(suite="axial-link", n_values=(9,), trials=1, seed=0,
+                                 jobs=1)).passed
+    assert builds[0] == 12 + 8
 
 
 def test_config_validation():
