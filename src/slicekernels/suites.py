@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from random import Random
@@ -449,7 +449,7 @@ CHECKS = {
     ),
     "appendix-identity": Check(
         key="{identity}-h{h_n:02d}-m{m:02d}-k{k}-j{j}",
-        grid=lambda c: [asdict(case) for case in cf.appendix_cases(c.hn_max)],
+        grid=lambda c: [dict(vars(case)) for case in cf.appendix_cases(c.hn_max)],
         holds=lambda p: cf.check_appendix_identity(
             p["identity"], p["h_n"], p["m"], p["k"], p["j"]),
     ),
@@ -637,6 +637,18 @@ def _execute_case(args):
     return out
 
 
+def __getattr__(name):
+    """`ProcessPoolExecutor`, imported on first access: the pool loads
+    `concurrent.futures` and `multiprocessing` (about 30 modules), which a
+    run that forks no worker never needs."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -680,7 +692,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     jobs = min(config.jobs or cpus, cpus, len(cases))
     work = [(c, config) for c in cases]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # looked up on the module, so the first pooled run imports the pool
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(work) // (4 * jobs))
             results = list(pool.map(_execute_case, work, chunksize=chunk))
     else:
