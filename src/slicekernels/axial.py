@@ -22,7 +22,7 @@ Clifford analysis and axial symmetry", J. Math. Anal. Appl. 130, 1988).
 The functions the oracle rows differentiate are written here once more, in
 this algebra, and share no code with the closed forms in `kernels`.  Q =
 q0 + q1 v lies in the plane of s, so Q^-1 = (q0 - q1 v) / (q0^2 + nu q1^2).
-Exact rationals only.
+The jets are exact, and a float point is read exactly.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class _Point:
 
     def __init__(self, s: Paravector, x: Paravector, order: int):
         ctx, self.tables = _shifts(order)
-        self.ring = ring = JetRing(ctx, RATIONALS)
+        self.ring = ring = JetRing(ctx)
         self.n = x.n
         self.nu = s.vector_norm_sq()
         self.x0 = ring.seed(_X0, x.x0)
@@ -133,17 +133,21 @@ SOURCES = {
 def apply(op: tuple, source: tuple, s: Paravector, x: Paravector) -> Multivector:
     """D^beta Delta^m (base "d") or D-bar^beta Delta^m (base "dbar"), for
     op = (base, beta, m), applied to the function named by `source` at x,
-    with the exact value of `diffop.oracle_apply` on the same function."""
+    with the value of `diffop.oracle_apply` on the same function: exact at
+    the point x holds, each blade rounded once into the ring of x."""
     base, beta, m = op
     name, *args = source
+    ring = x.ring
+    s, x = s.cast(RATIONALS), x.cast(RATIONALS)
     p = _Point(s, x, beta + 2 * m)
     g = SOURCES[name](p, *args)
     for _ in range(m):
         g = p.laplacian(g)
     for _ in range(beta):
         g = p.dirac(g, 1 if base == "d" else -1)
-    n, ring = x.n, RATIONALS
+    n = x.n
     c1, cu, cv, cw = (a.constant_term() for a in g)
-    u = Multivector(n, ring, {1 << i: c for i, c in enumerate(x.xu)})
-    v = Multivector(n, ring, {1 << i: c for i, c in enumerate(s.xu)})
-    return Multivector.scalar(n, ring, c1) + u.scale(cu) + v.scale(cv) + (u * v).scale(cw)
+    u = Multivector(n, RATIONALS, {1 << i: c for i, c in enumerate(x.xu)})
+    v = Multivector(n, RATIONALS, {1 << i: c for i, c in enumerate(s.xu)})
+    value = Multivector.scalar(n, RATIONALS, c1) + u.scale(cu) + v.scale(cv) + (u * v).scale(cw)
+    return value.map_coeffs(ring.lift, ring)

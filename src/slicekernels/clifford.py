@@ -215,9 +215,9 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     one order.  Exact products sum in integers: with a's blades A_i / da in
     the ring's numerator form (`RATIONALS.split`) and b's B_j / db, each
     output blade sums sign * A_i * B_j and is divided by da * db once.  Over
-    jets the A_i and B_j are numerator tables (float jets sit over
-    denominator 1), and each output blade accumulates into one table.  Float
-    products keep their own loop, which sums the values directly.
+    jets the A_i and B_j are the jets' int numerator tables, and each output
+    blade accumulates into one table.  Float products keep their own loop,
+    which sums the values directly.
     """
     a._check(b)
     ring = a.ring
@@ -256,7 +256,8 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 
 
 def _jet_product(a: Multivector, b: Multivector) -> Multivector:
-    """geometric_product over jets: one table per output blade."""
+    """geometric_product over jets: one int numerator table per output
+    blade, over the product of the two lcm denominators."""
     if not a.blades or not b.blades:
         return Multivector._make(a.n, a.ring, {})
     jets = [*a.blades.values(), *b.blades.values()]

@@ -15,6 +15,7 @@ formulas it is used to check.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import Multivector, Paravector, blade_product
@@ -181,28 +182,28 @@ def jet_cost(op: DiffOperator) -> tuple[int, int]:
 def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     """Apply `op` to `f` at `x` by one evaluation of `f` over the jet ring.
 
-    `f(x)` must evaluate over the ring of the paravector x, as a
-    `quadrature.SliceFunction` and a `kernels.kernel_closure` do; it is
-    called once, at `x` seeded over jets of the ring of `x`, which is the
-    ring of the result.  The jets carry exactly the down-set of the
-    operator's support (every multi-index below some alpha of `op.terms`),
-    which is all that `op` reads; the shape depends on the operator alone,
-    never on `f`, and comes with its coefficients from `op.blade_terms()`,
-    found once per operator.
+    `f(x)` must evaluate over any ring, as a `quadrature.SliceFunction` and
+    a `kernels.kernel_closure` do; it is called once, at `x` seeded over
+    exact jets.  A float coordinate is read exactly, so the value is exact
+    at the point x holds, and each blade of the result is rounded once into
+    the ring of x.  The jets carry exactly the down-set of the operator's
+    support (every multi-index below some alpha of `op.terms`), which is
+    all that `op` reads; the shape depends on the operator alone, never on
+    `f`, and comes with its coefficients from `op.blade_terms()`, found
+    once per operator.
 
     The sum of c_alpha * d^alpha f is assembled from numerators: the
     coefficients are ints C_alpha / E over one denominator E and the blades
-    of f are N_b / den over another (den is 1 for float jets).  Each nonzero
-    blade pair (a, b) takes one dot product, the sum over alpha of
-    C_alpha[a] * alpha! * N_b[alpha], and adds it with the sign of
-    e_a e_b = sign * e_mask to blade `mask`, which is divided by den * E once.
+    of f are N_b / den over another.  Each nonzero blade pair (a, b) takes
+    one dot product, the sum over alpha of C_alpha[a] * alpha! * N_b[alpha],
+    and adds it with the sign of e_a e_b = sign * e_mask to blade `mask`,
+    which is divided by den * E once.
     """
     n = op.n
     if x.n != n:
         raise DimensionMismatch(f"operator in dimension {n}, point in {x.n}")
-    ring = x.ring
     ctx, scale, groups = op.blade_terms()
-    jring = JetRing(ctx, ring)
+    jring = JetRing(ctx)
     seeded = Paravector(
         jring,
         jring.seed(0, x.x0),
@@ -223,4 +224,5 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
                 mask, sign = blade_product(a, b)
                 acc[mask] += sign * up * v
     den *= scale
-    return Multivector(n, ring, {m: ring.quotient(v, den) for m, v in enumerate(acc) if v})
+    lift = x.ring.lift
+    return Multivector(n, x.ring, {m: lift(Fraction(v, den)) for m, v in enumerate(acc) if v})

@@ -11,18 +11,19 @@ arithmetic, and zero is exact in every ring: an element is zero iff it is
 false (``not v``).  A :class:`Lanes` value is a float ring value with one
 float per lane (per quadrature node), so one kernel call over lanes gives
 every lane's float value.
-The two scalar rings also own their number format: ``split(values)`` gives
-the nonzero values as numerators over one denominator (ints over their lcm
-for rationals, the floats themselves over 1), and ``quotient(num, den)``
-turns one back into a ring value.
+The rational ring also owns the number format of exact sums:
+``RATIONALS.split(values)`` gives the nonzero values as int numerators over
+their lcm denominator, and ``RATIONALS.quotient(num, den)`` turns one back
+into a Fraction.
 
 Jets are the substrate of the differentiation oracle: a jet holds the
 Taylor coefficients of a scalar quantity in ``num_vars`` real coordinates
 on a fixed down-set of multi-indices (see :class:`JetContext`), so
 evaluating any expression over jets yields all those partial derivatives
-at the base point in one pass.  Jets keep the scalar ring's numerators, so
-the exact oracle's inner loops run on Python ints, not Fractions, and its
-shared denominator is reduced only around a reciprocal.
+at the base point in one pass.  Jets are exact: they keep int numerators
+over one denominator, so the oracle's inner loops run on Python ints, not
+Fractions, and its shared denominator is reduced only around a reciprocal.
+A float point is read exactly, since every float is a dyadic rational.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ _ONE = Fraction(1)
 
 class RationalRing:
     """Exact field of rationals backed by arbitrary-precision integers."""
-
-    exact = True
 
     def zero(self) -> Fraction:
         return _ZERO
@@ -80,8 +79,6 @@ class RationalRing:
 class FloatRing:
     """Double-precision arithmetic; zero is exactly 0.0 (or -0.0)."""
 
-    exact = False
-
     def zero(self) -> float:
         return 0.0
 
@@ -93,13 +90,6 @@ class FloatRing:
 
     def invert(self, v) -> float:
         return 1.0 / v
-
-    def split(self, values: dict) -> tuple[dict, int]:
-        """(the nonzero values, unchanged, over denominator 1)."""
-        return {k: v for k, v in values.items() if v}, 1
-
-    def quotient(self, num, den) -> float:
-        return num / den
 
     def magnitude(self, v) -> float:
         return abs(v)
@@ -245,14 +235,13 @@ def multi_index_factorial(alpha: Iterable[int]) -> int:
 
 
 def mul_into(out: dict, products: tuple, a: dict, b: dict, scale: int) -> None:
-    """Add scale * a * b into `out`, all int numerators or all floats on one down-set.
+    """Add scale * a * b into `out`, all int numerators on one down-set.
 
     `products` is the context's product table, and `scale` an int such as a
     blade sign.  Integer sums do not depend on their order, so each row i
     takes the shorter walk: its table entries looked up in b, or b looked up
-    in it.  Float sums follow that walk, so they are deterministic too.  Row
-    0 maps every j to itself, so a's constant term is a scale of b.  Entries
-    of `out` that sum to zero are kept; the caller drops them.
+    in it.  Row 0 maps every j to itself, so a's constant term is a scale of
+    b.  Entries of `out` that sum to zero are kept; the caller drops them.
     """
     get = out.get
     a0 = a.get(0)
@@ -288,37 +277,36 @@ class Jet:
     factorial) keyed by graded-lex index, stored sparsely: indices with
     exactly zero coefficient are absent.
 
-    A jet keeps the scalar ring's numerator form (`ring.split`): nonzero
-    int numerators over one shared `den` > 0, not necessarily in lowest
-    terms, for an exact jet, and nonzero floats over `den` 1 for a float
-    jet, so every path written for a denominator serves both rings.  `+`,
-    `-`, `*` and `scale` never take a gcd; `==` compares the shapes, the
-    rings and the values, these by cross-multiplying.  Only the exact
+    A jet is exact.  `coeffs` may hold ints, Fractions or floats, each read
+    exactly, and the jet keeps them in the numerator form of `RATIONALS.split`:
+    nonzero int numerators over one shared `den` > 0, not necessarily in
+    lowest terms.  `+`, `-`, `*` and `scale` never take a gcd; `==` compares
+    the shapes and the values, these by cross-multiplying.  Only the
     reciprocal reduces, its input and output, by one multi-argument gcd.
-    `coeffs`, `derivative` and `constant_term` return scalar ring values
-    (`ring.quotient`): Fractions in lowest terms, or floats.
+    `coeffs`, `derivative` and `constant_term` return Fractions in lowest
+    terms.
     """
 
-    __slots__ = ("ctx", "ring", "_nums", "den")
+    __slots__ = ("ctx", "_nums", "den")
 
-    def __init__(self, ctx: JetContext, ring, coeffs: dict):
-        self.ctx, self.ring = ctx, ring
-        self._nums, self.den = ring.split(coeffs)
+    def __init__(self, ctx: JetContext, coeffs: dict):
+        self.ctx = ctx
+        self._nums, self.den = RATIONALS.split(coeffs)
 
     @property
     def coeffs(self) -> dict:
-        """The nonzero coefficients by index, as scalar ring values."""
-        q, den = self.ring.quotient, self.den
-        return {k: q(v, den) for k, v in self._nums.items()}
+        """The nonzero coefficients by index, as Fractions."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self._nums.items()}
 
     def _like(self, nums: dict, den) -> "Jet":
-        """Jet of this shape from nonzero numerators over den (1 for floats)."""
+        """Jet of this shape from nonzero numerators over den."""
         out = object.__new__(Jet)
-        out.ctx, out.ring, out._nums, out.den = self.ctx, self.ring, nums, den
+        out.ctx, out._nums, out.den = self.ctx, nums, den
         return out
 
     def _lowest(self) -> "Jet":
-        """This exact jet in lowest terms, by one multi-argument gcd."""
+        """This jet in lowest terms, by one multi-argument gcd."""
         g = math.gcd(self.den, *self._nums.values())
         if g == 1:
             return self
@@ -329,8 +317,6 @@ class Jet:
     def _check(self, other: "Jet"):
         if self.ctx is not other.ctx and self.ctx.exponents != other.ctx.exponents:
             raise InvalidParams("jet shape mismatch")
-        if self.ring.exact != other.ring.exact:
-            raise InvalidParams("exact and float jets do not mix")
 
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -380,18 +366,15 @@ class Jet:
     __rmul__ = __mul__
 
     def scale(self, c):
-        nums, den = self.ring.split({0: c})
+        nums, den = RATIONALS.split({0: c})
         if not nums:
             return self._like({}, 1)
-        p = nums[0]  # float products can underflow to zero
-        return self._like({k: w for k, v in self._nums.items() if (w := v * p)},
-                          self.den * den)
+        p = nums[0]
+        return self._like({k: v * p for k, v in self._nums.items()}, self.den * den)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        if self.ring.exact != other.ring.exact:
-            return False
         if self.ctx is not other.ctx and self.ctx.exponents != other.ctx.exponents:
             return False
         a, b, da, db = self._nums, other._nums, self.den, other.den
@@ -409,7 +392,7 @@ class Jet:
     # -- queries ------------------------------------------------------
 
     def constant_term(self):
-        return self.ring.quotient(self._nums.get(0, 0), self.den)
+        return Fraction(self._nums.get(0, 0), self.den)
 
     def derivative(self, alpha: tuple) -> object:
         """Partial derivative d^alpha at the base point (coefficient * alpha!)."""
@@ -419,8 +402,7 @@ class Jet:
         k = ctx.index.get(tuple(alpha))
         if k is None:
             raise OrderExceeded(f"d^{tuple(alpha)} lies outside the jet's support")
-        return self.ring.quotient(self._nums.get(k, 0) * multi_index_factorial(alpha),
-                                  self.den)
+        return Fraction(self._nums.get(k, 0) * multi_index_factorial(alpha), self.den)
 
     def __repr__(self):
         terms = ", ".join(
@@ -430,33 +412,32 @@ class Jet:
 
 
 class JetRing:
-    """Ring of jets of one shape (a JetContext) over a scalar ring."""
+    """Ring of exact jets of one shape (a JetContext)."""
 
-    def __init__(self, ctx: JetContext, scalar_ring=RATIONALS):
+    def __init__(self, ctx: JetContext):
         self.ctx = ctx
-        self.scalar_ring = scalar_ring
 
     def zero(self) -> Jet:
-        return Jet(self.ctx, self.scalar_ring, {})
+        return Jet(self.ctx, {})
 
     def one(self) -> Jet:
-        return Jet(self.ctx, self.scalar_ring, {0: self.scalar_ring.one()})
+        return Jet(self.ctx, {0: 1})
 
     def lift(self, v) -> Jet:
         if isinstance(v, Jet):
             return v
-        return Jet(self.ctx, self.scalar_ring, {0: self.scalar_ring.lift(v)})
+        return Jet(self.ctx, {0: v})
 
     def seed(self, i: int, value) -> Jet:
         """Jet of the i-th coordinate function at base value `value`."""
         ctx = self.ctx
         if not 0 <= i < ctx.num_vars:
             raise InvalidParams(f"variable index {i} out of range")
-        coeffs = {0: self.scalar_ring.lift(value)}  # split drops a zero
+        coeffs = {0: value}  # split drops a zero
         unit = ctx.index.get(tuple(1 if k == i else 0 for k in range(ctx.num_vars)))
         if unit is not None:
-            coeffs[unit] = self.scalar_ring.one()
-        return Jet(ctx, self.scalar_ring, coeffs)
+            coeffs[unit] = 1
+        return Jet(ctx, coeffs)
 
     def invert(self, jet: Jet) -> Jet:
         return self.reciprocal(jet)
@@ -471,8 +452,8 @@ class JetRing:
         its share to every higher degree; when the layers below degree d are
         pushed, the accumulator holds the whole sum for each index of degree d.
 
-        Exact jets run the recurrence in integers.  With A the numerators of
-        a (a = A / den) and r = 1 / A, r[0] = 1 / A[0] and
+        The recurrence runs in integers.  With A the numerators of a
+        (a = A / den) and r = 1 / A, r[0] = 1 / A[0] and
         r[k] = -(sum A[i] r[j]) / A[0].  By induction on the degree, the
         denominator of r[j] divides A[0]^(deg j + 1): it holds at degree 0,
         and if it holds below degree d every sum of degree d has a
@@ -480,20 +461,16 @@ class JetRing:
         R = r * D with D = A[0]^(T + 1), T the top degree of the support, is
         integral: R[0] = A[0]^T and R[k] = -(sum A[i] R[j]) // A[0], a division
         that is exact because its quotient is the integer R[k]; integer sums
-        do not depend on their order.  Then out = den * R / D.  Float jets
-        take out[k] = -(1 / a[0]) * sum and drop exact zeros.
+        do not depend on their order.  Then out = den * R / D.
         """
-        ctx, sr = jet.ctx, jet.ring
-        exact = sr.exact
-        if exact:
-            jet = jet._lowest()
+        ctx = jet.ctx
+        jet = jet._lowest()
         rest = dict(jet._nums)
         a0 = rest.pop(0, 0)
         if not a0:
             raise NonInvertibleConstantTerm("jet constant term is not invertible")
         top = len(ctx.layers) - 1
-        inv0 = None if exact else sr.invert(a0)
-        layer = {0: a0 ** top if exact else inv0}
+        layer = {0: a0 ** top}
         out = dict(layer)
         acc: dict = {}
         for ks in ctx.layers[1:]:
@@ -501,18 +478,14 @@ class JetRing:
             layer = {}
             for k in ks:
                 if v := acc.pop(k, 0):
-                    layer[k] = -v // a0 if exact else -(inv0 * v)
+                    layer[k] = -v // a0
             out.update(layer)
-        if not exact:
-            return Jet(ctx, sr, out)
         big = a0 ** (top + 1)
         f = jet.den if big > 0 else -jet.den
         return jet._like({k: v * f for k, v in out.items()}, abs(big))._lowest()
 
     def magnitude(self, jet: Jet) -> float:
-        sr = self.scalar_ring
-        return max((sr.magnitude(v) for v in jet.coeffs.values()), default=0.0)
+        return max((RATIONALS.magnitude(v) for v in jet.coeffs.values()), default=0.0)
 
     def __repr__(self):
-        return f"JetRing(num_vars={self.ctx.num_vars}, size={self.ctx.size}, scalar={self.scalar_ring!r})"
-
+        return f"JetRing(num_vars={self.ctx.num_vars}, size={self.ctx.size})"

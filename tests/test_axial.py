@@ -1,6 +1,7 @@
 """The axial oracle against the jet oracle, and the jet oracle's cost bound."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,7 +11,7 @@ from slicekernels import coeffs as cf
 from slicekernels import kernels as K
 from slicekernels.clifford import Paravector
 from slicekernels.diffop import jet_cost, named_operator, oracle_apply
-from slicekernels.rings import RATIONALS, JetContext
+from slicekernels.rings import FLOATS, RATIONALS, JetContext
 from slicekernels.suites import JET_SOURCES
 
 coord = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -40,6 +41,23 @@ def test_axial_oracle_equals_jet_oracle(case):
     name, *args = source
     jet = oracle_apply(named_operator(n, *op), JET_SOURCES[name](s, *args), x)
     assert axial.apply(op, source, s, x) == jet
+
+
+def test_both_oracles_read_a_float_point_exactly_and_round_once():
+    # D Delta of the left Cauchy kernel at n=5: at a float point both oracles
+    # give the exact value at the rationals the floats hold, each blade rounded
+    # once, bit for bit
+    op, rng = ("d", 1, 1), Random(5)
+    jet_op = named_operator(5, *op)
+    for _ in range(20):
+        s, x = K.sample_point_pair(5, rng, ring=FLOATS)
+        exact = oracle_apply(jet_op, JET_SOURCES["cauchy-left"](s.cast(RATIONALS)),
+                             x.cast(RATIONALS))
+        want = {m: float(c).hex() for m, c in exact.blades.items()}
+        for got in (oracle_apply(jet_op, JET_SOURCES["cauchy-left"](s), x),
+                    axial.apply(op, ("cauchy-left",), s, x)):
+            assert got.ring is FLOATS
+            assert {m: c.hex() for m, c in got.blades.items()} == want
 
 
 def test_sources_are_the_same_functions():

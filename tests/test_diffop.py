@@ -218,7 +218,7 @@ def test_operators_with_one_support_share_one_jet_context():
 def _reference_apply(op, f, x):
     # sum of c_alpha * d^alpha f as Fraction Clifford products of the jet
     # derivatives, one term at a time
-    jring = JetRing(jet_context(op.n + 1, tuple(op.terms)), R)
+    jring = JetRing(jet_context(op.n + 1, tuple(op.terms)))
     value = f(Paravector(jring, jring.seed(0, x.x0),
                          [jring.seed(i + 1, c) for i, c in enumerate(x.xu)]))
     acc = Multivector.zero(op.n, R)

@@ -51,23 +51,25 @@ EXACT_N11 = {
     "theorem-dbar": "da74c992cee05c35445d6f4cf3e4b7d2527d155f39fbc6f05ad7c7cd8941659c",
 }
 
+# Float reports: the closed forms in floats against the oracle's exact value
+# at the float point, rounded once
 FLOAT = {
-    "special-cases": "fa15b33a1b8b029007c13d3cc6ba41fd8eef398fbb70201612c236ff46a88f5d",
-    "polyharmonic": "1afbf33e9f79f9aaab46db4be8e4d1010662bcca50c06fbb6cab51773469c6f9",
-    "theorem-dbar": "5ba81d7b5d6f95a8d02b8118adde4409f7b3327e404598a33a45bd51185a562a",
-    "theorem-d": "2539ae764adc3027f9f2c7a4252d630d23005f0b0ca24b3d8dfbfaf59c322a02",
-    "lemmas": "a79cc4893906e4246efc926fb6005298910fb5a4abd8bcff049421b17917988e",
-    "monogenic": "c80eee44f09b3c66a1f9ece938fb73a1c2203727f5633abf8f5c51e8104b9f7c",
+    "special-cases": "1cf47175c3518ab2da5cf9115dc6c0ef10154108d38b064b1ac76a3036604c15",
+    "polyharmonic": "e32eef98cbad75da2dc7dca32bfb3935fed22589ebc7ed94300231a91996f7e5",
+    "theorem-dbar": "952ac14f93c3b3f4ffe6a35a380e705f3602af30e717ff32aa8f4ede1e4e8a13",
+    "theorem-d": "12b98b067f7d3cdc2b2e794157f58df7afafd5423bfe579c874402427ac8f02d",
+    "lemmas": "4865ba0da637fda9ba0c826e5e4e47ad6800c9717ed356f6bf3d81e4adfc9ba2",
+    "monogenic": "bd33fe41cccf7d9cefd2634e9212f54e22f7a88070ccbcbfc12dc853d5a1dbb8",
     "forms": "25875aad409530d0dae41d49e45aeb9e7c1d40689c89f9ccb9c94a9457b89c04",
-    "catalog": "255853412535327032832cf009bcbca716bd39302fe606d1da10c942c09014ec",
+    "catalog": "3d8f1e7578f5bead6b873d5ee984f80f99c98a8dadfb7bc71db69f257eabd4c4",
     "series": "bdd8e73cccc7d9a3d45da66d45a3a14b2ecad3a63a01cab3bf86d8f063a53658",
 }
 
-# Float reports whose sums run through the jet product, the layered jet
-# reciprocal and the oracle's grouped integer-coefficient sum (theorem-dbar at
-# n=9), and the contour memo (quadrature at its default 256 nodes).
+# A float report decided by the axial oracle at a float point read exactly
+# (theorem-dbar at n=9), and the contour memo (quadrature at its default 256
+# nodes).
 FLOAT_N9 = {
-    "theorem-dbar": "517248bd8612fd090917c3d1cbc17e1f99024662d13b4f71fe874bde5ae189a4",
+    "theorem-dbar": "ab6a61c7bea93ffa57a5dc45599eb075b658409d7bcb3402522627719a7b6ce0",
 }
 QUADRATURE_256 = "647db55c32da36151e7d8103287396767ad648a7f3301f7043f81b8b8bcd0f44"
 

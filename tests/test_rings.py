@@ -39,12 +39,7 @@ def test_rational_ring_basics():
 
 
 def test_float_zero_is_exact():
-    # a tiny float is not zero: its jet inverts, and it moves a point off [x]
-    ctx = jet_context(1, degree_corners(1, 2))
-    a = Jet(ctx, FLOATS, {0: 1e-13, 1: 1.0})
-    r = JetRing(ctx, FLOATS).reciprocal(a)
-    assert r.coeffs == {0: 1e13, 1: -1e26, 2: pytest.approx(1e39, rel=1e-15)}
-    assert (a * r).coeffs == {0: 1.0}
+    # a tiny float is not zero: it moves a point off [x]
     x = Paravector.from_coords(FLOATS, (1, 2, 0, 0))
     assert not same_sphere(x, Paravector.from_coords(FLOATS, (1 + 1e-13, 0, 2, 0)))
 
@@ -64,11 +59,6 @@ def test_scalar_ring_number_format_round_trips(values):
     assert all(type(c) is int and c for c in nums.values())
     assert den == math.lcm(*(Fraction(v).denominator for v in nonzero.values()))
     assert all(RATIONALS.quotient(nums[k], den) == Fraction(v) for k, v in nonzero.items())
-    nums, den = FLOATS.split(values)
-    assert den == 1 and nums.keys() == nonzero.keys()
-    assert all(nums[k] is v for k, v in nonzero.items())
-    assert all(FLOATS.quotient(v, den).hex() == v.hex()
-               for v in nonzero.values() if isinstance(v, float))
 
 
 def test_seed_is_base_value_plus_coordinate():
@@ -189,24 +179,6 @@ def test_jets_of_different_supports_do_not_mix():
     assert a * c == a * a
 
 
-def test_jets_over_different_scalar_rings_do_not_mix():
-    # float jets sit over denominator 1, so only the ring check keeps an
-    # exact jet from being read as the float jet of its numerators
-    ctx = jet_context(2, ((1, 0),))
-    fj = Jet(ctx, FLOATS, {0: 1.0, 1: 1.0})
-    ej = Jet(ctx, RATIONALS, {0: Fraction(1, 3), 1: Fraction(1, 3)})
-    fm, em = (Multivector(2, JetRing(ctx, j.ring), {0: j, 3: j}) for j in (fj, ej))
-    for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
-        for u, v in ((fj, ej), (ej, fj)):
-            with pytest.raises(InvalidParams):
-                op(u, v)
-    for u, v in ((fm, em), (em, fm)):
-        with pytest.raises(InvalidParams):
-            geometric_product(u, v)
-    one = Jet(ctx, RATIONALS, {0: 1})
-    assert Jet(ctx, FLOATS, {0: 1.0}) != one and one != Jet(ctx, FLOATS, {0: 1.0})
-
-
 def test_derivative_outside_support_raises():
     # (1, 1) has total degree 2 but lies outside the down-set of (2, 0), (0, 2)
     ring = JetRing(jet_context(2, ((2, 0), (0, 2))))
@@ -222,7 +194,7 @@ def test_jet_reciprocal_keeps_the_jet_shape():
     ctx = jet_context(2, ((3, 0), (1, 1)))
     ring = JetRing(ctx)
     a = ring.one() - ring.seed(0, 0) - ring.seed(1, 0)
-    rec = JetRing(a.ctx, a.ring).reciprocal(a)
+    rec = JetRing(a.ctx).reciprocal(a)
     assert rec.ctx is ctx
     assert rec == ring.reciprocal(a)
     assert not (a * rec - ring.one())
@@ -269,7 +241,7 @@ def _jets(num_vars=2, order=3):
     size = ring.ctx.size
 
     def build(values):
-        return Jet(ring.ctx, RATIONALS, {i: v for i, v in values.items() if v != 0})
+        return Jet(ring.ctx, {i: v for i, v in values.items() if v != 0})
 
     return st.dictionaries(
         st.integers(min_value=0, max_value=size - 1), small_fractions, max_size=5
@@ -315,32 +287,32 @@ def _corner_sets(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_corner_sets(), st.sampled_from([RATIONALS, FLOATS]), st.data())
-def test_down_set_jets_agree_with_total_degree_jets(shape, scalar, data):
+@given(_corner_sets(), st.data())
+def test_down_set_jets_agree_with_total_degree_jets(shape, data):
     # truncation to a down-set is a ring homomorphism: +, * and reciprocal on
     # down-set jets equal the full total-degree results on every index of the
-    # down-set; floats are summed in the same order, so they agree bit for bit
+    # down-set
     small = jet_context(*shape)
     full = jet_context(shape[0], degree_corners(shape[0], max(map(sum, small.exponents))))
     values = st.dictionaries(
         st.integers(min_value=0, max_value=full.size - 1),
-        small_fractions.filter(bool).map(scalar.lift),
+        small_fractions.filter(bool),
         max_size=8,
     )
 
     def restrict(jet):
-        return Jet(small, scalar, {
+        return Jet(small, {
             small.index[full.exponents[i]]: v
             for i, v in jet.coeffs.items() if full.exponents[i] in small.index
         })
 
-    a, b = (Jet(full, scalar, data.draw(values)) for _ in range(2))
+    a, b = (Jet(full, data.draw(values)) for _ in range(2))
     assert restrict(a + b) == restrict(a) + restrict(b)
     assert restrict(a - b) == restrict(a) - restrict(b)
     assert restrict(a * b) == restrict(a) * restrict(b)
     if a.constant_term() != 0:
-        assert restrict(JetRing(full, scalar).reciprocal(a)) == (
-            JetRing(small, scalar).reciprocal(restrict(a))
+        assert restrict(JetRing(full).reciprocal(a)) == (
+            JetRing(small).reciprocal(restrict(a))
         )
 
 
@@ -380,7 +352,7 @@ def test_exact_jets_match_a_fraction_reference(shape, data):
     a, b = (data.draw(values) for _ in range(2))
     a = {k: v for k, v in a.items() if v}
     b = {k: v for k, v in b.items() if v}
-    ja, jb = Jet(ctx, RATIONALS, a), Jet(ctx, RATIONALS, b)
+    ja, jb = Jet(ctx, a), Jet(ctx, b)
     c = data.draw(fractions)
     cases = [
         (ja, a), (jb, b),
@@ -413,7 +385,7 @@ def test_unreduced_exact_jets_equal_the_reduced_jet(shape, data, g):
     values = st.dictionaries(st.integers(0, ctx.size - 1),
                              st.fractions(min_value=-6, max_value=6, max_denominator=12),
                              max_size=8)
-    ja, jb = (Jet(ctx, RATIONALS, data.draw(values)) for _ in range(2))
+    ja, jb = (Jet(ctx, data.draw(values)) for _ in range(2))
     ua = ja.scale(g) * ring.lift(Fraction(1, g))
     assert ua.den == ja.den * g and ua._nums == {k: v * g for k, v in ja._nums.items()}
     assert ua == ja and ja == ua
@@ -425,37 +397,6 @@ def test_unreduced_exact_jets_equal_the_reduced_jet(shape, data, g):
     if ja.constant_term():
         ra, rua = ring.reciprocal(ja), ring.reciprocal(ua)
         assert rua == ra and dict(rua.coeffs) == dict(ra.coeffs)
-
-
-@settings(max_examples=80, deadline=None)
-@given(_corner_sets(), st.data())
-def test_float_and_exact_jet_products_agree_on_dyadic_values(shape, data):
-    # both rings run one product and one reciprocal; on dyadic values every
-    # float sum is exact, so float and exact results agree in value and in
-    # key set, entries that cancel are dropped from both, and neither stores
-    # a zero
-    ctx = jet_context(*shape)
-    values = st.sampled_from([1.0, -1.0, 0.5, -0.5, 3.0])
-    tables = [data.draw(st.dictionaries(st.integers(0, ctx.size - 1), values))
-              for _ in range(3)]
-    fa, fb, fc = (Jet(ctx, FLOATS, t) for t in tables)
-    ea, eb, ec = (Jet(ctx, RATIONALS, t) for t in tables)
-    mv = [Multivector(2, JetRing(ctx, ring), {0: x, 1: y, 2: z, 3: x - y})
-          for ring, x, y, z in ((FLOATS, fa, fb, fc), (RATIONALS, ea, eb, ec))]
-    # with a constant term of +-1 every reciprocal coefficient is dyadic too
-    table = {**data.draw(st.dictionaries(st.integers(0, ctx.size - 1),
-                                         st.sampled_from([1.0, -1.0, 0.5, -0.5]))),
-             0: data.draw(st.sampled_from([1.0, -1.0]))}
-    fu, eu = Jet(ctx, FLOATS, table), Jet(ctx, RATIONALS, table)
-    pairs = [(fa * fb, ea * eb), (fb * fa, eb * ea), (fa * fa, ea * ea),
-             ((fa - fb) * fc, (ea - eb) * ec), (fc * (fa * fb), ec * (ea * eb)),
-             (JetRing(ctx, FLOATS).reciprocal(fu), JetRing(ctx).reciprocal(eu)),
-             *zip(geometric_product(mv[0], mv[0]).coeffs,
-                  geometric_product(mv[1], mv[1]).coeffs)]
-    for got, want in pairs:
-        assert got.coeffs.keys() == want.coeffs.keys()
-        assert {k: Fraction(v) for k, v in got.coeffs.items()} == dict(want.coeffs)
-        assert all(got.coeffs.values()) and all(want.coeffs.values())
 
 
 def _all_pairs_mul_into(ctx, target, a, b, scale):
@@ -503,7 +444,7 @@ def test_exact_jet_geometric_product_matches_jet_arithmetic(shape, n, data):
                              max_size=4)
 
     def jet():
-        out = Jet(ctx, RATIONALS, data.draw(values))
+        out = Jet(ctx, data.draw(values))
         g = data.draw(st.integers(min_value=1, max_value=50))
         return out.scale(g) * ring.lift(Fraction(1, g))  # den times g, not reduced
 
@@ -533,15 +474,15 @@ def test_exact_jet_geometric_product_matches_jet_arithmetic(shape, n, data):
 
 
 def test_exact_jet_geometric_product_checks_the_jet_shape():
-    a = Jet(jet_context(2, ((2, 0),)), RATIONALS, {0: 1, 1: 2})
-    b = Jet(jet_context(2, ((0, 2),)), RATIONALS, {0: 1, 1: 2})
+    a = Jet(jet_context(2, ((2, 0),)), {0: 1, 1: 2})
+    b = Jet(jet_context(2, ((0, 2),)), {0: 1, 1: 2})
     ring = JetRing(a.ctx)
     with pytest.raises(InvalidParams):
         geometric_product(Multivector(1, ring, {0: a}), Multivector(1, ring, {1: b}))
     with pytest.raises(InvalidParams):
         geometric_product(Multivector(1, ring, {0: a, 1: b}), Multivector(1, ring, {0: a}))
     # an equal down-set from another corner tuple is the same shape
-    c = Jet(jet_context(2, ((2, 0), (1, 0))), RATIONALS, {0: 1, 1: 2})
+    c = Jet(jet_context(2, ((2, 0), (1, 0))), {0: 1, 1: 2})
     assert (geometric_product(Multivector(1, ring, {1: a}), Multivector(1, ring, {1: c}))
             == Multivector(1, ring, {0: -(a * a)}))
 

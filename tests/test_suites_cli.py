@@ -148,13 +148,26 @@ def test_float_mode_forms_n9():
 
 
 def test_float_mode_theorem_spot_checks_n9():
-    # float runs cap the jet order, so only the low-order (m, beta) pairs run
+    # float runs cap the operator order at FLOAT_ORACLE_MAX_ORDER, so only the
+    # low-order (m, beta) pairs run; no oracle needs the cap, which only pins
+    # the float case set, as the benchmark's float-n9 counts (20/11/2) do; it
+    # goes with a benchmark change that re-pins them to 28/12/4
     report = run_suite(
         small("theorem-d", n_values=(9,), mode="float", tol=1e-8, trials=2)
     )
     assert report.summary["failed"] == 0
     pairs = {(c["params"]["m"], c["params"]["beta"]) for c in report.cases}
     assert pairs == {(0, 1), (0, 2), (0, 3), (0, 4), (1, 1), (1, 2)}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("suite", ["monogenic", "polyharmonic"])
+def test_float_zero_identities_read_an_exact_zero(suite, seed):
+    # the oracle is exact at the float point and rounds once, so the value
+    # these identities give, zero, reads 0.0 with no rounding of its own
+    report = run_suite(small(suite, n_values=(3, 5, 7, 9), mode="float", seed=seed))
+    assert report.passed, report.summary
+    assert {c["residual"] for c in report.cases} == {0.0}
 
 
 @pytest.mark.parametrize("seed", [0, 7])
