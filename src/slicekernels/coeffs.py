@@ -11,7 +11,7 @@ oracle in the kernel suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParams
 
@@ -119,8 +119,7 @@ def sigma_gamma_link(h_n: int, m: int) -> bool:
 # -- identity checkers ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     identity: str
     h_n: int
     m: int

@@ -1,6 +1,7 @@
 """Closed-form kernels: Cauchy kernels, their Dirac/Laplacian derivatives,
 and the Fueter-Sce kernel, together with regression fixtures for values
-quoted in the quaternionic and five-dimensional literature.
+quoted in the quaternionic and five-dimensional literature, each kept as its
+quoted text and read by `quoted_value`.
 
 Every formula is evaluated in its exact written multiplication order; no
 commutation shortcuts are applied outside the commutative plane generated
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import coeffs as cf
 from .clifford import Multivector, Paravector
@@ -319,9 +320,22 @@ _LEMMA_SIDES = {
 }
 
 
+def _printed_sum(terms, factor, n: int, ring) -> Multivector:
+    """A printed side: each term (c, names) with a nonzero c is its factors
+    `factor(name)` multiplied left to right, then scaled by c; the terms are
+    added in order."""
+    out = Multivector.zero(n, ring)
+    for c, (first, *rest) in terms:
+        if c:
+            term = factor(first)
+            for name in rest:
+                term = term * factor(name)
+            out = out + term.scale(c)
+    return out
+
+
 def _lemma_rhs(lemma: str, formula: int, s, x, m: int, k: int) -> Multivector:
-    """The printed side: each term with a nonzero coefficient is its factors
-    multiplied left to right, then scaled; terms are added in table order."""
+    """The printed side of a lemma block, from its row of `_LEMMA_SIDES`."""
     if m < 0 or k < 0:
         raise InvalidParams("lemma blocks need m >= 0 and k >= 0")
     terms = _LEMMA_SIDES.get((lemma, formula))
@@ -333,14 +347,8 @@ def _lemma_rhs(lemma: str, formula: int, s, x, m: int, k: int) -> Multivector:
     qm, qm1 = (q.to_multivector() for q in pseudo_inverse(s, x).powers(m + 1)[m:])
     p = [None] + [v.to_multivector() for v in _smx0(s, x).powers(k + 1)]  # p[j] = (s-x0)^(j-1)
     factors = {"b": _smxbar(s, x), "q": qm, "q1": qm1, "p-": p[k], "p": p[k + 1], "p+": p[k + 2]}
-    out = Multivector.zero(x.n, x.ring)
-    for a, weight, first, *rest in terms:
-        if c := a * weights[weight]:
-            term = factors[first]
-            for name in rest:
-                term = term * factors[name]
-            out = out + term.scale(c)
-    return out
+    return _printed_sum(((a * weights[w], names) for a, w, *names in terms),
+                        factors.__getitem__, x.n, x.ring)
 
 
 def lemma_rhs(s: Paravector, x: Paravector, lemma: str, formula: int, m: int,
@@ -360,118 +368,90 @@ def lemma_block_lhs_rhs(s: Paravector, x: Paravector, lemma: str, formula: int, 
 
 # -- literature catalog ----------------------------------------------------
 
+# A sign starts a term at the start of the text or after a space, so the signs
+# inside (s-xbar), (s-x0) and Q^-k do not.
+_TERM_SIGN = re.compile(r"(?:^|\s+)([+-])\s*")
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One kernel value quoted in earlier work, kept verbatim as a fixture.
 
-    `op` names the operator applied to the Cauchy kernel as (base, beta, m),
-    as an oracle row of the suites does.  An entry that disagrees with the
-    differentiation oracle is flagged by giving `corrected`, which evaluates
-    the oracle-confirmed alternative.
+def _quoted_factor(name: str, s: Paravector, x: Paravector) -> Multivector:
+    """One factor of a quoted value: s, (s-xbar), F^n (the Fueter-Sce kernel
+    F_L^n of the dimension n of x), (s-x0) or (s-x0)^k, or Q^-k."""
+    base, hat, power = name.partition("^")
+    if name == "s":
+        return s.to_multivector()
+    if name == "(s-xbar)":
+        return _smxbar(s, x)
+    if name == f"F^{x.n}":
+        return fueter_sce_kernel(s, x)
+    if base == "(s-x0)" and (not hat or power.isdecimal()):
+        return _smx0(s, x).pow(int(power or 1)).to_multivector()
+    if base == "Q" and power[:1] == "-" and power[1:].isdecimal():
+        return pseudo_cauchy_pow(s, x, int(power[1:]))
+    raise InvalidParams(f"unknown factor {name!r} in a quoted value")
+
+
+def quoted_value(text: str, s: Paravector, x: Paravector) -> Multivector:
+    """The value of a quoted formula at (s, x), such as
+    "16*Q^-2*(s-x0) - 8*(s-xbar)*Q^-2".  Terms are joined by " + " or " - ";
+    a term is an optional coefficient, an integer or x0, then its factors
+    (see `_quoted_factor`), joined by "*".  It is evaluated as a printed
+    side: factors left to right, then the coefficient, terms in order."""
+    parts = _TERM_SIGN.split(text if text.startswith(("+", "-")) else "+" + text)
+    terms = []
+    for sign, body in zip(parts[1::2], parts[2::2]):
+        coeff, *names = body.split("*")
+        if coeff == "x0":
+            c = x.x0
+        elif coeff.isdecimal():
+            c = int(coeff)
+        else:
+            c, names = 1, [coeff, *names]
+        if not names:
+            raise InvalidParams(f"term {body!r} of {text!r} has no factor")
+        terms.append((-c if sign == "-" else c, names))
+    return _printed_sum(terms, lambda name: _quoted_factor(name, s, x), x.n, x.ring)
+
+
+class CatalogEntry(NamedTuple):
+    """One kernel value quoted in earlier work, kept verbatim as its text.
+
+    `op` names the operator applied to the left Cauchy kernel as
+    (base, beta, m), as an oracle row of the suites does, and `printed_text`
+    is the quoted value, read by `quoted_value`.  An entry that disagrees
+    with the oracle is flagged by giving `corrected`, the library closed form
+    of the oracle-confirmed value, and `corrected_text`, that value as text.
     """
 
     id: str
     n: int
     op: tuple
-    printed: Callable[[Paravector, Paravector], Multivector]
     printed_text: str
     corrected: Optional[Callable[[Paravector, Paravector], Multivector]] = None
     corrected_text: str = ""
 
-
-def _catalog_entries() -> dict[str, CatalogEntry]:
-    entries = [
-        CatalogEntry(
-            id="q-D",
-            n=3,
-            op=("d", 1, 0),
-            printed=lambda s, x: pseudo_cauchy_pow(s, x, 1).scale(-2),
-            printed_text="-2*Q^-1",
-        ),
-        CatalogEntry(
-            id="q-Dbar",
-            n=3,
-            op=("dbar", 1, 0),
-            printed=lambda s, x: -(
-                fueter_sce_kernel(s, x) * s.to_multivector()
-            )
-            + fueter_sce_kernel(s, x).scale(x.x0),
-            printed_text="-F^3*s + x0*F^3",
-        ),
-        CatalogEntry(
-            id="n5-D",
-            n=5,
-            op=("d", 1, 0),
-            printed=lambda s, x: pseudo_cauchy_pow(s, x, 1).scale(-4),
-            printed_text="-4*Q^-1",
-        ),
-        # quoted sign disagrees with the Laplacian-power kernel at m=1
-        CatalogEntry(
-            id="n5-Delta",
-            n=5,
-            op=("d", 0, 1),
-            printed=lambda s, x: (_smxbar(s, x) * pseudo_cauchy_pow(s, x, 2)).scale(8),
-            printed_text="8*(s-xbar)*Q^-2",
-            corrected=lambda s, x: laplacian_power_kernel(s, x, 1),
-            corrected_text="-8*(s-xbar)*Q^-2",
-        ),
-        CatalogEntry(
-            id="n5-DeltaD",
-            n=5,
-            op=("d", 1, 1),
-            printed=lambda s, x: pseudo_cauchy_pow(s, x, 2).scale(16),
-            printed_text="16*Q^-2",
-        ),
-        CatalogEntry(
-            id="n5-Dbar",
-            n=5,
-            op=("dbar", 1, 0),
-            printed=lambda s, x: (
-                _smxbar(s, x) * pseudo_cauchy_pow(s, x, 2) * _smx0(s, x).to_multivector()
-            ).scale(4)
-            + pseudo_cauchy_pow(s, x, 1).scale(2),
-            printed_text="4*(s-xbar)*Q^-2*(s-x0) + 2*Q^-1",
-        ),
-        # quoted value is the negation of the oracle-confirmed one
-        CatalogEntry(
-            id="n5-D2",
-            n=5,
-            op=("d", 2, 0),
-            printed=lambda s, x: (
-                pseudo_cauchy_pow(s, x, 2) * _smx0(s, x).to_multivector()
-            ).scale(16)
-            - (_smxbar(s, x) * pseudo_cauchy_pow(s, x, 2)).scale(8),
-            printed_text="16*Q^-2*(s-x0) - 8*(s-xbar)*Q^-2",
-            corrected=lambda s, x: d_beta_delta_m_kernel(s, x, 0, 2),
-            corrected_text="8*(s-xbar)*Q^-2 - 16*Q^-2*(s-x0)",
-        ),
-        CatalogEntry(
-            id="n5-DeltaDbar",
-            n=5,
-            op=("dbar", 1, 1),
-            printed=lambda s, x: (
-                _smxbar(s, x) * pseudo_cauchy_pow(s, x, 3) * _smx0(s, x).to_multivector()
-            ).scale(-64),
-            printed_text="-64*(s-xbar)*Q^-3*(s-x0)",
-        ),
-        # quoted exponent 3 disagrees; the boundary reduction gives 2
-        CatalogEntry(
-            id="n5-Dbar2",
-            n=5,
-            op=("dbar", 2, 0),
-            printed=lambda s, x: (
-                _smxbar(s, x) * pseudo_cauchy_pow(s, x, 3) * _smx0(s, x).pow(3).to_multivector()
-            ).scale(32),
-            printed_text="32*(s-xbar)*Q^-3*(s-x0)^3",
-            corrected=lambda s, x: dbar_beta_delta_m_kernel(s, x, 0, 2),
-            corrected_text="32*(s-xbar)*Q^-3*(s-x0)^2",
-        ),
-    ]
-    return {e.id: e for e in entries}
+    def printed(self, s: Paravector, x: Paravector) -> Multivector:
+        return quoted_value(self.printed_text, s, x)
 
 
-_CATALOG = _catalog_entries()
+_CATALOG = {e.id: e for e in (
+    CatalogEntry("q-D", 3, ("d", 1, 0), "-2*Q^-1"),
+    CatalogEntry("q-Dbar", 3, ("dbar", 1, 0), "-F^3*s + x0*F^3"),
+    CatalogEntry("n5-D", 5, ("d", 1, 0), "-4*Q^-1"),
+    # quoted sign disagrees with the Laplacian-power kernel at m=1
+    CatalogEntry("n5-Delta", 5, ("d", 0, 1), "8*(s-xbar)*Q^-2",
+                 lambda s, x: laplacian_power_kernel(s, x, 1), "-8*(s-xbar)*Q^-2"),
+    CatalogEntry("n5-DeltaD", 5, ("d", 1, 1), "16*Q^-2"),
+    CatalogEntry("n5-Dbar", 5, ("dbar", 1, 0), "4*(s-xbar)*Q^-2*(s-x0) + 2*Q^-1"),
+    # quoted value is the negation of the oracle-confirmed one
+    CatalogEntry("n5-D2", 5, ("d", 2, 0), "16*Q^-2*(s-x0) - 8*(s-xbar)*Q^-2",
+                 lambda s, x: d_beta_delta_m_kernel(s, x, 0, 2),
+                 "8*(s-xbar)*Q^-2 - 16*Q^-2*(s-x0)"),
+    CatalogEntry("n5-DeltaDbar", 5, ("dbar", 1, 1), "-64*(s-xbar)*Q^-3*(s-x0)"),
+    # quoted exponent 3 disagrees; the boundary reduction gives 2
+    CatalogEntry("n5-Dbar2", 5, ("dbar", 2, 0), "32*(s-xbar)*Q^-3*(s-x0)^3",
+                 lambda s, x: dbar_beta_delta_m_kernel(s, x, 0, 2),
+                 "32*(s-xbar)*Q^-3*(s-x0)^2"),
+)}
 
 
 def catalog_ids() -> tuple[str, ...]:

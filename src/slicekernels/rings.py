@@ -13,8 +13,7 @@ float per lane (per quadrature node), so one kernel call over lanes gives
 every lane's float value.
 The rational ring also owns the number format of exact sums:
 ``RATIONALS.split(values)`` gives the nonzero values as int numerators over
-their lcm denominator, and ``RATIONALS.quotient(num, den)`` turns one back
-into a Fraction.
+their lcm denominator.
 
 Jets are the substrate of the differentiation oracle: a jet holds the
 Taylor coefficients of a scalar quantity in ``num_vars`` real coordinates
@@ -62,9 +61,6 @@ class RationalRing:
         ratios = [v.as_integer_ratio() for v in values.values()]
         den = math.lcm(*[d for _, d in ratios])
         return {k: n * (den // d) for k, (n, d) in zip(values, ratios) if n}, den
-
-    def quotient(self, num: int, den: int) -> Fraction:
-        return Fraction(num, den)
 
     def magnitude(self, v) -> float:
         try:

@@ -21,10 +21,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import axial
 from . import coeffs as cf
@@ -65,8 +64,7 @@ MAX_SERIES_TERMS = 1000
 MAX_JET_TABLE = 20_000_000
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     suite: str
     n_values: tuple = (3, 5, 7)
     trials: int = 10
@@ -116,13 +114,12 @@ class SuiteConfig:
                 raise InvalidParams(f"suite dimension {n} is repeated")
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     config: dict
     cases: list
     summary: dict
-    tables: dict = field(default_factory=dict)
+    tables: dict
     schema: int = SCHEMA_VERSION
 
     def as_dict(self, strip_times: bool = False) -> dict:
@@ -202,21 +199,21 @@ def _run_series(params, config: SuiteConfig) -> dict:
 def _run_catalog(params, config: SuiteConfig) -> dict:
     """One case per catalog entry; all trial points must agree on the verdict.
 
-    A flagged entry, one that gives a `corrected` form, passes when the
-    quoted form mismatches the oracle at every point while the
+    The axial oracle applies the entry's operator to the left Cauchy kernel
+    at each point. A flagged entry, one that gives a `corrected` form, passes
+    when the quoted form mismatches the oracle at every point while the
     oracle-confirmed alternative matches everywhere.
     """
     entry = K.catalog_fixture(params["id"])
     flagged = entry.corrected is not None
     rng = _case_rng(config, params["key"])
-    op = named_operator(entry.n, *entry.op)
     points = [K.sample_point_pair(entry.n, rng, ring=_ring(config))
               for _ in range(params["trials"])]
     worst = 0.0
     printed_matches = True
     corrected_matches = True
     for s, x in points:
-        oracle = oracle_apply(op, K.kernel_closure(K.cauchy_left, s), x)
+        oracle = axial.apply(entry.op, ("cauchy-left",), s, x)
         residual, matches = _compare(entry.printed(s, x), oracle, config)
         printed_matches = printed_matches and matches
         if flagged:
@@ -289,8 +286,7 @@ def _run_quad_convergence(params, config: SuiteConfig) -> dict:
 # -- the check table ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One kind of case: its key template, its parameter grid and its test.
 
     `grid(config)` lists the parameter points; with `trials` each point runs
@@ -349,16 +345,21 @@ def _theorem(p, s, x):
 
 
 def _axial_link_grid(c: SuiteConfig) -> list:
-    """Each (n, operator, source) that an exact oracle row of any suite
-    decides at the configured dimensions, once."""
+    """Each (n, operator, source) that the axial oracle decides at the
+    configured dimensions, once: those of every exact oracle row of any
+    suite, then the catalog's, each entry's operator on the left Cauchy
+    kernel. At n=3 and 5 the oracle rows already name every catalog point."""
     if c.mode != "exact":
         return []
     points = {}
     for suite, kinds in SUITES.items():
         for check in (CHECKS[kind] for kind in kinds):
             if check.source and check.pair:
-                for p in check.grid(replace(c, suite=suite)):
+                for p in check.grid(c._replace(suite=suite)):
                     points.setdefault((p["n"], *check.op(p), check.source(p)), None)
+    for entry in map(K.catalog_fixture, K.catalog_ids()):
+        if entry.n in c.n_values:
+            points.setdefault((entry.n, *entry.op, ("cauchy-left",)), None)
     return [dict(n=n, base=base, beta=beta, m=m, source=source)
             for n, base, beta, m, source in points]
 
@@ -450,7 +451,7 @@ CHECKS = {
     ),
     "appendix-identity": Check(
         key="{identity}-h{h_n:02d}-m{m:02d}-k{k}-j{j}",
-        grid=lambda c: [dict(vars(case)) for case in cf.appendix_cases(c.hn_max)],
+        grid=lambda c: [case._asdict() for case in cf.appendix_cases(c.hn_max)],
         holds=lambda p: cf.check_appendix_identity(
             p["identity"], p["h_n"], p["m"], p["k"], p["j"]),
     ),
@@ -662,8 +663,8 @@ def _check_jet_budget(cases: list, config: SuiteConfig) -> None:
     table above `MAX_JET_TABLE`, largest operators first.  An operator of
     order d in n+1 variables needs at most C(d + 2n + 2, 2n + 2) entries, the
     table of all jets of order d; only one that may pass the limit is built
-    and counted.  Lemma rows (D or D-bar alone) and catalog rows (order <= 3
-    at n <= 5) are left out."""
+    and counted.  The rows that run it are `axial-link` and `quad-fs-oracle`;
+    lemma rows, which apply D or D-bar alone, are left out."""
     ops = set()
     for case in cases:
         check = CHECKS[case["kind"]]
@@ -710,7 +711,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         "failed": total - passed,
         "flagged_known_discrepancies": flagged,
     }
-    cfg = asdict(config)
+    cfg = config._asdict()
     cfg["n_values"] = list(config.n_values)
     del cfg["jobs"]  # execution knob only; results do not depend on it
     return VerificationReport(

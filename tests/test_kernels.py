@@ -309,6 +309,34 @@ def test_catalog_arbitration_spot():
     assert entry.corrected(s, x) == oracle
 
 
+def test_corrected_texts_read_as_their_closed_forms():
+    # the report's "oracle-confirmed: ..." note names text that is checked
+    flagged = [K.catalog_fixture(cid) for cid in K.catalog_ids()
+               if K.catalog_fixture(cid).corrected is not None]
+    assert len(flagged) == 3
+    rng = Random(59)
+    for _ in range(20):
+        s, x = K.sample_point_pair(5, rng)
+        for entry in flagged:
+            assert K.quoted_value(entry.corrected_text, s, x) == entry.corrected(s, x), entry.id
+
+
+def test_quoted_values_read_their_terms_in_order():
+    s, x = K.sample_point_pair(3, Random(61))
+    f3, smx0 = K.fueter_sce_kernel(s, x), K._smx0(s, x)
+    assert K.quoted_value("-F^3*s + x0*F^3", s, x) == -(f3 * s.to_multivector()) + f3.scale(x.x0)
+    assert K.quoted_value("3*(s-x0)^2 - Q^-1", s, x) == (
+        smx0.pow(2).to_multivector().scale(3) - K.pseudo_cauchy_pow(s, x, 1))
+    assert K.quoted_value("(s-x0)", s, x) == smx0.to_multivector()
+
+
+@pytest.mark.parametrize("text", ["2*P^-1", "F^5", "Q^2", "(s-x0)^-1", "2", "2*Q^-1 + "])
+def test_unknown_quoted_factor_is_refused(text):
+    s, x = K.sample_point_pair(3, Random(67))
+    with pytest.raises(InvalidParams):
+        K.quoted_value(text, s, x)
+
+
 def test_sample_point_pair_is_deterministic_and_regular():
     a1 = K.sample_point_pair(5, Random("fixed"))
     a2 = K.sample_point_pair(5, Random("fixed"))

@@ -2,7 +2,8 @@
 
 `suites` imports the process pool only when a run starts one, so importing
 the package, `eval` and a `--jobs 1` run load neither `concurrent.futures`
-nor `multiprocessing`. Each run here is a fresh interpreter: the test
+nor `multiprocessing`. The records are named tuples, so start-up loads no
+`dataclasses` either. Each run here is a fresh interpreter: the test
 process may have imported both long before.
 """
 
@@ -21,10 +22,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 POOL_PACKAGES = ("concurrent", "multiprocessing")
 
 
-def _pool_modules(code: str) -> list:
-    """The pool modules loaded after `code` runs in a fresh interpreter."""
+def _pool_modules(code: str, packages=POOL_PACKAGES) -> list:
+    """The modules of `packages`, the pool's by default, loaded after `code`
+    runs in a fresh interpreter."""
     code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-             f" if m.split('.')[0] in {POOL_PACKAGES!r})))")
+             f" if m.split('.')[0] in {packages!r})))")
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=300)
@@ -44,6 +46,10 @@ def _pool_modules(code: str) -> list:
 ], ids=["import", "import-cli", "eval", "verify-jobs-1"])
 def test_a_run_that_forks_no_worker_imports_no_pool(code):
     assert _pool_modules(code) == []
+
+
+def test_start_up_loads_no_dataclasses():
+    assert _pool_modules("from slicekernels import cli", ("dataclasses",)) == []
 
 
 def test_a_pooled_run_in_a_fresh_interpreter_reports_as_a_serial_one(tmp_path):

@@ -75,18 +75,10 @@ def test_catalog_flags():
 
 def test_catalog_unflagged_mismatch_fails(monkeypatch):
     # an entry whose quoted form disagrees with the oracle but is not
-    # flagged must fail the suite
+    # flagged must fail the suite: here q-D with its sign flipped
     from slicekernels import kernels as K
-    from slicekernels.clifford import Multivector
-    from slicekernels.rings import RATIONALS
 
-    bad = K.CatalogEntry(
-        id="bogus",
-        n=3,
-        op=("d", 1, 0),
-        printed=lambda s, x: Multivector.scalar(3, RATIONALS, 999),
-        printed_text="999",
-    )
+    bad = K.CatalogEntry(id="bogus", n=3, op=("d", 1, 0), printed_text="2*Q^-1")
     monkeypatch.setitem(K._CATALOG, "bogus", bad)
     report = run_suite(small("catalog", trials=1))
     assert report.summary["failed"] == 1
@@ -107,6 +99,8 @@ def _count_calls(monkeypatch, cls):
 
 
 def test_operator_builds_do_not_grow_with_the_case_count(monkeypatch):
+    # lemma rows build their operator once per process; the catalog is
+    # decided by the axial oracle and builds none
     builds = _count_calls(monkeypatch, DiffOperator)
     for suite, n_values in (("lemmas", (3,)), ("catalog", (3, 5))):
         counts = []
@@ -115,7 +109,10 @@ def test_operator_builds_do_not_grow_with_the_case_count(monkeypatch):
             builds[0] = 0
             assert run_suite(small(suite, n_values=n_values, trials=trials)).passed
             counts.append(builds[0])
-        assert counts[0] == counts[1] > 0, (suite, counts)
+        if suite == "catalog":
+            assert counts == [0, 0], counts
+        else:
+            assert counts[0] == counts[1] > 0, (suite, counts)
 
 
 def test_each_operator_support_builds_one_jet_context(monkeypatch):
@@ -130,6 +127,15 @@ def test_each_operator_support_builds_one_jet_context(monkeypatch):
     assert run_suite(SuiteConfig(suite="axial-link", n_values=(9,), trials=1, seed=0,
                                  jobs=1)).passed
     assert builds[0] == 12 + 8
+
+
+def test_axial_link_covers_every_catalog_point():
+    from slicekernels import kernels as K
+
+    grid = {(p["n"], p["base"], p["beta"], p["m"], p["source"])
+            for p in suites._axial_link_grid(small("axial-link", n_values=(3, 5)))}
+    for entry in map(K.catalog_fixture, K.catalog_ids()):
+        assert (entry.n, *entry.op, ("cauchy-left",)) in grid, entry.id
 
 
 def test_config_validation():
@@ -366,10 +372,8 @@ def test_raising_case_is_a_failed_entry(monkeypatch, tmp_path, jobs):
     # workers are forked from this process, so they see the patched catalog
     from slicekernels import kernels as K
 
-    def boom(s, x):
-        raise ZeroDivisionError("boom")
-
-    bad = K.CatalogEntry(id="raises", n=3, op=("d", 1, 0), printed=boom, printed_text="boom")
+    # Q^-0 is read only when the case evaluates the quoted value, and raises
+    bad = K.CatalogEntry(id="raises", n=3, op=("d", 1, 0), printed_text="Q^-0")
     monkeypatch.setitem(K._CATALOG, "raises", bad)
     out = tmp_path / "report.json"
     code = main(["verify", "--suite", "catalog", "--n", "3", "--trials", "1",
@@ -381,7 +385,7 @@ def test_raising_case_is_a_failed_entry(monkeypatch, tmp_path, jobs):
     failed = [c for c in data["cases"] if not c["pass"]]
     assert failed == [{"key": "raises", "params": {"id": "raises", "trials": 1},
                        "pass": False, "residual": 1.0,
-                       "error": "ZeroDivisionError: boom",
+                       "error": "InvalidParams: pseudo-Cauchy power needs m >= 1",
                        "wall_time": failed[0]["wall_time"]}]
 
 
