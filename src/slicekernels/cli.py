@@ -164,7 +164,11 @@ def _suite_config(args) -> SuiteConfig:
     # SuiteConfig.validate refuses wrong ones
     n_raw = values.get("n_values")
     if isinstance(n_raw, str):
-        values["n_values"] = tuple(int(p) for p in n_raw.split(",") if p.strip())
+        try:
+            values["n_values"] = tuple(int(p) for p in n_raw.split(",") if p.strip())
+        except ValueError:
+            raise InvalidParams(f"--n must be integers separated by commas, "
+                                f"got {n_raw!r}") from None
     elif isinstance(n_raw, (list, tuple)):
         values["n_values"] = tuple(n_raw)
     elif "n_values" in values:

@@ -155,30 +155,6 @@ def named_operator(n: int, base: str, beta: int, m: int) -> DiffOperator:
     return operator_power_compose((make_dirac if base == "d" else make_dirac_conj)(n), beta, m)
 
 
-def jet_cost(op: DiffOperator) -> tuple[int, int]:
-    """(indices, table entries) of the jet context `oracle_apply` builds for
-    `op`, counted without building it: the size of the down-set of
-    op.terms, and its product table's entries, the sum over the down-set
-    of prod_i (alpha_i + 1).  A multi-index (a, rest) lies in the down-set
-    exactly when rest lies in the down-set of the corners whose first
-    coordinate is >= a, so both counts are sums over a of the same counts
-    one variable down; equal corner sets are counted once."""
-    memo: dict = {}
-
-    def count(corners: frozenset) -> tuple[int, int]:
-        if () in corners:
-            return 1, 1
-        if corners not in memo:
-            size = entries = 0
-            for a in range(max(c[0] for c in corners) + 1):
-                s, e = count(frozenset(c[1:] for c in corners if c[0] >= a))
-                size, entries = size + s, entries + (a + 1) * e
-            memo[corners] = size, entries
-        return memo[corners]
-
-    return count(frozenset(op.terms) or frozenset({(0,) * (op.n + 1)}))
-
-
 def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     """Apply `op` to `f` at `x` by one evaluation of `f` over the jet ring.
 

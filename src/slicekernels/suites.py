@@ -29,7 +29,7 @@ from . import axial
 from . import coeffs as cf
 from . import kernels as K
 from .clifford import MAX_DIMENSION, Multivector, Paravector, format_paravector
-from .diffop import jet_cost, named_operator, oracle_apply
+from .diffop import named_operator, oracle_apply
 from .errors import InvalidParams
 from .quadrature import (
     MAX_NODES,
@@ -57,11 +57,12 @@ MAX_TRIALS = 10_000
 MAX_HN = 32
 MAX_SERIES_TERMS = 1000
 
-# Largest product table, in entries, that a case may have the jet oracle
-# build, checked before any case runs: the n=11 Laplacian^5 table has 5.7 M
-# entries (exact n=11 theorem-d through the jet oracle peaked at 1.4 GB),
-# the n=13 Laplacian^6 one would have 136.5 M.
-MAX_JET_TABLE = 20_000_000
+# Largest dimension at which `axial-link` runs the jet oracle, checked before
+# any point is listed: every `axial-link` grid holds Delta^{h_n}, whose jet
+# table grows fastest. The n=11 Delta^5 table has 5,718,636 entries (that run
+# took 93.7 s and peaked at 1.85 GB); the n=13 Delta^6 one would need
+# 136,508,632.
+MAX_JET_ORACLE_N = 11
 
 
 class SuiteConfig(NamedTuple):
@@ -306,7 +307,8 @@ class Check(NamedTuple):
     and of `JET_SOURCES`, gives as `pair` the closed form alone, which must
     agree with the operator applied to that function at x by the axial
     oracle, in either mode. `axial-link` sets no `pair` and compares the
-    axial oracle with the jet oracle. A `quad` row with an `op` gives as
+    axial oracle with the jet oracle, and refuses a dimension past
+    `MAX_JET_ORACLE_N`. A `quad` row with an `op` gives as
     second value a function f(x) that the case replaces by the operator
     applied to f at x by the jet oracle. The jet oracle applies the
     operator `diffop.named_operator` builds once per process. Float mode
@@ -348,9 +350,13 @@ def _axial_link_grid(c: SuiteConfig) -> list:
     """Each (n, operator, source) that the axial oracle decides at the
     configured dimensions, once: those of every exact oracle row of any
     suite, then the catalog's, each entry's operator on the left Cauchy
-    kernel. At n=3 and 5 the oracle rows already name every catalog point."""
+    kernel. At n=3 and 5 the oracle rows already name every catalog point.
+    A dimension past `MAX_JET_ORACLE_N` is refused before any point is listed,
+    so no operator is built."""
     if c.mode != "exact":
         return []
+    if (n := max(c.n_values)) > MAX_JET_ORACLE_N:
+        raise InvalidParams(f"axial-link at n={n}: the jet oracle runs at n <= {MAX_JET_ORACLE_N}")
     points = {}
     for suite, kinds in SUITES.items():
         for check in (CHECKS[kind] for kind in kinds):
@@ -584,7 +590,7 @@ def _build_cases(config: SuiteConfig) -> list:
             if config.mode == "float" and check.op:
                 _, beta, m = check.op(point)
                 if beta + 2 * m > FLOAT_ORACLE_MAX_ORDER:
-                    continue  # float runs are spot checks; cap the jet order
+                    continue  # pins the float case set (see FLOAT_ORACLE_MAX_ORDER)
             for t in range(config.trials) if check.trials else (None,):
                 params = point if t is None else {**point, "trial": t}
                 key = check.key(params) if callable(check.key) else check.key.format(**params)
@@ -658,37 +664,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_jet_budget(cases: list, config: SuiteConfig) -> None:
-    """Refuse a run in which a case would have the jet oracle build a product
-    table above `MAX_JET_TABLE`, largest operators first.  An operator of
-    order d in n+1 variables needs at most C(d + 2n + 2, 2n + 2) entries, the
-    table of all jets of order d; only one that may pass the limit is built
-    and counted.  The rows that run it are `axial-link` and `quad-fs-oracle`;
-    lemma rows, which apply D or D-bar alone, are left out."""
-    ops = set()
-    for case in cases:
-        check = CHECKS[case["kind"]]
-        if check.op and not (check.source and check.pair):
-            ops.add((case["n"], *check.op(case)))
-    for n, base, beta, m in sorted(ops, key=lambda o: (-o[2] - 2 * o[3], o)):
-        if math.comb(beta + 2 * m + 2 * n + 2, 2 * n + 2) <= MAX_JET_TABLE:
-            continue
-        size, entries = jet_cost(named_operator(n, base, beta, m))
-        if entries > MAX_JET_TABLE:
-            name = "D" if base == "d" else "Dbar"
-            raise InvalidParams(
-                f"{config.suite} at n={n}: the jet oracle for {name}^{beta} Delta^{m} "
-                f"needs {size:,} jet indices and a {entries:,}-entry product table, "
-                f"over the limit of {MAX_JET_TABLE:,} entries")
-
-
 def run_suite(config: SuiteConfig) -> VerificationReport:
     config.validate()
     cases = _build_cases(config)
     if not cases:
         dims = ",".join(map(str, config.n_values))
         raise InvalidParams(f"suite {config.suite} has no cases at n={dims} in {config.mode} mode")
-    _check_jet_budget(cases, config)
     # the pool forks every worker at its first submit, so size it to the work
     cpus = _usable_cpus()
     jobs = min(config.jobs or cpus, cpus, len(cases))

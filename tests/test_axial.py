@@ -1,16 +1,15 @@
-"""The axial oracle against the jet oracle, and the jet oracle's cost bound."""
+"""The axial oracle against the jet oracle, and the jet oracle's dimension limit."""
 
 from fractions import Fraction
 from random import Random
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from slicekernels import axial, cli, rings, suites
 from slicekernels import coeffs as cf
 from slicekernels import kernels as K
 from slicekernels.clifford import Paravector
-from slicekernels.diffop import jet_cost, named_operator, oracle_apply
+from slicekernels.diffop import named_operator, oracle_apply
 from slicekernels.rings import FLOATS, RATIONALS, JetContext
 from slicekernels.suites import JET_SOURCES
 
@@ -72,20 +71,6 @@ def test_axial_oracle_at_n15_matches_the_closed_form():
     assert value == K.dbar_beta_delta_m_kernel(s, x, 5, 2)
 
 
-@pytest.mark.parametrize("n, base, beta, m", [
-    (3, "d", 1, 0), (3, "dbar", 1, 1), (5, "d", 0, 2), (5, "dbar", 2, 1), (7, "d", 1, 2),
-])
-def test_jet_cost_counts_the_context_oracle_apply_builds(n, base, beta, m):
-    op = named_operator(n, base, beta, m)
-    ctx = op.blade_terms()[0]
-    assert jet_cost(op) == (ctx.size, sum(map(len, ctx.products)))
-
-
-def test_jet_cost_of_the_n9_and_n11_laplacian_powers():
-    assert jet_cost(named_operator(9, "d", 0, 4)) == (8_361, 242_361)
-    assert jet_cost(named_operator(11, "d", 0, 5)) == (85_305, 5_718_636)
-
-
 def _no_jet_oracle_tables(monkeypatch):
     """Fail on any jet context but the axial oracle's, in 3 variables."""
     init = JetContext.__init__
@@ -99,14 +84,17 @@ def _no_jet_oracle_tables(monkeypatch):
     monkeypatch.setattr(JetContext, "__init__", build)
 
 
-def test_a_run_past_the_jet_budget_is_refused_before_any_table(monkeypatch, capsys):
+def test_axial_link_past_n11_is_refused_before_any_operator(monkeypatch):
     _no_jet_oracle_tables(monkeypatch)
-    assert cli.main(["verify", "--suite", "axial-link", "--n", "13"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        "error: axial-link at n=13: the jet oracle for D^0 Delta^6 needs 880,685 jet "
-        "indices and a 136,508,632-entry product table, over the limit of 20,000,000 entries"]
-    assert captured.out == ""
+    named_operator.cache_clear()
+    assert cli.main(["verify", "--suite", "axial-link", "--n", "3,13"]) == 2
+    assert named_operator.cache_info().currsize == 0
+
+
+def test_axial_link_admits_n11():
+    cases = suites._build_cases(suites.SuiteConfig(suite="axial-link", n_values=(11,),
+                                                   trials=1))
+    assert len(cases) == 42
 
 
 def test_exact_oracle_rows_past_n11_build_no_jet_operator(monkeypatch):

@@ -394,6 +394,7 @@ def test_raising_case_is_a_failed_entry(monkeypatch, tmp_path, jobs):
     ({"trials": None}, "error: trials must be an integer, got None"),
     ({"tol": "1e-8"}, "error: tol must be a number, got '1e-8'"),
     ({"n": [3, None]}, "error: suite dimension None must be an odd integer >= 3"),
+    ({"n": "3,x"}, "error: --n must be integers separated by commas, got '3,x'"),
 ])
 def test_cli_config_value_types(tmp_path, capsys, values, message):
     cfg = tmp_path / "cfg.json"
@@ -451,6 +452,17 @@ def test_cli_eval_float_overflow(capsys):
     # the catalog has entries at n=3 and 5 only: a run that checks nothing
     (["--suite", "catalog", "--n", "7", "--trials", "1", "--format", "text"],
      "error: suite catalog has no cases at n=7 in exact mode"),
+    (["--suite", "axial-link", "--n", "13", "--mode", "float"],
+     "error: suite axial-link has no cases at n=13 in float mode"),
+    # the jet oracle's dimension limit, checked before any operator is built
+    (["--suite", "axial-link", "--n", "13"],
+     "error: axial-link at n=13: the jet oracle runs at n <= 11"),
+    (["--suite", "axial-link", "--n", "15"],
+     "error: axial-link at n=15: the jet oracle runs at n <= 11"),
+    (["--suite", "axial-link", "--n", "3,13"],
+     "error: axial-link at n=13: the jet oracle runs at n <= 11"),
+    (["--suite", "forms", "--n", "3,x"],
+     "error: --n must be integers separated by commas, got '3,x'"),
 ])
 def test_cli_refuses_bad_config_values(tmp_path, capsys, flags, message):
     # refused before any case runs: exit 2, one stderr line, no report
