@@ -38,19 +38,10 @@ _X0, _RHO, _T = 0, 1, 2
 
 
 @lru_cache(maxsize=None)
-def _shifts(order: int) -> tuple:
-    """The total-degree context of `order` in (x0, rho, t), and for each
-    variable the map index -> (index of alpha - e_var, alpha_var): the
-    derivative of a jet in that variable, as an index shift."""
-    corners = tuple(a for a in itertools.product(range(order + 1), repeat=3)
-                    if sum(a) == order)
-    ctx = jet_context(3, corners)
-    tables = []
-    for var in range(3):
-        unit = tuple(int(i == var) for i in range(3))
-        tables.append({k: (ctx.index[tuple(a - e for a, e in zip(alpha, unit))], alpha[var])
-                       for k, alpha in enumerate(ctx.exponents) if alpha[var]})
-    return ctx, tuple(tables)
+def _context(order: int):
+    """The total-degree context of `order` in (x0, rho, t)."""
+    return jet_context(3, tuple(a for a in itertools.product(range(order + 1), repeat=3)
+                                if sum(a) == order))
 
 
 class _Point:
@@ -58,7 +49,8 @@ class _Point:
     and n as numbers.  An element is a tuple (g1, gu, gv, guv) of jets."""
 
     def __init__(self, s: Paravector, x: Paravector, order: int):
-        ctx, self.tables = _shifts(order)
+        ctx = _context(order)
+        self.shifts = ctx.shifts
         self.ring = ring = JetRing(ctx)
         self.n = x.n
         self.nu = s.vector_norm_sq()
@@ -92,7 +84,7 @@ class _Point:
 
     def d(self, jet, var: int):
         """d/d(x0, rho or t) of a jet, by the variable's index shift."""
-        shift, nums = self.tables[var], jet._nums
+        shift, nums = self.shifts[var], jet._nums
         out = {}
         for k, v in nums.items():
             if (to := shift.get(k)) is not None:

@@ -104,13 +104,13 @@ def _cmd_eval(args) -> int:
         raise InvalidParams("kernel dimension must be odd and >= 3")
     if args.n > MAX_DIMENSION:
         raise InvalidParams(f"dimension {args.n} outside 1..{MAX_DIMENSION}")
+    form, defaults = KERNELS[args.kernel]
     for name, bound in (("terms", MAX_SERIES_TERMS), ("m", MAX_POWER), ("k", MAX_POWER)):
-        if (value := getattr(args, name)) is not None and value > bound:
+        if name in defaults and (value := getattr(args, name)) is not None and value > bound:
             raise InvalidParams(f"{name} must be <= {bound}, got {value}")
     ring = RATIONALS if args.mode == "exact" else FLOATS
     s = parse_paravector(args.s, args.n, ring)
     x = parse_paravector(args.x, args.n, ring)
-    form, defaults = KERNELS[args.kernel]
     if args.side == "right" and "side" not in defaults:
         raise InvalidParams(f"no printed right-sided form for {args.kernel}")
     options = {name: default if (v := getattr(args, name)) is None else v

@@ -6,8 +6,11 @@ quoted text and read by `quoted_value`.
 Every formula is evaluated in its exact written multiplication order; no
 commutation shortcuts are applied outside the commutative plane generated
 by the parameter paravector s.  The same code paths evaluate over exact
-rationals, floats, and jets, so the differentiation oracle exercises the
-identical kernel expressions it is checked against.
+rationals, floats, and jets.  Rows that name a `source` are decided by
+`axial.apply`, which shares no code with these forms.  The jet oracle runs
+them over jets only in `axial-link` (`suites.JET_SOURCES`) and in the lemma
+rows, whose `_block` is built from `pseudo_inverse`, `_smxbar` and `_smx0`,
+the helpers of the printed side `_lemma_rhs` it is checked against.
 
 The shared blocks, Q_{c,s}(x) in its plane form (see `pseudo_denominator`),
 its form-I twin with s and x exchanged, and s - xbar, are built in one pass

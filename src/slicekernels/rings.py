@@ -162,11 +162,6 @@ RATIONALS = RationalRing()
 FLOATS = FloatRing()
 
 
-def _box(corner: tuple):
-    """Every multi-index <= `corner`, componentwise."""
-    return itertools.product(*(range(c + 1) for c in corner))
-
-
 @lru_cache(maxsize=None)
 def jet_context(num_vars: int, corners: tuple) -> "JetContext":
     return JetContext(num_vars, corners)
@@ -193,12 +188,15 @@ class JetContext:
     therefore the same as in any larger jet.
 
     `products[i]` maps j to the index of exponents[i] + exponents[j] for every
-    pair whose sum lies in S, and `layers[d]` is the index range of the
-    multi-indices of total degree d: graded-lex order stores each degree as
-    one contiguous range, and a down-set holds every degree up to its top.
+    pair whose sum lies in S; row i is its parent row, that of exponents[i] - e_v
+    for v its first nonzero coordinate, moved up by e_v (S is a down-set).
+    `shifts[v]` maps k to (index of exponents[k] - e_v, exponents[k][v]) where
+    exponents[k][v] > 0.  `layers[d]` is the index range of the multi-indices of
+    degree d: graded-lex order stores each degree as one range, and a down-set
+    holds every degree up to its top.
     """
 
-    __slots__ = ("num_vars", "exponents", "index", "size", "products", "layers")
+    __slots__ = ("num_vars", "exponents", "index", "size", "products", "shifts", "layers")
 
     def __init__(self, num_vars: int, corners: tuple):
         if num_vars < 1:
@@ -207,19 +205,24 @@ class JetContext:
         for corner in corners:
             if len(corner) != num_vars or min(corner) < 0:
                 raise InvalidParams(f"bad jet corner {corner!r} for {num_vars} variables")
-            points.update(_box(corner))
+            points.update(itertools.product(*(range(c + 1) for c in corner)))
         exps = sorted(points, key=lambda e: (sum(e), e))
         index = {e: i for i, e in enumerate(exps)}
-        products = [{} for _ in exps]
-        for k, alpha in enumerate(exps):
-            for beta in _box(alpha):
-                products[index[beta]][index[tuple(a - b for a, b in zip(alpha, beta))]] = k
+        shifts = tuple({k: (index[(*e[:v], e[v] - 1, *e[v + 1:])], e[v])
+                        for k, e in enumerate(exps) if e[v]} for v in range(num_vars))
+        ups = [{j: k for k, (j, _) in shift.items()} for shift in shifts]
+        products = [{j: j for j in range(len(exps))}]
+        for i, alpha in enumerate(exps[1:], 1):
+            v = next(v for v, a in enumerate(alpha) if a)
+            up, parent = ups[v], products[shifts[v][i][0]]
+            products.append({j: up[k] for j, k in parent.items() if k in up})
         starts = [k for k, e in enumerate(exps) if not k or sum(e) != sum(exps[k - 1])]
         self.num_vars = num_vars
         self.exponents = tuple(exps)
         self.index = index
         self.size = len(exps)
         self.products = tuple(products)
+        self.shifts = shifts
         self.layers = tuple(map(range, starts, [*starts[1:], len(exps)]))
 
 

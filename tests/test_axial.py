@@ -80,7 +80,7 @@ def _no_jet_oracle_tables(monkeypatch):
         init(self, num_vars, corners)
 
     rings.jet_context.cache_clear()
-    axial._shifts.cache_clear()
+    axial._context.cache_clear()
     monkeypatch.setattr(JetContext, "__init__", build)
 
 

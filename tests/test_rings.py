@@ -399,6 +399,27 @@ def test_unreduced_exact_jets_equal_the_reduced_jet(shape, data, g):
         assert rua == ra and dict(rua.coeffs) == dict(ra.coeffs)
 
 
+@settings(max_examples=80, deadline=None)
+@given(_corner_sets())
+def test_product_and_shift_tables_follow_exponent_arithmetic(shape):
+    # products[i][j] is the index of alpha_i + alpha_j when that lies in the
+    # down-set, and shifts[v] holds every k with alpha_k[v] > 0, mapped to
+    # (index of alpha_k - e_v, alpha_k[v])
+    ctx = jet_context(*shape)
+    exps, index = ctx.exponents, ctx.index
+    assert len(ctx.products) == ctx.size
+    for i, a in enumerate(exps):
+        sums = (index.get(tuple(x + y for x, y in zip(a, b))) for b in exps)
+        assert ctx.products[i] == {j: k for j, k in enumerate(sums) if k is not None}
+    assert len(ctx.shifts) == ctx.num_vars
+    for v, shift in enumerate(ctx.shifts):
+        assert sorted(shift) == [k for k, a in enumerate(exps) if a[v]]
+        for k, (j, c) in shift.items():
+            lower = list(exps[k])
+            lower[v] -= 1
+            assert (j, c) == (index[tuple(lower)], exps[k][v])
+
+
 def _all_pairs_mul_into(ctx, target, a, b, scale):
     out = dict(target)
     for i, av in a.items():

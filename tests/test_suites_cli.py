@@ -122,7 +122,7 @@ def test_each_operator_support_builds_one_jet_context(monkeypatch):
     # oracle adds one 3-variable context for each order 1..8
     named_operator.cache_clear()
     rings.jet_context.cache_clear()
-    axial._shifts.cache_clear()
+    axial._context.cache_clear()
     builds = _count_calls(monkeypatch, JetContext)
     assert run_suite(SuiteConfig(suite="axial-link", n_values=(9,), trials=1, seed=0,
                                  jobs=1)).passed
@@ -194,6 +194,17 @@ def test_cli_eval_text(capsys):
                  "--s", "2,0,0,0", "--x", "0,1,0,0"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "-8/25 - 4/25*e1"
+
+
+def test_cli_eval_ignores_the_bounds_of_an_option_the_kernel_does_not_read(capsys):
+    # fueter-sce reads no --m, --k or --terms, so values past their bounds change nothing
+    argv = ["eval", "--kernel", "fueter-sce", "--n", "3", "--s", "1,2,0,0", "--x", "1,0,0,1"]
+    assert main(argv) == 0
+    value = capsys.readouterr().out
+    assert value == "-8/9*e1 - 4/9*e3\n"
+    for extra in (["--m", "200"], ["--k", "500"], ["--terms", "100000"]):
+        assert main([*argv, *extra]) == 0
+        assert capsys.readouterr().out == value
 
 
 def test_cli_eval_validation(monkeypatch, capsys):
