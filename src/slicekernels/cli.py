@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import kernels as K
@@ -178,42 +179,43 @@ def _suite_config(args) -> SuiteConfig:
     return SuiteConfig(suite=args.suite, **values)
 
 
-def _report_text(report) -> str:
-    lines = [f"suite {report.suite}: "
-             f"{report.summary['passed']}/{report.summary['total']} passed, "
-             f"{report.summary['failed']} failed, "
-             f"{report.summary['flagged_known_discrepancies']} flagged"]
-    for case in report.cases:
-        status = "PASS" if case["pass"] else "FAIL"
-        note = f"  ({case['note']})" if case.get("note") else ""
-        lines.append(f"  {status}  {case['key']}  residual={case['residual']:.3e}{note}")
-    return "\n".join(lines)
+def _write_report(report, fmt: str, fh) -> None:
+    """Write the report to `fh` as it is encoded, with no copy of its text."""
+    if fmt == "json":
+        json.dump(report.as_dict(), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    elif fmt == "text":
+        summary = report.summary
+        fh.write(f"suite {report.suite}: {summary['passed']}/{summary['total']} passed, "
+                 f"{summary['failed']} failed, "
+                 f"{summary['flagged_known_discrepancies']} flagged\n")
+        for case in report.cases:
+            status = "PASS" if case["pass"] else "FAIL"
+            note = f"  ({case['note']})" if case.get("note") else ""
+            fh.write(f"  {status}  {case['key']}  residual={case['residual']:.3e}{note}\n")
+    elif report.tables:
+        write_convergence_csv(next(iter(report.tables.values())), fh)
+    else:
+        fh.write("key,residual,pass\n")
+        for case in report.cases:
+            fh.write(f"{case['key']},{case['residual']!r},{int(case['pass'])}\n")
 
 
 def _cmd_verify(args) -> int:
-    config = _suite_config(args)
-    report = run_suite(config)
-    if args.format == "csv":
-        import io
-
-        buf = io.StringIO()
-        if report.tables:
-            rows = next(iter(report.tables.values()))
-            write_convergence_csv(rows, buf)
-        else:
-            buf.write("key,residual,pass\n")
-            for case in report.cases:
-                buf.write(f"{case['key']},{case['residual']!r},{int(case['pass'])}\n")
-        payload = buf.getvalue()
-    elif args.format == "text":
-        payload = _report_text(report) + "\n"
-    else:
-        payload = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+    report = run_suite(_suite_config(args))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            _write_report(report, args.format, fh)
     else:
-        sys.stdout.write(payload)
+        try:
+            _write_report(report, args.format, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early, as `| head` does: the verdict stands,
+            # and stdout goes to devnull so that the exit flush cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return 0 if report.passed else 1
 
 

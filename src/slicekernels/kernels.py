@@ -28,7 +28,7 @@ from random import Random
 from typing import Callable, NamedTuple, Optional
 
 from . import coeffs as cf
-from .clifford import Multivector, Paravector
+from .clifford import Multivector, Paravector, same_sphere
 from .diffop import named_operator, oracle_apply
 from .errors import InvalidParams, SingularKernel
 from .rings import RATIONALS, Lanes
@@ -485,9 +485,8 @@ def sample_point_pair(n: int, rng: Random, ring=RATIONALS) -> tuple[Paravector, 
     while True:
         s = Paravector.from_coords(RATIONALS, [_random_fraction(rng) for _ in range(n + 1)])
         x = Paravector.from_coords(RATIONALS, [_random_fraction(rng) for _ in range(n + 1)])
-        if not s.norm_sq() or not x.norm_sq():
-            continue
-        if not pseudo_denominator(s, x).norm_sq():  # zero exactly when s is on [x]
+        # Q_{c,s}(x) = 0 exactly when s is on [x], so same_sphere decides it
+        if not any(s.coords()) or not any(x.coords()) or same_sphere(s, x):
             continue
         if ring is not RATIONALS:
             return s.cast(ring), x.cast(ring)

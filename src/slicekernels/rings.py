@@ -196,7 +196,7 @@ class JetContext:
     holds every degree up to its top.
     """
 
-    __slots__ = ("num_vars", "exponents", "index", "size", "products", "shifts", "layers")
+    __slots__ = ("num_vars", "exponents", "index", "size", "products", "layers", "_shifts")
 
     def __init__(self, num_vars: int, corners: tuple):
         if num_vars < 1:
@@ -207,9 +207,12 @@ class JetContext:
                 raise InvalidParams(f"bad jet corner {corner!r} for {num_vars} variables")
             points.update(itertools.product(*(range(c + 1) for c in corner)))
         exps = sorted(points, key=lambda e: (sum(e), e))
-        index = {e: i for i, e in enumerate(exps)}
-        shifts = tuple({k: (index[(*e[:v], e[v] - 1, *e[v + 1:])], e[v])
-                        for k, e in enumerate(exps) if e[v]} for v in range(num_vars))
+        self.num_vars = num_vars
+        self.exponents = tuple(exps)
+        self.index = {e: i for i, e in enumerate(exps)}
+        self.size = len(exps)
+        self._shifts = None
+        shifts = self._shift_tables()
         ups = [{j: k for k, (j, _) in shift.items()} for shift in shifts]
         products = [{j: j for j in range(len(exps))}]
         for i, alpha in enumerate(exps[1:], 1):
@@ -217,13 +220,22 @@ class JetContext:
             up, parent = ups[v], products[shifts[v][i][0]]
             products.append({j: up[k] for j, k in parent.items() if k in up})
         starts = [k for k, e in enumerate(exps) if not k or sum(e) != sum(exps[k - 1])]
-        self.num_vars = num_vars
-        self.exponents = tuple(exps)
-        self.index = index
-        self.size = len(exps)
         self.products = tuple(products)
-        self.shifts = shifts
         self.layers = tuple(map(range, starts, [*starts[1:], len(exps)]))
+
+    def _shift_tables(self) -> tuple:
+        index = self.index
+        return tuple({k: (index[(*e[:v], e[v] - 1, *e[v + 1:])], e[v])
+                      for k, e in enumerate(self.exponents) if e[v]}
+                     for v in range(self.num_vars))
+
+    @property
+    def shifts(self) -> tuple:
+        """The shift tables, built on first read and then kept: only the axial
+        oracle reads them, and the jet oracle's contexts would hold megabytes."""
+        if self._shifts is None:
+            self._shifts = self._shift_tables()
+        return self._shifts
 
 
 def multi_index_factorial(alpha: Iterable[int]) -> int:

@@ -638,10 +638,10 @@ def _execute_case(args):
     except Exception as exc:  # a raising case fails on its own; the suite runs on
         out = {"residual": 1.0, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
     out["wall_time"] = time.perf_counter() - started
-    out["key"] = params["key"]
-    out["params"] = {
-        k: v for k, v in params.items() if k not in ("kind", "key")
-    }
+    # the case's own dict becomes its report params: no case reads it again
+    out["key"] = params.pop("key")
+    del params["kind"]
+    out["params"] = params
     return out
 
 

@@ -432,6 +432,35 @@ def test_plane_blocks_match_compositions_over_exact_jets(pair, order):
     assert built == composed
 
 
+@st.composite
+def _sphere_pairs(draw):
+    """Rational (s, x): unrelated, s on [x] (the same x0 and a permuted vector
+    part), or with zero vector parts, their x0 equal or not."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    coords = st.lists(_FRACTION, min_size=n + 1, max_size=n + 1)
+    s, x = draw(coords), draw(coords)
+    kind = draw(st.sampled_from(["unrelated", "on-sphere", "zero-vector"]))
+    if kind == "on-sphere":
+        s = [x[0], *draw(st.permutations(x[1:]))]
+    elif kind == "zero-vector":
+        if draw(st.booleans()):
+            s = [s[0]] + [0] * n
+        if draw(st.booleans()):
+            x = [x[0]] + [0] * n
+        if draw(st.booleans()):
+            x[0] = s[0]
+    return Paravector.from_coords(R, s), Paravector.from_coords(R, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sphere_pairs())
+def test_same_sphere_is_a_vanishing_pseudo_denominator(pair):
+    # sample_point_pair rejects s on [x] by same_sphere, in place of the
+    # norm of Q_{c,s}(x): both must decide the same points
+    s, x = pair
+    assert same_sphere(s, x) == (not K.pseudo_denominator(s, x).norm_sq())
+
+
 def test_kernels_build_their_blocks_without_paravector_arithmetic(monkeypatch):
     # Q and s - xbar come from coordinates: only the power Q^-m is a
     # Paravector method call, and each kernel makes its one Clifford product

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -351,6 +353,70 @@ def test_cli_verify_csv_convergence(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "N,abs_error,ratio"
     assert len(lines) > 2
+
+
+REPORT_RUNS = {
+    "appendix": ["--suite", "appendix", "--hn-max", "8"],
+    "quadrature": ["--suite", "quadrature", "--nodes", "64"],
+    "catalog": ["--suite", "catalog", "--n", "5", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("run", REPORT_RUNS)
+def test_cli_verify_json_report_bytes(tmp_path, run):
+    out = tmp_path / "report.json"
+    main(["verify", *REPORT_RUNS[run], "--jobs", "1", "--out", str(out)])
+    text = out.read_bytes().decode("utf-8")
+    expected = json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    # as lists of lines, so that a failure names the first line that differs
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("run", REPORT_RUNS)
+def test_cli_verify_stdout_and_out_give_the_same_bytes(tmp_path, capsys, run, fmt):
+    # text and csv carry no wall_time, so two runs of one config write the same bytes
+    argv = ["verify", *REPORT_RUNS[run], "--jobs", "1", "--format", fmt]
+    main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / f"report.{fmt}"
+    main([*argv, "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    written = out.read_bytes().decode("utf-8")
+    assert written.splitlines(keepends=True) == printed.splitlines(keepends=True)
+
+
+def test_cli_verify_keeps_its_verdict_when_the_reader_stops_early():
+    # `verify ... | head -n 1`: the streamed report meets a closed pipe
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    with subprocess.Popen(
+            [sys.executable, "-m", "slicekernels", "verify", "--suite", "appendix",
+             "--hn-max", "16", "--jobs", "1"],  # 1.16 MB, past a 64 KB pipe buffer
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path}) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=300) == 0
+        assert proc.stderr.read() == b""
+
+
+def test_report_memory_does_not_scale_with_copies_of_its_text(tmp_path):
+    # the report is written as it is encoded, and each case keeps one params
+    # dict: 4,708 cases and 1.16 MB of JSON peak at about 2.7x its size, and
+    # at about 10x when the text was built whole before its first byte
+    import tracemalloc
+
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        main(["verify", "--suite", "appendix", "--hn-max", "16", "--jobs", "1",
+              "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out.read_text())["summary"]["total"] == 4708
+    assert peak < 5 * out.stat().st_size
 
 
 def test_cli_config_file(tmp_path, capsys):
