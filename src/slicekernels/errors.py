@@ -31,3 +31,7 @@ class InvalidParams(SliceKernelsError):
 
 class DomainError(SliceKernelsError):
     """Evaluation point outside (or on the boundary of) the valid domain."""
+
+
+class WorkerFailed(SliceKernelsError):
+    """A forked suite worker died, or left no whole report of its cases."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import time
 from fractions import Fraction
 from random import Random
@@ -30,7 +29,7 @@ from . import coeffs as cf
 from . import kernels as K
 from .clifford import MAX_DIMENSION, Multivector, Paravector, format_paravector
 from .diffop import named_operator, oracle_apply
-from .errors import InvalidParams
+from .errors import InvalidParams, WorkerFailed
 from .quadrature import (
     MAX_NODES,
     ContourSpec,
@@ -630,8 +629,7 @@ def _run_case(params, config: SuiteConfig) -> dict:
     return {"residual": residual, "pass": ok, "point": _point_record(s, x)}
 
 
-def _execute_case(args):
-    params, config = args
+def _execute_case(params, config: SuiteConfig) -> dict:
     started = time.perf_counter()
     try:
         out = _run_case(params, config)
@@ -645,23 +643,60 @@ def _execute_case(args):
     return out
 
 
-def __getattr__(name):
-    """`ProcessPoolExecutor`, imported on first access: the pool loads
-    `concurrent.futures` and `multiprocessing` (about 30 modules), which a
-    run that forks no worker never needs."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _run_forked(cases: list, config: SuiteConfig, jobs: int) -> list:
+    """Run `cases` here and on `jobs - 1` forked children, all taking chunks,
+    the last built (at the largest n) first, from one pipe of 4-byte starts.
+    A child pickles its results into its own pipe, read to EOF before it is reaped."""
+    import pickle  # only a pooled run loads them
+    import signal
+
+    chunk = max(1, len(cases) // (4 * jobs))  # under 8 chunks a process: 32 bytes
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(4, "big") for i in reversed(range(0, len(cases), chunk))))
+    os.close(feed)
+
+    def drain() -> list:  # a pipe read is atomic, so each chunk runs once
+        starts = (int.from_bytes(r, "big") for r in iter(lambda: os.read(queue, 4), b""))
+        return [_execute_case(c, config) for i in starts for c in cases[i:i + chunk]]
+
+    children, reaped, results = [], [], None  # (pid, result pipe) of each child
+    try:
+        for _ in range(jobs - 1):
+            read_end, write_end = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(write_end, "wb") as fh:
+                        pickle.dump(drain(), fh, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        results = drain()
+    finally:
+        for pid, fh in children:
+            if results is None:  # this process raised: the children's work is moot
+                os.kill(pid, signal.SIGKILL)
+            with fh:  # read to EOF first: a child blocked on a full pipe never exits
+                output = fh.read()
+            reaped.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), output))
+        os.close(queue)
+    for pid, code, output in reaped:
+        if code:
+            died = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+            raise WorkerFailed(f"worker {pid} {died}")
+        try:
+            results += pickle.loads(output)
+        except (pickle.UnpicklingError, EOFError):
+            raise WorkerFailed(f"worker {pid} left a truncated report") from None
+    return results
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -670,28 +705,19 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     if not cases:
         dims = ",".join(map(str, config.n_values))
         raise InvalidParams(f"suite {config.suite} has no cases at n={dims} in {config.mode} mode")
-    # the pool forks every worker at its first submit, so size it to the work
+    # every worker is forked before the first case runs, so size it to the work
     cpus = _usable_cpus()
     jobs = min(config.jobs or cpus, cpus, len(cases))
-    work = [(c, config) for c in cases]
-    if jobs > 1:
-        # looked up on the module, so the first pooled run imports the pool
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(work) // (4 * jobs))
-            results = list(pool.map(_execute_case, work, chunksize=chunk))
+    if jobs > 1 and hasattr(os, "fork"):
+        results = _run_forked(cases, config, jobs)
     else:
-        results = [_execute_case(w) for w in work]
+        results = [_execute_case(c, config) for c in cases]
     results.sort(key=lambda r: r["key"])
     tables = {r["key"]: r.pop("table") for r in results if "table" in r}
     total = len(results)
     passed = sum(1 for r in results if r["pass"])
-    flagged = sum(1 for r in results if r.get("flagged"))
-    summary = {
-        "total": total,
-        "passed": passed,
-        "failed": total - passed,
-        "flagged_known_discrepancies": flagged,
-    }
+    summary = {"total": total, "passed": passed, "failed": total - passed,
+               "flagged_known_discrepancies": sum(1 for r in results if r.get("flagged"))}
     cfg = config._asdict()
     cfg["n_values"] = list(config.n_values)
     del cfg["jobs"]  # execution knob only; results do not depend on it

@@ -1,10 +1,11 @@
 """What a fresh interpreter loads, and a real pooled run.
 
-`suites` imports the process pool only when a run starts one, so importing
-the package, `eval` and a `--jobs 1` run load neither `concurrent.futures`
-nor `multiprocessing`. The records are named tuples, so start-up loads no
+A pooled run forks its workers with `os.fork` and passes results back over
+pipes, so no run, pooled or not, loads `concurrent.futures` or
+`multiprocessing`: not importing the package, not `eval`, not `verify` at
+any `--jobs`. The records are named tuples, so start-up loads no
 `dataclasses` either. Each run here is a fresh interpreter: the test
-process may have imported both long before.
+process may have imported any of them long before.
 """
 
 import json
@@ -58,10 +59,14 @@ def test_a_pooled_run_in_a_fresh_interpreter_reports_as_a_serial_one(tmp_path):
         out = tmp_path / f"jobs{jobs}.json"
         argv = ["verify", "--suite", "theorem-dbar", "--n", "3,5", "--trials", "2",
                 "--jobs", str(jobs), "--out", str(out)]
-        loaded = _pool_modules(f"from slicekernels import cli\nassert cli.main({argv!r}) == 0")
-        # two usable CPUs or more: the --jobs 2 run forks two workers
-        assert ("concurrent.futures.process" in loaded) == (
-            jobs > 1 and suites._usable_cpus() > 1)
+        # two usable CPUs or more: the --jobs 2 run forks one worker, and the
+        # parent is the other
+        forked = int(jobs > 1 and suites._usable_cpus() > 1)
+        loaded = _pool_modules(
+            "import os\nfrom slicekernels import cli\nforks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            f"assert cli.main({argv!r}) == 0\nassert len(forks) == {forked}, forks")
+        assert loaded == []
         report = json.loads(out.read_text())
         for case in report["cases"]:
             del case["wall_time"]

@@ -577,34 +577,35 @@ def test_cli_eval_lemma_runs_no_oracle(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: lemma blocks need m >= 0 and k >= 0\n"
 
 
+def _count_forks(monkeypatch) -> list:
+    """Patch `os.fork` to record each fork in this process, then fork."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
 @pytest.mark.parametrize("affinity, cpus, pooled", [
-    ({0}, 8, False),   # one usable CPU on an 8-CPU host: no pool
+    ({0}, 8, False),   # one usable CPU on an 8-CPU host: no fork
     ({0, 3}, 8, True),
     (None, 1, False),  # no affinity call: the CPU count decides
     (None, 8, True),
 ])
 def test_default_jobs_count_the_usable_cpus(monkeypatch, affinity, cpus, pooled):
-    from slicekernels import suites
-
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise RuntimeError("pool started")
-
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", NoPool)
+    forks = _count_forks(monkeypatch)
     config = small("forms", jobs=None)
-    if pooled:
-        with pytest.raises(RuntimeError, match="pool started"):
-            run_suite(config)
-    else:
-        report = run_suite(config)
-        assert report.passed and len(report.cases) > 1
-        assert report.as_dict(strip_times=True) == run_suite(small("forms")).as_dict(
-            strip_times=True)
+    report = run_suite(config)
+    # the parent is a worker: two usable CPUs fork one child; eight, for
+    # four cases, fork three
+    workers = min(len(affinity or range(cpus)), len(report.cases)) if pooled else 1
+    assert len(forks) == workers - 1
+    assert report.passed and len(report.cases) > 1
+    assert report.as_dict(strip_times=True) == run_suite(small("forms")).as_dict(
+        strip_times=True)
 
 
 @pytest.mark.parametrize("jobs, cpus, trials, workers", [
@@ -612,31 +613,15 @@ def test_default_jobs_count_the_usable_cpus(monkeypatch, affinity, cpus, pooled)
     (5000, 3, 2, 3),   # four cases on three CPUs
     (3, 8, 2, 3),
     (None, 8, 1, 2),
-    (5000, 1, 2, None),  # one usable CPU: no pool
+    (5000, 1, 2, None),  # one usable CPU: no fork
 ])
 def test_pool_is_sized_to_the_work(monkeypatch, jobs, cpus, trials, workers):
-    # the pool forks all its workers at the first submit, so it must never
-    # ask for more than the cases or the usable CPUs
-    from slicekernels import suites
-
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", SerialPool)
+    # every worker is forked before the first case runs, so the run must
+    # never ask for more than the cases or the usable CPUs; the parent is
+    # one of the workers
+    forks = _count_forks(monkeypatch)
     monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
     report = run_suite(small("forms", jobs=jobs, trials=trials))
-    assert started == ([] if workers is None else [workers])
+    assert len(forks) == (0 if workers is None else workers - 1)
     assert report.as_dict(strip_times=True) == run_suite(
         small("forms", trials=trials)).as_dict(strip_times=True)
