@@ -35,6 +35,14 @@ def _catalog(s, x, catalog_id):
 # and lemma sides take 0.3 s at m = k = 100 and n=3, and ran past 100 s at 1000.
 MAX_POWER = 100
 
+# Largest exact recheck of a float zero: the bits of the coordinates over one
+# common denominator times the powers raised (n plus the flavor's m, k, beta,
+# ell and terms), about the bit size the exact values grow to.  Lemma sides at
+# n=15, m = k = 100 and one-digit decimals (26,499) recheck in 0.4 s; the
+# dirac-conj lemma at n=15, m = k = 32, with coordinates from 1e-300 to 1e100
+# (2,432 bits, 79 powers), took 14.7 s.
+MAX_RECHECK_SIZE = 2**15
+
 # `eval --kernel` name: (closed form, the options it reads with their defaults).
 # The form is called as form(s, x, **options), an option left unset taking its
 # default; options a flavor does not read are ignored. A flavor has a printed
@@ -119,9 +127,19 @@ def _cmd_eval(args) -> int:
     value = form(s, x, **options)
     if ring is FLOATS and not all(map(math.isfinite, value.blades.values())):
         raise InvalidParams(f"{args.kernel} value lies outside float range")
-    if ring is FLOATS and value.is_zero() and not form(  # exact at the same point
-            s.cast(RATIONALS), x.cast(RATIONALS), **options).is_zero():
-        raise InvalidParams(f"{args.kernel} value underflows to 0 in float mode")
+    if ring is FLOATS and value.is_zero():  # recheck exactly at the same point
+        s, x = s.cast(RATIONALS), x.cast(RATIONALS)
+        coords = s.coords() + x.coords()
+        den = math.lcm(*(c.denominator for c in coords))
+        top = max(abs(c.numerator) * (den // c.denominator) for c in coords)
+        bits = top.bit_length() + den.bit_length()
+        powers = args.n + sum(options.get(name, 0) for name in ("m", "k", "beta", "ell", "terms"))
+        if bits * powers > MAX_RECHECK_SIZE:
+            raise InvalidParams(f"{args.kernel} value is 0 in float mode, and its exact recheck "
+                                f"({bits}-bit coordinates, {powers} powers) is too large; "
+                                f"use --mode exact")
+        if not form(s, x, **options).is_zero():
+            raise InvalidParams(f"{args.kernel} value underflows to 0 in float mode")
     try:
         if args.format == "json":
             blades = {blade_name(m) or "1": str(c) for m, c in value.blades.items()}

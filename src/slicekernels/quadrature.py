@@ -14,9 +14,13 @@ rescales as it does alone.  Each blade of the integral is then one exactly
 rounded `math.fsum` over the products of kernel blades and integrand
 blades, so the result does not depend on summation order; an integral
 outside float range is refused.  A contour's nodes, node lanes and weights
-are built once per contour value, and the memo keeps its two most recent
-contours, so repeated integrals over one contour, or alternating over two,
-build none.
+are built once per contour value, and a node coordinate that is zero at
+every node, as the n - 1 coordinates off a C_{e1} contour's plane are, is
+one plain 0.0 rather than a lane column, so the kernels do no lane work on
+it.  The integrand w_j f(s_j) is built once per f and contour value, equal
+SliceFunctions sharing one.  Each memo keeps its two most recent entries,
+so repeated integrals of one f over one contour, or alternating over two,
+build neither again.
 """
 
 from __future__ import annotations
@@ -55,6 +59,14 @@ class SliceFunction:
             self.coeffs = tuple(map(Fraction, coeffs))
         except (OverflowError, ValueError, ZeroDivisionError):  # inf, nan, 1/0
             raise InvalidParams("slice function coefficient is not a finite number") from None
+
+    def __eq__(self, other):
+        if not isinstance(other, SliceFunction):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     def __call__(self, x: Paravector) -> Multivector:
         ring = x.ring
@@ -122,7 +134,8 @@ def contour_nodes(contour: ContourSpec) -> tuple:
 def _nodes(key: tuple) -> tuple:
     """The (s, w) pairs of a contour, its nodes s_j, and the nodes and the
     weights as one float paravector and one float multivector whose values
-    are node lanes, built once per contour value."""
+    are node lanes, built once per contour value.  A coordinate that is zero
+    at every node is the plain 0.0, which broadcasts against lanes."""
     *values, N = key
     *I, c, r = map(float.fromhex, values)
     step = 2.0 * math.pi / N
@@ -136,11 +149,23 @@ def _nodes(key: tuple) -> tuple:
     points = tuple(s for s, _ in pairs)
 
     def lanes(paravectors):
-        x0, *xu = (Lanes(list(c)) for c in zip(*(p.coords() for p in paravectors)))
+        x0, *xu = (Lanes(list(c)) if any(c) else 0.0
+                   for c in zip(*(p.coords() for p in paravectors)))
         return Paravector(FLOATS, x0, xu)
 
     return (tuple(pairs), points, lanes(points),
             lanes(w for _, w in pairs).to_multivector())
+
+
+# Two entries, as for the contours: each check keeps one f on one contour,
+# or alternates two contours with one f.
+@lru_cache(maxsize=2)
+def _integrand(f, key: tuple) -> dict:
+    """p -> (column, negated column) of blade p of w_j f(s_j) over the nodes,
+    one lane product built once per f and contour value; a SliceFunction is
+    compared by its coefficients, any other f by identity."""
+    _, _, lanes, weights = _nodes(key)
+    return {p: (c.v, [-v for v in c.v]) for p, c in (weights * f(lanes)).blades.items()}
 
 
 def _require_interior(x: Paravector, contour: ContourSpec):
@@ -175,22 +200,22 @@ def _kernel_columns(kernel, x: Paravector, key: tuple) -> dict:
     alone, in node order, so the first that raises raises as it does alone.
     """
     _, points, lanes, _ = _nodes(key)
-    columns = {m: c.v for m, c in kernel(lanes, x).blades.items()}
+    columns = {m: c.v if isinstance(c, Lanes) else [c] * len(points)  # a constant blade
+               for m, c in kernel(lanes, x).blades.items()}
     if columns and all(math.isfinite(sum(col)) for col in columns.values()):
         return columns
     return _columns(kernel(s, x) for s in points)
 
 
 def _integral(kernel, f, x: Paravector, contour: ContourSpec) -> Multivector:
-    """(1/2pi) sum of kernel(s_j, x) w_j f(s_j), one kernel call and one
-    lane product w_j f(s_j) over the node lanes.  By bilinearity, blade
+    """(1/2pi) sum of kernel(s_j, x) w_j f(s_j), one kernel call over the
+    node lanes and the memoized integrand w_j f(s_j).  By bilinearity, blade
     m^p of the sum is one exactly rounded fsum of sign(m, p) K_j[m]
     (w_j f(s_j))[p] over every node j and blade pair (m, p); a sum that is
     not a finite float is refused."""
     _require_interior(x, contour)
     key = contour.key
-    _, _, lanes, weights = _nodes(key)
-    integrand = {p: (c.v, [-v for v in c.v]) for p, c in (weights * f(lanes)).blades.items()}
+    integrand = _integrand(f, key)
     terms: dict = {}
     for m, kc in _kernel_columns(kernel, x, key).items():
         for p, signed in integrand.items():

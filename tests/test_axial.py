@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from slicekernels import axial, cli, rings, suites
 from slicekernels import coeffs as cf
 from slicekernels import kernels as K
-from slicekernels.clifford import Paravector
+from slicekernels.clifford import Multivector, Paravector
 from slicekernels.diffop import named_operator, oracle_apply
 from slicekernels.rings import FLOATS, RATIONALS, JetContext
 from slicekernels.suites import JET_SOURCES
@@ -104,3 +104,57 @@ def test_exact_oracle_rows_past_n11_build_no_jet_operator(monkeypatch):
                                                  trials=1, seed=0, jobs=1))
     assert report.passed
     assert named_operator.cache_info().currsize == 0
+
+
+def _cubic(rng):
+    """A polynomial of degree <= 3 in (x0, rho, t): exponents -> rational."""
+    return {(a, b, c): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            for a in range(4) for b in range(4 - a) for c in range(4 - a - b)}
+
+
+def _at(poly, ring, x0, rho, t):
+    acc = ring.zero()
+    for exponents, coeff in poly.items():
+        term = ring.lift(coeff)
+        for base, e in zip((x0, rho, t), exponents):
+            for _ in range(e):
+                term = term * base
+        acc = acc + term
+    return acc
+
+
+def test_axial_rules_are_the_jet_oracle_on_an_element_of_the_algebra_at_every_n():
+    # D, D-bar and the Laplacian of g1 + u gu + v gv + uv guv, with g's drawn
+    # as cubics in (x0, rho, t): the four d_u rules on their jets, against
+    # the jet oracle on the same F built by Clifford arithmetic in x's
+    # coordinates; n enters the rules only as a coefficient, so this checks
+    # them at every admitted n, with jets of order 2 in n + 1 variables
+    rng = Random(3)
+    for n in [n for n in range(3, 16, 2) for _ in range(2)]:
+        s, x = (Paravector.from_coords(
+            RATIONALS, [Fraction(rng.randint(-16, 16), rng.randint(1, 16)) for _ in range(n + 1)])
+            for _ in range(2))
+        g = [_cubic(rng) for _ in range(4)]
+
+        def F(y):
+            ring = y.ring
+            t = ring.zero()
+            for a, b in zip(y.xu, s.xu):
+                t = t + a * ring.lift(b)
+            g1, gu, gv, gw = (_at(p, ring, y.x0, y.vector_norm_sq(), t) for p in g)
+            u = Paravector(ring, ring.zero(), y.xu).to_multivector()
+            v = Paravector(ring, ring.zero(), s.cast(ring).xu).to_multivector()
+            return Multivector.scalar(n, ring, g1) + u.scale(gu) + v.scale(gv) + (u * v).scale(gw)
+
+        p = axial._Point(s, x, 2)
+        element = tuple(_at(q, p.ring, p.x0, p.rho, p.t) for q in g)
+        u = Paravector(RATIONALS, 0, x.xu).to_multivector()
+        v = Paravector(RATIONALS, 0, s.xu).to_multivector()
+        for op, rule in ((("d", 1, 0), lambda e: p.dirac(e, 1)),
+                         (("dbar", 1, 0), lambda e: p.dirac(e, -1)),
+                         (("d", 0, 1), p.laplacian)):
+            c1, cu, cv, cw = (a.constant_term() for a in rule(element))
+            axial_value = (Multivector.scalar(n, RATIONALS, c1) + u.scale(cu) + v.scale(cv)
+                           + (u * v).scale(cw))
+            assert all((c1, cu, cv, cw))
+            assert axial_value == oracle_apply(named_operator(n, *op), F, x), (n, op)

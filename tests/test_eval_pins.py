@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from slicekernels import cli
+from slicekernels import kernels as K
+from slicekernels.rings import FLOATS
 
 RUNS = json.loads((Path(__file__).parent / "data" / "eval_outputs.json").read_text())
 
@@ -164,3 +166,25 @@ def test_eval_at_the_largest_dimension(capsys):
             "--s", "2" + ",0" * 15, "--x", "0,1" + ",0" * 14]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "2/5 + 1/5*e1\n"
+
+
+def test_a_float_zero_too_large_to_recheck_exactly_is_refused_first(capsys, monkeypatch):
+    # coordinates from 1e-300 to 1e100 are 2,432 bits over one denominator,
+    # raised to 79 powers: the exact recheck of this float zero took 14.7 s
+    rings = []
+    lemma_rhs = K.lemma_rhs
+
+    def counted(s, x, *args):
+        rings.append(x.ring)
+        return lemma_rhs(s, x, *args)
+
+    monkeypatch.setattr(K, "lemma_rhs", counted)
+    argv = ["eval", "--kernel", "lemma", "--lemma", "dirac-conj", "--formula", "4", "--n", "15",
+            "--mode", "float", "--s", "1e100,1e-100,3" + ",0" * 12 + ",7",
+            "--x", ",".join(["1e-300"] + [str(i) for i in range(2, 17)]), "--m", "32", "--k", "32"]
+    assert cli.main(argv) == 2
+    assert rings == [FLOATS]
+    assert capsys.readouterr().err == (
+        "error: lemma value is 0 in float mode, and its exact recheck "
+        "(2432-bit coordinates, 79 powers) is too large; use --mode exact\n")
+    assert 2432 * 79 > cli.MAX_RECHECK_SIZE > 103 * 21  # the pseudo-cauchy pin above rechecks

@@ -268,8 +268,7 @@ def test_contour_memo_keeps_every_bit():
 
 def test_slice_independence_pairs_build_each_contour_once(monkeypatch):
     # the check alternates a base and a tilted contour with one f: the
-    # two-entry contour memo builds each contour once, and each integral
-    # evaluates f once, over the node lanes
+    # two-entry memos build each contour, and f over its node lanes, once
     calls = Counter()
     call = SliceFunction.__call__
 
@@ -279,13 +278,15 @@ def test_slice_independence_pairs_build_each_contour_once(monkeypatch):
 
     monkeypatch.setattr(SliceFunction, "__call__", counted)
     quadrature._nodes.cache_clear()
+    quadrature._integrand.cache_clear()
     params = dict(n=3, nodes=64)
     rng = Random(7)
     for _ in range(3):
         base, tilted = suites._quad_slice_independence(params, suites._quad_interior_point(3, rng))
         assert (base - tilted).norm_float() <= 1e-10
-    assert calls["f"] == 3 * 2
+    assert calls["f"] == 2
     assert quadrature._nodes.cache_info().misses == 2
+    assert quadrature._integrand.cache_info().misses == 2
 
 
 TILTED = tuple(1.0 / math.sqrt(3.0) for _ in range(3))
@@ -309,9 +310,9 @@ def test_fsum_integral_is_the_memo_free_sum_and_near_the_tree_sum(coeffs, half_n
 
 
 def test_one_kernel_call_one_f_call_and_two_products_per_integral(monkeypatch):
-    # the kernel and f run once each, over the node lanes, and no node pays
-    # for a Clifford product: the kernel's own product and w_j f(s_j) are
-    # the only two, whether or not the contour is built yet
+    # the kernel runs once, over the node lanes, and no node pays for a
+    # Clifford product: a cold call adds f and w_j f(s_j), once each, to the
+    # kernel's own product, and a warm call reuses that integrand
     contour = ContourSpec(I3, 0.0, 2.0, 64)
     x = fpv(0.3, 0.1, -0.2, 0.4)
     series = SliceFunction([0, 1, 2])
@@ -330,10 +331,13 @@ def test_one_kernel_call_one_f_call_and_two_products_per_integral(monkeypatch):
                            (fueter_sce_integral, "fueter_sce_kernel")):
         monkeypatch.setattr(quadrature, name, counted(name, getattr(quadrature, name)))
         quadrature._nodes.cache_clear()
-        for _ in range(2):  # cold, then warm
-            integral(f, x, contour)
-            assert counts == {name: 1, "f": 1, "product": 2}
-            counts.clear()
+        quadrature._integrand.cache_clear()
+        integral(f, x, contour)
+        assert counts == {name: 1, "f": 1, "product": 2}
+        counts.clear()
+        integral(f, x, contour)
+        assert counts == {name: 1, "product": 1}
+        counts.clear()
 
 
 @settings(max_examples=40, deadline=None)
@@ -450,3 +454,69 @@ def test_node_count_is_capped_before_anything_is_built():
         with pytest.raises(InvalidParams, match=f"^quad_nodes must be <= 65536, got {nodes}$"):
             suites.SuiteConfig(suite="quadrature", quad_nodes=nodes).validate()
     assert quadrature._nodes.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_node_coordinates_off_the_slice_plane_are_plain_zeros(n):
+    # a C_{e1} contour's nodes and weights vary in x0 and e1 alone: the n - 1
+    # coordinates off its plane are one plain 0.0 each, not a lane column
+    e1 = (1.0,) + (0.0,) * (n - 1)
+    _, _, nodes, weights = quadrature._nodes(ContourSpec(e1, 0.0, 2.0, 16).key)
+    assert isinstance(nodes.x0, Lanes) and isinstance(nodes.xu[0], Lanes)
+    assert [(type(c), c.hex()) for c in nodes.xu[1:]] == [(float, "0x0.0p+0")] * (n - 1)
+    assert sorted(weights.blades) == [0, 1]
+    assert all(isinstance(c, Lanes) for c in weights.blades.values())
+    _, _, tilted, _ = quadrature._nodes(ContourSpec(TILTED, 0.0, 2.0, 16).key)
+    assert [isinstance(c, Lanes) for c in tilted.coords()] == [True] * 4
+
+
+def test_equal_slice_functions_share_one_integrand_and_the_memo_holds_two():
+    quadrature._integrand.cache_clear()
+    contour = ContourSpec(I3, 0.0, 2.0, 16)
+    x = fpv(0.3, 0.1, -0.2, 0.4)
+    f = SliceFunction([0, 0, 1])
+    g = SliceFunction([Fraction(0), 0.0, Fraction(2, 2)])  # x^2 again
+    assert f == g and hash(f) == hash(g)
+    assert f != SliceFunction([0, 1]) and f != (0, 0, 1)
+    cauchy_reconstruct(f, x, contour)
+    cauchy_reconstruct(g, x, contour)
+    fueter_sce_integral(g, x, contour)
+    info = quadrature._integrand.cache_info()
+    assert (info.misses, info.hits, info.currsize, info.maxsize) == (1, 2, 1, 2)
+    for coeffs in ([1], [0, 1], [1, 2], [0, 0, 1]):
+        for c in (contour, contour.with_nodes(32)):
+            cauchy_reconstruct(SliceFunction(coeffs), x, c)
+            assert quadrature._integrand.cache_info().currsize <= 2
+
+
+@pytest.mark.parametrize("direction", [I3, TILTED])
+def test_a_warm_integral_is_the_cold_one_bit_for_bit(direction):
+    contour = ContourSpec(direction, 0.0, 2.0, 64)
+    x = fpv(0.3, 0.1, -0.2, 0.4)
+    f = SliceFunction([1, -2, 0, 3])
+    for integral in (cauchy_reconstruct, fueter_sce_integral):
+        quadrature._nodes.cache_clear()
+        quadrature._integrand.cache_clear()
+        cold = _outcome(integral, f, x, contour)
+        assert _outcome(integral, f, x, contour) == cold
+        assert _outcome(integral, SliceFunction(f.coeffs), x, contour) == cold
+        assert quadrature._integrand.cache_info().misses == 1
+
+
+def test_a_kernel_blade_that_is_a_plain_float_is_a_constant_column():
+    # over a C_{e1} contour's lanes, a blade built from plain floats alone
+    # (x's coordinates and the plane's zeros) is one float, not a lane column
+    contour = ContourSpec(I3, 0.0, 2.0, 16)
+    x = fpv(0.3, 0.1, -0.2, 0.4)
+
+    def kernel(s, y):
+        return Multivector(y.n, FLOATS, {1: s.xu[0], 2: s.xu[1] - y.xu[1]})
+
+    _, points, lanes, _ = quadrature._nodes(contour.key)
+    assert type(kernel(lanes, x).blades[2]) is float
+    columns = quadrature._kernel_columns(kernel, x, contour.key)
+    assert columns[2] == [0.2] * 16
+    assert columns == quadrature._columns(kernel(s, x) for s in points)
+    f = SliceFunction([1, 0, 2])
+    assert _outcome(quadrature._integral, kernel, f, x, contour) == \
+        _outcome(_direct, kernel, f, x, contour)
