@@ -35,13 +35,13 @@ def _catalog(s, x, catalog_id):
 # and lemma sides take 0.3 s at m = k = 100 and n=3, and ran past 100 s at 1000.
 MAX_POWER = 100
 
-# Largest exact recheck of a float zero: the bits of the coordinates over one
-# common denominator times the powers raised (n plus the flavor's m, k, beta,
-# ell and terms), about the bit size the exact values grow to.  Lemma sides at
-# n=15, m = k = 100 and one-digit decimals (26,499) recheck in 0.4 s; the
-# dirac-conj lemma at n=15, m = k = 32, with coordinates from 1e-300 to 1e100
-# (2,432 bits, 79 powers), took 14.7 s.
-MAX_RECHECK_SIZE = 2**15
+# Largest exact evaluation, and exact recheck of a float zero: the bits of the
+# coordinates over one common denominator times the powers raised (n plus the
+# flavor's m, k, beta, ell and terms), about the bit size the exact values grow
+# to.  Lemma sides at n=15, m = k = 100 and one-digit decimals (26,499) recheck
+# in 0.4 s; the dirac-conj lemma at n=15, m = k = 32, with coordinates from
+# 1e-300 to 1e100 (2,432 bits, 79 powers), took 14.7 s.
+MAX_EXACT_SIZE = 2**15
 
 # `eval --kernel` name: (closed form, the options it reads with their defaults).
 # The form is called as form(s, x, **options), an option left unset taking its
@@ -108,6 +108,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exact_size(s, x, powers: int) -> str:
+    """"<bits>-bit coordinates, <powers> powers" when an exact evaluation at
+    the rational points s and x is past MAX_EXACT_SIZE, else ""."""
+    coords = s.coords() + x.coords()
+    den = math.lcm(*(c.denominator for c in coords))
+    top = max(abs(c.numerator) * (den // c.denominator) for c in coords)
+    bits = top.bit_length() + den.bit_length()
+    return f"{bits}-bit coordinates, {powers} powers" if bits * powers > MAX_EXACT_SIZE else ""
+
+
 def _cmd_eval(args) -> int:
     if args.n % 2 == 0 or args.n < 3:
         raise InvalidParams("kernel dimension must be odd and >= 3")
@@ -124,20 +134,17 @@ def _cmd_eval(args) -> int:
         raise InvalidParams(f"no printed right-sided form for {args.kernel}")
     options = {name: default if (v := getattr(args, name)) is None else v
                for name, default in defaults.items()}
+    powers = args.n + sum(options.get(name, 0) for name in ("m", "k", "beta", "ell", "terms"))
+    if ring is RATIONALS and (size := _exact_size(s, x, powers)):
+        raise InvalidParams(f"exact {args.kernel} value ({size}) is too large; use --mode float")
     value = form(s, x, **options)
     if ring is FLOATS and not all(map(math.isfinite, value.blades.values())):
         raise InvalidParams(f"{args.kernel} value lies outside float range")
     if ring is FLOATS and value.is_zero():  # recheck exactly at the same point
         s, x = s.cast(RATIONALS), x.cast(RATIONALS)
-        coords = s.coords() + x.coords()
-        den = math.lcm(*(c.denominator for c in coords))
-        top = max(abs(c.numerator) * (den // c.denominator) for c in coords)
-        bits = top.bit_length() + den.bit_length()
-        powers = args.n + sum(options.get(name, 0) for name in ("m", "k", "beta", "ell", "terms"))
-        if bits * powers > MAX_RECHECK_SIZE:
+        if size := _exact_size(s, x, powers):
             raise InvalidParams(f"{args.kernel} value is 0 in float mode, and its exact recheck "
-                                f"({bits}-bit coordinates, {powers} powers) is too large; "
-                                f"use --mode exact")
+                                f"({size}) is too large; use --mode exact")
         if not form(s, x, **options).is_zero():
             raise InvalidParams(f"{args.kernel} value underflows to 0 in float mode")
     try:

@@ -187,7 +187,7 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     )
     value = f(seeded)
     den = math.lcm(*(jet.den for jet in value.blades.values()))
-    acc = [0] * (1 << n)
+    acc: dict = {}
     for b, jet in value.blades.items():
         get, up = jet._nums.get, den // jet.den
         for a, column in groups:
@@ -198,7 +198,7 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
                     v += c * u
             if v:
                 mask, sign = blade_product(a, b)
-                acc[mask] += sign * up * v
+                acc[mask] = acc.get(mask, 0) + sign * up * v
     den *= scale
     lift = x.ring.lift
-    return Multivector(n, x.ring, {m: lift(Fraction(v, den)) for m, v in enumerate(acc) if v})
+    return Multivector(n, x.ring, {m: lift(Fraction(v, den)) for m, v in acc.items() if v})

@@ -348,10 +348,9 @@ def _theorem(p, s, x):
 def _axial_link_grid(c: SuiteConfig) -> list:
     """Each (n, operator, source) that the axial oracle decides at the
     configured dimensions, once: those of every exact oracle row of any
-    suite, then the catalog's, each entry's operator on the left Cauchy
-    kernel. At n=3 and 5 the oracle rows already name every catalog point.
-    A dimension past `MAX_JET_ORACLE_N` is refused before any point is listed,
-    so no operator is built."""
+    suite, which name each catalog entry's point too (its operator on the
+    left Cauchy kernel). A dimension past `MAX_JET_ORACLE_N` is refused
+    before any point is listed, so no operator is built."""
     if c.mode != "exact":
         return []
     if (n := max(c.n_values)) > MAX_JET_ORACLE_N:
@@ -362,9 +361,6 @@ def _axial_link_grid(c: SuiteConfig) -> list:
             if check.source and check.pair:
                 for p in check.grid(c._replace(suite=suite)):
                     points.setdefault((p["n"], *check.op(p), check.source(p)), None)
-    for entry in map(K.catalog_fixture, K.catalog_ids()):
-        if entry.n in c.n_values:
-            points.setdefault((entry.n, *entry.op, ("cauchy-left",)), None)
     return [dict(n=n, base=base, beta=beta, m=m, source=source)
             for n, base, beta, m, source in points]
 

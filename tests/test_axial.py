@@ -60,7 +60,32 @@ def test_both_oracles_read_a_float_point_exactly_and_round_once():
 
 
 def test_sources_are_the_same_functions():
+    # at order 0 the axial oracle returns its source's value, which must be
+    # the closed-form kernel the jet oracle differentiates: every source at
+    # every odd n up to 15, every harmonic m up to h_n
     assert set(axial.SOURCES) == set(JET_SOURCES)
+    checks = 0
+    for n in range(3, 16, 2):
+        rng = Random(n)
+        sources = [("cauchy-left",), ("cauchy-right",), ("fueter-sce",)]
+        sources += [("harmonic", m) for m in range(1, cf.h_of(n) + 1)]
+        for _ in range(2):
+            s, x = K.sample_point_pair(n, rng)
+            for name, *args in sources:
+                want = JET_SOURCES[name](s, *args)(x)
+                assert axial.apply(("d", 0, 0), (name, *args), s, x) == want, (n, name, args)
+                checks += 1
+    assert checks == 98
+
+
+def test_catalog_points_are_in_the_axial_link_grid():
+    # the oracle rows name every catalog entry's point, so the axial-link
+    # grid needs no catalog loop of its own
+    for entry in map(K.catalog_fixture, K.catalog_ids()):
+        grid = suites._axial_link_grid(suites.SuiteConfig(suite="axial-link",
+                                                          n_values=(entry.n,)))
+        points = {(p["n"], p["base"], p["beta"], p["m"], p["source"]) for p in grid}
+        assert (entry.n, *entry.op, ("cauchy-left",)) in points, entry.id
 
 
 def test_axial_oracle_at_n15_matches_the_closed_form():

@@ -58,10 +58,27 @@ def test_float_eval_at_extreme_scales(capsys, s, x, expected):
     assert capsys.readouterr().out == expected + "\n"
 
 
+# Coordinates from 1e-100 to 1e100 and 1e-300 to 16, at n=15 and at n=3:
+# there the exact forms alone, at the points read as dyadic rationals, took
+# 24 to 47 s.
+MIXED_S15 = "1e100,1e-100,3" + ",0" * 12 + ",7"
+MIXED_X15 = ",".join(["1e-300"] + [str(i) for i in range(2, 17)])
+TOO_LARGE = [
+    (["--kernel", "pseudo-cauchy", "--n", "15", "--m", "100", "--s", MIXED_S15, "--x", MIXED_X15],
+     "exact pseudo-cauchy value (2326-bit coordinates, 115 powers) is too large; "
+     "use --mode float"),
+    (["--kernel", "series", "--n", "15", "--terms", "50", "--s", MIXED_S15, "--x", MIXED_X15],
+     "exact series value (2326-bit coordinates, 65 powers) is too large; use --mode float"),
+    (["--kernel", "lemma", "--lemma", "dirac-conj", "--formula", "4", "--n", "3", "--m", "100",
+      "--k", "100", "--s", "1e100,1e-100,3,7", "--x", "1e-300,2,3,4"],
+     "exact lemma value (2326-bit coordinates, 203 powers) is too large; use --mode float"),
+]
+
 # Each run gives exit 2 and this one stderr line. Checks run in this order:
 # the dimension, the bounds of --terms, --m and --k, the coordinates of s
-# then x, the side, the flavor's own parameters, then the value.
-ERRORS = [
+# then x, the side, the size of an exact evaluation, the flavor's own
+# parameters, then the value.
+ERRORS = [*TOO_LARGE,
     (["--kernel", "catalog", "--n", "3", *P3], "unknown catalog id ''"),
     (["--kernel", "catalog", "--n", "3", "--catalog-id", "n7-D", *P3],
      "unknown catalog id 'n7-D'"),
@@ -168,6 +185,16 @@ def test_eval_at_the_largest_dimension(capsys):
     assert capsys.readouterr().out == "2/5 + 1/5*e1\n"
 
 
+@pytest.mark.parametrize("argv, message", TOO_LARGE, ids=[a[1] for a, _ in TOO_LARGE])
+def test_an_exact_value_too_large_is_refused_before_any_closed_form(monkeypatch, argv, message):
+    def refused(*args, **kwargs):
+        raise AssertionError("a closed form ran")
+
+    for name in ("pseudo_cauchy_pow", "cauchy_series_partial", "lemma_rhs"):
+        monkeypatch.setattr(K, name, refused)
+    assert cli.main(["eval", *argv]) == 2
+
+
 def test_a_float_zero_too_large_to_recheck_exactly_is_refused_first(capsys, monkeypatch):
     # coordinates from 1e-300 to 1e100 are 2,432 bits over one denominator,
     # raised to 79 powers: the exact recheck of this float zero took 14.7 s
@@ -187,4 +214,4 @@ def test_a_float_zero_too_large_to_recheck_exactly_is_refused_first(capsys, monk
     assert capsys.readouterr().err == (
         "error: lemma value is 0 in float mode, and its exact recheck "
         "(2432-bit coordinates, 79 powers) is too large; use --mode exact\n")
-    assert 2432 * 79 > cli.MAX_RECHECK_SIZE > 103 * 21  # the pseudo-cauchy pin above rechecks
+    assert 2432 * 79 > cli.MAX_EXACT_SIZE > 103 * 21  # the pseudo-cauchy pin above rechecks

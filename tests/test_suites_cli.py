@@ -274,8 +274,8 @@ def test_cli_eval_float_singular_guard_is_scale_relative(capsys):
                  "--s", "2/10000,0,0,0", "--x", "0,1/10000,0,0"])
     assert code == 0
     value = parse_multivector(capsys.readouterr().out.strip(), 3, FLOATS)
-    assert value.coeffs[0] == pytest.approx(4000) and value.coeffs[1] == pytest.approx(2000)
-    assert not any(value.coeffs[2:])
+    assert list(value.blades) == [0, 1]
+    assert value.blades[0] == pytest.approx(4000) and value.blades[1] == pytest.approx(2000)
     code = main(["eval", "--kernel", "cauchy-II", "--n", "3", "--mode", "float",
                  "--s", "0,1/10000,0,0", "--x", "0,0,1/10000,0"])
     assert code == 2
