@@ -143,8 +143,12 @@ def _cmd_eval(args) -> int:
     if ring is FLOATS and value.is_zero():  # recheck exactly at the same point
         s, x = s.cast(RATIONALS), x.cast(RATIONALS)
         if size := _exact_size(s, x, powers):
+            # the typed coordinates, as --mode exact parses them
+            typed = _exact_size(*(parse_paravector(t, args.n) for t in (args.s, args.x)), powers)
+            advice = (f"so is --mode exact ({typed}): neither mode fits" if typed
+                      else "use --mode exact")
             raise InvalidParams(f"{args.kernel} value is 0 in float mode, and its exact recheck "
-                                f"({size}) is too large; use --mode exact")
+                                f"({size}) is too large; {advice}")
         if not form(s, x, **options).is_zero():
             raise InvalidParams(f"{args.kernel} value underflows to 0 in float mode")
     try:

@@ -8,9 +8,9 @@ commutation shortcuts are applied outside the commutative plane generated
 by the parameter paravector s.  The same code paths evaluate over exact
 rationals, floats, and jets.  Rows that name a `source` are decided by
 `axial.apply`, which shares no code with these forms.  The jet oracle runs
-them over jets only in `axial-link` (`suites.JET_SOURCES`) and in the lemma
-rows, whose `_block` is built from `pseudo_inverse`, `_smxbar` and `_smx0`,
-the helpers of the printed side `_lemma_rhs` it is checked against.
+them over jets only in `axial-link` (`suites.JET_SOURCES`).  It also decides
+the lemma rows, whose `_block` is built from coordinates in the plane of s
+and shares no helper with the printed side `_lemma_rhs` it is checked against.
 
 The shared blocks, Q_{c,s}(x) in its plane form (see `pseudo_denominator`),
 its form-I twin with s and x exchanged, and s - xbar, are built in one pass
@@ -292,18 +292,35 @@ LEMMA_DIRAC_CONJ = "dirac-conj"
 
 
 def _block(s, x, formula: int, m: int, k: int) -> Multivector:
-    qp = pseudo_inverse(s, x).pow(m).to_multivector()
-    smxbar = _smxbar(s, x)
-    smx0 = _smx0(s, x)
-    if formula == 1:
-        return smxbar * qp
-    if formula == 2:
-        return qp
-    if formula == 3:
-        return smx0.pow(k).to_multivector() * qp
-    if formula == 4:
-        return smxbar * qp * smx0.pow(k).to_multivector()
-    raise InvalidParams(f"unknown block formula {formula}")
+    """The block of a lemma row, the function its oracle differentiates.
+
+    Built from coordinates in the plane of s, with no helper of the printed
+    side: Q^-m (s - x0)^k is one pair (a, b), meaning a + b s_u.  With
+    c = s0 - x0 and nu = |s_u|^2, Q = (c^2 - nu + |x_u|^2) + 2c s_u, its
+    inverse is (q0 - q1 s_u) / (q0^2 + nu q1^2), and pairs multiply as
+    (a, b)(a', b') = (aa' - nu bb', ab' + ba').  Formulas 1 and 4 then take
+    s - xbar = c + s_u + x_u on the left, their one Clifford product; the
+    written order of formula 4 is the same value, as its last two factors
+    commute.  Formulas 1 and 2 read k = 0.
+    """
+    if formula not in (1, 2, 3, 4):
+        raise InvalidParams(f"unknown block formula {formula}")
+    s._check(x)
+    ring = x.ring
+    c, nu = s.x0 - x.x0, s.vector_norm_sq()
+    factors = [(c, ring.one())] * (k if formula in (3, 4) else 0)
+    if m:
+        q0, q1 = (c * c - nu) + x.vector_norm_sq(), c + c
+        inv = ring.invert(q0 * q0 + nu * (q1 * q1))
+        factors += [(q0 * inv, -(q1 * inv))] * m
+    a, b = factors.pop() if factors else (ring.one(), ring.zero())
+    for a2, b2 in factors:
+        a, b = a * a2 - nu * (b * b2), a * b2 + b * a2
+    pair = Multivector(x.n, ring, {0: a} | {1 << i: b * u for i, u in enumerate(s.xu)})
+    if formula in (2, 3):
+        return pair
+    smxbar = {0: c} | {1 << i: u + v for i, (u, v) in enumerate(zip(s.xu, x.xu))}
+    return Multivector(x.n, ring, smxbar) * pair
 
 
 # The printed sides, keyed by (lemma, formula).  Each term is its coefficient,
@@ -362,7 +379,8 @@ def lemma_rhs(s: Paravector, x: Paravector, lemma: str, formula: int, m: int,
 
 def lemma_block_lhs_rhs(s: Paravector, x: Paravector, lemma: str, formula: int, m: int,
                         k: int = 0) -> tuple[Multivector, Multivector]:
-    """LHS by differentiation oracle, RHS by the printed closed form."""
+    """LHS by the jet oracle applied to `_block`, RHS by the printed closed
+    form `_lemma_rhs`; the two share no helper."""
     rhs = _lemma_rhs(lemma, formula, s, x, m, k)
     op = named_operator(x.n, "d" if lemma == LEMMA_DIRAC else "dbar", 1, 0)
     lhs = oracle_apply(op, kernel_closure(_block, s, formula=formula, m=m, k=k), x)

@@ -195,9 +195,14 @@ def test_an_exact_value_too_large_is_refused_before_any_closed_form(monkeypatch,
     assert cli.main(["eval", *argv]) == 2
 
 
-def test_a_float_zero_too_large_to_recheck_exactly_is_refused_first(capsys, monkeypatch):
-    # coordinates from 1e-300 to 1e100 are 2,432 bits over one denominator,
-    # raised to 79 powers: the exact recheck of this float zero took 14.7 s
+MIXED_SCALE_ZERO = [
+    "eval", "--kernel", "lemma", "--lemma", "dirac-conj", "--formula", "4", "--n", "15",
+    "--mode", "float", "--s", "1e100,1e-100,3" + ",0" * 12 + ",7",
+    "--x", ",".join(["1e-300"] + [str(i) for i in range(2, 17)]), "--m", "32", "--k", "32"]
+
+
+def _refused_float_zero(capsys, monkeypatch) -> str:
+    """The error line of MIXED_SCALE_ZERO, which must evaluate once, over floats."""
     rings = []
     lemma_rhs = K.lemma_rhs
 
@@ -206,12 +211,26 @@ def test_a_float_zero_too_large_to_recheck_exactly_is_refused_first(capsys, monk
         return lemma_rhs(s, x, *args)
 
     monkeypatch.setattr(K, "lemma_rhs", counted)
-    argv = ["eval", "--kernel", "lemma", "--lemma", "dirac-conj", "--formula", "4", "--n", "15",
-            "--mode", "float", "--s", "1e100,1e-100,3" + ",0" * 12 + ",7",
-            "--x", ",".join(["1e-300"] + [str(i) for i in range(2, 17)]), "--m", "32", "--k", "32"]
-    assert cli.main(argv) == 2
+    assert cli.main(MIXED_SCALE_ZERO) == 2
     assert rings == [FLOATS]
-    assert capsys.readouterr().err == (
+    return capsys.readouterr().err
+
+
+def test_a_float_zero_too_large_to_recheck_exactly_is_refused_first(capsys, monkeypatch):
+    # coordinates from 1e-300 to 1e100 are 2,432 bits over one denominator,
+    # raised to 79 powers: the exact recheck of this float zero took 14.7 s.
+    # As typed, 1e-300 is 1/10^300, 2,326 bits: --mode exact is refused too
+    assert _refused_float_zero(capsys, monkeypatch) == (
+        "error: lemma value is 0 in float mode, and its exact recheck "
+        "(2432-bit coordinates, 79 powers) is too large; so is --mode exact "
+        "(2326-bit coordinates, 79 powers): neither mode fits\n")
+    assert 2326 * 79 > cli.MAX_EXACT_SIZE > 103 * 21  # the pseudo-cauchy pin above rechecks
+
+
+def test_a_float_zero_suggests_exact_mode_only_when_the_typed_point_fits(capsys, monkeypatch):
+    # a bound between the typed size and the recheck's refuses only the recheck
+    monkeypatch.setattr(cli, "MAX_EXACT_SIZE", 190_000)
+    assert 2326 * 79 < cli.MAX_EXACT_SIZE < 2432 * 79
+    assert _refused_float_zero(capsys, monkeypatch) == (
         "error: lemma value is 0 in float mode, and its exact recheck "
         "(2432-bit coordinates, 79 powers) is too large; use --mode exact\n")
-    assert 2432 * 79 > cli.MAX_EXACT_SIZE > 103 * 21  # the pseudo-cauchy pin above rechecks

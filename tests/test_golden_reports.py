@@ -51,6 +51,12 @@ EXACT_N11 = {
     "theorem-dbar": "da74c992cee05c35445d6f4cf3e4b7d2527d155f39fbc6f05ad7c7cd8941659c",
 }
 
+# n=15, one trial: the lemma rows, whose block the jet oracle differentiates in
+# 16 variables; made before the block was built in the plane of s
+EXACT_N15 = {
+    "lemmas": "a479a6c3044957a8957be3302e0d6f4ae102d5ebed9fa1fc7fda1a2d3362745a",
+}
+
 # Float reports: the closed forms in floats against the oracle's exact value
 # at the float point, rounded once
 FLOAT = {
@@ -108,6 +114,12 @@ def test_exact_n9_report_digest(suite):
 def test_exact_n11_report_digest(suite):
     config = SuiteConfig(suite=suite, n_values=(11,), trials=1, seed=0, jobs=1)
     assert _digest(config) == EXACT_N11[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(EXACT_N15))
+def test_exact_n15_report_digest(suite):
+    config = SuiteConfig(suite=suite, n_values=(15,), trials=1, seed=0, jobs=1)
+    assert _digest(config) == EXACT_N15[suite]
 
 
 @pytest.mark.parametrize("suite", sorted(FLOAT))

@@ -254,6 +254,56 @@ def test_lemma_block_k0_reduces():
     assert lhs3 == lhs2 and rhs3 == rhs2
 
 
+def _written_block(s, x, formula, m, k):
+    """A lemma block as written, multiplied out in Clifford products."""
+    qp = K.pseudo_inverse(s, x).pow(m).to_multivector()
+    smxbar = K._smxbar(s, x)
+    smx0 = K._smx0(s, x)
+    if formula == 1:
+        return smxbar * qp
+    if formula == 2:
+        return qp
+    if formula == 3:
+        return smx0.pow(k).to_multivector() * qp
+    return smxbar * qp * smx0.pow(k).to_multivector()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 15])
+def test_block_is_the_written_product(n):
+    rng = Random(59 + n)
+    for _ in range(2):
+        s, x = K.sample_point_pair(n, rng)
+        for formula in (1, 2, 3, 4):
+            for m in range(5):
+                for k in range(4):
+                    assert K._block(s, x, formula, m, k) == _written_block(s, x, formula, m, k)
+    with pytest.raises(InvalidParams, match="unknown block formula 5"):
+        K._block(s, x, 5, 1, 0)
+
+
+def test_lemma_oracle_shares_no_helper_with_the_printed_side(monkeypatch):
+    # the printed sides first, then every helper they build from refuses
+    rng = Random(61)
+    rows = [(s, x, lemma, formula, m, k, K.lemma_rhs(s, x, lemma, formula, m, k))
+            for n in (3, 5)
+            for lemma in (K.LEMMA_DIRAC, K.LEMMA_DIRAC_CONJ)
+            for formula in (1, 2, 3, 4)
+            for m, k in ((1, 0), (2, 3))
+            for s, x in [K.sample_point_pair(n, rng)]]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the lemma oracle called a helper of the printed side")
+
+    for name in ("pseudo_inverse", "_smxbar", "_smx0", "_plane_quadratic", "pseudo_cauchy_pow"):
+        monkeypatch.setattr(K, name, refused)
+    for name in ("pow", "powers"):
+        monkeypatch.setattr(Paravector, name, refused)
+    for s, x, lemma, formula, m, k, rhs in rows:
+        monkeypatch.setattr(K, "_lemma_rhs", lambda *args: rhs)
+        lhs, _ = K.lemma_block_lhs_rhs(s, x, lemma, formula, m, k)
+        assert lhs == rhs
+
+
 def test_quaternionic_conjugate_chain():
     # Dbar S maps to the Fueter-Sce kernel chain: -F^3 s + x0 F^3
     rng = Random(47)
