@@ -127,79 +127,54 @@ class IdentityCase(NamedTuple):
     j: int
 
 
-def _only_j0(k: int) -> range:
-    """The j range of an identity that takes no j."""
-    return range(1)
-
-
-# identity -> (least k, d, the j range at k): the admissible parameters are
-# k >= least k, 0 <= m <= h_n - 2k - d and j in that range.  The lowercase
-# identities arise when one more Dirac operator is applied at even power
-# 2*k2, so they need k2 >= 1 and h_n >= m + 2*k2; the uppercase ones step
-# from odd power 2*k1+3 to 2*k1+4 and need k1 >= 0 and h_n >= m + 2*k1 + 3.
-IDENTITY_RANGES = {
-    "c1": (1, 0, _only_j0),
-    "c2": (1, 0, lambda k: range(0, k - 1)),
-    "c3": (1, 0, _only_j0),
-    "c4": (1, 0, lambda k: range(1, k)),
-    "c5": (1, 0, _only_j0),
-    "C1": (0, 3, lambda k: range(0, k + 1)),
-    "C2": (0, 3, _only_j0),
-    "C3": (0, 3, lambda k: range(0, k + 1)),
-    "C4": (0, 3, _only_j0),
+# identity -> (least k, d, js, sides).  The admissible parameters are
+# k >= least k, 0 <= m <= h_n - 2k - d and first <= j <= last for
+# (first, last) = js(k).  The lowercase identities arise when one more Dirac
+# operator is applied at even power 2*k2, so they need k2 >= 1 and
+# h_n >= m + 2*k2; the uppercase ones step from odd power 2*k1+3 to 2*k1+4
+# and need k1 >= 0 and h_n >= m + 2*k1 + 3.  `sides(h_n, m, k, j)` gives the
+# left and right sides, each a list of terms (weight, family, j', k') that
+# sums weight * coeff(family, j', k', m, h_n).  Bounds, weights and indices
+# are sums and products of the parameters, so they evaluate over any ring.
+IDENTITIES = {
+    "c1": (1, 0, lambda k: (0, 0), lambda h_n, m, k, j: (
+        [(2 * (m + 2 * k), "b2", k - 1, k)], [(2, "a1", k - 1, k)])),
+    "c2": (1, 0, lambda k: (0, k - 2), lambda h_n, m, k, j: (
+        [(-2 * j - 2, "a2", j + 1, k), (2 * (m + k + j + 1), "b2", j, k)], [(2, "a1", j, k)])),
+    "c3": (1, 0, lambda k: (0, 0), lambda h_n, m, k, j: (
+        [(2 * (h_n - m - k), "a2", 0, k), (-1, "b2", 0, k)], [(2, "b1", 0, k)])),
+    "c4": (1, 0, lambda k: (1, k - 1), lambda h_n, m, k, j: (
+        [(2 * (h_n - m - j - k), "a2", j, k), (4 * (m + k + j), "b2", j - 1, k),
+         (-(2 * j + 1), "b2", j, k)], [(2, "b1", j, k)])),
+    "c5": (1, 0, lambda k: (0, 0), lambda h_n, m, k, j: (
+        [(4 * (m + 2 * k), "b2", k - 1, k)], [(2, "b1", k, k)])),
+    "C1": (0, 3, lambda k: (0, k), lambda h_n, m, k, j: (
+        [(-(2 * j + 1), "a1", j, k + 1), (2 * (m + k + j + 2), "b1", j, k + 1)],
+        [(2, "a2", j, k + 2)])),
+    "C2": (0, 3, lambda k: (0, 0), lambda h_n, m, k, j: (
+        [(2 * (m + 2 * k + 3), "b1", k + 1, k + 1)], [(2, "a2", k + 1, k + 2)])),
+    "C3": (0, 3, lambda k: (0, k), lambda h_n, m, k, j: (
+        [(2 * (h_n - m - k - 2 - j), "a1", j, k + 1), (4 * (m + k + j + 2), "b1", j, k + 1),
+         (-2 * (j + 1), "b1", j + 1, k + 1)], [(2, "b2", j, k + 2)])),
+    "C4": (0, 3, lambda k: (0, 0), lambda h_n, m, k, j: (
+        [(4 * (m + 2 * k + 3), "b1", k + 1, k + 1)], [(2, "b2", k + 1, k + 2)])),
 }
-LOWER_IDENTITIES = tuple(i for i in IDENTITY_RANGES if i.islower())
-UPPER_IDENTITIES = tuple(i for i in IDENTITY_RANGES if i.isupper())
 
 
 def check_appendix_identity(identity: str, h_n: int, m: int, k: int, j: int = 0) -> bool:
     """Exact LHS-RHS evaluation of one coefficient identity; True iff zero.
 
     `k` is k2 for the lowercase identities and k1 for the uppercase ones.
-    Parameters outside the identity's range (`IDENTITY_RANGES`) raise.
+    Parameters outside the identity's range (`IDENTITIES`) raise.
     """
-    if identity not in IDENTITY_RANGES:
+    if identity not in IDENTITIES:
         raise InvalidParams(f"unknown identity {identity!r}")
-    least_k, d, js = IDENTITY_RANGES[identity]
-    if not (k >= least_k and 0 <= m <= h_n - 2 * k - d and j in js(k)):
+    least_k, d, js, sides = IDENTITIES[identity]
+    first_j, last_j = js(k)
+    if not (k >= least_k and 0 <= m <= h_n - 2 * k - d and first_j <= j <= last_j):
         raise InvalidParams(f"{identity} is not defined at h_n={h_n}, m={m}, k={k}, j={j}")
-    if identity == "c1":
-        lhs = 2 * (m + 2 * k) * coeff("b2", k - 1, k, m, h_n)
-        rhs = 2 * coeff("a1", k - 1, k, m, h_n)
-    elif identity == "c2":
-        lhs = ((-2 * j - 2) * coeff("a2", j + 1, k, m, h_n)
-               + 2 * (m + k + j + 1) * coeff("b2", j, k, m, h_n))
-        rhs = 2 * coeff("a1", j, k, m, h_n)
-    elif identity == "c3":
-        lhs = 2 * coeff("a2", 0, k, m, h_n) * (h_n - m - k) - coeff("b2", 0, k, m, h_n)
-        rhs = 2 * coeff("b1", 0, k, m, h_n)
-    elif identity == "c4":
-        lhs = (
-            2 * coeff("a2", j, k, m, h_n) * (h_n - m - j - k)
-            + 4 * (m + k + j) * coeff("b2", j - 1, k, m, h_n)
-            - (2 * j + 1) * coeff("b2", j, k, m, h_n)
-        )
-        rhs = 2 * coeff("b1", j, k, m, h_n)
-    elif identity == "c5":
-        lhs = 4 * (m + 2 * k) * coeff("b2", k - 1, k, m, h_n)
-        rhs = 2 * coeff("b1", k, k, m, h_n)
-    elif identity == "C1":
-        lhs = (-(2 * j + 1) * coeff("a1", j, k + 1, m, h_n)
-               + 2 * (m + k + j + 2) * coeff("b1", j, k + 1, m, h_n))
-        rhs = 2 * coeff("a2", j, k + 2, m, h_n)
-    elif identity == "C2":
-        lhs = 2 * (m + 2 * k + 3) * coeff("b1", k + 1, k + 1, m, h_n)
-        rhs = 2 * coeff("a2", k + 1, k + 2, m, h_n)
-    elif identity == "C3":
-        lhs = (
-            2 * (h_n - m - k - 2 - j) * coeff("a1", j, k + 1, m, h_n)
-            + 4 * (m + k + j + 2) * coeff("b1", j, k + 1, m, h_n)
-            - 2 * (j + 1) * coeff("b1", j + 1, k + 1, m, h_n)
-        )
-        rhs = 2 * coeff("b2", j, k + 2, m, h_n)
-    else:  # C4
-        lhs = 4 * (m + 2 * k + 3) * coeff("b1", k + 1, k + 1, m, h_n)
-        rhs = 2 * coeff("b2", k + 1, k + 2, m, h_n)
+    lhs, rhs = (sum(w * coeff(family, jj, kk, m, h_n) for w, family, jj, kk in side)
+                for side in sides(h_n, m, k, j))
     return lhs == rhs
 
 
@@ -207,10 +182,11 @@ def appendix_cases(hn_max: int):
     """Every admissible parameter combination of the nine identities, by
     h_n, then identity, k, m and j."""
     for h_n in range(1, hn_max + 1):
-        for ident, (least_k, d, js) in IDENTITY_RANGES.items():
+        for ident, (least_k, d, js, _) in IDENTITIES.items():
             for k in range(least_k, (h_n - d) // 2 + 1):
+                first_j, last_j = js(k)
                 for m in range(0, h_n - 2 * k - d + 1):
-                    for j in js(k):
+                    for j in range(first_j, last_j + 1):
                         yield IdentityCase(ident, h_n, m, k, j)
 
 

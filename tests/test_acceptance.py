@@ -93,7 +93,7 @@ def test_criterion_4_appendix_identities():
     report, elapsed = _run("4 (appendix identities, h_n <= 12)", config)
     assert elapsed < 10.0
     idents = {c["params"]["identity"] for c in report.cases if "identity" in c["params"]}
-    assert idents == set(cf.LOWER_IDENTITIES) | set(cf.UPPER_IDENTITIES)
+    assert idents == set(cf.IDENTITIES)
 
 
 def test_criterion_5_monogenic_and_polyharmonic():

@@ -5,6 +5,7 @@ import pytest
 
 from slicekernels import coeffs as cf
 from slicekernels.errors import InvalidParams
+from slicekernels.suites import SuiteConfig, run_suite
 
 
 def test_binomial_guarded():
@@ -126,7 +127,7 @@ def test_appendix_cases_are_exactly_the_parameters_the_checker_admits():
     hn_max = 9
     admitted = []
     for h in range(0, hn_max + 1):
-        for ident in cf.IDENTITY_RANGES:
+        for ident in cf.IDENTITIES:
             for k in range(-1, h + 2):
                 for m in range(-1, h + 2):
                     for j in range(-1, k + 3):
@@ -136,6 +137,39 @@ def test_appendix_cases_are_exactly_the_parameters_the_checker_admits():
                             continue
                         admitted.append(cf.IdentityCase(ident, h, m, k, j))
     assert sorted(admitted, key=repr) == sorted(cf.appendix_cases(hn_max), key=repr)
+
+
+def _fails(check) -> bool:
+    # a raising check counts as failed, as a raising case does in a suite
+    try:
+        return not check()
+    except Exception:
+        return True
+
+
+@pytest.mark.parametrize("family", list(cf.FAMILIES))
+def test_every_one_offset_family_mutant_fails_a_check(monkeypatch, family):
+    # each of the seven offsets moved by -1 or +1.  No appendix identity
+    # reads a bold family, so those are caught by the boundary vanishing or
+    # by exact theorem-dbar; two B2 mutants (g-1, q-1) first fail at n=11
+    original, missed = cf.FAMILIES[family], []
+    for i in range(7):
+        for step in (-1, 1):
+            mutant = list(original)
+            mutant[i] += step
+            monkeypatch.setitem(cf.FAMILIES, family, tuple(mutant))
+            if family.islower():
+                caught = _fails(lambda: all(cf.check_appendix_identity(*case)
+                                            for case in cf.appendix_cases(12)))
+            else:
+                caught = _fails(lambda: all(cf.boundary_vanishing_holds(h, m)
+                                            for h in range(1, 13) for m in range(h))) or any(
+                    not run_suite(SuiteConfig(suite="theorem-dbar", n_values=(n,), trials=1,
+                                              seed=0, jobs=1)).passed
+                    for n in (3, 5, 7, 9, 11))
+            if not caught:
+                missed.append(("efgpqrt"[i], step))
+    assert missed == []
 
 
 def test_sigma_gamma_link():
