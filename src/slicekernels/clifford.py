@@ -478,6 +478,22 @@ def format_multivector(mv: Multivector) -> str:
     return " ".join(parts)
 
 
+# Largest decimal exponent a number literal may carry, as in 1e4300: Fraction
+# builds 10**e before any check runs (7 s at 1e10000000, minutes past it).
+# Past about 3,300 `cli.MAX_EXACT_SIZE` refuses any exact value anyway, and a
+# float is out of range or 0. The bound is sys.get_int_max_str_digits()'s
+# default.
+MAX_LITERAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")  # as Fraction reads it
+
+
+def _read_number(text: str) -> Fraction:
+    """Fraction(text), refusing first an exponent past MAX_LITERAL_EXPONENT."""
+    if (match := _EXPONENT.search(text)) and abs(int(match[1])) > MAX_LITERAL_EXPONENT:
+        raise ValueError(f"exponent past {MAX_LITERAL_EXPONENT} in literal {text!r}")
+    return Fraction(text)
+
+
 # A sign starts a new term unless it follows another sign or the exponent
 # marker of a float literal, as in 1e-05.
 _TERM_START = re.compile(r"(?<=[^eE+-])(?=[+-])")
@@ -506,7 +522,7 @@ def parse_multivector(text: str, n: int, ring=RATIONALS) -> Multivector:
         if mask >= (1 << n):
             raise InvalidParams(f"blade {name!r} outside dimension {n}")
         try:
-            value = Fraction(coeff_text)
+            value = _read_number(coeff_text)
             coeff = ring.lift(-value if negative else value)
         except (ValueError, ZeroDivisionError, OverflowError):
             raise InvalidParams(f"bad coefficient {coeff_text!r} in {text!r}") from None
@@ -523,7 +539,7 @@ def parse_paravector(text: str, n: int, ring=RATIONALS) -> Paravector:
     if len(parts) != n + 1:
         raise InvalidParams(f"expected {n + 1} coordinates, got {len(parts)}")
     try:
-        coords = [ring.lift(Fraction(p)) for p in parts]
+        coords = [ring.lift(_read_number(p)) for p in parts]
     except ZeroDivisionError:
         raise InvalidParams(f"zero denominator in coordinates {text!r}") from None
     except OverflowError:

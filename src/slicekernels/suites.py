@@ -296,24 +296,20 @@ class Check(NamedTuple):
 
     - `pair(params, s, x)` gives two values that must agree;
     - `holds(params)` checks an exact coefficient identity;
-    - `quad(params, x)` gives a float quadrature value and its exact value at
-      a point drawn by `sample(n, rng)`, which must agree within `tol`;
+    - `quad(params, x)` gives a float quadrature value and its reference
+      value at a point drawn by `sample(n, rng)`, which must agree within
+      `tol`;
     - `run(params, config)` builds the whole case record itself.
 
-    An oracle row names its operator as `op(params) = (base, beta, m)`:
-    D^beta Delta^m for base "d", D-bar^beta Delta^m for "dbar". A row that
-    also names `source(params) = (name, *args)`, a key of `axial.SOURCES`
-    and of `JET_SOURCES`, gives as `pair` the closed form alone, which must
-    agree with the operator applied to that function at x by the axial
-    oracle, in either mode. `axial-link` sets no `pair` and compares the
-    axial oracle with the jet oracle, and refuses a dimension past
-    `MAX_JET_ORACLE_N`. A `quad` row with an `op` gives as
-    second value a function f(x) that the case replaces by the operator
-    applied to f at x by the jet oracle. The jet oracle applies the
-    operator `diffop.named_operator` builds once per process. Float mode
-    skips a point whose order beta + 2m exceeds `FLOAT_ORACLE_MAX_ORDER`.
+    A `pair` row may name its oracle as `oracle(params) = (op, source)`: the
+    operator `op = (base, beta, m)`, D^beta Delta^m for base "d" and
+    D-bar^beta Delta^m for "dbar", and the function `source = (name, *args)`,
+    a key of `axial.SOURCES`, that it is applied to. Its `pair` then gives the
+    closed form alone, which must agree with the axial oracle's value at x,
+    in either mode. Float mode skips a point whose order beta + 2m exceeds
+    `FLOAT_ORACLE_MAX_ORDER`.
 
-    The oracle, the closed forms and the quadrature routines are looked up
+    The oracles, the closed forms and the quadrature routines are looked up
     through their modules when a case runs, never stored in a row, so that a
     wrapper installed on a module attribute sees every call.
     """
@@ -321,8 +317,7 @@ class Check(NamedTuple):
     key: str | Callable
     grid: Callable
     trials: bool = False
-    op: Callable | None = None
-    source: Callable | None = None
+    oracle: Callable | None = None
     pair: Callable | None = None
     holds: Callable | None = None
     quad: Callable | None = None
@@ -358,17 +353,28 @@ def _axial_link_grid(c: SuiteConfig) -> list:
     points = {}
     for suite, kinds in SUITES.items():
         for check in (CHECKS[kind] for kind in kinds):
-            if check.source and check.pair:
+            if check.oracle:
                 for p in check.grid(c._replace(suite=suite)):
-                    points.setdefault((p["n"], *check.op(p), check.source(p)), None)
+                    op, source = check.oracle(p)
+                    points.setdefault((p["n"], *op, source), None)
     return [dict(n=n, base=base, beta=beta, m=m, source=source)
             for n, base, beta, m, source in points]
 
 
+def _axial_link(p, s, x):
+    """The axial oracle against the jet oracle, which applies the operator
+    `diffop.named_operator` builds once per process to `JET_SOURCES`."""
+    op, (name, *args) = (p["base"], p["beta"], p["m"]), p["source"]
+    value = axial.apply(op, p["source"], s, x)
+    return value, oracle_apply(named_operator(p["n"], *op), JET_SOURCES[name](s, *args), x)
+
+
 def _quad_fs_oracle(p, x):
+    """The Fueter-Sce integral of x^k against the jet oracle's Delta^{h_n} x^k."""
     f = SliceFunction([0] * p["k"] + [1])
     got = fueter_sce_integral(f, x.cast(FLOATS), _quad_contour(p["n"], p["nodes"]))
-    return got, f
+    op = named_operator(p["n"], "d", 0, cf.h_of(p["n"]))
+    return got, oracle_apply(op, f, x).map_coeffs(float, FLOATS)
 
 
 def _quad_slice_independence(p, x):
@@ -386,8 +392,7 @@ CHECKS = {
                         for n in c.n_values for m in range(cf.h_of(n))
                         for beta in range(1, cf.h_of(n) - m + 1)],
         trials=True,
-        op=lambda p: (p["op"], p["beta"], p["m"]),
-        source=lambda p: ("cauchy-left",),
+        oracle=lambda p: ((p["op"], p["beta"], p["m"]), ("cauchy-left",)),
         pair=_theorem,
     ),
     "dbar-boundary": Check(
@@ -431,16 +436,14 @@ CHECKS = {
         grid=lambda c: [dict(n=n, m=m)
                         for n in c.n_values for m in range(1, cf.h_of(n))],
         trials=True,
-        op=lambda p: ("d", 0, p["m"]),
-        source=lambda p: ("cauchy-left",),
+        oracle=lambda p: (("d", 0, p["m"]), ("cauchy-left",)),
         pair=lambda p, s, x: K.laplacian_power_kernel(s, x, p["m"]),
     ),
     "fueter-link": Check(
         key="n{n}-fueter-{side}-t{trial:03d}",
         grid=lambda c: [dict(n=n, side=side) for n in c.n_values for side in ("left", "right")],
         trials=True,
-        op=lambda p: ("d", 0, cf.h_of(p["n"])),
-        source=lambda p: (f"cauchy-{p['side']}",),
+        oracle=lambda p: (("d", 0, cf.h_of(p["n"])), (f"cauchy-{p['side']}",)),
         pair=lambda p, s, x: K.fueter_sce_kernel(s, x, side=p["side"]),
     ),
     "laplacian-power-fueter": Check(
@@ -472,8 +475,7 @@ CHECKS = {
         key="n{n}-t{trial:03d}",
         grid=lambda c: [dict(n=n) for n in c.n_values],
         trials=True,
-        op=lambda p: ("d", 1, 0),
-        source=lambda p: ("fueter-sce",),
+        oracle=lambda p: (("d", 1, 0), ("fueter-sce",)),
         pair=lambda p, s, x: Multivector.zero(p["n"], s.ring),
     ),
     "polyharmonic": Check(
@@ -481,8 +483,7 @@ CHECKS = {
         grid=lambda c: [dict(n=n, m=m)
                         for n in c.n_values for m in range(1, cf.h_of(n) + 1)],
         trials=True,
-        op=lambda p: ("d", 0, cf.h_of(p["n"]) - p["m"] + 1),
-        source=lambda p: ("harmonic", p["m"]),
+        oracle=lambda p: (("d", 0, cf.h_of(p["n"]) - p["m"] + 1), ("harmonic", p["m"])),
         pair=lambda p, s, x: Multivector.zero(p["n"], s.ring),
     ),
     "forms": Check(
@@ -531,7 +532,6 @@ CHECKS = {
         key="fs-oracle-n{n}-k{k}",
         grid=lambda c: [dict(n=n, k=k, nodes=c.quad_nodes)
                         for n in (3, 5) for k in range(0, 6)],
-        op=lambda p: ("d", 0, cf.h_of(p["n"])),
         quad=_quad_fs_oracle,
         sample=_quad_grid_point,
         tol=1e-8,
@@ -552,8 +552,7 @@ CHECKS = {
             src="-".join(map(str, p["source"])), **p),
         grid=_axial_link_grid,
         trials=True,
-        op=lambda p: (p["base"], p["beta"], p["m"]),
-        source=lambda p: tuple(p["source"]),
+        pair=_axial_link,
     ),
 }
 
@@ -582,8 +581,8 @@ def _build_cases(config: SuiteConfig) -> list:
     for kind in SUITES[config.suite]:
         check = CHECKS[kind]
         for point in check.grid(config):
-            if config.mode == "float" and check.op:
-                _, beta, m = check.op(point)
+            if config.mode == "float" and check.oracle:
+                (_, beta, m), _ = check.oracle(point)
                 if beta + 2 * m > FLOAT_ORACLE_MAX_ORDER:
                     continue  # pins the float case set (see FLOAT_ORACLE_MAX_ORDER)
             for t in range(config.trials) if check.trials else (None,):
@@ -604,21 +603,12 @@ def _run_case(params, config: SuiteConfig) -> dict:
     if check.quad:
         x = check.sample(params["n"], rng)
         got, exact = check.quad(params, x)
-        if check.op:
-            op = named_operator(params["n"], *check.op(params))
-            exact = oracle_apply(op, exact, x).map_coeffs(float, FLOATS)
         residual = (got - exact).norm_float()
         return {"residual": residual, "pass": residual <= check.tol,
                 "point": {"x": format_paravector(x)}}
     s, x = K.sample_point_pair(params["n"], rng, ring=_ring(config))
-    if check.source:
-        op, source = check.op(params), check.source(params)
-        if check.pair:  # the closed form against the axial oracle
-            value, other = check.pair(params, s, x), axial.apply(op, source, s, x)
-        else:  # axial-link: the axial oracle against the jet oracle
-            name, *args = source
-            value = axial.apply(op, source, s, x)
-            other = oracle_apply(named_operator(params["n"], *op), JET_SOURCES[name](s, *args), x)
+    if check.oracle:  # the closed form against the axial oracle
+        value, other = check.pair(params, s, x), axial.apply(*check.oracle(params), s, x)
     else:
         value, other = check.pair(params, s, x)
     residual, ok = _compare(value, other, config)

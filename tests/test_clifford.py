@@ -396,3 +396,14 @@ def test_paravector_text_round_trip():
     assert format_paravector(x) == "2,0,-1/3,4"
     with pytest.raises(InvalidParams):
         parse_paravector("1,2", 3, R)
+    # the exponent bound itself is admitted
+    assert parse_multivector("1e4300", 3, R).blades == {0: 10**4300}
+    assert parse_paravector("1e-4_300,0,0,0", 3, R).coords()[0] == Fraction(1, 10**4300)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1E-4301", "1e+4_301", " 1.5e9999 "])
+def test_an_exponent_past_the_bound_is_refused(text):
+    with pytest.raises(ValueError, match="exponent past 4300"):
+        parse_paravector(f"{text},0,0,0", 3, R)
+    with pytest.raises(InvalidParams, match="bad coefficient"):
+        parse_multivector(f"{text.strip()}*e1", 3, R)

@@ -9,6 +9,9 @@ An option that a flavor does not read is ignored (`harmonic --beta 9`).
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,6 +179,22 @@ def test_eval_error_is_pinned(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_huge_exponent_is_refused_before_its_power_of_ten_is_built(mode):
+    # Fraction builds 10**e before any check runs: 1e10000000 took 7.2 s to
+    # refuse, and 1e100000000 still ran after 200 s. A fresh interpreter
+    # with a timeout makes a regression fail here instead of hanging
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicekernels", "eval", "--kernel", "cauchy-II", "--n", "3",
+         "--mode", mode, "--s", "1e100000000,0,0,0", "--x", "0,1,0,0"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: exponent past 4300 in literal '1e100000000'"]
+    assert proc.stdout == ""
 
 
 def test_eval_at_the_largest_dimension(capsys):

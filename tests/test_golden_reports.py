@@ -25,6 +25,7 @@ EXACT = {
     "series": "d66415b72f694fd0d8abb4b1f1215fb8b69f442866baeea8ac9eb2ebedfeee54",
     "catalog": "9d59998218230cd8b40d2c814aa809256716a63e5af61298bcbd48ff72c52412",
     "quadrature": "0bed75d562e4df4767a3c0f51ee95dd6e8f4cd7eb27fa5b3067694478b3ff8e4",
+    "axial-link": "27c53d0ccaee2d2a0554f3b184271a9fced9b29ae9d5f4fc1339be685bd91069",
 }
 
 # n=7 is where the oracle costs most: operators up to order 6 (Laplacian^3)
@@ -35,6 +36,7 @@ EXACT_N7 = {
     "special-cases": "df45ad57f50a9cea86b0c061f05b892a74c2828899d0baf6e3be2f059d1d527c",
     "polyharmonic": "0d30c52e3d649b2cac018e24d0be1f15d8143db84f28371c8f623462a7f258b4",
     "lemmas": "688a112b983effeb4b853e9bf9045a63c9eab4be4d77d9650f16018de8f01464",
+    "axial-link": "56b7a62513ab16d4477c362a86a17097a788257a2f13c799456cd420965c61d5",
 }
 
 # n=9, one trial: operators up to order 8 in 10 variables

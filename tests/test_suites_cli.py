@@ -140,6 +140,32 @@ def test_axial_link_covers_every_catalog_point():
         assert (entry.n, *entry.op, ("cauchy-left",)) in grid, entry.id
 
 
+def test_each_row_sets_one_test_and_an_oracle_only_with_a_pair():
+    for kind, check in suites.CHECKS.items():
+        tests = [name for name in ("pair", "holds", "quad", "run") if getattr(check, name)]
+        assert len(tests) == 1, (kind, tests)
+        assert check.oracle is None or check.pair, kind
+
+
+def test_the_jet_oracle_runs_only_inside_row_functions(monkeypatch):
+    # theorem-d rows name an oracle, which the runner hands to the axial
+    # oracle; only the axial-link and quad-fs-oracle row functions call the
+    # jet oracle, one call a case
+    calls = []
+    oracle_apply = suites.oracle_apply
+    monkeypatch.setattr(suites, "oracle_apply",
+                        lambda *args: calls.append(args) or oracle_apply(*args))
+    counts = {}
+    for suite in ("theorem-d", "axial-link", "quadrature"):
+        calls.clear()
+        report = run_suite(small(suite, n_values=(3, 5), trials=1, quad_nodes=64))
+        assert report.passed, suite
+        counts[suite] = len(calls)
+    fs_oracle = sum(c["key"].startswith("fs-oracle-") for c in report.cases)
+    assert fs_oracle == 12
+    assert counts == {"theorem-d": 0, "axial-link": 18, "quadrature": fs_oracle}
+
+
 def test_config_validation():
     with pytest.raises(InvalidParams):
         run_suite(SuiteConfig(suite="nope"))
