@@ -3,8 +3,9 @@
 Elements are stored sparsely: ``blades[mask]`` is the coefficient of the
 basis blade whose bitmask has bit ``i`` set when generator ``e_{i+1}`` is
 present (mask 0 is the scalar part); blades with a zero coefficient are
-absent.  Values are immutable after construction and all operations are
-pure, so multivectors can be shared freely between threads.
+absent.  An exact multivector keeps int numerators over one denominator, of
+which ``blades`` is a view.  Values are immutable after construction and all
+operations are pure, so multivectors can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -75,12 +76,16 @@ class Multivector:
     """Element of R_n over a commutative coefficient ring, stored sparsely.
 
     `blades` maps blade mask to coefficient and holds only the nonzero
-    blades, in ascending mask order; it is the one format.  The constructor
-    takes such a mapping (any order; a mask outside 0..2^n-1 raises) and
-    drops the entries that are exactly zero.
+    blades, in ascending mask order.  The constructor takes such a mapping
+    (any order; a mask outside 0..2^n-1 raises) and drops the entries that
+    are exactly zero.  Over `RATIONALS` a multivector stores, as an exact
+    `Jet` does, nonzero int numerators `_nums` by mask, ascending, over one
+    `den` > 0, but always in lowest terms (one multi-argument gcd per
+    result), and `blades` is a view of Fractions built on each read; the
+    arithmetic, `==`, `is_zero` and `norm_float` run on the ints.
     """
 
-    __slots__ = ("n", "ring", "blades")
+    __slots__ = ("n", "ring", "_blades", "_nums", "den")
 
     def __init__(self, n: int, ring, blades: Mapping):
         if not 1 <= n <= MAX_DIMENSION:
@@ -90,16 +95,37 @@ class Multivector:
                                 f"got {type(blades).__name__}")
         if not all(isinstance(m, int) and 0 <= m < 1 << n for m in blades):
             raise InvalidParams(f"blade mask outside 0..{(1 << n) - 1}")
-        self.n = n
-        self.ring = ring
-        self.blades = {m: c for m, c in sorted(blades.items()) if c}
+        self.n, self.ring = n, ring
+        blades = {m: c for m, c in sorted(blades.items()) if c}
+        if ring is RATIONALS:  # over their lcm, the values' ratios stay in lowest terms
+            self._nums, self.den = RATIONALS.split(blades)
+        else:
+            self._blades = blades
 
     @classmethod
     def _make(cls, n: int, ring, blades: dict) -> "Multivector":
         """From nonzero blades already in ascending mask order, unchecked."""
+        if ring is RATIONALS:
+            return cls._exact(n, *RATIONALS.split(blades))
         out = object.__new__(cls)
-        out.n, out.ring, out.blades = n, ring, blades
+        out.n, out.ring, out._blades = n, ring, blades
         return out
+
+    @classmethod
+    def _exact(cls, n: int, nums: dict, den: int) -> "Multivector":
+        """From nonzero int numerators, ascending by mask, over den > 0; reduced by one gcd."""
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums, den = {m: v // g for m, v in nums.items()}, den // g
+        out = object.__new__(cls)
+        out.n, out.ring, out._nums, out.den = n, RATIONALS, nums, den
+        return out
+
+    @property
+    def blades(self) -> dict:
+        if self.ring is not RATIONALS:
+            return self._blades
+        return {m: Fraction(v, self.den) for m, v in self._nums.items()}
 
     @classmethod
     def zero(cls, n: int, ring):
@@ -121,20 +147,26 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check(other)
-        a = self.blades
-        out = dict(a)
-        cancelled = False
-        for m, c in other.blades.items():
+        if exact := self.ring is RATIONALS is other.ring:  # numerators over lcm(da, db)
+            g = math.gcd(da := self.den, db := other.den)
+            out = {m: v * (db // g) for m, v in self._nums.items()}
+            b = {m: v * (da // g) for m, v in other._nums.items()}
+        else:
+            out, b = dict(self.blades), other.blades
+        size, cancelled = len(out), False
+        for m, c in b.items():
             v = out.get(m)
             if v is None:
                 out[m] = c
             else:
                 out[m] = v = v + c
                 cancelled = cancelled or not v
-        if len(out) != len(a):  # other brought new blades
+        if len(out) != size:  # other brought new blades
             out = dict(sorted(out.items()))
         if cancelled:
             out = {m: v for m, v in out.items() if v}
+        if exact:
+            return Multivector._exact(self.n, out, da // g * db)
         return Multivector._make(self.n, self.ring, out)
 
     def __sub__(self, other):
@@ -143,7 +175,9 @@ class Multivector:
         return self + (-other)
 
     def __neg__(self):
-        return Multivector._make(self.n, self.ring, {m: -c for m, c in self.blades.items()})
+        if self.ring is RATIONALS:
+            return Multivector._exact(self.n, {m: -v for m, v in self._nums.items()}, self.den)
+        return Multivector._make(self.n, self.ring, {m: -c for m, c in self._blades.items()})
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -155,19 +189,28 @@ class Multivector:
         return self.scale(other)
 
     def scale(self, c) -> "Multivector":
+        if self.ring is RATIONALS:  # c read exactly, as `RATIONALS.lift` reads it
+            p, q = (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
+            return Multivector._exact(self.n, {m: v * p for m, v in self._nums.items() if p},
+                                      self.den * q)
         c = self.ring.lift(c)
         return Multivector._make(self.n, self.ring,
-                                 {m: v for m, a in self.blades.items() if (v := a * c)})
+                                 {m: v for m, a in self._blades.items() if (v := a * c)})
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
+        if self.ring is RATIONALS is other.ring:  # in lowest terms, equal values store alike
+            return self.n == other.n and (self._nums, self.den) == (other._nums, other.den)
         return self.n == other.n and self.blades == other.blades
 
     __hash__ = None
 
+    def __reduce__(self):  # pickled as the constructor's input, with no private slot
+        return Multivector, (self.n, self.ring, self.blades)
+
     def is_zero(self) -> bool:
-        return not self.blades
+        return not (self._nums if self.ring is RATIONALS else self._blades)
 
     def map_coeffs(self, fn, ring=None) -> "Multivector":
         """Apply `fn` to each stored coefficient; `fn` must map zero to zero."""
@@ -181,11 +224,13 @@ class Multivector:
         square overflows or loses the norm; otherwise the plain sum of squares
         is kept bit for bit, added left to right on every Python (the built-in
         `sum` compensates from 3.12 on).  A norm beyond float range reads inf."""
-        mags = list(map(self.ring.magnitude, self.blades.values()))
-        e = math.frexp(max(mags, default=0.0))[1]
-        e = e if abs(e) > 500 else 0
         total = 0.0
         try:
+            # int true division rounds correctly, to the float of each Fraction
+            mags = ([abs(v / self.den) for v in self._nums.values()] if self.ring is RATIONALS
+                    else list(map(self.ring.magnitude, self._blades.values())))
+            e = math.frexp(max(mags, default=0.0))[1]
+            e = e if abs(e) > 500 else 0
             for v in mags:
                 total += math.ldexp(v, -e) ** 2
             return math.ldexp(total ** 0.5, e)
@@ -203,9 +248,9 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Associative Clifford product; bilinear, e_i e_j + e_j e_i = -2 delta_ij.
 
     Walks a's blades, then b's, in ascending mask order, so float sums keep
-    one order.  Exact products sum in integers: with a's blades A_i / da in
-    the ring's numerator form (`RATIONALS.split`) and b's B_j / db, each
-    output blade sums sign * A_i * B_j and is divided by da * db once.  Over
+    one order.  Exact products sum in integers: with a's stored numerators
+    A_i over da and b's B_j over db, each output blade sums sign * A_i * B_j
+    over da * db, and the result is put in lowest terms once.  Over
     jets the A_i and B_j are the jets' int numerator tables, and each output
     blade accumulates into one table.  Float products keep their own loop,
     which sums the values directly into a scratch list of 2^n slots, the one
@@ -217,17 +262,15 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     a._check(b)
     ring = a.ring
     if ring is RATIONALS:
-        na, da = ring.split(a.blades)
-        nb, db = ring.split(b.blades)
+        nb, db = (b._nums, b.den) if b.ring is RATIONALS else ring.split(b.blades)
         acc: dict = {}
         get = acc.get
-        for i, ai in na.items():
+        for i, ai in a._nums.items():
             for j, bj in nb.items():
                 mask, sign = blade_product(i, j)
                 acc[mask] = get(mask, 0) + sign * ai * bj
-        den = da * db
-        return Multivector._make(a.n, ring, {m: Fraction(v, den)
-                                             for m, v in sorted(acc.items()) if v})
+        return Multivector._exact(a.n, {m: v for m, v in sorted(acc.items()) if v},
+                                  a.den * db)
     if isinstance(ring, JetRing):
         return _jet_product(a, b)
     out = [None] * (1 << a.n)
@@ -322,6 +365,8 @@ class Paravector:
         return Paravector(self.ring, self.x0, tuple(-c for c in self.xu))
 
     def norm_sq(self):
+        if self.ring is RATIONALS:
+            return _exact_sum_sq(self.coords())
         acc = self.x0 * self.x0
         for c in self.xu:
             acc = acc + c * c
@@ -329,6 +374,8 @@ class Paravector:
 
     def vector_norm_sq(self):
         ring = self.ring
+        if ring is RATIONALS:
+            return _exact_sum_sq(self.xu)
         acc = ring.zero()
         for c in self.xu:
             acc = acc + c * c
@@ -450,6 +497,13 @@ class Paravector:
         return f"Paravector({self.coords()})"
 
 
+def _exact_sum_sq(values) -> Fraction:
+    """Sum of squares of rationals: their numerators over their lcm are
+    squared and summed as ints, and one Fraction is built."""
+    nums, den = RATIONALS.split(dict(enumerate(values)))
+    return Fraction(sum(v * v for v in nums.values()), den * den)
+
+
 def same_sphere(x: Paravector, y: Paravector) -> bool:
     """True iff y lies on the sphere [x]: equal real parts and vector norms."""
     x._check(y)
@@ -544,4 +598,6 @@ def parse_paravector(text: str, n: int, ring=RATIONALS) -> Paravector:
         raise InvalidParams(f"zero denominator in coordinates {text!r}") from None
     except OverflowError:
         raise InvalidParams(f"coordinates {text!r} out of float range") from None
+    except ValueError as exc:
+        raise InvalidParams(str(exc)) from exc
     return Paravector.from_coords(ring, coords)

@@ -200,5 +200,7 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
                 mask, sign = blade_product(a, b)
                 acc[mask] = acc.get(mask, 0) + sign * up * v
     den *= scale
+    if x.ring is RATIONALS:
+        return Multivector._exact(n, {m: v for m, v in sorted(acc.items()) if v}, den)
     lift = x.ring.lift
     return Multivector(n, x.ring, {m: lift(Fraction(v, den)) for m, v in acc.items() if v})

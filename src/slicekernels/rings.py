@@ -11,9 +11,9 @@ arithmetic, and zero is exact in every ring: an element is zero iff it is
 false (``not v``).  A :class:`Lanes` value is a float ring value with one
 float per lane (per quadrature node), so one kernel call over lanes gives
 every lane's float value.
-The rational ring also owns the number format of exact sums:
-``RATIONALS.split(values)`` gives the nonzero values as int numerators over
-their lcm denominator.
+The rational ring also owns the number format of exact values, which exact
+jets and multivectors store: ``RATIONALS.split(values)`` gives the nonzero
+values as int numerators over their lcm denominator.
 
 Jets are the substrate of the differentiation oracle: a jet holds the
 Taylor coefficients of a scalar quantity in ``num_vars`` real coordinates

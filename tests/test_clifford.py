@@ -171,6 +171,135 @@ def test_sparse_operations_match_dense_loops(kind, n, data):
             assert a.norm_float() == pytest.approx(math.hypot(*mags), rel=1e-15)
 
 
+# -- exact numerator form against per-blade Fraction loops ------------------
+
+
+def _random_exact_blades(rng, n, size):
+    """size blades at random masks: ints, and Fractions whose denominators
+    reach 2^64."""
+    out = {}
+    for _ in range(size):
+        kind = rng.randrange(3)
+        if kind == 0:
+            value = rng.randint(-9, 9)
+        elif kind == 1:
+            value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 12))
+        else:
+            value = Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 2**64))
+        out[rng.randrange(1 << n)] = value
+    return out
+
+
+def _reference_sum(a, b, sign=1):
+    out = {m: Fraction(c) for m, c in a.items()}
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * Fraction(c)
+    return {m: c for m, c in sorted(out.items()) if c}
+
+
+def _reference_product(a, b):
+    out = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            mask, sign = blade_product(i, j)
+            out[mask] = out.get(mask, Fraction(0)) + sign * Fraction(ca) * Fraction(cb)
+    return {m: c for m, c in sorted(out.items()) if c}
+
+
+def _assert_lowest_terms_view(mv, expected):
+    blades = mv.blades
+    assert list(blades) == sorted(blades)
+    assert all(type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
+               and c.denominator > 0 and c for c in blades.values())
+    assert blades == expected
+    # lowest terms over one denominator, which `==` relies on
+    assert mv.den > 0 and math.gcd(mv.den, *mv._nums.values()) == 1
+    assert mv == Multivector(mv.n, R, expected)
+    assert mv.is_zero() == (not expected)
+    assert mv.norm_float() == Multivector(mv.n, FLOATS, {m: float(c) for m, c in
+                                                         expected.items()}).norm_float()
+
+
+@pytest.mark.parametrize("n", [3, 5, 15])
+def test_numerator_form_matches_per_blade_fraction_loops(n):
+    rng = Random(n)
+    for _ in range(12):
+        da = _random_exact_blades(rng, n, rng.randint(0, 12))
+        db = _random_exact_blades(rng, n, rng.randint(0, 12))
+        # some of b cancels a blade of a
+        for m in rng.sample(sorted(da), len(da) // 2):
+            db[m] = -da[m]
+        a, b = Multivector(n, R, da), Multivector(n, R, db)
+        zero = Multivector.zero(n, R)
+        c = rng.choice([0, 3, Fraction(-7, 2**64 + 1), Fraction(rng.randint(1, 99), 97)])
+        for mv, expected in (
+            (a, _reference_sum(da, {})),
+            (a + b, _reference_sum(da, db)),
+            (a - b, _reference_sum(da, db, -1)),
+            (b - b, {}),
+            (a + zero, _reference_sum(da, {})),
+            (zero - a, _reference_sum({}, da, -1)),
+            (-a, _reference_sum({}, da, -1)),
+            (a.scale(c), {m: p for m, v in _reference_sum(da, {}).items() if (p := v * c)}),
+            (a.scale(0), {}),
+            (geometric_product(a, b), _reference_product(da, db)),
+            (a * zero, {}),
+        ):
+            _assert_lowest_terms_view(mv, expected)
+
+
+def test_exact_norm_float_is_the_float_of_each_fraction():
+    # a Fraction whose float overflows reads inf, as RATIONALS.magnitude does
+    huge = Multivector(3, R, {0: Fraction(10**400, 3), 5: Fraction(1, 7)})
+    assert huge.norm_float() == math.inf
+    assert Multivector.scalar(3, R, Fraction(10**400, 10**399 + 1)).norm_float() == float(
+        Fraction(10**400, 10**399 + 1))
+    # each magnitude rounds once, from the exact quotient
+    third = Multivector(3, R, {0: Fraction(1, 3), 1: Fraction(2, 3), 6: Fraction(-2, 2**64 + 3)})
+    mags = [1 / 3, 2 / 3, 2 / (2**64 + 3)]
+    assert third.norm_float() == (mags[0] ** 2 + mags[1] ** 2 + mags[2] ** 2) ** 0.5
+
+
+@pytest.mark.parametrize("n", [3, 5, 15])
+def test_exact_norms_match_per_coordinate_fraction_sums(n):
+    rng = Random(100 + n)
+    for _ in range(20):
+        coords = list(_random_exact_blades(rng, 4, 20).values())[:n + 1]
+        coords += [0] * (n + 1 - len(coords))
+        x = pv(*coords)
+        vector = sum((Fraction(c) * c for c in coords[1:]), Fraction(0))
+        for value, expected in ((x.norm_sq(), Fraction(coords[0]) ** 2 + vector),
+                                (x.vector_norm_sq(), vector)):
+            assert type(value) is Fraction and value == expected
+        # coordinate i >= 1 is the blade of mask 1 << (i - 1), x0 the scalar
+        assert x.to_multivector().blades == {(1 << i) >> 1: Fraction(c)
+                                             for i, c in enumerate(coords) if c}
+    assert pv(*[0] * (n + 1)).vector_norm_sq() == 0
+
+
+def test_an_exact_operand_with_a_float_one_gives_what_it_gave_before_the_numerator_form():
+    a = Multivector(3, R, {0: Fraction(1, 3), 1: Fraction(-2, 7), 6: Fraction(5)})
+    b = Multivector(3, FLOATS, {1: 2 / 7, 2: 0.1, 6: -1.5})
+    # the ring of the left operand; a float sum kept over RATIONALS holds the same number
+    assert (a + b).ring is R and (a + b).blades == {0: Fraction(1, 3), 2: 0.1, 6: 3.5}
+    assert (a - b).ring is R
+    assert (a - b).blades == {0: Fraction(1, 3), 1: -4 / 7, 2: -0.1, 6: 6.5}
+    for mv, blades in ((b + a, {0: Fraction(1, 3), 2: 0.1, 6: 3.5}),
+                       (b - a, {0: Fraction(-1, 3), 1: 4 / 7, 2: 0.1, 6: -6.5})):
+        assert mv.ring is FLOATS
+        assert [(m, type(c), c) for m, c in mv.blades.items()] == [
+            (m, type(c), c) for m, c in blades.items()]
+    # an exact left factor reads the float one exactly; a float one rounds
+    exact_b = b.map_coeffs(Fraction, R)
+    assert (a * b).ring is R and (a * b).blades == (a * exact_b).blades
+    assert (a * b).blades[6] == Fraction(-1, 2)
+    assert (b * a).ring is FLOATS
+    assert all(type(c) is float for c in (b * a).blades.values())
+    assert (b * a).blades[0] == 7.581632653061225
+    assert a != b and a != a.map_coeffs(float, FLOATS)
+    assert a.scale(0.1).blades == {m: c * Fraction(0.1) for m, c in a.blades.items()}
+
+
 def test_norm_float_sums_in_mask_order():
     rng = Random(7)
     for n in (3, 5, 7):
@@ -403,7 +532,12 @@ def test_paravector_text_round_trip():
 
 @pytest.mark.parametrize("text", ["1e4301", "1E-4301", "1e+4_301", " 1.5e9999 "])
 def test_an_exponent_past_the_bound_is_refused(text):
-    with pytest.raises(ValueError, match="exponent past 4300"):
+    with pytest.raises(InvalidParams, match="exponent past 4300"):
         parse_paravector(f"{text},0,0,0", 3, R)
     with pytest.raises(InvalidParams, match="bad coefficient"):
         parse_multivector(f"{text.strip()}*e1", 3, R)
+
+
+def test_a_malformed_paravector_coordinate_is_a_library_error():
+    with pytest.raises(SliceKernelsError, match="Invalid literal for Fraction: 'a'"):
+        parse_paravector("a,0,0,0", 3)

@@ -54,10 +54,18 @@ EXACT_N11 = {
 }
 
 # n=15, one trial: the lemma rows, whose block the jet oracle differentiates in
-# 16 variables; made before the block was built in the plane of s
+# 16 variables, made before the block was built in the plane of s; and the
+# theorem rows, long exact chains of closed-form products and sums, made before
+# exact multivectors were stored as int numerators over one denominator
 EXACT_N15 = {
     "lemmas": "a479a6c3044957a8957be3302e0d6f4ae102d5ebed9fa1fc7fda1a2d3362745a",
+    "theorem-d": "53f3b4efde39ede8303690095ba0f85569d37c8ce3414b81846ac79112c42033",
+    "theorem-dbar": "e0343711a0566b9cb5fc5c82be1ede40b3d61aa0ebe324a79889f3ce2a165d04",
 }
+
+# series at 240 terms, n = 3, 5 and 7: each case sums 241 exact Clifford
+# products, made before exact multivectors were stored as numerators
+EXACT_SERIES_240 = "4238bd6936d9fa8293558711beba52aab3f72990e3a38eeed32ded87e285273b"
 
 # Float reports: the closed forms in floats against the oracle's exact value
 # at the float point, rounded once
@@ -122,6 +130,12 @@ def test_exact_n11_report_digest(suite):
 def test_exact_n15_report_digest(suite):
     config = SuiteConfig(suite=suite, n_values=(15,), trials=1, seed=0, jobs=1)
     assert _digest(config) == EXACT_N15[suite]
+
+
+def test_exact_series_240_terms_report_digest():
+    config = SuiteConfig(suite="series", n_values=(3, 5, 7), trials=1, seed=0, jobs=1,
+                         series_terms=240)
+    assert _digest(config) == EXACT_SERIES_240
 
 
 @pytest.mark.parametrize("suite", sorted(FLOAT))
