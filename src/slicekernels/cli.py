@@ -32,16 +32,16 @@ def _catalog(s, x, catalog_id):
 
 
 # Largest `eval --m` and `--k`, as a float zero is rechecked exactly: at n=3 and
-# m = k = 100, exact Q^-m takes 0.06 s and the dirac-conj formula-4 lemma side
-# 0.10 s (0.06 and 0.11 s at 5fdb7e6); at 1000 they ran past 100 s (aba8ee0).
+# m = k = 100, exact Q^-m takes 0.002 s and the dirac-conj formula-4 lemma side
+# 0.06 s (0.06 and 0.11 s at 46113ce); at 1000 they ran past 100 s (aba8ee0).
 MAX_POWER = 100
 
 # Largest exact evaluation, and exact recheck of a float zero: the bits of the
 # coordinates over one common denominator times the powers raised (n plus the
 # flavor's m, k, beta, ell and terms), about the bit size the exact values grow
-# to.  At n=15 and m = k = 100, lemma sides at one-digit decimals (26,499)
-# recheck in 0.4 s, 0.7 s at 5fdb7e6; the dirac-conj lemma at m = k = 32 and
-# coordinates 1e-300 to 1e100 (2,432 bits, 79 powers) takes 4.4 s, 13.3 s there.
+# to.  At n=15 and m = k = 100, lemma sides at one-digit decimals (23,865)
+# recheck in 0.4 s, as at 46113ce; the dirac-conj lemma at m = k = 32 and
+# coordinates 1e-300 to 1e100 (2,432 bits, 79 powers) takes 4.6 s, 5.4 s there.
 MAX_EXACT_SIZE = 2**15
 
 # `eval --kernel` name: (closed form, the options it reads with their defaults).

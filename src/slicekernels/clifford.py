@@ -4,7 +4,8 @@ Elements are stored sparsely: ``blades[mask]`` is the coefficient of the
 basis blade whose bitmask has bit ``i`` set when generator ``e_{i+1}`` is
 present (mask 0 is the scalar part); blades with a zero coefficient are
 absent.  An exact multivector keeps int numerators over one denominator, of
-which ``blades`` is a view.  Values are immutable after construction and all
+which ``blades`` is a view, and so does an exact paravector, of which its
+coordinates are.  Values are immutable after construction and all
 operations are pure, so multivectors can be shared freely between threads.
 """
 
@@ -328,14 +329,45 @@ def _jet_product(a: Multivector, b: Multivector) -> Multivector:
 
 
 class Paravector:
-    """Element x0 + x1 e_1 + ... + xn e_n of R^{n+1} inside R_n."""
+    """Element x0 + x1 e_1 + ... + xn e_n of R^{n+1} inside R_n.
 
-    __slots__ = ("ring", "x0", "xu")
+    Over `RATIONALS` it stores the int numerators `_nums` of all n + 1
+    coordinates over one `den` > 0, in lowest terms, and `x0` and `xu` are
+    views of Fractions built on each read; powers, the inverse, the norms,
+    scaling, conjugation, negation and `to_multivector` run on the ints.
+    """
+
+    __slots__ = ("ring", "n", "_x0", "_xu", "_nums", "den")
 
     def __init__(self, ring, x0, xu):
-        self.ring = ring
-        self.x0 = x0
-        self.xu = tuple(xu)
+        xu = tuple(xu)
+        self.ring, self.n = ring, len(xu)
+        if ring is RATIONALS:  # over their lcm, the values' ratios stay in lowest terms
+            ratios = [v.as_integer_ratio() for v in (x0, *xu)]
+            self.den = den = math.lcm(*[d for _, d in ratios])
+            self._nums = tuple(v * (den // d) for v, d in ratios)
+        else:
+            self._x0, self._xu = x0, xu
+
+    @classmethod
+    def _exact(cls, nums: tuple, den: int) -> "Paravector":
+        """From the int numerators of every coordinate over den > 0; reduced by one gcd."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(v // g for v in nums), den // g
+        out = object.__new__(cls)
+        out.ring, out.n, out._nums, out.den = RATIONALS, len(nums) - 1, nums, den
+        return out
+
+    @property
+    def x0(self):
+        return Fraction(self._nums[0], self.den) if self.ring is RATIONALS else self._x0
+
+    @property
+    def xu(self) -> tuple:
+        if self.ring is not RATIONALS:
+            return self._xu
+        return tuple(Fraction(v, self.den) for v in self._nums[1:])
 
     @classmethod
     def from_coords(cls, ring, coords):
@@ -344,40 +376,40 @@ class Paravector:
             raise InvalidParams("paravector needs at least x0 and x1")
         return cls(ring, coords[0], coords[1:])
 
-    @property
-    def n(self) -> int:
-        return len(self.xu)
-
     def coords(self):
-        return (self.x0,) + self.xu
+        return (self.x0,) + self.xu if self.ring is RATIONALS else (self._x0,) + self._xu
 
     def cast(self, ring) -> "Paravector":
+        if ring is RATIONALS is self.ring:
+            return self
         return Paravector(ring, ring.lift(self.x0), tuple(ring.lift(c) for c in self.xu))
 
     def to_multivector(self) -> Multivector:
-        blades = {0: self.x0} if self.x0 else {}
-        for i, c in enumerate(self.xu):
-            if c:
-                blades[1 << i] = c
+        values = self._nums if (exact := self.ring is RATIONALS) else self.coords()
+        blades = {(1 << i) >> 1: c for i, c in enumerate(values) if c}  # coordinate i's mask
+        if exact:
+            return Multivector._exact(self.n, blades, self.den)
         return Multivector._make(self.n, self.ring, blades)
 
     def conjugate(self) -> "Paravector":
-        return Paravector(self.ring, self.x0, tuple(-c for c in self.xu))
+        if self.ring is RATIONALS:
+            return Paravector._exact((self._nums[0], *(-v for v in self._nums[1:])), self.den)
+        return Paravector(self.ring, self._x0, tuple(-c for c in self._xu))
 
     def norm_sq(self):
         if self.ring is RATIONALS:
-            return _exact_sum_sq(self.coords())
-        acc = self.x0 * self.x0
-        for c in self.xu:
+            return Fraction(sum(v * v for v in self._nums), self.den * self.den)
+        acc = self._x0 * self._x0
+        for c in self._xu:
             acc = acc + c * c
         return acc
 
     def vector_norm_sq(self):
         ring = self.ring
         if ring is RATIONALS:
-            return _exact_sum_sq(self.xu)
+            return Fraction(sum(v * v for v in self._nums[1:]), self.den * self.den)
         acc = ring.zero()
-        for c in self.xu:
+        for c in self._xu:
             acc = acc + c * c
         return acc
 
@@ -389,8 +421,8 @@ class Paravector:
     def ldexp(self, e: int) -> "Paravector":
         """Float paravector times 2^e, exact unless a coordinate leaves the
         normal range."""
-        return Paravector(self.ring, math.ldexp(self.x0, e),
-                          tuple(math.ldexp(c, e) for c in self.xu))
+        return Paravector(self.ring, math.ldexp(self._x0, e),
+                          tuple(math.ldexp(c, e) for c in self._xu))
 
     def inverse(self) -> "Paravector":
         return self._inverse(self.norm_sq())
@@ -399,7 +431,7 @@ class Paravector:
         """The inverse, given ns = self.norm_sq(); over floats, an inverse
         outside float range raises InvalidParams.  Over lanes, a lane whose
         ns is not a normal float, and would take the rescale below or
-        raise, reads NaN."""
+        raise, reads NaN.  Over rationals it is xbar q / (den p) for ns = p / q."""
         ring = self.ring
         if isinstance(ns, Lanes):
             inv = Lanes([1.0 / v if 2.0 ** -1022 <= v <= 2.0 ** 1022 else math.nan
@@ -413,33 +445,44 @@ class Paravector:
                 raise InvalidParams("paravector inverse lies outside float range") from None
         elif ns == 0:
             raise ZeroNorm("paravector has zero norm")
+        elif ring is RATIONALS:
+            (p, q), (c0, *cu) = ns.as_integer_ratio(), self._nums
+            return Paravector._exact((c0 * q, *(-v * q for v in cu)), self.den * p)
         else:
             inv = ring.invert(ns)
-        return Paravector(ring, self.x0 * inv, tuple(-c * inv for c in self.xu))
+        return Paravector(ring, self._x0 * inv, tuple(-c * inv for c in self._xu))
 
     def _plane_powers(self, k: int):
         """(a_j, b_j) with x^j = a_j + b_j * (vector part), for j = 0..k.
 
         x^(j+1) = (a_j x0 - b_j l) + (a_j + b_j x0) * (vector part), with l
         the squared norm of the vector part, computed only when k >= 2.
+        Over rationals it runs on the numerators c: x^j = (a_j + b_j c_u) / den^j.
         """
         if k < 0:
             raise InvalidParams("negative power; invert first")
         ring = self.ring
-        yield ring.one(), ring.zero()
+        if exact := ring is RATIONALS:
+            x0, one, zero = self._nums[0], 1, 0
+        else:
+            x0, one, zero = self._x0, ring.one(), ring.zero()
+        yield one, zero
         if k < 1:
             return
-        a, b = self.x0, ring.one()
+        a, b = x0, one
         yield a, b
         if k < 2:
             return
-        ell = self.vector_norm_sq()
+        ell = sum(v * v for v in self._nums[1:]) if exact else self.vector_norm_sq()
         for _ in range(k - 1):
-            a, b = a * self.x0 - b * ell, a + b * self.x0
+            a, b = a * x0 - b * ell, a + b * x0
             yield a, b
 
-    def _from_plane(self, a, b) -> "Paravector":
-        return Paravector(self.ring, a, tuple(b * c for c in self.xu))
+    def _from_plane(self, j: int, a, b) -> "Paravector":
+        """x^j from its pair (a_j, b_j) of `_plane_powers`."""
+        if self.ring is RATIONALS:
+            return Paravector._exact((a, *(b * v for v in self._nums[1:])), self.den ** j)
+        return Paravector(self.ring, a, tuple(b * c for c in self._xu))
 
     def pow(self, k: int) -> "Paravector":
         """k-th power, k >= 0; stays in the plane spanned by 1 and the vector part."""
@@ -447,16 +490,19 @@ class Paravector:
             return self
         for a, b in self._plane_powers(k):
             pass  # keep only the last pair
-        return self._from_plane(a, b)
+        return self._from_plane(k, a, b)
 
     def powers(self, k: int) -> list:
         """[x^0, ..., x^k] from one run of the recurrence; powers(k)[j] is pow(j)."""
-        return [self if j == 1 else self._from_plane(a, b)
+        return [self if j == 1 else self._from_plane(j, a, b)
                 for j, (a, b) in enumerate(self._plane_powers(k))]
 
     def scale(self, c) -> "Paravector":
+        if self.ring is RATIONALS:
+            p, q = RATIONALS.lift(c).as_integer_ratio()
+            return Paravector._exact(tuple(v * p for v in self._nums), self.den * q)
         c = self.ring.lift(c)
-        return Paravector(self.ring, self.x0 * c, tuple(v * c for v in self.xu))
+        return Paravector(self.ring, self._x0 * c, tuple(v * c for v in self._xu))
 
     def __add__(self, other):
         if not isinstance(other, Paravector):
@@ -475,7 +521,9 @@ class Paravector:
         )
 
     def __neg__(self):
-        return Paravector(self.ring, -self.x0, tuple(-c for c in self.xu))
+        if self.ring is RATIONALS:
+            return Paravector._exact(tuple(-v for v in self._nums), self.den)
+        return Paravector(self.ring, -self._x0, tuple(-c for c in self._xu))
 
     def __mul__(self, other):
         if isinstance(other, Paravector):
@@ -493,20 +541,19 @@ class Paravector:
 
     __hash__ = None
 
+    def __reduce__(self):  # pickled as the constructor's input, with no private slot
+        return Paravector, (self.ring, self.x0, self.xu)
+
     def __repr__(self):
         return f"Paravector({self.coords()})"
-
-
-def _exact_sum_sq(values) -> Fraction:
-    """Sum of squares of rationals: their numerators over their lcm are
-    squared and summed as ints, and one Fraction is built."""
-    nums, den = RATIONALS.split(dict(enumerate(values)))
-    return Fraction(sum(v * v for v in nums.values()), den * den)
 
 
 def same_sphere(x: Paravector, y: Paravector) -> bool:
     """True iff y lies on the sphere [x]: equal real parts and vector norms."""
     x._check(y)
+    if x.ring is RATIONALS is y.ring:  # cross-multiplied numerators
+        (a, *u), (b, *v), dx, dy = x._nums, y._nums, x.den, y.den
+        return a * dy == b * dx and sum(c * c for c in u) * dy**2 == sum(c * c for c in v) * dx**2
     return not (x.x0 - y.x0) and not (x.vector_norm_sq() - y.vector_norm_sq())
 
 

@@ -13,9 +13,13 @@ the lemma rows, whose `_block` is built from coordinates in the plane of s
 and shares no helper with the printed side `_lemma_rhs` it is checked against.
 
 The shared blocks, Q_{c,s}(x) in its plane form (see `pseudo_denominator`),
-its form-I twin with s and x exchanged, and s - xbar, are built in one pass
-from coordinates, with the operations of the paravector compositions they
-stand for in the same order, so float values match those bit for bit.
+its form-I twin with s and x exchanged, s - xbar and s - x0, are built in one
+pass from coordinates, with the operations of the paravector compositions
+they stand for in the same order, so float values match those bit for bit.
+At exact points the same code runs on ints rather than in a branch of its
+own: it takes the numerators of s and x over one denominator d (`_coords`),
+and as each block is homogeneous in (s, x), of degree 1 or 2, its result is
+the block's numerators over d or d^2, put in lowest terms once.
 """
 
 from __future__ import annotations
@@ -34,13 +38,27 @@ from .errors import InvalidParams, SingularKernel
 from .rings import RATIONALS, Lanes
 
 
+def _coords(s: Paravector, x: Paravector) -> tuple:
+    """(coordinates of s, of x, None); at exact points (numerators of s, of
+    x, d), over one denominator d."""
+    if s.ring is RATIONALS is x.ring:
+        d = math.lcm(s.den, x.den)
+        return [v * (d // s.den) for v in s._nums], [v * (d // x.den) for v in x._nums], d
+    return s.coords(), x.coords(), None
+
+
 def _plane_quadratic(s: Paravector, x: Paravector, x_norm_sq) -> Paravector:
     """Q_{c,s}(x), given x_norm_sq = |x|^2."""
     s._check(x)
-    s0, two_x0 = s.x0, x.x0 + x.x0
+    (s0, *su), (x0, *_), d = _coords(s, x)
+    if d:  # |x|^2 over d^2
+        x_norm_sq = x_norm_sq.numerator * (d * d // x_norm_sq.denominator)
+    nu = sum(c * c for c in su) if d else s.vector_norm_sq()
+    two_x0 = x0 + x0
     two_s0 = s0 + s0
-    a = ((s0 * s0 - s.vector_norm_sq()) - s0 * two_x0) + x_norm_sq
-    return Paravector(s.ring, a, tuple(two_s0 * c - c * two_x0 for c in s.xu))
+    a = ((s0 * s0 - nu) - s0 * two_x0) + x_norm_sq
+    qu = tuple(two_s0 * c - c * two_x0 for c in su)
+    return Paravector._exact((a, *qu), d * d) if d else Paravector(s.ring, a, qu)
 
 
 def pseudo_denominator(s: Paravector, x: Paravector) -> Paravector:
@@ -126,16 +144,18 @@ def _smxbar(s: Paravector, x: Paravector) -> Multivector:
     """The block s - xbar: blades s0 - x0 and s_i + x_i, the nonzero ones;
     a - (-b) is a + b exactly over floats, rationals and jets."""
     s._check(x)
-    blades = {0: v} if (v := s.x0 - x.x0) else {}
-    for i, (a, b) in enumerate(zip(s.xu, x.xu)):
+    (s0, *su), (x0, *xu), d = _coords(s, x)
+    blades = {0: v} if (v := s0 - x0) else {}
+    for i, (a, b) in enumerate(zip(su, xu)):
         if v := a + b:
             blades[1 << i] = v
-    return Multivector._make(s.n, s.ring, blades)
+    return Multivector._exact(s.n, blades, d) if d else Multivector._make(s.n, s.ring, blades)
 
 
 def _smx0(s: Paravector, x: Paravector) -> Paravector:
     """The block s - x0, a paravector in the plane of s."""
-    return Paravector(x.ring, s.x0 - x.x0, s.xu)
+    (s0, *su), (x0, *_), d = _coords(s, x)
+    return Paravector._exact((s0 - x0, *su), d) if d else Paravector(x.ring, s0 - x0, su)
 
 
 def cauchy_left(s: Paravector, x: Paravector, form: str = "II") -> Multivector:
@@ -489,8 +509,11 @@ def catalog_fixture(entry_id: str) -> CatalogEntry:
 # -- seeded random points ---------------------------------------------------
 
 
-def _random_fraction(rng: Random) -> Fraction:
-    return Fraction(rng.randint(-16, 16), rng.randint(1, 16))
+def _random_point(n: int, rng: Random, draw_den) -> Paravector:
+    """Exact coordinates p / draw_den(), p drawn from -16..16 first, built on the ints."""
+    draws = [(rng.randint(-16, 16), draw_den()) for _ in range(n + 1)]
+    d = math.lcm(*[q for _, q in draws])
+    return Paravector._exact(tuple(p * (d // q) for p, q in draws), d)
 
 
 def sample_point_pair(n: int, rng: Random, ring=RATIONALS) -> tuple[Paravector, Paravector]:
@@ -501,10 +524,9 @@ def sample_point_pair(n: int, rng: Random, ring=RATIONALS) -> tuple[Paravector, 
     suites so the same seed drives both modes.
     """
     while True:
-        s = Paravector.from_coords(RATIONALS, [_random_fraction(rng) for _ in range(n + 1)])
-        x = Paravector.from_coords(RATIONALS, [_random_fraction(rng) for _ in range(n + 1)])
+        s, x = [_random_point(n, rng, lambda: rng.randint(1, 16)) for _ in range(2)]
         # Q_{c,s}(x) = 0 exactly when s is on [x], so same_sphere decides it
-        if not any(s.coords()) or not any(x.coords()) or same_sphere(s, x):
+        if not any(s._nums) or not any(x._nums) or same_sphere(s, x):
             continue
         if ring is not RATIONALS:
             return s.cast(ring), x.cast(ring)
@@ -514,16 +536,10 @@ def sample_point_pair(n: int, rng: Random, ring=RATIONALS) -> tuple[Paravector, 
 def sample_series_pair(n: int, rng: Random) -> tuple[Paravector, Paravector]:
     """Random (s, x) with dyadic coordinates and |x|/|s| <= 1/2, exact."""
     while True:
-        s = Paravector.from_coords(
-            RATIONALS,
-            [Fraction(rng.randint(-16, 16), 2 ** rng.randint(0, 4)) for _ in range(n + 1)],
-        )
-        if not s.norm_sq():
+        s = _random_point(n, rng, lambda: 2 ** rng.randint(0, 4))
+        if not any(s._nums):
             continue
-        x = Paravector.from_coords(
-            RATIONALS,
-            [Fraction(rng.randint(-16, 16), 2 ** rng.randint(0, 4)) for _ in range(n + 1)],
-        )
+        x = _random_point(n, rng, lambda: 2 ** rng.randint(0, 4))
         while 4 * x.norm_sq() > s.norm_sq():
             x = x.scale(Fraction(1, 2))
         return s, x

@@ -71,6 +71,9 @@ class RationalRing:
     def __repr__(self):
         return "RationalRing()"
 
+    def __reduce__(self):  # copies and pickles stay the one instance that `is` tests
+        return "RATIONALS"
+
 
 class FloatRing:
     """Double-precision arithmetic; zero is exactly 0.0 (or -0.0)."""
@@ -92,6 +95,9 @@ class FloatRing:
 
     def __repr__(self):
         return "FloatRing()"
+
+    def __reduce__(self):
+        return "FLOATS"
 
 
 class Lanes:

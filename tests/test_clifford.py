@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -179,15 +181,18 @@ def _random_exact_blades(rng, n, size):
     reach 2^64."""
     out = {}
     for _ in range(size):
-        kind = rng.randrange(3)
-        if kind == 0:
-            value = rng.randint(-9, 9)
-        elif kind == 1:
-            value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 12))
-        else:
-            value = Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 2**64))
-        out[rng.randrange(1 << n)] = value
+        out[rng.randrange(1 << n)] = _random_exact_value(rng)  # the value is drawn first
     return out
+
+
+def _random_exact_value(rng):
+    """An int, or a Fraction whose denominator reaches 2^64."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-9, 9)
+    if kind == 1:
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 12))
+    return Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 2**64))
 
 
 def _reference_sum(a, b, sign=1):
@@ -275,6 +280,73 @@ def test_exact_norms_match_per_coordinate_fraction_sums(n):
         assert x.to_multivector().blades == {(1 << i) >> 1: Fraction(c)
                                              for i, c in enumerate(coords) if c}
     assert pv(*[0] * (n + 1)).vector_norm_sq() == 0
+
+
+def _assert_exact_paravector(x, expected):
+    """x holds the Fraction coordinates `expected`, in lowest terms over one denominator."""
+    assert x.ring is R and x.n == len(expected) - 1
+    assert x.den > 0 and math.gcd(x.den, *x._nums) == 1
+    coords = x.coords()
+    assert all(type(c) is Fraction for c in coords) and list(coords) == expected
+    assert x == Paravector(R, expected[0], expected[1:]) == pv(*expected)
+    # a float cast rounds each coordinate once, as float() of its Fraction does
+    assert [c.hex() for c in x.cast(FLOATS).coords()] == [float(c).hex() for c in expected]
+
+
+def _plane_product(p, x):
+    """p * x on coordinates, for paravectors whose vector parts are parallel."""
+    return ([p[0] * x[0] - sum(a * b for a, b in zip(p[1:], x[1:]))]
+            + [p[0] * b + a * x[0] for a, b in zip(p[1:], x[1:])])
+
+
+@pytest.mark.parametrize("n", [3, 5, 15])
+def test_paravector_numerator_form_matches_per_coordinate_fraction_loops(n):
+    rng = Random(200 + n)
+    samples = [[0] * (n + 1), [_random_exact_value(rng) or 5] + [0] * n,
+               [0] + [_random_exact_value(rng) for _ in range(n)]]
+    samples += [[_random_exact_value(rng) if rng.random() < 0.7 else 0 for _ in range(n + 1)]
+                for _ in range(8)]
+    for coords in samples:
+        ref = [Fraction(c) for c in coords]
+        x = pv(*coords)
+        _assert_exact_paravector(x, ref)
+        assert x.cast(R) is x
+        ns, vs = sum(c * c for c in ref), sum(c * c for c in ref[1:])
+        for value, expected in ((x.norm_sq(), ns), (x.vector_norm_sq(), vs)):
+            assert type(value) is Fraction and value == expected
+        _assert_exact_paravector(x.conjugate(), ref[:1] + [-c for c in ref[1:]])
+        _assert_exact_paravector(-x, [-c for c in ref])
+        for c in (0, 3, Fraction(-7, 2**64 + 1), Fraction(rng.randint(1, 99), 97)):
+            _assert_exact_paravector(x.scale(c), [v * c for v in ref])
+        _assert_lowest_terms_view(x.to_multivector(),
+                                  {(1 << i) >> 1: c for i, c in enumerate(ref) if c})
+        if ns:
+            _assert_exact_paravector(x.inverse(), [ref[0] / ns] + [-c / ns for c in ref[1:]])
+        else:
+            with pytest.raises(ZeroNorm):
+                x.inverse()
+        powers, p = x.powers(12), [Fraction(1)] + [Fraction(0)] * n
+        for j in range(13):
+            _assert_exact_paravector(powers[j], p)
+            assert x.powers(j) == powers[:j + 1]
+            p = _plane_product(p, ref)
+        assert x.pow(0) == powers[0] and x.pow(1) is x
+        # one coordinate moved: `==` sees it
+        i = rng.randrange(n + 1)
+        assert x != pv(*ref[:i], ref[i] + Fraction(1, 2**64), *ref[i + 1:])
+
+
+def test_rings_and_exact_values_survive_copy_and_pickle():
+    # a copied ring is the ring itself, so every `ring is RATIONALS` test holds
+    x = pv(Fraction(1, 3), 2, 0, Fraction(-5, 2**64 + 1))
+    a = Multivector(3, R, {0: Fraction(1, 3), 5: Fraction(-2, 2**64 + 1)})
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert clone(R) is R and clone(FLOATS) is FLOATS
+        for value in (x, a):
+            c = clone(value)
+            assert c.ring is R and c == value and (c._nums, c.den) == (value._nums, value.den)
+        assert clone(x).norm_sq() == x.norm_sq()
+        assert clone(a) * clone(x).to_multivector() == a * x.to_multivector()
 
 
 def test_an_exact_operand_with_a_float_one_gives_what_it_gave_before_the_numerator_form():

@@ -535,6 +535,35 @@ def test_kernels_build_their_blocks_without_paravector_arithmetic(monkeypatch):
     assert counts == {"product": 1, "pow": 1}
 
 
+def _series_sums(s, x, terms):
+    return list(K.cauchy_series_sums(s, x, terms))
+
+
+@pytest.mark.parametrize("n", [3, 15])
+def test_exact_closed_forms_do_no_fraction_arithmetic(monkeypatch, n):
+    # exact blocks, powers and products run on int numerators: Fractions are
+    # built and read (points, prefactors), never added, multiplied or divided
+    rng = Random(n)
+    s, x = K.sample_point_pair(n, rng)
+    ops = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 2)] if n > 3 else [(1, 0)]
+    calls = [(K._lemma_rhs, lemma, formula, s, x, 2, 3)
+             for lemma in (K.LEMMA_DIRAC, K.LEMMA_DIRAC_CONJ) for formula in (1, 2, 3, 4)]
+    calls += [(kernel, s, x, m, beta) for beta, m in ops
+              for kernel in (K.d_beta_delta_m_kernel, K.dbar_beta_delta_m_kernel)]
+    calls += [(K.pseudo_cauchy_pow, s, x, 3), (_series_sums, *K.sample_series_pair(n, rng), 8)]
+    expected = [fn(*args) for fn, *args in calls]
+
+    def refused(*args):
+        raise AssertionError("Fraction arithmetic in an exact closed form")
+
+    for name in ("add", "sub", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, f"__{name}__", refused)
+        monkeypatch.setattr(Fraction, f"__r{name}__", refused)
+    got = [fn(*args) for fn, *args in calls]
+    monkeypatch.undo()
+    assert got == expected
+
+
 def _scaled_paravector(n):
     """Coordinates in [-2, 2] or a signed zero, times 2^e for e up to 600 in size."""
     coord = st.one_of(st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([0.0, -0.0]))
