@@ -142,4 +142,4 @@ def apply(op: tuple, source: tuple, s: Paravector, x: Paravector) -> Multivector
     u = Multivector(n, RATIONALS, {1 << i: c for i, c in enumerate(x.xu)})
     v = Multivector(n, RATIONALS, {1 << i: c for i, c in enumerate(s.xu)})
     value = Multivector.scalar(n, RATIONALS, c1) + u.scale(cu) + v.scale(cv) + (u * v).scale(cw)
-    return value.map_coeffs(ring.lift, ring)
+    return value.cast(ring)

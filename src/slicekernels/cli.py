@@ -12,7 +12,8 @@ import os
 import sys
 
 from . import kernels as K
-from .clifford import MAX_DIMENSION, format_multivector, blade_name, parse_paravector
+from .clifford import (MAX_DIMENSION, blade_name, common_numerators, format_multivector,
+                       parse_paravector)
 from .errors import InvalidParams, SliceKernelsError
 from .quadrature import write_convergence_csv
 from .rings import FLOATS, RATIONALS
@@ -112,10 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _exact_size(s, x, powers: int) -> str:
     """"<bits>-bit coordinates, <powers> powers" when an exact evaluation at
     the rational points s and x is past MAX_EXACT_SIZE, else ""."""
-    coords = s.coords() + x.coords()
-    den = math.lcm(*(c.denominator for c in coords))
-    top = max(abs(c.numerator) * (den // c.denominator) for c in coords)
-    bits = top.bit_length() + den.bit_length()
+    a, b, den = common_numerators(s, x)
+    bits = max(map(abs, a + b)).bit_length() + den.bit_length()
     return f"{bits}-bit coordinates, {powers} powers" if bits * powers > MAX_EXACT_SIZE else ""
 
 

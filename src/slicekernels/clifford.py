@@ -3,10 +3,13 @@
 Elements are stored sparsely: ``blades[mask]`` is the coefficient of the
 basis blade whose bitmask has bit ``i`` set when generator ``e_{i+1}`` is
 present (mask 0 is the scalar part); blades with a zero coefficient are
-absent.  An exact multivector keeps int numerators over one denominator, of
-which ``blades`` is a view, and so does an exact paravector, of which its
-coordinates are.  Values are immutable after construction and all
-operations are pure, so multivectors can be shared freely between threads.
+absent.  Multivectors and paravectors have one storage form in every ring:
+values over one denominator ``den``.  Exact values are int numerators, of
+which ``blades`` and the coordinates are views; in any other ring ``den`` is
+1 and the values are the ring's own.  Both operands of an operation share
+one ring, and ``cast`` moves a value to another.  Values are immutable after
+construction and all operations are pure, so multivectors can be shared
+freely between threads.
 """
 
 from __future__ import annotations
@@ -73,20 +76,38 @@ def mask_from_name(name: str) -> int:
     return sum(1 << (i - 1) for i in idx)
 
 
+def _factor(ring, c) -> tuple:
+    """(f, q): scaling by c multiplies each stored value by f and den by q.
+    Over `RATIONALS`, c = f / q read exactly, as `RATIONALS.lift` reads it."""
+    if ring is RATIONALS:
+        return (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
+    return ring.lift(c), 1
+
+
+def sum_sq(values):
+    """values[0]^2 + values[1]^2 + ..., added left to right from the first
+    square on every Python (the built-in `sum` compensates from 3.12 on)."""
+    acc = values[0] * values[0]
+    for v in values[1:]:
+        acc = acc + v * v
+    return acc
+
+
 class Multivector:
     """Element of R_n over a commutative coefficient ring, stored sparsely.
 
     `blades` maps blade mask to coefficient and holds only the nonzero
     blades, in ascending mask order.  The constructor takes such a mapping
     (any order; a mask outside 0..2^n-1 raises) and drops the entries that
-    are exactly zero.  Over `RATIONALS` a multivector stores, as an exact
-    `Jet` does, nonzero int numerators `_nums` by mask, ascending, over one
-    `den` > 0, but always in lowest terms (one multi-argument gcd per
-    result), and `blades` is a view of Fractions built on each read; the
-    arithmetic, `==`, `is_zero` and `norm_float` run on the ints.
+    are exactly zero.  Every ring stores one form: the nonzero values
+    `_nums` by mask, ascending, over one `den` > 0.  Over `RATIONALS` they
+    are int numerators in lowest terms (one multi-argument gcd per result),
+    as an exact `Jet` keeps them, and `blades` is a view of Fractions; in
+    any other ring `den` is 1 and `_nums` is `blades`.  Operands over two
+    rings raise InvalidParams (`==` reads them as unequal); `cast` moves one.
     """
 
-    __slots__ = ("n", "ring", "_blades", "_nums", "den")
+    __slots__ = ("n", "ring", "_nums", "den")
 
     def __init__(self, n: int, ring, blades: Mapping):
         if not 1 <= n <= MAX_DIMENSION:
@@ -98,35 +119,23 @@ class Multivector:
             raise InvalidParams(f"blade mask outside 0..{(1 << n) - 1}")
         self.n, self.ring = n, ring
         blades = {m: c for m, c in sorted(blades.items()) if c}
-        if ring is RATIONALS:  # over their lcm, the values' ratios stay in lowest terms
-            self._nums, self.den = RATIONALS.split(blades)
-        else:
-            self._blades = blades
+        # over their lcm, exact values' ratios stay in lowest terms
+        self._nums, self.den = RATIONALS.split(blades) if ring is RATIONALS else (blades, 1)
 
     @classmethod
-    def _make(cls, n: int, ring, blades: dict) -> "Multivector":
-        """From nonzero blades already in ascending mask order, unchecked."""
-        if ring is RATIONALS:
-            return cls._exact(n, *RATIONALS.split(blades))
-        out = object.__new__(cls)
-        out.n, out.ring, out._blades = n, ring, blades
-        return out
-
-    @classmethod
-    def _exact(cls, n: int, nums: dict, den: int) -> "Multivector":
-        """From nonzero int numerators, ascending by mask, over den > 0; reduced by one gcd."""
-        g = math.gcd(den, *nums.values())
-        if g != 1:
+    def _make(cls, n: int, ring, nums: dict, den: int = 1) -> "Multivector":
+        """From nonzero values, ascending by mask, over den > 0, unchecked;
+        exact numerators are put in lowest terms by one gcd."""
+        if ring is RATIONALS and (g := math.gcd(den, *nums.values())) != 1:
             nums, den = {m: v // g for m, v in nums.items()}, den // g
         out = object.__new__(cls)
-        out.n, out.ring, out._nums, out.den = n, RATIONALS, nums, den
+        out.n, out.ring, out._nums, out.den = n, ring, nums, den
         return out
 
     @property
     def blades(self) -> dict:
-        if self.ring is not RATIONALS:
-            return self._blades
-        return {m: Fraction(v, self.den) for m, v in self._nums.items()}
+        exact = self.ring is RATIONALS
+        return {m: Fraction(v, self.den) for m, v in self._nums.items()} if exact else self._nums
 
     @classmethod
     def zero(cls, n: int, ring):
@@ -140,20 +149,24 @@ class Multivector:
     def blade(cls, n: int, ring, mask: int, value=1):
         return cls(n, ring, {mask: ring.lift(value)})
 
-    def _check(self, other: "Multivector"):
+    def _check(self, other):
         if self.n != other.n:
             raise DimensionMismatch(f"dimensions {self.n} and {other.n}")
+        if self.ring is not other.ring:
+            raise InvalidParams(f"operands over two rings, {self.ring!r} and {other.ring!r}")
 
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check(other)
-        if exact := self.ring is RATIONALS is other.ring:  # numerators over lcm(da, db)
-            g = math.gcd(da := self.den, db := other.den)
+        da, db = self.den, other.den
+        if da == db:  # always outside RATIONALS, where den is 1
+            out, b = dict(self._nums), other._nums
+        else:  # numerators over lcm(da, db)
+            g = math.gcd(da, db)
             out = {m: v * (db // g) for m, v in self._nums.items()}
             b = {m: v * (da // g) for m, v in other._nums.items()}
-        else:
-            out, b = dict(self.blades), other.blades
+            da = da // g * db
         size, cancelled = len(out), False
         for m, c in b.items():
             v = out.get(m)
@@ -166,9 +179,7 @@ class Multivector:
             out = dict(sorted(out.items()))
         if cancelled:
             out = {m: v for m, v in out.items() if v}
-        if exact:
-            return Multivector._exact(self.n, out, da // g * db)
-        return Multivector._make(self.n, self.ring, out)
+        return Multivector._make(self.n, self.ring, out, da)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
@@ -176,9 +187,8 @@ class Multivector:
         return self + (-other)
 
     def __neg__(self):
-        if self.ring is RATIONALS:
-            return Multivector._exact(self.n, {m: -v for m, v in self._nums.items()}, self.den)
-        return Multivector._make(self.n, self.ring, {m: -c for m, c in self._blades.items()})
+        return Multivector._make(self.n, self.ring, {m: -v for m, v in self._nums.items()},
+                                 self.den)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -190,20 +200,25 @@ class Multivector:
         return self.scale(other)
 
     def scale(self, c) -> "Multivector":
-        if self.ring is RATIONALS:  # c read exactly, as `RATIONALS.lift` reads it
-            p, q = (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
-            return Multivector._exact(self.n, {m: v * p for m, v in self._nums.items() if p},
-                                      self.den * q)
-        c = self.ring.lift(c)
+        f, q = _factor(self.ring, c)
         return Multivector._make(self.n, self.ring,
-                                 {m: v for m, a in self._blades.items() if (v := a * c)})
+                                 {m: v for m, a in self._nums.items() if (v := a * f)},
+                                 self.den * q)
+
+    def cast(self, ring) -> "Multivector":
+        """This multivector over `ring`, each blade through `ring.lift`, so
+        an exact blade rounds once to a float and drops if that is 0.0;
+        itself in its own ring."""
+        if ring is self.ring:
+            return self
+        return Multivector(self.n, ring, {m: ring.lift(c) for m, c in self.blades.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        if self.ring is RATIONALS is other.ring:  # in lowest terms, equal values store alike
-            return self.n == other.n and (self._nums, self.den) == (other._nums, other.den)
-        return self.n == other.n and self.blades == other.blades
+        # in lowest terms, equal exact values store alike
+        return (self.n == other.n and self.ring is other.ring
+                and (self._nums, self.den) == (other._nums, other.den))
 
     __hash__ = None
 
@@ -211,12 +226,7 @@ class Multivector:
         return Multivector, (self.n, self.ring, self.blades)
 
     def is_zero(self) -> bool:
-        return not (self._nums if self.ring is RATIONALS else self._blades)
-
-    def map_coeffs(self, fn, ring=None) -> "Multivector":
-        """Apply `fn` to each stored coefficient; `fn` must map zero to zero."""
-        return Multivector._make(self.n, ring or self.ring,
-                                 {m: v for m, c in self.blades.items() if (v := fn(c))})
+        return not self._nums
 
     def norm_float(self) -> float:
         """Frobenius norm of the coefficients, as a float (diagnostics).  When
@@ -229,7 +239,7 @@ class Multivector:
         try:
             # int true division rounds correctly, to the float of each Fraction
             mags = ([abs(v / self.den) for v in self._nums.values()] if self.ring is RATIONALS
-                    else list(map(self.ring.magnitude, self._blades.values())))
+                    else list(map(self.ring.magnitude, self._nums.values())))
             e = math.frexp(max(mags, default=0.0))[1]
             e = e if abs(e) > 500 else 0
             for v in mags:
@@ -263,21 +273,20 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     a._check(b)
     ring = a.ring
     if ring is RATIONALS:
-        nb, db = (b._nums, b.den) if b.ring is RATIONALS else ring.split(b.blades)
         acc: dict = {}
         get = acc.get
         for i, ai in a._nums.items():
-            for j, bj in nb.items():
+            for j, bj in b._nums.items():
                 mask, sign = blade_product(i, j)
                 acc[mask] = get(mask, 0) + sign * ai * bj
-        return Multivector._exact(a.n, {m: v for m, v in sorted(acc.items()) if v},
-                                  a.den * db)
+        return Multivector._make(a.n, ring, {m: v for m, v in sorted(acc.items()) if v},
+                                 a.den * b.den)
     if isinstance(ring, JetRing):
         return _jet_product(a, b)
     out = [None] * (1 << a.n)
     touched = []  # masks in the order first set; compacted without a 2^n scan
-    b_items = b.blades.items()
-    for i, ca in a.blades.items():
+    b_items = b._nums.items()
+    for i, ca in a._nums.items():
         for j, cb in b_items:
             mask, sign = blade_product(i, j)
             p = ca * cb
@@ -297,20 +306,20 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 def _jet_product(a: Multivector, b: Multivector) -> Multivector:
     """geometric_product over jets: one int numerator table per output
     blade, over the product of the two lcm denominators."""
-    if not a.blades or not b.blades:
+    if not a._nums or not b._nums:
         return Multivector._make(a.n, a.ring, {})
-    jets = [*a.blades.values(), *b.blades.values()]
+    jets = [*a._nums.values(), *b._nums.values()]
     for jet in jets[1:]:
         jets[0]._check(jet)
     products = jets[0].ctx.products
-    da = math.lcm(*(jet.den for jet in a.blades.values()))
-    db = math.lcm(*(jet.den for jet in b.blades.values()))
+    da = math.lcm(*(jet.den for jet in a._nums.values()))
+    db = math.lcm(*(jet.den for jet in b._nums.values()))
     den = da * db
     # A_i = N_i * (da / den_i): the factor rides with the sign, so no
     # numerator table is copied
-    nb = [(j, jet._nums, db // jet.den) for j, jet in b.blades.items()]
+    nb = [(j, jet._nums, db // jet.den) for j, jet in b._nums.items()]
     acc: dict = {}
-    for i, jet in a.blades.items():
+    for i, jet in a._nums.items():
         ai, fa = jet._nums, da // jet.den
         for j, bj, fb in nb:
             mask, sign = blade_product(i, j)
@@ -331,43 +340,46 @@ def _jet_product(a: Multivector, b: Multivector) -> Multivector:
 class Paravector:
     """Element x0 + x1 e_1 + ... + xn e_n of R^{n+1} inside R_n.
 
-    Over `RATIONALS` it stores the int numerators `_nums` of all n + 1
-    coordinates over one `den` > 0, in lowest terms, and `x0` and `xu` are
-    views of Fractions built on each read; powers, the inverse, the norms,
-    scaling, conjugation, negation and `to_multivector` run on the ints.
+    Stored as a `Multivector` is: all n + 1 coordinates `_nums` over one
+    `den` > 0, int numerators in lowest terms over `RATIONALS`, of which
+    `x0`, `xu` and `coords()` are Fraction views, else the ring's values
+    over 1.  Operations run on `_nums`; `+`, `-` and `same_sphere` first put
+    both operands, of one ring, over one denominator (`common_numerators`).
     """
 
-    __slots__ = ("ring", "n", "_x0", "_xu", "_nums", "den")
+    __slots__ = ("ring", "n", "_nums", "den")
 
     def __init__(self, ring, x0, xu):
-        xu = tuple(xu)
-        self.ring, self.n = ring, len(xu)
+        nums = (x0, *xu)
+        self.ring, self.n = ring, len(nums) - 1
         if ring is RATIONALS:  # over their lcm, the values' ratios stay in lowest terms
-            ratios = [v.as_integer_ratio() for v in (x0, *xu)]
+            ratios = [v.as_integer_ratio() for v in nums]
             self.den = den = math.lcm(*[d for _, d in ratios])
             self._nums = tuple(v * (den // d) for v, d in ratios)
         else:
-            self._x0, self._xu = x0, xu
+            self._nums, self.den = nums, 1
 
     @classmethod
-    def _exact(cls, nums: tuple, den: int) -> "Paravector":
-        """From the int numerators of every coordinate over den > 0; reduced by one gcd."""
-        g = math.gcd(den, *nums)
-        if g != 1:
+    def _make(cls, ring, nums: tuple, den: int = 1) -> "Paravector":
+        """From every coordinate's value over den > 0, unchecked; exact
+        numerators are put in lowest terms by one gcd."""
+        if ring is RATIONALS and (g := math.gcd(den, *nums)) != 1:
             nums, den = tuple(v // g for v in nums), den // g
         out = object.__new__(cls)
-        out.ring, out.n, out._nums, out.den = RATIONALS, len(nums) - 1, nums, den
+        out.ring, out.n, out._nums, out.den = ring, len(nums) - 1, nums, den
         return out
+
+    def _over(self, v, power: int):
+        """The ring value v / den^power of a stored value v or its square."""
+        return Fraction(v, self.den ** power) if self.ring is RATIONALS else v
 
     @property
     def x0(self):
-        return Fraction(self._nums[0], self.den) if self.ring is RATIONALS else self._x0
+        return self._over(self._nums[0], 1)
 
     @property
     def xu(self) -> tuple:
-        if self.ring is not RATIONALS:
-            return self._xu
-        return tuple(Fraction(v, self.den) for v in self._nums[1:])
+        return self.coords()[1:]
 
     @classmethod
     def from_coords(cls, ring, coords):
@@ -376,42 +388,26 @@ class Paravector:
             raise InvalidParams("paravector needs at least x0 and x1")
         return cls(ring, coords[0], coords[1:])
 
-    def coords(self):
-        return (self.x0,) + self.xu if self.ring is RATIONALS else (self._x0,) + self._xu
+    def coords(self) -> tuple:
+        exact = self.ring is RATIONALS
+        return tuple(Fraction(v, self.den) for v in self._nums) if exact else self._nums
 
     def cast(self, ring) -> "Paravector":
-        if ring is RATIONALS is self.ring:
-            return self
-        return Paravector(ring, ring.lift(self.x0), tuple(ring.lift(c) for c in self.xu))
+        return self if ring is self.ring else Paravector.from_coords(ring, self.coords())
 
     def to_multivector(self) -> Multivector:
-        values = self._nums if (exact := self.ring is RATIONALS) else self.coords()
-        blades = {(1 << i) >> 1: c for i, c in enumerate(values) if c}  # coordinate i's mask
-        if exact:
-            return Multivector._exact(self.n, blades, self.den)
-        return Multivector._make(self.n, self.ring, blades)
+        blades = {(1 << i) >> 1: c for i, c in enumerate(self._nums) if c}  # coordinate i's mask
+        return Multivector._make(self.n, self.ring, blades, self.den)
 
     def conjugate(self) -> "Paravector":
-        if self.ring is RATIONALS:
-            return Paravector._exact((self._nums[0], *(-v for v in self._nums[1:])), self.den)
-        return Paravector(self.ring, self._x0, tuple(-c for c in self._xu))
+        c0, *cu = self._nums
+        return Paravector._make(self.ring, (c0, *(-v for v in cu)), self.den)
 
     def norm_sq(self):
-        if self.ring is RATIONALS:
-            return Fraction(sum(v * v for v in self._nums), self.den * self.den)
-        acc = self._x0 * self._x0
-        for c in self._xu:
-            acc = acc + c * c
-        return acc
+        return self._over(sum_sq(self._nums), 2)
 
     def vector_norm_sq(self):
-        ring = self.ring
-        if ring is RATIONALS:
-            return Fraction(sum(v * v for v in self._nums[1:]), self.den * self.den)
-        acc = ring.zero()
-        for c in self._xu:
-            acc = acc + c * c
-        return acc
+        return self._over(sum_sq(self._nums[1:]), 2)
 
     def binary_exponent(self) -> int:
         """Exponent e of math.frexp for the largest float coordinate, so the
@@ -421,8 +417,7 @@ class Paravector:
     def ldexp(self, e: int) -> "Paravector":
         """Float paravector times 2^e, exact unless a coordinate leaves the
         normal range."""
-        return Paravector(self.ring, math.ldexp(self._x0, e),
-                          tuple(math.ldexp(c, e) for c in self._xu))
+        return Paravector._make(self.ring, tuple(math.ldexp(c, e) for c in self._nums))
 
     def inverse(self) -> "Paravector":
         return self._inverse(self.norm_sq())
@@ -432,7 +427,7 @@ class Paravector:
         outside float range raises InvalidParams.  Over lanes, a lane whose
         ns is not a normal float, and would take the rescale below or
         raise, reads NaN.  Over rationals it is xbar q / (den p) for ns = p / q."""
-        ring = self.ring
+        ring, den = self.ring, self.den
         if isinstance(ns, Lanes):
             inv = Lanes([1.0 / v if 2.0 ** -1022 <= v <= 2.0 ** 1022 else math.nan
                          for v in ns.v])
@@ -446,43 +441,40 @@ class Paravector:
         elif ns == 0:
             raise ZeroNorm("paravector has zero norm")
         elif ring is RATIONALS:
-            (p, q), (c0, *cu) = ns.as_integer_ratio(), self._nums
-            return Paravector._exact((c0 * q, *(-v * q for v in cu)), self.den * p)
+            p, inv = ns.as_integer_ratio()
+            den *= p
         else:
             inv = ring.invert(ns)
-        return Paravector(ring, self._x0 * inv, tuple(-c * inv for c in self._xu))
+        c0, *cu = self._nums
+        return Paravector._make(ring, (c0 * inv, *(-c * inv for c in cu)), den)
 
     def _plane_powers(self, k: int):
-        """(a_j, b_j) with x^j = a_j + b_j * (vector part), for j = 0..k.
+        """(a_j, b_j) with x^j = (a_j + b_j * (vector part)) / den^j, for
+        j = 0..k, on the stored values c (so den^j is 1 outside RATIONALS).
 
-        x^(j+1) = (a_j x0 - b_j l) + (a_j + b_j x0) * (vector part), with l
-        the squared norm of the vector part, computed only when k >= 2.
-        Over rationals it runs on the numerators c: x^j = (a_j + b_j c_u) / den^j.
+        x^(j+1) = (a_j c0 - b_j l) + (a_j + b_j c0) * (vector part), with l
+        the sum of squares of the vector part, computed only when k >= 2.
         """
         if k < 0:
             raise InvalidParams("negative power; invert first")
         ring = self.ring
-        if exact := ring is RATIONALS:
-            x0, one, zero = self._nums[0], 1, 0
-        else:
-            x0, one, zero = self._x0, ring.one(), ring.zero()
+        one, zero = (1, 0) if ring is RATIONALS else (ring.one(), ring.zero())
         yield one, zero
         if k < 1:
             return
+        x0 = self._nums[0]
         a, b = x0, one
         yield a, b
         if k < 2:
             return
-        ell = sum(v * v for v in self._nums[1:]) if exact else self.vector_norm_sq()
+        ell = sum_sq(self._nums[1:])
         for _ in range(k - 1):
             a, b = a * x0 - b * ell, a + b * x0
             yield a, b
 
     def _from_plane(self, j: int, a, b) -> "Paravector":
         """x^j from its pair (a_j, b_j) of `_plane_powers`."""
-        if self.ring is RATIONALS:
-            return Paravector._exact((a, *(b * v for v in self._nums[1:])), self.den ** j)
-        return Paravector(self.ring, a, tuple(b * c for c in self._xu))
+        return Paravector._make(self.ring, (a, *(b * v for v in self._nums[1:])), self.den ** j)
 
     def pow(self, k: int) -> "Paravector":
         """k-th power, k >= 0; stays in the plane spanned by 1 and the vector part."""
@@ -498,46 +490,35 @@ class Paravector:
                 for j, (a, b) in enumerate(self._plane_powers(k))]
 
     def scale(self, c) -> "Paravector":
-        if self.ring is RATIONALS:
-            p, q = RATIONALS.lift(c).as_integer_ratio()
-            return Paravector._exact(tuple(v * p for v in self._nums), self.den * q)
-        c = self.ring.lift(c)
-        return Paravector(self.ring, self._x0 * c, tuple(v * c for v in self._xu))
+        f, q = _factor(self.ring, c)
+        return Paravector._make(self.ring, tuple(v * f for v in self._nums), self.den * q)
 
     def __add__(self, other):
         if not isinstance(other, Paravector):
             return NotImplemented
-        self._check(other)
-        return Paravector(
-            self.ring, self.x0 + other.x0, tuple(a + b for a, b in zip(self.xu, other.xu))
-        )
+        a, b, d = common_numerators(self, other)
+        return Paravector._make(self.ring, tuple(u + v for u, v in zip(a, b)), d)
 
     def __sub__(self, other):
         if not isinstance(other, Paravector):
             return NotImplemented
-        self._check(other)
-        return Paravector(
-            self.ring, self.x0 - other.x0, tuple(a - b for a, b in zip(self.xu, other.xu))
-        )
+        a, b, d = common_numerators(self, other)
+        return Paravector._make(self.ring, tuple(u - v for u, v in zip(a, b)), d)
 
     def __neg__(self):
-        if self.ring is RATIONALS:
-            return Paravector._exact(tuple(-v for v in self._nums), self.den)
-        return Paravector(self.ring, -self._x0, tuple(-c for c in self._xu))
+        return Paravector._make(self.ring, tuple(-v for v in self._nums), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Paravector):
             return self.to_multivector() * other.to_multivector()
         return NotImplemented
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise DimensionMismatch(f"dimensions {self.n} and {other.n}")
+    _check = Multivector._check
 
     def __eq__(self, other):
         if not isinstance(other, Paravector):
             return NotImplemented
-        return self.x0 == other.x0 and self.xu == other.xu
+        return self.ring is other.ring and (self._nums, self.den) == (other._nums, other.den)
 
     __hash__ = None
 
@@ -548,13 +529,22 @@ class Paravector:
         return f"Paravector({self.coords()})"
 
 
-def same_sphere(x: Paravector, y: Paravector) -> bool:
-    """True iff y lies on the sphere [x]: equal real parts and vector norms."""
+def common_numerators(x: Paravector, y: Paravector) -> tuple:
+    """(values of x, values of y, d): both over d = lcm of their dens, so
+    outside RATIONALS d is 1 and the values are the coordinates."""
     x._check(y)
-    if x.ring is RATIONALS is y.ring:  # cross-multiplied numerators
-        (a, *u), (b, *v), dx, dy = x._nums, y._nums, x.den, y.den
-        return a * dy == b * dx and sum(c * c for c in u) * dy**2 == sum(c * c for c in v) * dx**2
-    return not (x.x0 - y.x0) and not (x.vector_norm_sq() - y.vector_norm_sq())
+    dx, dy = x.den, y.den
+    if dx == dy:
+        return x._nums, y._nums, dx
+    d = math.lcm(dx, dy)
+    return tuple(v * (d // dx) for v in x._nums), tuple(v * (d // dy) for v in y._nums), d
+
+
+def same_sphere(x: Paravector, y: Paravector) -> bool:
+    """True iff y lies on the sphere [x]: equal real parts and vector norms,
+    compared on the values over one denominator."""
+    (a, *u), (b, *v), _ = common_numerators(x, y)
+    return not (a - b) and not (sum_sq(u) - sum_sq(v))
 
 
 # -- text encoding ------------------------------------------------------

@@ -15,7 +15,6 @@ formulas it is used to check.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import Multivector, Paravector, blade_product
@@ -199,8 +198,5 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
             if v:
                 mask, sign = blade_product(a, b)
                 acc[mask] = acc.get(mask, 0) + sign * up * v
-    den *= scale
-    if x.ring is RATIONALS:
-        return Multivector._exact(n, {m: v for m, v in sorted(acc.items()) if v}, den)
-    lift = x.ring.lift
-    return Multivector(n, x.ring, {m: lift(Fraction(v, den)) for m, v in acc.items() if v})
+    acc = {m: v for m, v in sorted(acc.items()) if v}
+    return Multivector._make(n, RATIONALS, acc, den * scale).cast(x.ring)

@@ -16,10 +16,11 @@ The shared blocks, Q_{c,s}(x) in its plane form (see `pseudo_denominator`),
 its form-I twin with s and x exchanged, s - xbar and s - x0, are built in one
 pass from coordinates, with the operations of the paravector compositions
 they stand for in the same order, so float values match those bit for bit.
-At exact points the same code runs on ints rather than in a branch of its
-own: it takes the numerators of s and x over one denominator d (`_coords`),
-and as each block is homogeneous in (s, x), of degree 1 or 2, its result is
-the block's numerators over d or d^2, put in lowest terms once.
+Each block runs on the stored values of s and x over one denominator d
+(`clifford.common_numerators`), with no branch by ring: d is 1 outside
+exact mode, and at exact points the values are ints.  As each block is
+homogeneous in (s, x), of degree 1 or 2, its result is the block's values
+over d or d^2, put in lowest terms once.
 """
 
 from __future__ import annotations
@@ -32,33 +33,10 @@ from random import Random
 from typing import Callable, NamedTuple, Optional
 
 from . import coeffs as cf
-from .clifford import Multivector, Paravector, same_sphere
+from .clifford import Multivector, Paravector, common_numerators, same_sphere, sum_sq
 from .diffop import named_operator, oracle_apply
 from .errors import InvalidParams, SingularKernel
 from .rings import RATIONALS, Lanes
-
-
-def _coords(s: Paravector, x: Paravector) -> tuple:
-    """(coordinates of s, of x, None); at exact points (numerators of s, of
-    x, d), over one denominator d."""
-    if s.ring is RATIONALS is x.ring:
-        d = math.lcm(s.den, x.den)
-        return [v * (d // s.den) for v in s._nums], [v * (d // x.den) for v in x._nums], d
-    return s.coords(), x.coords(), None
-
-
-def _plane_quadratic(s: Paravector, x: Paravector, x_norm_sq) -> Paravector:
-    """Q_{c,s}(x), given x_norm_sq = |x|^2."""
-    s._check(x)
-    (s0, *su), (x0, *_), d = _coords(s, x)
-    if d:  # |x|^2 over d^2
-        x_norm_sq = x_norm_sq.numerator * (d * d // x_norm_sq.denominator)
-    nu = sum(c * c for c in su) if d else s.vector_norm_sq()
-    two_x0 = x0 + x0
-    two_s0 = s0 + s0
-    a = ((s0 * s0 - nu) - s0 * two_x0) + x_norm_sq
-    qu = tuple(two_s0 * c - c * two_x0 for c in su)
-    return Paravector._exact((a, *qu), d * d) if d else Paravector(s.ring, a, qu)
 
 
 def pseudo_denominator(s: Paravector, x: Paravector) -> Paravector:
@@ -70,17 +48,23 @@ def pseudo_denominator(s: Paravector, x: Paravector) -> Paravector:
     with |x|^2 then added to its scalar part; the plane recurrence of
     `pow` only adds products by an exact 1, so the two agree bit for bit.
     """
-    return _plane_quadratic(s, x, x.norm_sq())
+    (s0, *su), xs, d = common_numerators(s, x)
+    nu = sum_sq(su)
+    two_x0 = xs[0] + xs[0]
+    two_s0 = s0 + s0
+    a = ((s0 * s0 - nu) - s0 * two_x0) + sum_sq(xs)
+    qu = tuple(two_s0 * c - c * two_x0 for c in su)
+    return Paravector._make(s.ring, (a, *qu), d * d)
 
 
 # the float singularity guard's bound on |Q|^2 / (|s|^2 + |x|^2)^2
 SINGULAR_TOL = 1e-12
 
 
-def _singular_scale(s: Paravector, x_norm_sq) -> float:
+def _singular_scale(s: Paravector, x: Paravector) -> float:
     # Q is homogeneous of degree 2 in (s, x), so |Q|^2 scales as (|s|^2 + |x|^2)^2
     ring = s.ring
-    base = ring.magnitude(s.norm_sq()) + ring.magnitude(x_norm_sq)
+    base = ring.magnitude(s.norm_sq()) + ring.magnitude(x.norm_sq())
     return base * base
 
 
@@ -98,22 +82,20 @@ def _checked_denominator(s: Paravector, x: Paravector) -> tuple:
     |Q|^2, so its inverse and kernel read NaN.  Any other value (a rational
     or a jet) takes an exact zero test.
     """
-    nx = x.norm_sq()
-    q = _plane_quadratic(s, x, nx)
+    q = pseudo_denominator(s, x)
     nq = q.norm_sq()
     if isinstance(nq, Lanes):
-        bound = SINGULAR_TOL * _singular_scale(s, nx)
+        bound = SINGULAR_TOL * _singular_scale(s, x)
         nq = Lanes([t if 0.0 < b < t < math.inf else math.nan for t, b in zip(nq.v, bound.v)])
     elif isinstance(nq, float):
-        test, bound = nq, SINGULAR_TOL * _singular_scale(s, nx)
+        test, bound = nq, SINGULAR_TOL * _singular_scale(s, x)
         if test in (0.0, math.inf) or bound in (0.0, math.inf):
             if not all(map(math.isfinite, q.coords())):
                 raise InvalidParams("Q_{c,s}(x) lies outside float range")
             e = max(s.binary_exponent(), x.binary_exponent())
             s, x = s.ldexp(-e), x.ldexp(-e)
-            nx = x.norm_sq()
-            test = _plane_quadratic(s, x, nx).norm_sq()
-            bound = SINGULAR_TOL * _singular_scale(s, nx)
+            test = pseudo_denominator(s, x).norm_sq()
+            bound = SINGULAR_TOL * _singular_scale(s, x)
         if abs(test) <= bound:
             raise SingularKernel("singular: s in [x]")
         if not nq and not any(q.coords()):
@@ -143,19 +125,18 @@ def pseudo_cauchy_pow(s: Paravector, x: Paravector, m: int) -> Multivector:
 def _smxbar(s: Paravector, x: Paravector) -> Multivector:
     """The block s - xbar: blades s0 - x0 and s_i + x_i, the nonzero ones;
     a - (-b) is a + b exactly over floats, rationals and jets."""
-    s._check(x)
-    (s0, *su), (x0, *xu), d = _coords(s, x)
+    (s0, *su), (x0, *xu), d = common_numerators(s, x)
     blades = {0: v} if (v := s0 - x0) else {}
     for i, (a, b) in enumerate(zip(su, xu)):
         if v := a + b:
             blades[1 << i] = v
-    return Multivector._exact(s.n, blades, d) if d else Multivector._make(s.n, s.ring, blades)
+    return Multivector._make(s.n, s.ring, blades, d)
 
 
 def _smx0(s: Paravector, x: Paravector) -> Paravector:
     """The block s - x0, a paravector in the plane of s."""
-    (s0, *su), (x0, *_), d = _coords(s, x)
-    return Paravector._exact((s0 - x0, *su), d) if d else Paravector(x.ring, s0 - x0, su)
+    (s0, *su), (x0, *_), d = common_numerators(s, x)
+    return Paravector._make(s.ring, (s0 - x0, *su), d)
 
 
 def cauchy_left(s: Paravector, x: Paravector, form: str = "II") -> Multivector:
@@ -513,7 +494,7 @@ def _random_point(n: int, rng: Random, draw_den) -> Paravector:
     """Exact coordinates p / draw_den(), p drawn from -16..16 first, built on the ints."""
     draws = [(rng.randint(-16, 16), draw_den()) for _ in range(n + 1)]
     d = math.lcm(*[q for _, q in draws])
-    return Paravector._exact(tuple(p * (d // q) for p, q in draws), d)
+    return Paravector._make(RATIONALS, tuple(p * (d // q) for p, q in draws), d)
 
 
 def sample_point_pair(n: int, rng: Random, ring=RATIONALS) -> tuple[Paravector, Paravector]:

@@ -374,7 +374,7 @@ def _quad_fs_oracle(p, x):
     f = SliceFunction([0] * p["k"] + [1])
     got = fueter_sce_integral(f, x.cast(FLOATS), _quad_contour(p["n"], p["nodes"]))
     op = named_operator(p["n"], "d", 0, cf.h_of(p["n"]))
-    return got, oracle_apply(op, f, x).map_coeffs(float, FLOATS)
+    return got, oracle_apply(op, f, x).cast(FLOATS)
 
 
 def _quad_slice_independence(p, x):

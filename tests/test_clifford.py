@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import operator
 import pickle
 from fractions import Fraction
 from random import Random
@@ -349,27 +350,39 @@ def test_rings_and_exact_values_survive_copy_and_pickle():
         assert clone(a) * clone(x).to_multivector() == a * x.to_multivector()
 
 
-def test_an_exact_operand_with_a_float_one_gives_what_it_gave_before_the_numerator_form():
+def test_operands_over_two_rings_are_refused():
+    # both operands share one ring: an exact one with a float one raises in
+    # either order, and `cast` is the way from one ring to the other
     a = Multivector(3, R, {0: Fraction(1, 3), 1: Fraction(-2, 7), 6: Fraction(5)})
     b = Multivector(3, FLOATS, {1: 2 / 7, 2: 0.1, 6: -1.5})
-    # the ring of the left operand; a float sum kept over RATIONALS holds the same number
-    assert (a + b).ring is R and (a + b).blades == {0: Fraction(1, 3), 2: 0.1, 6: 3.5}
-    assert (a - b).ring is R
-    assert (a - b).blades == {0: Fraction(1, 3), 1: -4 / 7, 2: -0.1, 6: 6.5}
-    for mv, blades in ((b + a, {0: Fraction(1, 3), 2: 0.1, 6: 3.5}),
-                       (b - a, {0: Fraction(-1, 3), 1: 4 / 7, 2: 0.1, 6: -6.5})):
-        assert mv.ring is FLOATS
-        assert [(m, type(c), c) for m, c in mv.blades.items()] == [
-            (m, type(c), c) for m, c in blades.items()]
-    # an exact left factor reads the float one exactly; a float one rounds
-    exact_b = b.map_coeffs(Fraction, R)
-    assert (a * b).ring is R and (a * b).blades == (a * exact_b).blades
-    assert (a * b).blades[6] == Fraction(-1, 2)
-    assert (b * a).ring is FLOATS
-    assert all(type(c) is float for c in (b * a).blades.values())
-    assert (b * a).blades[0] == 7.581632653061225
-    assert a != b and a != a.map_coeffs(float, FLOATS)
+    x, y = pv(Fraction(1, 3), 2, 0, Fraction(-5, 7)), Paravector.from_coords(FLOATS, [1, 2, 0, 0])
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(InvalidParams, match="two rings"):
+                op(left, right)
+    for op in (operator.add, operator.sub, same_sphere):
+        for left, right in ((x, y), (y, x)):
+            with pytest.raises(InvalidParams, match="two rings"):
+                op(left, right)
+    assert (a + b.cast(R)).blades == {0: Fraction(1, 3), 1: Fraction(2 / 7) - Fraction(2, 7),
+                                      2: Fraction(0.1), 6: Fraction(7, 2)}
+    assert a != b and a != a.cast(FLOATS)
     assert a.scale(0.1).blades == {m: c * Fraction(0.1) for m, c in a.blades.items()}
+
+
+def test_cast_is_the_identity_in_one_ring_and_rounds_each_blade_once():
+    a = Multivector(3, R, {0: Fraction(1, 3), 1: Fraction(-2, 2**64 + 1),
+                           2: Fraction(1, 2**1100), 6: Fraction(10**20, 7)})
+    for value in (a, a.cast(FLOATS), Multivector(2, JR, {0: JR.seed(0, 1)})):
+        assert value.cast(value.ring) is value
+    x = pv(Fraction(1, 3), 2, 0, Fraction(-5, 7))
+    assert x.cast(R) is x and (xf := x.cast(FLOATS)).cast(FLOATS) is xf
+    # to floats: float() of each Fraction, and 2^-1100 rounds to 0.0 and drops
+    f = a.cast(FLOATS)
+    assert f.ring is FLOATS and f.den == 1 and list(f.blades) == [0, 1, 6]
+    assert {m: c.hex() for m, c in f.blades.items()} == {
+        m: float(c).hex() for m, c in a.blades.items() if m != 2}
+    assert f.cast(R) == Multivector(3, R, {m: Fraction(c) for m, c in f.blades.items()})
 
 
 def test_norm_float_sums_in_mask_order():

@@ -294,7 +294,7 @@ def test_lemma_oracle_shares_no_helper_with_the_printed_side(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the lemma oracle called a helper of the printed side")
 
-    for name in ("pseudo_inverse", "_smxbar", "_smx0", "_plane_quadratic", "pseudo_cauchy_pow"):
+    for name in ("pseudo_inverse", "_smxbar", "_smx0", "pseudo_denominator", "pseudo_cauchy_pow"):
         monkeypatch.setattr(K, name, refused)
     for name in ("pow", "powers"):
         monkeypatch.setattr(Paravector, name, refused)
@@ -551,6 +551,9 @@ def test_exact_closed_forms_do_no_fraction_arithmetic(monkeypatch, n):
     calls += [(kernel, s, x, m, beta) for beta, m in ops
               for kernel in (K.d_beta_delta_m_kernel, K.dbar_beta_delta_m_kernel)]
     calls += [(K.pseudo_cauchy_pow, s, x, 3), (_series_sums, *K.sample_series_pair(n, rng), 8)]
+    # form I's x - sbar and the sphere test also run on numerators
+    calls += [(kernel, s, x, "I") for kernel in (K.cauchy_left, K.cauchy_right)]
+    calls += [(same_sphere, s, x), (same_sphere, s, s.conjugate().scale(Fraction(1, 3)))]
     expected = [fn(*args) for fn, *args in calls]
 
     def refused(*args):
@@ -562,6 +565,51 @@ def test_exact_closed_forms_do_no_fraction_arithmetic(monkeypatch, n):
     got = [fn(*args) for fn, *args in calls]
     monkeypatch.undo()
     assert got == expected
+
+
+def _hex(v):
+    return [c.hex() for c in v.v] if isinstance(v, Lanes) else v.hex()
+
+
+def _sum_sq_from_zero(coords):
+    acc = 0.0
+    for c in coords:
+        acc = acc + c * c
+    return acc
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_float_and_lane_paravector_paths_match_per_coordinate_loops(n):
+    # left to right, as before numerators: |x|^2 from the first square, the
+    # vector norm from 0.0 (0.0 + y is y for y >= +0, so both starts agree)
+    rng = Random(300 + n)
+
+    def point():
+        return [rng.uniform(-2, 2) * 2.0 ** rng.randint(-30, 30) for _ in range(n + 1)]
+
+    nodes = [point() for _ in range(4)]
+    for p in nodes:
+        p[2:] = [0.0] * (n - 1)  # off the plane of e1: 0.0 at every node
+    # as `quadrature._nodes` builds them: a plain 0.0 where every lane is zero
+    x0, *xu = (Lanes(list(c)) if any(c) else 0.0 for c in zip(*nodes))
+    lanes = Paravector(FLOATS, x0, xu)
+    floats = [Paravector.from_coords(FLOATS, c) for c in (point(), point())]
+    for x, y in ((floats[0], floats[1]), (lanes, floats[0]), (floats[1], lanes), (lanes, lanes)):
+        xc, yc = x.coords(), y.coords()
+        ns = xc[0] * xc[0]
+        for c in xc[1:]:
+            ns = ns + c * c
+        assert _hex(x.norm_sq()) == _hex(ns)
+        assert _hex(x.vector_norm_sq()) == _hex(_sum_sq_from_zero(xc[1:]))
+        assert list(map(_hex, (x + y).coords())) == [_hex(a + b) for a, b in zip(xc, yc)]
+        assert list(map(_hex, (x - y).coords())) == [_hex(a - b) for a, b in zip(xc, yc)]
+        on = not (xc[0] - yc[0]) and not (_sum_sq_from_zero(xc[1:]) - _sum_sq_from_zero(yc[1:]))
+        assert same_sphere(x, y) == on
+        (s0, *su), x0 = xc, yc[0]
+        a = ((s0 * s0 - _sum_sq_from_zero(su)) - s0 * (x0 + x0)) + y.norm_sq()
+        q = [a] + [(s0 + s0) * c - c * (x0 + x0) for c in su]
+        assert list(map(_hex, K.pseudo_denominator(x, y).coords())) == list(map(_hex, q))
+    assert same_sphere(lanes, lanes) and same_sphere(floats[0], floats[0].conjugate())
 
 
 def _scaled_paravector(n):
