@@ -32,16 +32,16 @@ from functools import lru_cache
 
 from . import coeffs as cf
 from .clifford import Multivector, Paravector
-from .rings import RATIONALS, JetRing, jet_context
+from .rings import RATIONALS, jet_ring
 
 _X0, _RHO, _T = 0, 1, 2
 
 
 @lru_cache(maxsize=None)
 def _context(order: int):
-    """The total-degree context of `order` in (x0, rho, t)."""
-    return jet_context(3, tuple(a for a in itertools.product(range(order + 1), repeat=3)
-                                if sum(a) == order))
+    """The total-degree jet ring of `order` in (x0, rho, t)."""
+    return jet_ring(3, tuple(a for a in itertools.product(range(order + 1), repeat=3)
+                             if sum(a) == order))
 
 
 class _Point:
@@ -49,9 +49,7 @@ class _Point:
     and n as numbers.  An element is a tuple (g1, gu, gv, guv) of jets."""
 
     def __init__(self, s: Paravector, x: Paravector, order: int):
-        ctx = _context(order)
-        self.shifts = ctx.shifts
-        self.ring = ring = JetRing(ctx)
+        self.ring = ring = _context(order)
         self.n = x.n
         self.nu = s.vector_norm_sq()
         self.x0 = ring.seed(_X0, x.x0)
@@ -84,7 +82,7 @@ class _Point:
 
     def d(self, jet, var: int):
         """d/d(x0, rho or t) of a jet, by the variable's index shift."""
-        shift, nums = self.shifts[var], jet._nums
+        shift, nums = self.ring.shifts[var], jet._nums
         out = {}
         for k, v in nums.items():
             if (to := shift.get(k)) is not None:

@@ -310,7 +310,7 @@ def _jet_product(a: Multivector, b: Multivector) -> Multivector:
         return Multivector._make(a.n, a.ring, {})
     jets = [*a._nums.values(), *b._nums.values()]
     for jet in jets[1:]:
-        jets[0]._check(jet)
+        jets[0].ctx._check(jet.ctx)
     products = jets[0].ctx.products
     da = math.lcm(*(jet.den for jet in a._nums.values()))
     db = math.lcm(*(jet.den for jet in b._nums.values()))
@@ -352,6 +352,8 @@ class Paravector:
     def __init__(self, ring, x0, xu):
         nums = (x0, *xu)
         self.ring, self.n = ring, len(nums) - 1
+        if not 1 <= self.n <= MAX_DIMENSION:
+            raise InvalidParams(f"dimension {self.n} outside 1..{MAX_DIMENSION}")
         if ring is RATIONALS:  # over their lcm, the values' ratios stay in lowest terms
             ratios = [v.as_integer_ratio() for v in nums]
             self.den = den = math.lcm(*[d for _, d in ratios])
@@ -383,10 +385,8 @@ class Paravector:
 
     @classmethod
     def from_coords(cls, ring, coords):
-        coords = [ring.lift(c) for c in coords]
-        if len(coords) < 2:
-            raise InvalidParams("paravector needs at least x0 and x1")
-        return cls(ring, coords[0], coords[1:])
+        x0, *xu = [ring.lift(c) for c in coords] or [ring.zero()]  # none is dimension 0
+        return cls(ring, x0, xu)
 
     def coords(self) -> tuple:
         exact = self.ring is RATIONALS

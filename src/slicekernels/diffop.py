@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .clifford import Multivector, Paravector, blade_product
 from .errors import DimensionMismatch, InvalidParams
-from .rings import RATIONALS, JetRing, jet_context, multi_index_factorial
+from .rings import RATIONALS, jet_ring, multi_index_factorial
 
 
 class DiffOperator:
@@ -33,21 +33,21 @@ class DiffOperator:
         self._blade_terms = None
 
     def blade_terms(self) -> tuple:
-        """(ctx, E, [(a, [(k, C * alpha!), ...]), ...]): the jet context the
+        """(ring, E, [(a, [(k, C * alpha!), ...]), ...]): the jet ring the
         oracle seeds for this operator, the down-set of its support, keyed by
         the sorted support so that operators with one support share it; the
         exact coefficients as ints C over one common denominator E, grouped by
-        coefficient blade a, with k the index of alpha in ctx.  Nonzero blades
-        only; computed on first use, and operators have no mutators."""
+        coefficient blade a, with k the index of alpha in the ring.  Nonzero
+        blades only; computed on first use, and operators have no mutators."""
         if self._blade_terms is None:
-            ctx = jet_context(self.n + 1, tuple(sorted(self.terms)))
+            ring = jet_ring(self.n + 1, tuple(sorted(self.terms)))
             nums, den = RATIONALS.split({(alpha, a): c for alpha, mv in self.terms.items()
                                          for a, c in mv.blades.items()})
             groups: dict = {}
             for (alpha, a), c in nums.items():
                 groups.setdefault(a, []).append(
-                    (ctx.index[alpha], c * multi_index_factorial(alpha)))
-            self._blade_terms = ctx, den, list(groups.items())
+                    (ring.index[alpha], c * multi_index_factorial(alpha)))
+            self._blade_terms = ring, den, list(groups.items())
         return self._blade_terms
 
     def _check(self, other: "DiffOperator"):
@@ -163,9 +163,9 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     at the point x holds, and each blade of the result is rounded once into
     the ring of x.  The jets carry exactly the down-set of the operator's
     support (every multi-index below some alpha of `op.terms`), which is
-    all that `op` reads; the shape depends on the operator alone, never on
-    `f`, and comes with its coefficients from `op.blade_terms()`, found
-    once per operator.
+    all that `op` reads; that shape, one cached `JetRing`, depends on the
+    operator alone, never on `f`, and comes with its coefficients from
+    `op.blade_terms()`, found once per operator.
 
     The sum of c_alpha * d^alpha f is assembled from numerators: the
     coefficients are ints C_alpha / E over one denominator E and the blades
@@ -177,8 +177,7 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     n = op.n
     if x.n != n:
         raise DimensionMismatch(f"operator in dimension {n}, point in {x.n}")
-    ctx, scale, groups = op.blade_terms()
-    jring = JetRing(ctx)
+    jring, scale, groups = op.blade_terms()
     seeded = Paravector(
         jring,
         jring.seed(0, x.x0),

@@ -173,7 +173,7 @@ def _require_interior(x: Paravector, contour: ContourSpec):
     than 1e-9 of its radius; hypot scales, so no radius over- or underflows."""
     if x.n != contour.n:
         raise InvalidParams("point and contour dimensions differ")
-    coords = [float(c) for c in x.coords()]
+    coords = x.coords()
     if not all(map(math.isfinite, coords)):
         raise InvalidParams("x must be finite")
     dist = math.hypot(coords[0] - contour.center, *coords[1:])
@@ -212,7 +212,8 @@ def _integral(kernel, f, x: Paravector, contour: ContourSpec) -> Multivector:
     node lanes and the memoized integrand w_j f(s_j).  By bilinearity, blade
     m^p of the sum is one exactly rounded fsum of sign(m, p) K_j[m]
     (w_j f(s_j))[p] over every node j and blade pair (m, p); a sum that is
-    not a finite float is refused."""
+    not a finite float is refused.  An exact x is read as its float."""
+    x = x.cast(FLOATS)
     _require_interior(x, contour)
     key = contour.key
     integrand = _integrand(f, key)
@@ -257,7 +258,7 @@ def convergence_table(integral, f, x: Paravector, contour: ContourSpec,
     prev = None
     for N in node_counts:
         approx = integral(f, x, contour.with_nodes(N))
-        err = (approx - reference).norm_float()
+        err = (approx - reference.cast(FLOATS)).norm_float()
         ratio = (err / prev) if (prev and prev > 0) else None
         rows.append({"N": N, "abs_error": err, "ratio": ratio})
         prev = err

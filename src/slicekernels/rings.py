@@ -17,7 +17,7 @@ values as int numerators over their lcm denominator.
 
 Jets are the substrate of the differentiation oracle: a jet holds the
 Taylor coefficients of a scalar quantity in ``num_vars`` real coordinates
-on a fixed down-set of multi-indices (see :class:`JetContext`), so
+on a fixed down-set of multi-indices, its ring (:class:`JetRing`), so
 evaluating any expression over jets yields all those partial derivatives
 at the base point in one pass.  Jets are exact: they keep int numerators
 over one denominator, so the oracle's inner loops run on Python ints, not
@@ -169,12 +169,13 @@ FLOATS = FloatRing()
 
 
 @lru_cache(maxsize=None)
-def jet_context(num_vars: int, corners: tuple) -> "JetContext":
-    return JetContext(num_vars, corners)
+def jet_ring(num_vars: int, corners: tuple) -> "JetRing":
+    """The ring of jets on the down-set of `corners`, built once per shape."""
+    return JetRing(num_vars, corners)
 
 
-class JetContext:
-    """Shared index tables for jets supported on the down-set of `corners`.
+class JetRing:
+    """Ring of exact jets on the down-set of `corners`, with its index tables.
 
     The down-set S holds every multi-index alpha <= some corner (componentwise)
     and always the zero index.  Total-degree jets of order d are the case
@@ -200,6 +201,8 @@ class JetContext:
     exponents[k][v] > 0.  `layers[d]` is the index range of the multi-indices of
     degree d: graded-lex order stores each degree as one range, and a down-set
     holds every degree up to its top.
+
+    `jet_ring` builds one ring per shape, and a jet keeps its ring as `ctx`.
     """
 
     __slots__ = ("num_vars", "exponents", "index", "size", "products", "layers", "_shifts")
@@ -238,10 +241,86 @@ class JetContext:
     @property
     def shifts(self) -> tuple:
         """The shift tables, built on first read and then kept: only the axial
-        oracle reads them, and the jet oracle's contexts would hold megabytes."""
+        oracle reads them, and the jet oracle's rings would hold megabytes."""
         if self._shifts is None:
             self._shifts = self._shift_tables()
         return self._shifts
+
+    def _check(self, other: "JetRing"):
+        if self is not other and self.exponents != other.exponents:
+            raise InvalidParams("jet shape mismatch")
+
+    def zero(self) -> Jet:
+        return Jet(self, {})
+
+    def one(self) -> Jet:
+        return Jet(self, {0: 1})
+
+    def lift(self, v) -> Jet:
+        if isinstance(v, Jet):
+            return v
+        return Jet(self, {0: v})
+
+    def seed(self, i: int, value) -> Jet:
+        """Jet of the i-th coordinate function at base value `value`."""
+        if not 0 <= i < self.num_vars:
+            raise InvalidParams(f"variable index {i} out of range")
+        coeffs = {0: value}  # split drops a zero
+        unit = self.index.get(tuple(1 if k == i else 0 for k in range(self.num_vars)))
+        if unit is not None:
+            coeffs[unit] = 1
+        return Jet(self, coeffs)
+
+    def invert(self, jet: Jet) -> Jet:
+        return self.reciprocal(jet)
+
+    def reciprocal(self, jet: Jet) -> Jet:
+        """Multiplicative inverse on the jet's support, one degree layer at a time.
+
+        With a = a[0] + rest, a * out = 1 gives, for k > 0,
+        out[k] = -(sum rest[i] out[j]) / a[0] over the pairs i + j = k, and
+        every such j has deg j < deg k because i > 0.  So each finished layer
+        is multiplied by rest into an accumulator with `mul_into`, which adds
+        its share to every higher degree; when the layers below degree d are
+        pushed, the accumulator holds the whole sum for each index of degree d.
+
+        The recurrence runs in integers.  With A the numerators of a
+        (a = A / den) and r = 1 / A, r[0] = 1 / A[0] and
+        r[k] = -(sum A[i] r[j]) / A[0].  By induction on the degree, the
+        denominator of r[j] divides A[0]^(deg j + 1): it holds at degree 0,
+        and if it holds below degree d every sum of degree d has a
+        denominator dividing A[0]^d, so r[k]'s divides A[0]^(d + 1).  Hence
+        R = r * D with D = A[0]^(T + 1), T the top degree of the support, is
+        integral: R[0] = A[0]^T and R[k] = -(sum A[i] R[j]) // A[0], a division
+        that is exact because its quotient is the integer R[k]; integer sums
+        do not depend on their order.  Then out = den * R / D.
+        """
+        self._check(jet.ctx)
+        jet = jet._lowest()
+        rest = dict(jet._nums)
+        a0 = rest.pop(0, 0)
+        if not a0:
+            raise NonInvertibleConstantTerm("jet constant term is not invertible")
+        top = len(self.layers) - 1
+        layer = {0: a0 ** top}
+        out = dict(layer)
+        acc: dict = {}
+        for ks in self.layers[1:]:
+            mul_into(acc, self.products, layer, rest, 1)
+            layer = {}
+            for k in ks:
+                if v := acc.pop(k, 0):
+                    layer[k] = -v // a0
+            out.update(layer)
+        big = a0 ** (top + 1)
+        f = jet.den if big > 0 else -jet.den
+        return jet._like({k: v * f for k, v in out.items()}, abs(big))._lowest()
+
+    def magnitude(self, jet: Jet) -> float:
+        return max((RATIONALS.magnitude(v) for v in jet.coeffs.values()), default=0.0)
+
+    def __repr__(self):
+        return f"JetRing(num_vars={self.num_vars}, size={self.size})"
 
 
 def multi_index_factorial(alpha: Iterable[int]) -> int:
@@ -254,7 +333,7 @@ def multi_index_factorial(alpha: Iterable[int]) -> int:
 def mul_into(out: dict, products: tuple, a: dict, b: dict, scale: int) -> None:
     """Add scale * a * b into `out`, all int numerators on one down-set.
 
-    `products` is the context's product table, and `scale` an int such as a
+    `products` is the ring's product table, and `scale` an int such as a
     blade sign.  Integer sums do not depend on their order, so each row i
     takes the shorter walk: its table entries looked up in b, or b looked up
     in it.  Row 0 maps every j to itself, so a's constant term is a scale of
@@ -306,7 +385,7 @@ class Jet:
 
     __slots__ = ("ctx", "_nums", "den")
 
-    def __init__(self, ctx: JetContext, coeffs: dict):
+    def __init__(self, ctx: JetRing, coeffs: dict):
         self.ctx = ctx
         self._nums, self.den = RATIONALS.split(coeffs)
 
@@ -331,14 +410,10 @@ class Jet:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check(self, other: "Jet"):
-        if self.ctx is not other.ctx and self.ctx.exponents != other.ctx.exponents:
-            raise InvalidParams("jet shape mismatch")
-
     def __add__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        self._check(other)
+        self.ctx._check(other.ctx)
         a, b = self._nums, other._nums
         if not b:
             return self
@@ -370,7 +445,7 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            self._check(other)
+            self.ctx._check(other.ctx)
             out: dict = {}
             mul_into(out, self.ctx.products, self._nums, other._nums, 1)
             if 0 in out.values():
@@ -426,83 +501,3 @@ class Jet:
             f"{self.ctx.exponents[k]}: {v}" for k, v in sorted(self.coeffs.items())
         )
         return f"Jet({self.ctx.num_vars} vars, {self.ctx.size} indices, {{{terms}}})"
-
-
-class JetRing:
-    """Ring of exact jets of one shape (a JetContext)."""
-
-    def __init__(self, ctx: JetContext):
-        self.ctx = ctx
-
-    def zero(self) -> Jet:
-        return Jet(self.ctx, {})
-
-    def one(self) -> Jet:
-        return Jet(self.ctx, {0: 1})
-
-    def lift(self, v) -> Jet:
-        if isinstance(v, Jet):
-            return v
-        return Jet(self.ctx, {0: v})
-
-    def seed(self, i: int, value) -> Jet:
-        """Jet of the i-th coordinate function at base value `value`."""
-        ctx = self.ctx
-        if not 0 <= i < ctx.num_vars:
-            raise InvalidParams(f"variable index {i} out of range")
-        coeffs = {0: value}  # split drops a zero
-        unit = ctx.index.get(tuple(1 if k == i else 0 for k in range(ctx.num_vars)))
-        if unit is not None:
-            coeffs[unit] = 1
-        return Jet(ctx, coeffs)
-
-    def invert(self, jet: Jet) -> Jet:
-        return self.reciprocal(jet)
-
-    def reciprocal(self, jet: Jet) -> Jet:
-        """Multiplicative inverse on the jet's support, one degree layer at a time.
-
-        With a = a[0] + rest, a * out = 1 gives, for k > 0,
-        out[k] = -(sum rest[i] out[j]) / a[0] over the pairs i + j = k, and
-        every such j has deg j < deg k because i > 0.  So each finished layer
-        is multiplied by rest into an accumulator with `mul_into`, which adds
-        its share to every higher degree; when the layers below degree d are
-        pushed, the accumulator holds the whole sum for each index of degree d.
-
-        The recurrence runs in integers.  With A the numerators of a
-        (a = A / den) and r = 1 / A, r[0] = 1 / A[0] and
-        r[k] = -(sum A[i] r[j]) / A[0].  By induction on the degree, the
-        denominator of r[j] divides A[0]^(deg j + 1): it holds at degree 0,
-        and if it holds below degree d every sum of degree d has a
-        denominator dividing A[0]^d, so r[k]'s divides A[0]^(d + 1).  Hence
-        R = r * D with D = A[0]^(T + 1), T the top degree of the support, is
-        integral: R[0] = A[0]^T and R[k] = -(sum A[i] R[j]) // A[0], a division
-        that is exact because its quotient is the integer R[k]; integer sums
-        do not depend on their order.  Then out = den * R / D.
-        """
-        ctx = jet.ctx
-        jet = jet._lowest()
-        rest = dict(jet._nums)
-        a0 = rest.pop(0, 0)
-        if not a0:
-            raise NonInvertibleConstantTerm("jet constant term is not invertible")
-        top = len(ctx.layers) - 1
-        layer = {0: a0 ** top}
-        out = dict(layer)
-        acc: dict = {}
-        for ks in ctx.layers[1:]:
-            mul_into(acc, ctx.products, layer, rest, 1)
-            layer = {}
-            for k in ks:
-                if v := acc.pop(k, 0):
-                    layer[k] = -v // a0
-            out.update(layer)
-        big = a0 ** (top + 1)
-        f = jet.den if big > 0 else -jet.den
-        return jet._like({k: v * f for k, v in out.items()}, abs(big))._lowest()
-
-    def magnitude(self, jet: Jet) -> float:
-        return max((RATIONALS.magnitude(v) for v in jet.coeffs.values()), default=0.0)
-
-    def __repr__(self):
-        return f"JetRing(num_vars={self.ctx.num_vars}, size={self.ctx.size})"

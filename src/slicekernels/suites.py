@@ -372,7 +372,7 @@ def _axial_link(p, s, x):
 def _quad_fs_oracle(p, x):
     """The Fueter-Sce integral of x^k against the jet oracle's Delta^{h_n} x^k."""
     f = SliceFunction([0] * p["k"] + [1])
-    got = fueter_sce_integral(f, x.cast(FLOATS), _quad_contour(p["n"], p["nodes"]))
+    got = fueter_sce_integral(f, x, _quad_contour(p["n"], p["nodes"]))
     op = named_operator(p["n"], "d", 0, cf.h_of(p["n"]))
     return got, oracle_apply(op, f, x).cast(FLOATS)
 

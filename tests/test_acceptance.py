@@ -184,7 +184,7 @@ def test_criterion_10_axial_oracle_link():
     )
     report, _ = _run("10 (axial oracle = jet oracle on every exact oracle row)", config)
     assert all(c["residual"] == 0.0 for c in report.cases)
-    # n=9 at one trial runs in test_each_operator_support_builds_one_jet_context
+    # n=9 at one trial runs in test_each_operator_support_builds_one_jet_ring
 
 
 def test_criterion_11_exact_beyond_n9():

@@ -10,7 +10,7 @@ from slicekernels import coeffs as cf
 from slicekernels import kernels as K
 from slicekernels.clifford import Multivector, Paravector
 from slicekernels.diffop import named_operator, oracle_apply
-from slicekernels.rings import FLOATS, RATIONALS, JetContext
+from slicekernels.rings import FLOATS, RATIONALS, JetRing
 from slicekernels.suites import JET_SOURCES
 
 coord = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -96,17 +96,24 @@ def test_axial_oracle_at_n15_matches_the_closed_form():
     assert value == K.dbar_beta_delta_m_kernel(s, x, 5, 2)
 
 
+def test_axial_context_is_a_cached_jet_ring():
+    for order in (1, 4):
+        ring = axial._context(order)
+        assert isinstance(ring, JetRing) and ring is axial._context(order)
+        assert ring.num_vars == 3 and max(map(sum, ring.exponents)) == order
+
+
 def _no_jet_oracle_tables(monkeypatch):
-    """Fail on any jet context but the axial oracle's, in 3 variables."""
-    init = JetContext.__init__
+    """Fail on any jet ring but the axial oracle's, in 3 variables."""
+    init = JetRing.__init__
 
     def build(self, num_vars, corners):
-        assert num_vars == 3, f"a jet context in {num_vars} variables was built"
+        assert num_vars == 3, f"a jet ring in {num_vars} variables was built"
         init(self, num_vars, corners)
 
-    rings.jet_context.cache_clear()
+    rings.jet_ring.cache_clear()
     axial._context.cache_clear()
-    monkeypatch.setattr(JetContext, "__init__", build)
+    monkeypatch.setattr(JetRing, "__init__", build)
 
 
 def test_axial_link_past_n11_is_refused_before_any_operator(monkeypatch):

@@ -23,7 +23,7 @@ from slicekernels.clifford import (
     same_sphere,
 )
 from slicekernels.errors import DimensionMismatch, InvalidParams, SliceKernelsError, ZeroNorm
-from slicekernels.rings import FLOATS, RATIONALS, Jet, JetRing, jet_context
+from slicekernels.rings import FLOATS, RATIONALS, Jet, jet_ring
 
 
 def degree_corners(num_vars, order):
@@ -104,7 +104,7 @@ def test_associativity_and_distributivity(n, data):
 
 # -- sparse storage against the dense loops it replaced -------------------
 
-JR = JetRing(jet_context(2, degree_corners(2, 2)))
+JR = jet_ring(2, degree_corners(2, 2))
 
 
 def _dense_product(ring, a, b):
@@ -139,9 +139,9 @@ _SCALARS = {
     "float": (FLOATS, st.one_of(st.just(0.0),
                                 st.floats(min_value=-1e-12, max_value=1e-12),
                                 st.floats(min_value=-4, max_value=4))),
-    "jet": (JR, st.dictionaries(st.integers(0, JR.ctx.size - 1),
+    "jet": (JR, st.dictionaries(st.integers(0, JR.size - 1),
                                 st.fractions(min_value=-3, max_value=3, max_denominator=4),
-                                max_size=3).map(lambda d: Jet(JR.ctx, d))),
+                                max_size=3).map(lambda d: Jet(JR, d))),
 }
 
 
@@ -545,7 +545,7 @@ def test_powers_match_pow_and_the_reference_recurrence(coords, k, kind):
     if kind == "float":
         x = x.cast(FLOATS)
     elif kind == "exact-jet":
-        jr = JetRing(jet_context(3, degree_corners(3, 2)))
+        jr = jet_ring(3, degree_corners(3, 2))
         x = Paravector(jr, jr.seed(0, coords[0]),
                        (jr.seed(1, coords[1]), jr.seed(2, coords[2])))
     assert x.pow(1) is x
@@ -567,7 +567,7 @@ def test_same_sphere():
 def test_multivector_works_over_float_and_jet_rings():
     xf = Paravector.from_coords(FLOATS, [1.0, 2.0, 0.0, 0.0])
     assert abs((xf * xf.conjugate()).blades.get(0, 0) - 5.0) < 1e-12
-    jr = JetRing(jet_context(2, degree_corners(2, 2)))
+    jr = jet_ring(2, degree_corners(2, 2))
     a = Multivector(1, jr, {0: jr.seed(0, 1)})
     b = Multivector.blade(1, jr, 1)
     prod = (a + b) * (a - b)  # (x + e1)(x - e1) = x^2 + 1 over jets
@@ -621,6 +621,25 @@ def test_an_exponent_past_the_bound_is_refused(text):
         parse_paravector(f"{text},0,0,0", 3, R)
     with pytest.raises(InvalidParams, match="bad coefficient"):
         parse_multivector(f"{text.strip()}*e1", 3, R)
+
+
+@pytest.mark.parametrize("ring", [R, FLOATS])
+def test_a_paravector_has_the_dimension_cap_of_a_multivector(ring):
+    # every way to build a paravector refuses n outside 1..15 with the
+    # multivector's message, so no float product allocates 2^n slots past it
+    for n in (0, 17):
+        message = f"^dimension {n} outside 1..15$"
+        for build in (lambda: Paravector(ring, ring.one(), (ring.zero(),) * n),
+                      lambda: Paravector.from_coords(ring, [1] * (n + 1)),
+                      lambda: parse_paravector(",".join(["1"] * (n + 1)), n, ring),
+                      lambda: Multivector(n, ring, {})):
+            with pytest.raises(InvalidParams, match=message):
+                build()
+    with pytest.raises(InvalidParams, match="^dimension 0 outside 1..15$"):
+        Paravector.from_coords(ring, [])
+    x = parse_paravector(",".join(map(str, range(16))), 15, ring)
+    assert x.n == 15 and x == Paravector.from_coords(ring, range(16))
+    assert x == Paravector(ring, ring.lift(0), tuple(map(ring.lift, range(1, 16))))
 
 
 def test_a_malformed_paravector_coordinate_is_a_library_error():

@@ -24,7 +24,7 @@ from slicekernels.kernels import (
     sample_point_pair,
 )
 from slicekernels.quadrature import SliceFunction
-from slicekernels.rings import FLOATS, RATIONALS, JetRing, jet_context
+from slicekernels.rings import FLOATS, RATIONALS, jet_ring
 
 R = RATIONALS
 
@@ -208,17 +208,32 @@ def test_left_multiplication_semantics():
     assert oracle_apply(D, five_times_coordinate, x) == base.scale(5)
 
 
-def test_operators_with_one_support_share_one_jet_context():
+def test_operators_with_one_support_share_one_jet_ring():
     # D^3 and D Delta read the same multi-indices, so their jets are one shape
-    ctx = named_operator(7, "d", 3, 0).blade_terms()[0]
-    assert ctx is named_operator(7, "d", 1, 1).blade_terms()[0]
-    assert ctx is not named_operator(7, "d", 2, 0).blade_terms()[0]
+    ring = named_operator(7, "d", 3, 0).blade_terms()[0]
+    assert ring is named_operator(7, "d", 1, 1).blade_terms()[0]
+    assert ring is not named_operator(7, "d", 2, 0).blade_terms()[0]
+
+
+def test_every_oracle_point_is_seeded_over_the_operator_ring():
+    # the ring comes with the operator: two calls seed their points over
+    # one ring object, the one blade_terms gives
+    op = named_operator(3, "d", 1, 1)
+    seen = []
+
+    def f(x):
+        seen.append(x.ring)
+        return x.to_multivector()
+
+    for coords in ([1, 2, 0, 0], [Fraction(1, 3), 0, 5, 1]):
+        oracle_apply(op, f, pv(*coords))
+    assert seen[0] is seen[1] is op.blade_terms()[0]
 
 
 def _reference_apply(op, f, x):
     # sum of c_alpha * d^alpha f as Fraction Clifford products of the jet
     # derivatives, one term at a time
-    jring = JetRing(jet_context(op.n + 1, tuple(op.terms)))
+    jring = jet_ring(op.n + 1, tuple(op.terms))
     value = f(Paravector(jring, jring.seed(0, x.x0),
                          [jring.seed(i + 1, c) for i, c in enumerate(x.xu)]))
     acc = Multivector.zero(op.n, R)

@@ -16,7 +16,7 @@ from slicekernels.diffop import (
     oracle_apply,
 )
 from slicekernels.errors import InvalidParams, SingularKernel, ZeroNorm
-from slicekernels.rings import FLOATS, RATIONALS, JetRing, Lanes, jet_context
+from slicekernels.rings import FLOATS, RATIONALS, Lanes, jet_ring
 
 R = RATIONALS
 
@@ -139,7 +139,7 @@ def test_fueter_sce_is_laplacian_power_image():
 
 def test_kernel_closure_is_the_kernel_at_s_cast_to_the_ring_of_x():
     s, x = K.sample_point_pair(3, Random(31))
-    jring = JetRing(jet_context(4, ((1, 1, 0, 0), (0, 0, 2, 0))))
+    jring = jet_ring(4, ((1, 1, 0, 0), (0, 0, 2, 0)))
     jets = Paravector(jring, jring.seed(0, x.x0),
                       [jring.seed(i + 1, c) for i, c in enumerate(x.xu)])
     for point in (x, x.cast(FLOATS), jets):
@@ -474,7 +474,7 @@ def test_plane_blocks_match_compositions_over_exact_jets(pair, order):
     num_vars = len(xc)
     corners = tuple(tuple(order if k == i else 0 for k in range(num_vars))
                     for i in range(num_vars))
-    ring = JetRing(jet_context(num_vars, corners))
+    ring = jet_ring(num_vars, corners)
     # x varies in every coordinate, s also moves along the first one
     x = Paravector.from_coords(ring, [ring.seed(i, c) for i, c in enumerate(xc)])
     s = Paravector.from_coords(ring, [ring.seed(0, sc[0]), *sc[1:]])

@@ -165,6 +165,28 @@ def test_convergence_is_geometric_until_float_floor():
     assert rows[-1]["abs_error"] < 1e-12
 
 
+def test_an_exact_point_is_read_as_its_float():
+    # quadrature runs in floats: an exact x, and an exact reference, give
+    # bit for bit what their floats give
+    x = Paravector.from_coords(RATIONALS, [Fraction(1, 3), Fraction(1, 5), Fraction(-2, 7),
+                                           Fraction(1, 10)])
+    xf = x.cast(FLOATS)
+    contour = ContourSpec(I3, 0.0, 2.0, 64)
+    f = SliceFunction([0, 1, 0, 2])
+
+    def bits(mv):
+        assert mv.ring is FLOATS
+        return [(m, v.hex()) for m, v in mv.blades.items()]
+
+    for integral in (cauchy_reconstruct, fueter_sce_integral):
+        assert bits(integral(f, x, contour)) == bits(integral(f, xf, contour))
+    reference = x.pow(3).to_multivector()
+    rows = convergence_table(cauchy_reconstruct, f, x, contour, [8, 16, 32], reference)
+    expected = convergence_table(cauchy_reconstruct, f, xf, contour, [8, 16, 32],
+                                 reference.cast(FLOATS))
+    assert repr(rows) == repr(expected)
+
+
 def test_slice_independence():
     f = SliceFunction([0, 1, 2, 0, 3])
     x = fpv(0.2, 0.3, -0.1, 0.4)

@@ -20,7 +20,7 @@ from slicekernels.rings import (
     Jet,
     JetRing,
     Lanes,
-    jet_context,
+    jet_ring,
     mul_into,
 )
 
@@ -62,7 +62,7 @@ def test_scalar_ring_number_format_round_trips(values):
 
 
 def test_seed_is_base_value_plus_coordinate():
-    jet = JetRing(jet_context(2, degree_corners(2, 2))).seed(0, 3)
+    jet = jet_ring(2, degree_corners(2, 2)).seed(0, 3)
     assert jet.constant_term() == 3
     assert jet.derivative((1, 0)) == 1
     assert jet.derivative((0, 1)) == 0
@@ -73,24 +73,24 @@ def test_seed_is_base_value_plus_coordinate():
 
 
 def test_order_zero_seed_is_constant():
-    jet = JetRing(jet_context(3, degree_corners(3, 0))).seed(1, Fraction(7, 2))
+    jet = jet_ring(3, degree_corners(3, 0)).seed(1, Fraction(7, 2))
     assert jet.constant_term() == Fraction(7, 2)
     assert jet.coeffs == {0: Fraction(7, 2)}
 
 
 def test_seed_index_out_of_range():
     with pytest.raises(InvalidParams):
-        JetRing(jet_context(2, degree_corners(2, 1))).seed(2, 1)
+        jet_ring(2, degree_corners(2, 1)).seed(2, 1)
 
 
 def test_mul_truncates_degree():
-    ring = JetRing(jet_context(1, degree_corners(1, 1)))
+    ring = jet_ring(1, degree_corners(1, 1))
     t = ring.seed(0, 0)
     assert not t * t  # degree-2 term dropped at order 1
 
 
 def test_mul_one_minus_t_times_one_plus_t():
-    ring = JetRing(jet_context(1, degree_corners(1, 2)))
+    ring = jet_ring(1, degree_corners(1, 2))
     t = ring.seed(0, 0)
     one = ring.one()
     prod = (one + t) * (one - t)  # 1 - t^2
@@ -100,13 +100,13 @@ def test_mul_one_minus_t_times_one_plus_t():
 
 
 def test_constant_scales_jet():
-    ring = JetRing(jet_context(2, degree_corners(2, 2)))
+    ring = jet_ring(2, degree_corners(2, 2))
     t = ring.seed(0, 1)
     assert ring.lift(3) * t == t.scale(3)
 
 
 def test_reciprocal_geometric_series():
-    ring = JetRing(jet_context(1, degree_corners(1, 3)))
+    ring = jet_ring(1, degree_corners(1, 3))
     one_minus_t = ring.one() - ring.seed(0, 0)
     rec = ring.reciprocal(one_minus_t)
     # 1 + t + t^2 + t^3
@@ -115,19 +115,19 @@ def test_reciprocal_geometric_series():
 
 
 def test_reciprocal_of_constant():
-    ring = JetRing(jet_context(2, degree_corners(2, 2)))
+    ring = jet_ring(2, degree_corners(2, 2))
     assert ring.reciprocal(ring.lift(2)) == ring.lift(Fraction(1, 2))
 
 
 def test_reciprocal_zero_constant_term():
-    ring = JetRing(jet_context(1, degree_corners(1, 2)))
+    ring = jet_ring(1, degree_corners(1, 2))
     with pytest.raises(NonInvertibleConstantTerm):
         ring.reciprocal(ring.seed(0, 0))
 
 
 def test_extract_derivatives_of_polynomial():
     # f(x0, x1) = x0^2 + x1^2 at the point (1, 2)
-    ring = JetRing(jet_context(2, degree_corners(2, 2)))
+    ring = jet_ring(2, degree_corners(2, 2))
     x0 = ring.seed(0, 1)
     x1 = ring.seed(1, 2)
     f = x0 * x0 + x1 * x1
@@ -137,51 +137,67 @@ def test_extract_derivatives_of_polynomial():
 
 
 def test_extract_beyond_order_raises():
-    ring = JetRing(jet_context(2, degree_corners(2, 2)))
+    ring = jet_ring(2, degree_corners(2, 2))
     with pytest.raises(OrderExceeded):
         ring.one().derivative((3, 0))
 
 
 def test_context_graded_lex_order():
-    ctx = jet_context(2, degree_corners(2, 2))
+    ctx = jet_ring(2, degree_corners(2, 2))
     assert ctx.exponents[: 3] == ((0, 0), (0, 1), (1, 0))
     assert sum(ctx.exponents[-1]) == 2
     assert ctx.size == 6
     for shape in ((2, degree_corners(2, 2)), (3, ((2, 0, 0), (0, 1, 1))), (2, ())):
-        ctx = jet_context(*shape)
+        ctx = jet_ring(*shape)
         assert [k for ks in ctx.layers for k in ks] == list(range(ctx.size))
         assert all(sum(ctx.exponents[k]) == d for d, ks in enumerate(ctx.layers) for k in ks)
 
 
 def test_down_set_context_is_the_union_of_corner_boxes():
-    ctx = jet_context(3, ((2, 0, 0), (0, 1, 1)))
+    ctx = jet_ring(3, ((2, 0, 0), (0, 1, 1)))
     assert ctx.exponents == (
         (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (2, 0, 0),
     )
-    assert jet_context(2, ()).exponents == ((0, 0),)
+    assert jet_ring(2, ()).exponents == ((0, 0),)
     with pytest.raises(InvalidParams):
-        jet_context(2, ((1, 0, 0),))
+        jet_ring(2, ((1, 0, 0),))
+
+
+def test_jet_ring_is_built_once_per_shape():
+    # the ring is its down-set: one object per shape, which every jet it
+    # makes keeps as ctx
+    ring = jet_ring(2, ((2, 0), (0, 1)))
+    assert ring is jet_ring(2, ((2, 0), (0, 1))) and isinstance(ring, JetRing)
+    assert ring.seed(0, 1).ctx is ring and ring.reciprocal(ring.lift(3)).ctx is ring
+
+
+def test_reciprocal_reads_its_own_ring_and_refuses_another_shape():
+    a = jet_ring(2, ((2, 0),)).seed(0, 1)
+    with pytest.raises(InvalidParams, match="jet shape mismatch"):
+        jet_ring(2, ((0, 2),)).reciprocal(a)
+    # an equal down-set from another corner tuple is the same shape
+    assert jet_ring(2, ((2, 0), (1, 0))).reciprocal(a) == a.ctx.reciprocal(a)
 
 
 def test_jets_of_different_supports_do_not_mix():
     # equal variable count and equal top order, different down-sets
-    a = JetRing(jet_context(2, ((2, 0),))).seed(0, 1)
-    b = JetRing(jet_context(2, ((0, 2),))).seed(0, 1)
+    a = jet_ring(2, ((2, 0),)).seed(0, 1)
+    b = jet_ring(2, ((0, 2),)).seed(0, 1)
     # 1 + x0 and 1 + x1 store the same indices, each in its own shape
-    d = JetRing(b.ctx).seed(1, 1)
+    d = b.ctx.seed(1, 1)
     for other in (b, d):
         for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
             with pytest.raises(InvalidParams):
                 op(a, other)
         assert a != other and other != a
     # an equal down-set from another corner tuple is the same shape
-    c = JetRing(jet_context(2, ((2, 0), (1, 0)))).seed(0, 1)
+    c = jet_ring(2, ((2, 0), (1, 0))).seed(0, 1)
     assert a * c == a * a
 
 
 def test_derivative_outside_support_raises():
     # (1, 1) has total degree 2 but lies outside the down-set of (2, 0), (0, 2)
-    ring = JetRing(jet_context(2, ((2, 0), (0, 2))))
+    ring = jet_ring(2, ((2, 0), (0, 2)))
     jet = ring.seed(0, 1) * ring.seed(1, 2)
     assert jet.derivative((2, 0)) == 0 and jet.derivative((0, 1)) == 1
     with pytest.raises(OrderExceeded):
@@ -191,11 +207,10 @@ def test_derivative_outside_support_raises():
 
 
 def test_jet_reciprocal_keeps_the_jet_shape():
-    ctx = jet_context(2, ((3, 0), (1, 1)))
-    ring = JetRing(ctx)
+    ring = jet_ring(2, ((3, 0), (1, 1)))
     a = ring.one() - ring.seed(0, 0) - ring.seed(1, 0)
-    rec = JetRing(a.ctx).reciprocal(a)
-    assert rec.ctx is ctx
+    rec = a.ctx.reciprocal(a)
+    assert rec.ctx is ring
     assert rec == ring.reciprocal(a)
     assert not (a * rec - ring.one())
 
@@ -220,7 +235,7 @@ def _poly_eval_jet(coeff_grid, ring):
 
 def test_polynomial_jet_reproduces_all_derivatives():
     # degree-2 polynomial, order-2 jet: derivatives must be exact
-    ring = JetRing(jet_context(2, degree_corners(2, 2)))
+    ring = jet_ring(2, degree_corners(2, 2))
     grid = [[Fraction(3), Fraction(-2)], [Fraction(5), Fraction(7)], [Fraction(-1)]]
     f = _poly_eval_jet(grid, ring)
     u, v = Fraction(1, 2), Fraction(-1, 3)
@@ -237,11 +252,11 @@ small_fractions = st.fractions(
 
 
 def _jets(num_vars=2, order=3):
-    ring = JetRing(jet_context(num_vars, degree_corners(num_vars, order)))
-    size = ring.ctx.size
+    ring = jet_ring(num_vars, degree_corners(num_vars, order))
+    size = ring.size
 
     def build(values):
-        return Jet(ring.ctx, {i: v for i, v in values.items() if v != 0})
+        return Jet(ring, {i: v for i, v in values.items() if v != 0})
 
     return st.dictionaries(
         st.integers(min_value=0, max_value=size - 1), small_fractions, max_size=5
@@ -261,7 +276,7 @@ def test_jet_ring_axioms(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(_jets())
 def test_jet_reciprocal_two_sided(a):
-    ring = JetRing(jet_context(2, degree_corners(2, 3)))
+    ring = jet_ring(2, degree_corners(2, 3))
     a = a + ring.one()  # ensure invertible constant term most of the time
     if not a.constant_term():
         return
@@ -292,8 +307,8 @@ def test_down_set_jets_agree_with_total_degree_jets(shape, data):
     # truncation to a down-set is a ring homomorphism: +, * and reciprocal on
     # down-set jets equal the full total-degree results on every index of the
     # down-set
-    small = jet_context(*shape)
-    full = jet_context(shape[0], degree_corners(shape[0], max(map(sum, small.exponents))))
+    small = jet_ring(*shape)
+    full = jet_ring(shape[0], degree_corners(shape[0], max(map(sum, small.exponents))))
     values = st.dictionaries(
         st.integers(min_value=0, max_value=full.size - 1),
         small_fractions.filter(bool),
@@ -311,9 +326,7 @@ def test_down_set_jets_agree_with_total_degree_jets(shape, data):
     assert restrict(a - b) == restrict(a) - restrict(b)
     assert restrict(a * b) == restrict(a) * restrict(b)
     if a.constant_term() != 0:
-        assert restrict(JetRing(full).reciprocal(a)) == (
-            JetRing(small).reciprocal(restrict(a))
-        )
+        assert restrict(full.reciprocal(a)) == small.reciprocal(restrict(a))
 
 
 def _reference_mul(ctx, a, b):
@@ -345,32 +358,31 @@ def test_exact_jets_match_a_fraction_reference(shape, data):
     # exact jets keep nonzero int numerators over one shared positive
     # denominator; every operation must equal the same operation on plain
     # Fraction dicts
-    ctx = jet_context(*shape)
-    ring = JetRing(ctx)
+    ring = jet_ring(*shape)
     fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
-    values = st.dictionaries(st.integers(0, ctx.size - 1), fractions, max_size=8)
+    values = st.dictionaries(st.integers(0, ring.size - 1), fractions, max_size=8)
     a, b = (data.draw(values) for _ in range(2))
     a = {k: v for k, v in a.items() if v}
     b = {k: v for k, v in b.items() if v}
-    ja, jb = Jet(ctx, a), Jet(ctx, b)
+    ja, jb = Jet(ring, a), Jet(ring, b)
     c = data.draw(fractions)
     cases = [
         (ja, a), (jb, b),
         (ja + jb, _reference_add(a, b)),
         (ja - jb, _reference_add(a, b, -1)),
-        (ja * jb, _reference_mul(ctx, a, b)),
+        (ja * jb, _reference_mul(ring, a, b)),
         (ja.scale(c), {k: v * c for k, v in a.items() if v * c}),
         (ja - ja, {}),
     ]
     if a.get(0):
         rec = ring.reciprocal(ja)
-        assert _reference_mul(ctx, a, dict(rec.coeffs)) == {0: 1}
+        assert _reference_mul(ring, a, dict(rec.coeffs)) == {0: 1}
         cases.append((rec, dict(rec.coeffs)))
     for jet, ref in cases:
         _assert_well_formed(jet)
         assert dict(jet.coeffs) == ref
         assert jet.constant_term() == ref.get(0, 0)
-        for k, alpha in enumerate(ctx.exponents):
+        for k, alpha in enumerate(ring.exponents):
             assert jet.derivative(alpha) == ref.get(k, 0) * math.prod(map(math.factorial, alpha))
 
 
@@ -380,18 +392,17 @@ def test_unreduced_exact_jets_equal_the_reduced_jet(shape, data, g):
     # scaling by g and multiplying by the constant 1/g leaves numerators and
     # den multiplied by the common factor g; values, and every result built
     # from them, are those of the reduced jet
-    ctx = jet_context(*shape)
-    ring = JetRing(ctx)
-    values = st.dictionaries(st.integers(0, ctx.size - 1),
+    ring = jet_ring(*shape)
+    values = st.dictionaries(st.integers(0, ring.size - 1),
                              st.fractions(min_value=-6, max_value=6, max_denominator=12),
                              max_size=8)
-    ja, jb = (Jet(ctx, data.draw(values)) for _ in range(2))
+    ja, jb = (Jet(ring, data.draw(values)) for _ in range(2))
     ua = ja.scale(g) * ring.lift(Fraction(1, g))
     assert ua.den == ja.den * g and ua._nums == {k: v * g for k, v in ja._nums.items()}
     assert ua == ja and ja == ua
     assert dict(ua.coeffs) == dict(ja.coeffs)
     assert ua.constant_term() == ja.constant_term()
-    assert all(ua.derivative(alpha) == ja.derivative(alpha) for alpha in ctx.exponents)
+    assert all(ua.derivative(alpha) == ja.derivative(alpha) for alpha in ring.exponents)
     assert ua + jb == ja + jb and ua * jb == ja * jb and jb - ua == jb - ja
     assert (ua == ja + ring.one()) is False
     if ja.constant_term():
@@ -405,7 +416,7 @@ def test_product_and_shift_tables_follow_exponent_arithmetic(shape):
     # products[i][j] is the index of alpha_i + alpha_j when that lies in the
     # down-set, and shifts[v] holds every k with alpha_k[v] > 0, mapped to
     # (index of alpha_k - e_v, alpha_k[v])
-    ctx = jet_context(*shape)
+    ctx = jet_ring(*shape)
     exps, index = ctx.exponents, ctx.index
     assert len(ctx.products) == ctx.size
     for i, a in enumerate(exps):
@@ -435,7 +446,7 @@ def _all_pairs_mul_into(ctx, target, a, b, scale):
 def test_integer_kernel_matches_the_all_pairs_loop(shape, data):
     # mul_into adds scale * a * b into a given table, walking rows and
     # scaling b by a's constant term; it keeps the entries that sum to zero
-    ctx = jet_context(*shape)
+    ctx = jet_ring(*shape)
     nums = st.dictionaries(st.integers(0, ctx.size - 1),
                            st.integers(-9, 9).filter(bool), max_size=ctx.size)
     a, b = data.draw(nums), data.draw(nums)
@@ -458,14 +469,13 @@ def test_exact_jet_geometric_product_matches_jet_arithmetic(shape, n, data):
     # equal the sum of sign * (a_i * b_j) built with Jet * and +, with the
     # same nonzero blades, for empty operands, cancelling blades and jets
     # whose numerators and den share a factor
-    ctx = jet_context(*shape)
-    ring = JetRing(ctx)
-    values = st.dictionaries(st.integers(0, ctx.size - 1),
+    ring = jet_ring(*shape)
+    values = st.dictionaries(st.integers(0, ring.size - 1),
                              st.fractions(min_value=-4, max_value=4, max_denominator=6),
                              max_size=4)
 
     def jet():
-        out = Jet(ctx, data.draw(values))
+        out = Jet(ring, data.draw(values))
         g = data.draw(st.integers(min_value=1, max_value=50))
         return out.scale(g) * ring.lift(Fraction(1, g))  # den times g, not reduced
 
@@ -491,19 +501,19 @@ def test_exact_jet_geometric_product_matches_jet_arithmetic(shape, n, data):
         assert list(got.blades) == sorted(ref)
         for m, c in got.blades.items():
             _assert_well_formed(c)
-            assert c == ref[m] and c.ctx is ctx
+            assert c == ref[m] and c.ctx is ring
 
 
 def test_exact_jet_geometric_product_checks_the_jet_shape():
-    a = Jet(jet_context(2, ((2, 0),)), {0: 1, 1: 2})
-    b = Jet(jet_context(2, ((0, 2),)), {0: 1, 1: 2})
-    ring = JetRing(a.ctx)
+    a = Jet(jet_ring(2, ((2, 0),)), {0: 1, 1: 2})
+    b = Jet(jet_ring(2, ((0, 2),)), {0: 1, 1: 2})
+    ring = a.ctx
     with pytest.raises(InvalidParams):
         geometric_product(Multivector(1, ring, {0: a}), Multivector(1, ring, {1: b}))
     with pytest.raises(InvalidParams):
         geometric_product(Multivector(1, ring, {0: a, 1: b}), Multivector(1, ring, {0: a}))
     # an equal down-set from another corner tuple is the same shape
-    c = Jet(jet_context(2, ((2, 0), (1, 0))), {0: 1, 1: 2})
+    c = Jet(jet_ring(2, ((2, 0), (1, 0))), {0: 1, 1: 2})
     assert (geometric_product(Multivector(1, ring, {1: a}), Multivector(1, ring, {1: c}))
             == Multivector(1, ring, {0: -(a * a)}))
 

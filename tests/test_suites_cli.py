@@ -10,7 +10,7 @@ from slicekernels.cli import main
 from slicekernels.clifford import parse_multivector
 from slicekernels.diffop import DiffOperator, named_operator
 from slicekernels.errors import InvalidParams
-from slicekernels.rings import FLOATS, JetContext
+from slicekernels.rings import FLOATS, JetRing
 from slicekernels.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -117,15 +117,15 @@ def test_operator_builds_do_not_grow_with_the_case_count(monkeypatch):
             assert counts[0] == counts[1] > 0, (suite, counts)
 
 
-def test_each_operator_support_builds_one_jet_context(monkeypatch):
+def test_each_operator_support_builds_one_jet_ring(monkeypatch):
     # n=9 axial-link applies 24 operators through the jet oracle, with 12
     # supports: D^3 and D Delta share one, and so do D^3 Delta and D Delta^2,
     # and D-bar^beta Delta^m has the support of D^beta Delta^m; the axial
-    # oracle adds one 3-variable context for each order 1..8
+    # oracle adds one 3-variable ring for each order 1..8
     named_operator.cache_clear()
-    rings.jet_context.cache_clear()
+    rings.jet_ring.cache_clear()
     axial._context.cache_clear()
-    builds = _count_calls(monkeypatch, JetContext)
+    builds = _count_calls(monkeypatch, JetRing)
     assert run_suite(SuiteConfig(suite="axial-link", n_values=(9,), trials=1, seed=0,
                                  jobs=1)).passed
     assert builds[0] == 12 + 8
