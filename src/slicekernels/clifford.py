@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatch, InvalidParams, ZeroNorm
-from .rings import RATIONALS, JetRing, Lanes, mul_into
+from .rings import FLOATS, RATIONALS, JetRing, Lanes, mul_into
 
 MAX_DIMENSION = 15
 
@@ -82,6 +82,14 @@ def _factor(ring, c) -> tuple:
     if ring is RATIONALS:
         return (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
     return ring.lift(c), 1
+
+
+def _floats(nums, den) -> tuple:
+    """Exact numerators over den as floats (int true division rounds correctly)."""
+    try:
+        return tuple(v / den for v in nums)
+    except OverflowError:
+        raise InvalidParams("exact value lies outside float range") from None
 
 
 def sum_sq(values):
@@ -206,11 +214,14 @@ class Multivector:
                                  self.den * q)
 
     def cast(self, ring) -> "Multivector":
-        """This multivector over `ring`, each blade through `ring.lift`, so
-        an exact blade rounds once to a float and drops if that is 0.0;
+        """This multivector over `ring`, each blade through `ring.lift`, or an
+        exact one to floats through `_floats`, dropped if that is 0.0;
         itself in its own ring."""
         if ring is self.ring:
             return self
+        if self.ring is RATIONALS and ring is FLOATS:
+            floats = zip(self._nums, _floats(self._nums.values(), self.den))
+            return Multivector._make(self.n, ring, {m: v for m, v in floats if v})
         return Multivector(self.n, ring, {m: ring.lift(c) for m, c in self.blades.items()})
 
     def __eq__(self, other):
@@ -393,6 +404,8 @@ class Paravector:
         return tuple(Fraction(v, self.den) for v in self._nums) if exact else self._nums
 
     def cast(self, ring) -> "Paravector":
+        if self.ring is RATIONALS and ring is FLOATS:
+            return Paravector._make(ring, _floats(self._nums, self.den))
         return self if ring is self.ring else Paravector.from_coords(ring, self.coords())
 
     def to_multivector(self) -> Multivector:

@@ -6,21 +6,21 @@ periodic circle parametrization is spectrally accurate for the analytic
 integrands used here.  Each integral evaluates over the contour's nodes as
 one float paravector whose coordinates are node lanes (`rings.Lanes`), so
 each blade is a column of its values at the nodes, each the float it takes
-at that node alone: the integrand w_j f(s_j)
-is one lane product of the weights and f, and the library kernel is one
-call.  When a node leaves the kernels' common float branch, the kernel is
-evaluated over floats at every node, in node order, so each raises or
-rescales as it does alone.  Each blade of the integral is then one exactly
-rounded `math.fsum` over the products of kernel blades and integrand
-blades, so the result does not depend on summation order; an integral
-outside float range is refused.  A contour's nodes, node lanes and weights
-are built once per contour value, and a node coordinate that is zero at
-every node, as the n - 1 coordinates off a C_{e1} contour's plane are, is
-one plain 0.0 rather than a lane column, so the kernels do no lane work on
-it.  The integrand w_j f(s_j) is built once per f and contour value, equal
-SliceFunctions sharing one.  Each memo keeps its two most recent entries,
-so repeated integrals of one f over one contour, or alternating over two,
-build neither again.
+at that node alone: the integrand w_j f(s_j) is one lane product of the
+weights and f, and the library kernel is one call.  When a node leaves the
+kernels' common float branch, the kernel is evaluated over floats at every
+node, in node order, so each raises or rescales as it does alone.  Each
+blade of the integral is then one exactly rounded `math.fsum` over the
+products of kernel blades and integrand blades, so the result does not
+depend on summation order; an integral outside float range is refused.  A
+contour's nodes, node lanes and weights are built once per contour value.
+A node coordinate that is zero at every node, as the n - 1 coordinates off
+a C_{e1} contour's plane are, is one plain 0.0; a lane operation with an
+exact zero or one does no lane work, so the kernels keep it plain through
+Q, its inverse and every product.  The integrand is built once per f and
+contour value, equal SliceFunctions sharing one.  Each memo keeps its two
+most recent entries, so repeated integrals of one f over one contour, or
+alternating over two, build neither again.
 """
 
 from __future__ import annotations

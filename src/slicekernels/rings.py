@@ -106,8 +106,11 @@ class Lanes:
     `+`, `-`, `*` and unary `-` apply FloatRing's IEEE operation to each
     pair of lanes, or to each lane and a plain number on the other side, in
     the written operand order, so every lane holds the float it would hold
-    alone.  A value is true when any lane is nonzero, so a multivector over
-    lanes keeps a blade that any lane has.  `v` is the list of lane values;
+    alone, a zero's sign aside: an exact zero or one does no lane work.
+    `+ 0` (either side), `- 0` and `* 1` give the lanes operand, and `* 0`
+    the plain 0.0 unless a lane is inf or NaN, so a plain 0.0 stays one.
+    A value is true when any lane is nonzero, so a multivector over lanes
+    keeps a blade that any lane has.  `v` is the list of lane values;
     operands of one operation have the same number of lanes.
 
     Lanes are FloatRing values: a paravector over lanes is a `FLOATS`
@@ -130,15 +133,15 @@ class Lanes:
     def __add__(self, other):
         if isinstance(other, Lanes):
             return Lanes([a + b for a, b in zip(self.v, other.v)])
-        return Lanes([a + other for a in self.v])
+        return self if not other else Lanes([a + other for a in self.v])
 
     def __radd__(self, other):
-        return Lanes([other + a for a in self.v])
+        return self if not other else Lanes([other + a for a in self.v])
 
     def __sub__(self, other):
         if isinstance(other, Lanes):
             return Lanes([a - b for a, b in zip(self.v, other.v)])
-        return Lanes([a - other for a in self.v])
+        return self if not other else Lanes([a - other for a in self.v])
 
     def __rsub__(self, other):
         return Lanes([other - a for a in self.v])
@@ -146,9 +149,13 @@ class Lanes:
     def __mul__(self, other):
         if isinstance(other, Lanes):
             return Lanes([a * b for a, b in zip(self.v, other.v)])
+        if other == 1 or not other and math.isfinite(sum(self.v)):
+            return self if other else 0.0
         return Lanes([a * other for a in self.v])
 
     def __rmul__(self, other):
+        if other == 1 or not other and math.isfinite(sum(self.v)):
+            return self if other else 0.0
         return Lanes([other * a for a in self.v])
 
     def __neg__(self):

@@ -385,6 +385,48 @@ def test_cast_is_the_identity_in_one_ring_and_rounds_each_blade_once():
     assert f.cast(R) == Multivector(3, R, {m: Fraction(c) for m, c in f.blades.items()})
 
 
+def _exact_value(rng):
+    """A random exact value from 2^-1240 to 2^1020 in size, or zero: some
+    round to subnormals, some underflow to 0.0."""
+    if rng.random() < 0.1:
+        return Fraction(0)
+    num, den = rng.randint(-2**80, 2**80), rng.randint(1, 2**80)
+    return Fraction(num, den) * Fraction(2) ** rng.randint(-1160, 940)
+
+
+@pytest.mark.parametrize("n", [3, 5, 15])
+def test_an_exact_cast_to_floats_is_the_float_of_each_fraction(n):
+    # int numerators over den, divided once, give float() of each Fraction
+    # bit for bit; a blade that underflows to 0.0 drops, a coordinate stays
+    rng = Random(n)
+    for _ in range(40):
+        masks = rng.sample(range(1 << n), min(1 << n, 12))
+        a = Multivector(n, R, {m: _exact_value(rng) for m in masks})
+        f = a.cast(FLOATS)
+        want = {m: float(c) for m, c in a.blades.items()}
+        assert f.ring is FLOATS and f.den == 1
+        assert list(f.blades) == [m for m, c in want.items() if c]
+        assert {m: c.hex() for m, c in f.blades.items()} == \
+            {m: c.hex() for m, c in want.items() if c}
+        x = pv(*(_exact_value(rng) for _ in range(n + 1)))
+        xf = x.cast(FLOATS)
+        assert xf.ring is FLOATS and xf.den == 1
+        assert [c.hex() for c in xf.coords()] == [float(c).hex() for c in x.coords()]
+    # half the least subnormal rounds to even, 0.0; one and a half of it to 2
+    tiny = Multivector(n, R, {0: Fraction(1, 2**1075), 1: Fraction(3, 2**1075)})
+    assert tiny.cast(FLOATS).blades == {1: 2 * 5e-324}
+
+
+def test_an_exact_value_past_float_range_is_refused_by_a_float_cast():
+    edge = 2**1024 - 2**970  # the least value that rounds past the largest float
+    assert pv(edge - 1, 0, 0, 0).cast(FLOATS).x0 == 1.7976931348623157e308
+    for big in (Fraction(edge), -Fraction(10**400, 3)):
+        with pytest.raises(InvalidParams, match="^exact value lies outside float range$"):
+            Multivector(3, R, {0: 1, 5: big}).cast(FLOATS)
+        with pytest.raises(InvalidParams, match="^exact value lies outside float range$"):
+            pv(0, 1, big, 0).cast(FLOATS)
+
+
 def test_norm_float_sums_in_mask_order():
     rng = Random(7)
     for n in (3, 5, 7):

@@ -647,3 +647,45 @@ def test_kernels_over_lanes_are_the_float_kernels_lane_by_lane(case):
             if all(map(math.isfinite, lane.values())):
                 assert {m: v.hex() for m, v in lane.items() if v} == \
                     {m: v.hex() for m, v in alone.items()}
+
+
+def _plane_point(n):
+    """A point of the plane of e1 in dimension n, scaled as `_scaled_paravector`."""
+    return _scaled_paravector(1).map(
+        lambda p: Paravector(FLOATS, p.x0, (p.xu[0],) + (0.0,) * (n - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 5, 9]).flatmap(lambda n: st.tuples(
+    st.lists(_plane_point(n), min_size=1, max_size=6), _scaled_paravector(n),
+    st.booleans())))
+def test_kernels_over_plane_lanes_are_the_float_kernels_lane_by_lane(case):
+    # the twin of the test above, with nodes in the plane of e1 built as
+    # `quadrature._nodes` builds a C_{e1} contour's: each coordinate off the
+    # plane is one plain 0.0, and a product by it is the plain 0.0 only
+    # while every lane is finite, so a node whose float kernel raises reads
+    # NaN in every blade of its lane
+    nodes, x, on_sphere = case
+    n = x.n
+    if on_sphere:  # s on [x] in the plane of e1: singular, or out of range
+        nodes[0] = Paravector(FLOATS, x.x0, (math.hypot(*x.xu),) + (0.0,) * (n - 1))
+    # a contour's nodes vary in x0 and e1, so those two are always lanes
+    x0, x1 = (Lanes(list(c)) for c in zip(*((s.x0, s.xu[0]) for s in nodes)))
+    lanes = Paravector(FLOATS, x0, (x1,) + (0.0,) * (n - 1))
+    # Q^-1 by coordinate, a plain 0.0 included, and each kernel by blade
+    kernels = (lambda s, y: dict(enumerate(K.pseudo_inverse(s, y).coords())),
+               lambda s, y: K.cauchy_left(s, y, form="II").blades,
+               lambda s, y: K.cauchy_right(s, y, form="II").blades,
+               lambda s, y: K.fueter_sce_kernel(s, y).blades)
+    for kernel in kernels:
+        got = kernel(lanes, x)
+        for j, s in enumerate(nodes):
+            lane = {m: c.v[j] if isinstance(c, Lanes) else c for m, c in got.items()}
+            try:
+                alone = kernel(s, x)
+            except (SingularKernel, InvalidParams, ZeroNorm):
+                assert all(map(math.isnan, lane.values()))
+                continue
+            if all(map(math.isfinite, lane.values())):
+                assert {m: v.hex() for m, v in lane.items() if v} == \
+                    {m: v.hex() for m, v in alone.items() if v}

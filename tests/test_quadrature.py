@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from slicekernels import clifford, quadrature, suites
 from slicekernels.clifford import Multivector, Paravector, blade_product
 from slicekernels.errors import DomainError, InvalidParams, SingularKernel
-from slicekernels.kernels import cauchy_left, fueter_sce_kernel
+from slicekernels.kernels import cauchy_left, cauchy_right, fueter_sce_kernel
 from slicekernels.quadrature import (
     ContourSpec,
     SliceFunction,
@@ -185,6 +185,15 @@ def test_an_exact_point_is_read_as_its_float():
     expected = convergence_table(cauchy_reconstruct, f, xf, contour, [8, 16, 32],
                                  reference.cast(FLOATS))
     assert repr(rows) == repr(expected)
+
+
+def test_an_exact_point_past_float_range_is_refused():
+    # read as its float, x is refused as a library error, not an OverflowError
+    x = Paravector.from_coords(RATIONALS, [Fraction(1, 3), 10**400, 0, 0])
+    contour = ContourSpec(I3, 0.0, 2.0, 16)
+    for integral in (cauchy_reconstruct, fueter_sce_integral):
+        with pytest.raises(InvalidParams, match="^exact value lies outside float range$"):
+            integral(SliceFunction([0, 1]), x, contour)
 
 
 def test_slice_independence():
@@ -542,3 +551,71 @@ def test_a_kernel_blade_that_is_a_plain_float_is_a_constant_column():
     f = SliceFunction([1, 0, 2])
     assert _outcome(quadrature._integral, kernel, f, x, contour) == \
         _outcome(_direct, kernel, f, x, contour)
+
+
+def _e1(n):
+    return (1.0,) + (0.0,) * (n - 1)
+
+
+def _point(n):
+    """A float point inside the radius-2 contours, every coordinate nonzero."""
+    return fpv(0.3, *(0.2 * (-1) ** i / (i + 1) for i in range(n)))
+
+
+def _lane_columns(monkeypatch, call) -> list:
+    """The values of every `Lanes` that call() builds."""
+    built = []
+    init = Lanes.__init__
+
+    def counted(self, values):
+        built.append(values)
+        init(self, values)
+
+    monkeypatch.setattr(Lanes, "__init__", counted)
+    call()
+    monkeypatch.undo()
+    return built
+
+
+def test_kernels_over_a_c_e1_contour_build_no_zero_lane_column(monkeypatch):
+    # the n - 1 coordinates off a C_{e1} contour's plane are plain zeros, and
+    # an exact zero or one does no lane work, so they stay plain zeros
+    kernels = {"cauchy_left": lambda s, y: cauchy_left(s, y, form="II"),
+               "cauchy_right": lambda s, y: cauchy_right(s, y, form="II"),
+               "fueter_sce_kernel": fueter_sce_kernel}
+    counts = {}
+    for n in (3, 5, 9, 15):
+        _, _, lanes, _ = quadrature._nodes(ContourSpec(_e1(n), 0.0, 2.0, 256).key)
+        for name, kernel in kernels.items():
+            built = _lane_columns(monkeypatch, lambda: kernel(lanes, _point(n)))
+            assert all(map(any, built)), (name, n)
+            counts[name, n] = len(built)
+    # lane columns per call, at most as first measured
+    assert counts["cauchy_left", 3] <= 39 and counts["cauchy_left", 15] <= 75
+    assert counts["fueter_sce_kernel", 5] <= 65
+
+
+def test_an_integrand_over_a_c_e1_contour_costs_the_same_at_every_n(monkeypatch):
+    # w_j f(s_j) lies in the contour's plane: as many lane columns at every
+    # n, none of them zero in every lane
+    f = SliceFunction([1, -2, 0, 3, 0, 1])
+    counts = set()
+    for n in (3, 5, 9, 15):
+        key = ContourSpec(_e1(n), 0.0, 2.0, 256).key
+        quadrature._nodes(key)
+        quadrature._integrand.cache_clear()
+        built = _lane_columns(monkeypatch, lambda: quadrature._integrand(f, key))
+        assert all(map(any, built)), n
+        counts.add(len(built))
+    assert len(counts) == 1
+
+
+@pytest.mark.parametrize("n", [9, 15])
+@pytest.mark.parametrize("tilted", [False, True])
+def test_cauchy_reconstruction_of_powers_past_n5(n, tilted):
+    direction = (1.0 / math.sqrt(n),) * n if tilted else _e1(n)
+    contour = ContourSpec(direction, 0.0, 2.0, 64)
+    x = _point(n)
+    for k in range(5):
+        got = cauchy_reconstruct(SliceFunction([0] * k + [1]), x, contour)
+        assert (got - x.pow(k).to_multivector()).norm_float() <= 1e-10

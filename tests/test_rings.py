@@ -538,9 +538,28 @@ def test_lane_operations_are_float_operations_lane_by_lane(lanes, c):
     x, y = Lanes(list(a)), Lanes(list(b))
     for op in (operator.add, operator.sub, operator.mul):
         assert _hexes(op(x, y).v) == _hexes(map(op, a, b))
-        # a plain float broadcasts, on either side and in its operand order
-        assert _hexes(op(x, c).v) == _hexes(op(u, c) for u in a)
-        assert _hexes(op(c, x).v) == _hexes(op(c, u) for u in a)
+    for d in (c, 0.0, -0.0, 1.0):
+        for op in (operator.add, operator.sub, operator.mul):
+            for right in (True, False):
+                got = op(x, d) if right else op(d, x)
+                want = [op(u, d) if right else op(d, u) for u in a]
+                if d == 0 and op is not operator.mul and (right or op is operator.add) or \
+                        d == 1 and op is operator.mul:
+                    # + 0, - 0 and * 1 do no lane work: the operand itself
+                    assert got is x
+                elif d == 0 and op is operator.mul and math.isfinite(sum(a)):
+                    # * 0 is the plain 0.0 when the lanes' sum is finite, so
+                    # every lane is; an inf or NaN lane keeps the lane product
+                    assert all(map(math.isfinite, a))
+                    assert type(got) is float and got == 0.0
+                    got = Lanes([got] * len(a))
+                else:
+                    # a plain float broadcasts, on either side and in its
+                    # operand order, bit for bit
+                    assert _hexes(got.v) == _hexes(want)
+                # each lane is the float operation as a value: NaN where that
+                # is NaN, and a zero of either sign
+                assert all(g == w or math.isnan(g) and math.isnan(w) for g, w in zip(got.v, want))
     assert _hexes((-x).v) == _hexes(-u for u in a)
     assert _hexes(abs(x).v) == _hexes(map(abs, a))
     assert _hexes(FLOATS.magnitude(x).v) == _hexes(map(FLOATS.magnitude, a))
