@@ -32,6 +32,7 @@ from functools import lru_cache
 
 from . import coeffs as cf
 from .clifford import Multivector, Paravector
+from .errors import InvalidParams
 from .rings import RATIONALS, jet_ring
 
 _X0, _RHO, _T = 0, 1, 2
@@ -126,7 +127,10 @@ def apply(op: tuple, source: tuple, s: Paravector, x: Paravector) -> Multivector
     with the value of `diffop.oracle_apply` on the same function: exact at
     the point x holds, each blade rounded once into the ring of x."""
     base, beta, m = op
+    cf.check_operator(base, beta, m)
     name, *args = source
+    if name not in SOURCES or len(args) != SOURCES[name].__code__.co_argcount - 1:
+        raise InvalidParams(f"unknown source {source!r}")
     ring = x.ring
     s, x = s.cast(RATIONALS), x.cast(RATIONALS)
     p = _Point(s, x, beta + 2 * m)

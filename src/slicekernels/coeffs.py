@@ -76,6 +76,12 @@ def sigma_nm(h_n: int, m: int) -> int:
     return 2 ** (2 * m - 1) * factorial(m - 1) * pochhammer_neg(h_n, m)
 
 
+def check_operator(base, beta, m) -> None:
+    """Refuse all but D^beta Delta^m (base "d") or D-bar^beta Delta^m ("dbar"), beta, m >= 0."""
+    if base not in ("d", "dbar") or not all(type(k) is int and k >= 0 for k in (beta, m)):
+        raise InvalidParams(f"operator {(base, beta, m)!r} needs base 'd' or 'dbar' and ints >= 0")
+
+
 # -- coefficient families ------------------------------------------------
 #
 # a1/b1 pair with odd Dirac powers beta = 2k+1, a2/b2 with even beta = 2k;

@@ -18,6 +18,7 @@ import math
 from functools import lru_cache
 
 from .clifford import Multivector, Paravector, blade_product
+from .coeffs import check_operator
 from .errors import DimensionMismatch, InvalidParams
 from .rings import RATIONALS, jet_ring, multi_index_factorial
 
@@ -146,11 +147,12 @@ def operator_power_compose(base: DiffOperator, beta: int, m: int) -> DiffOperato
     return base.power(beta).compose(make_laplacian(base.n).power(m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def named_operator(n: int, base: str, beta: int, m: int) -> DiffOperator:
     """D^beta Delta^m for base "d", D-bar^beta Delta^m for "dbar", in
-    dimension n: every operator the verifier applies, built once per process;
-    operators have no mutators, so all callers share one."""
+    dimension n: every operator the verifier applies, built once per process
+    and shared, as operators have no mutators; typed, so 1.0 or True is refused."""
+    check_operator(base, beta, m)
     return operator_power_compose((make_dirac if base == "d" else make_dirac_conj)(n), beta, m)
 
 

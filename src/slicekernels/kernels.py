@@ -6,7 +6,8 @@ quoted text and read by `quoted_value`.
 Every formula is evaluated in its exact written multiplication order; no
 commutation shortcuts are applied outside the commutative plane generated
 by the parameter paravector s.  The same code paths evaluate over exact
-rationals, floats, and jets.  Rows that name a `source` are decided by
+rationals, floats, and jets.  `closed_form` picks the form of each operator
+and `source` that an oracle row or a flagged catalog entry names, against
 `axial.apply`, which shares no code with these forms.  The jet oracle runs
 them over jets only in `axial-link` (`suites.JET_SOURCES`).  It also decides
 the lemma rows, whose `_block` is built from coordinates in the plane of s
@@ -30,7 +31,7 @@ import operator
 import re
 from fractions import Fraction
 from random import Random
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from . import coeffs as cf
 from .clifford import Multivector, Paravector, common_numerators, same_sphere, sum_sq
@@ -282,6 +283,25 @@ def polyanalytic_kernel(s: Paravector, x: Paravector, ell: int) -> Multivector:
     return (f * _smx0(s, x).pow(power).to_multivector()).scale(ring.lift(coef))
 
 
+def closed_form(op: tuple, source: tuple, s: Paravector, x: Paravector) -> Multivector:
+    """The closed form of op = (base, beta, m), read as `axial.apply` reads it,
+    on the function that `source` = (name, *args) names: zero for F_L under D
+    (monogenic) and for sigma_{n,m} Q^-m under Delta^(h_n-m+1) (polyharmonic)."""
+    base, beta, m = op
+    cf.check_operator(base, beta, m)
+    h, source = cf.h_of(x.n), tuple(source)
+    if source == ("cauchy-left",) and beta:
+        return (d_beta_delta_m_kernel if base == "d" else dbar_beta_delta_m_kernel)(s, x, m, beta)
+    if source in (("cauchy-left",), ("cauchy-right",)) and (beta, m) == (0, h):
+        return fueter_sce_kernel(s, x, side=source[0].removeprefix("cauchy-"))
+    if source == ("cauchy-left",) and not beta:
+        return laplacian_power_kernel(s, x, m)
+    if source == ("fueter-sce",) and (base, beta, m) == ("d", 1, 0) or (
+            source == ("harmonic", h - m + 1) and not beta and 1 <= m <= h):
+        return Multivector.zero(x.n, x.ring)
+    raise InvalidParams(f"no closed form of {op!r} on {source!r}")
+
+
 # -- building-block derivative identities ---------------------------------
 #
 # The blocks (s-xbar) Q^{-m}, Q^{-m}, (s-x0)^k Q^{-m}, (s-xbar) Q^{-m} (s-x0)^k
@@ -440,15 +460,14 @@ class CatalogEntry(NamedTuple):
     `op` names the operator applied to the left Cauchy kernel as
     (base, beta, m), as an oracle row of the suites does, and `printed_text`
     is the quoted value, read by `quoted_value`.  An entry that disagrees
-    with the oracle is flagged by giving `corrected`, the library closed form
-    of the oracle-confirmed value, and `corrected_text`, that value as text.
+    with the oracle is flagged by giving `corrected_text`, the
+    oracle-confirmed value as text: that of `closed_form(op, ("cauchy-left",))`.
     """
 
     id: str
     n: int
     op: tuple
     printed_text: str
-    corrected: Optional[Callable[[Paravector, Paravector], Multivector]] = None
     corrected_text: str = ""
 
     def printed(self, s: Paravector, x: Paravector) -> Multivector:
@@ -460,18 +479,15 @@ _CATALOG = {e.id: e for e in (
     CatalogEntry("q-Dbar", 3, ("dbar", 1, 0), "-F^3*s + x0*F^3"),
     CatalogEntry("n5-D", 5, ("d", 1, 0), "-4*Q^-1"),
     # quoted sign disagrees with the Laplacian-power kernel at m=1
-    CatalogEntry("n5-Delta", 5, ("d", 0, 1), "8*(s-xbar)*Q^-2",
-                 lambda s, x: laplacian_power_kernel(s, x, 1), "-8*(s-xbar)*Q^-2"),
+    CatalogEntry("n5-Delta", 5, ("d", 0, 1), "8*(s-xbar)*Q^-2", "-8*(s-xbar)*Q^-2"),
     CatalogEntry("n5-DeltaD", 5, ("d", 1, 1), "16*Q^-2"),
     CatalogEntry("n5-Dbar", 5, ("dbar", 1, 0), "4*(s-xbar)*Q^-2*(s-x0) + 2*Q^-1"),
     # quoted value is the negation of the oracle-confirmed one
     CatalogEntry("n5-D2", 5, ("d", 2, 0), "16*Q^-2*(s-x0) - 8*(s-xbar)*Q^-2",
-                 lambda s, x: d_beta_delta_m_kernel(s, x, 0, 2),
                  "8*(s-xbar)*Q^-2 - 16*Q^-2*(s-x0)"),
     CatalogEntry("n5-DeltaDbar", 5, ("dbar", 1, 1), "-64*(s-xbar)*Q^-3*(s-x0)"),
     # quoted exponent 3 disagrees; the boundary reduction gives 2
     CatalogEntry("n5-Dbar2", 5, ("dbar", 2, 0), "32*(s-xbar)*Q^-3*(s-x0)^3",
-                 lambda s, x: dbar_beta_delta_m_kernel(s, x, 0, 2),
                  "32*(s-xbar)*Q^-3*(s-x0)^2"),
 )}
 

@@ -9,10 +9,10 @@ zero; in float mode the residual norm is compared against
 
 Every kind of case is one row of `CHECKS`, and `SUITES` lists the kinds
 each suite runs; `_run_case` runs a case of any kind. An oracle row names
-its operator D^beta Delta^m and the function it differentiates, and the
-axial oracle (`axial.apply`) decides it in both modes: it reads a float
-point exactly and rounds its value once, so a float residual is the float
-closed form's own error.
+its operator D^beta Delta^m and the function it differentiates, once, and
+the axial oracle (`axial.apply`) decides `K.closed_form` of that pair in
+both modes: it reads a float point exactly and rounds its value once, so a
+float residual is the float closed form's own error.
 """
 
 from __future__ import annotations
@@ -200,29 +200,26 @@ def _run_catalog(params, config: SuiteConfig) -> dict:
     """One case per catalog entry; all trial points must agree on the verdict.
 
     The axial oracle applies the entry's operator to the left Cauchy kernel
-    at each point. A flagged entry, one that gives a `corrected` form, passes
-    when the quoted form mismatches the oracle at every point while the
-    oracle-confirmed alternative matches everywhere.
+    at each point. A flagged entry, one with a `corrected_text`, passes when
+    its quoted form mismatches the oracle at every point while `K.closed_form`
+    of its operator matches everywhere; any other must match everywhere.
     """
     entry = K.catalog_fixture(params["id"])
-    flagged = entry.corrected is not None
+    flagged = bool(entry.corrected_text)
     rng = _case_rng(config, params["key"])
     points = [K.sample_point_pair(entry.n, rng, ring=_ring(config))
               for _ in range(params["trials"])]
-    worst = 0.0
-    printed_matches = True
-    corrected_matches = True
+    worst, printed, confirmed = 0.0, [], []
     for s, x in points:
         oracle = axial.apply(entry.op, ("cauchy-left",), s, x)
         residual, matches = _compare(entry.printed(s, x), oracle, config)
-        printed_matches = printed_matches and matches
+        printed.append(matches)
         if flagged:
-            corr_res, corr_ok = _compare(entry.corrected(s, x), oracle, config)
-            corrected_matches = corrected_matches and corr_ok
-            worst = max(worst, corr_res)
-        else:
-            worst = max(worst, residual)
-    ok = (not printed_matches and corrected_matches) if flagged else printed_matches
+            residual, matches = _compare(K.closed_form(entry.op, ("cauchy-left",), s, x),
+                                         oracle, config)
+            confirmed.append(matches)
+        worst = max(worst, residual)
+    ok = (not any(printed) and all(confirmed)) if flagged else all(printed)
     out = {
         "residual": worst,
         "pass": ok,
@@ -294,20 +291,19 @@ class Check(NamedTuple):
     template over the parameters, or a function of them. Exactly one test is
     set:
 
+    - `oracle(params) = (op, source)` names the operator
+      `op = (base, beta, m)`, D^beta Delta^m for base "d" and D-bar^beta
+      Delta^m for "dbar", and the function `source = (name, *args)`, a key of
+      `axial.SOURCES`, that it is applied to: the library's closed form of
+      the pair, `K.closed_form`, must agree with the axial oracle's value at
+      x, in either mode. Float mode skips a point whose order beta + 2m
+      exceeds `FLOAT_ORACLE_MAX_ORDER`;
     - `pair(params, s, x)` gives two values that must agree;
     - `holds(params)` checks an exact coefficient identity;
     - `quad(params, x)` gives a float quadrature value and its reference
       value at a point drawn by `sample(n, rng)`, which must agree within
       `tol`;
     - `run(params, config)` builds the whole case record itself.
-
-    A `pair` row may name its oracle as `oracle(params) = (op, source)`: the
-    operator `op = (base, beta, m)`, D^beta Delta^m for base "d" and
-    D-bar^beta Delta^m for "dbar", and the function `source = (name, *args)`,
-    a key of `axial.SOURCES`, that it is applied to. Its `pair` then gives the
-    closed form alone, which must agree with the axial oracle's value at x,
-    in either mode. Float mode skips a point whose order beta + 2m exceeds
-    `FLOAT_ORACLE_MAX_ORDER`.
 
     The oracles, the closed forms and the quadrature routines are looked up
     through their modules when a case runs, never stored in a row, so that a
@@ -333,11 +329,6 @@ JET_SOURCES = {
     "fueter-sce": lambda s: K.kernel_closure(K.fueter_sce_kernel, s),
     "harmonic": lambda s, m: K.kernel_closure(K.harmonic_kernel, s, m=m),
 }
-
-
-def _theorem(p, s, x):
-    kernel = K.d_beta_delta_m_kernel if p["op"] == "d" else K.dbar_beta_delta_m_kernel
-    return kernel(s, x, p["m"], p["beta"])
 
 
 def _axial_link_grid(c: SuiteConfig) -> list:
@@ -393,7 +384,6 @@ CHECKS = {
                         for beta in range(1, cf.h_of(n) - m + 1)],
         trials=True,
         oracle=lambda p: ((p["op"], p["beta"], p["m"]), ("cauchy-left",)),
-        pair=_theorem,
     ),
     "dbar-boundary": Check(
         key="n{n}-m{m}-boundary-t{trial:03d}",
@@ -437,14 +427,12 @@ CHECKS = {
                         for n in c.n_values for m in range(1, cf.h_of(n))],
         trials=True,
         oracle=lambda p: (("d", 0, p["m"]), ("cauchy-left",)),
-        pair=lambda p, s, x: K.laplacian_power_kernel(s, x, p["m"]),
     ),
     "fueter-link": Check(
         key="n{n}-fueter-{side}-t{trial:03d}",
         grid=lambda c: [dict(n=n, side=side) for n in c.n_values for side in ("left", "right")],
         trials=True,
         oracle=lambda p: (("d", 0, cf.h_of(p["n"])), (f"cauchy-{p['side']}",)),
-        pair=lambda p, s, x: K.fueter_sce_kernel(s, x, side=p["side"]),
     ),
     "laplacian-power-fueter": Check(
         key="n{n}-lapfueter-t{trial:03d}",
@@ -476,7 +464,6 @@ CHECKS = {
         grid=lambda c: [dict(n=n) for n in c.n_values],
         trials=True,
         oracle=lambda p: (("d", 1, 0), ("fueter-sce",)),
-        pair=lambda p, s, x: Multivector.zero(p["n"], s.ring),
     ),
     "polyharmonic": Check(
         key="n{n}-m{m}-t{trial:03d}",
@@ -484,7 +471,6 @@ CHECKS = {
                         for n in c.n_values for m in range(1, cf.h_of(n) + 1)],
         trials=True,
         oracle=lambda p: (("d", 0, cf.h_of(p["n"]) - p["m"] + 1), ("harmonic", p["m"])),
-        pair=lambda p, s, x: Multivector.zero(p["n"], s.ring),
     ),
     "forms": Check(
         key="n{n}-{side}-t{trial:03d}",
@@ -607,8 +593,9 @@ def _run_case(params, config: SuiteConfig) -> dict:
         return {"residual": residual, "pass": residual <= check.tol,
                 "point": {"x": format_paravector(x)}}
     s, x = K.sample_point_pair(params["n"], rng, ring=_ring(config))
-    if check.oracle:  # the closed form against the axial oracle
-        value, other = check.pair(params, s, x), axial.apply(*check.oracle(params), s, x)
+    if check.oracle:  # the library's closed form against the axial oracle
+        op, source = check.oracle(params)
+        value, other = K.closed_form(op, source, s, x), axial.apply(op, source, s, x)
     else:
         value, other = check.pair(params, s, x)
     residual, ok = _compare(value, other, config)

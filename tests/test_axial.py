@@ -3,6 +3,7 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from slicekernels import axial, cli, rings, suites
@@ -10,6 +11,7 @@ from slicekernels import coeffs as cf
 from slicekernels import kernels as K
 from slicekernels.clifford import Multivector, Paravector
 from slicekernels.diffop import named_operator, oracle_apply
+from slicekernels.errors import InvalidParams
 from slicekernels.rings import FLOATS, RATIONALS, JetRing
 from slicekernels.suites import JET_SOURCES
 
@@ -86,6 +88,19 @@ def test_catalog_points_are_in_the_axial_link_grid():
                                                           n_values=(entry.n,)))
         points = {(p["n"], p["base"], p["beta"], p["m"], p["source"]) for p in grid}
         assert (entry.n, *entry.op, ("cauchy-left",)) in points, entry.id
+
+
+def test_axial_oracle_refuses_a_malformed_operator_or_source():
+    s, x = K.sample_point_pair(3, Random(79))
+    for op, source in [
+        (("D", 1, 0), ("cauchy-left",)), (("d", -1, 0), ("cauchy-left",)),
+        (("d", 0, -2), ("cauchy-left",)), (("d", 1.0, 0), ("cauchy-left",)),
+        (("d", True, 0), ("cauchy-left",)), (("d", 1, 0), ("cauchy",)),
+        (("d", 1, 0), ("cauchy-left", 1)), (("d", 0, 1), ("harmonic",)),
+        (("d", 0, 1), ("harmonic", 1, 1)),
+    ]:
+        with pytest.raises(InvalidParams):
+            axial.apply(op, source, s, x)
 
 
 def test_axial_oracle_at_n15_matches_the_closed_form():

@@ -15,7 +15,7 @@ from slicekernels.diffop import (
     operator_power_compose,
     oracle_apply,
 )
-from slicekernels.errors import DimensionMismatch
+from slicekernels.errors import DimensionMismatch, InvalidParams
 from slicekernels.kernels import (
     cauchy_left,
     cauchy_right,
@@ -258,6 +258,14 @@ def test_operator_coefficients_with_denominators(n):
     assert mixed.terms[(0, 1) + (0,) * (n - 1)].blades[0b11] == Fraction(3, 7)
     for op in (D.scale(third), mixed):
         assert oracle_apply(op, f, x) == _reference_apply(op, f, x)
+
+
+def test_named_operator_refuses_a_malformed_operator():
+    named_operator(3, "d", 1, 0)  # cached, so an equal bool or float power must miss it
+    for base, beta, m in (("D", 1, 0), ("d", -1, 0), ("d", 0, -2), ("d", True, 0),
+                          ("d", 1.0, 0)):
+        with pytest.raises(InvalidParams):
+            named_operator(3, base, beta, m)
 
 
 def test_dimension_mismatch():

@@ -318,7 +318,7 @@ def test_catalog_fixtures():
         "q-D", "q-Dbar", "n5-D", "n5-Delta", "n5-DeltaD", "n5-Dbar", "n5-D2",
         "n5-DeltaDbar", "n5-Dbar2",
     }
-    flagged = {cid for cid in K.catalog_ids() if K.catalog_fixture(cid).corrected is not None}
+    flagged = {cid for cid in K.catalog_ids() if K.catalog_fixture(cid).corrected_text}
     assert flagged == {"n5-Delta", "n5-D2", "n5-Dbar2"}
     with pytest.raises(InvalidParams):
         K.catalog_fixture("n7-D")
@@ -350,25 +350,109 @@ def test_named_operators_equal_the_compositions_they_replace():
         assert named_operator(*args) is op
 
 
+# The call each oracle row's closed form and each flagged catalog entry's
+# oracle-confirmed form made before `closed_form` picked them: the kernel's
+# name, its arguments after (s, x) and its keywords, or None for zero.
+FORMER_ROW_CALLS = {
+    "theorem": lambda p: (f"{p['op']}_beta_delta_m_kernel", (p["m"], p["beta"]), {}),
+    "laplacian-power-oracle": lambda p: ("laplacian_power_kernel", (p["m"],), {}),
+    "fueter-link": lambda p: ("fueter_sce_kernel", (), {"side": p["side"]}),
+    "monogenic": lambda p: None,
+    "polyharmonic": lambda p: None,
+}
+FORMER_CORRECTED_CALLS = {
+    "n5-Delta": ("laplacian_power_kernel", (1,), {}),
+    "n5-D2": ("d_beta_delta_m_kernel", (0, 2), {}),
+    "n5-Dbar2": ("dbar_beta_delta_m_kernel", (0, 2), {}),
+}
+
+
+@pytest.mark.parametrize("ring", (RATIONALS, FLOATS), ids=("exact", "float"))
+def test_closed_form_calls_the_kernel_each_row_and_flagged_entry_called(monkeypatch, ring):
+    from slicekernels import suites
+
+    cases = []  # (op, source, n, former call)
+    for suite, kinds in suites.SUITES.items():
+        for kind in kinds:
+            check = suites.CHECKS[kind]
+            if check.oracle:
+                for p in check.grid(suites.SuiteConfig(suite, n_values=(3, 5, 7, 15))):
+                    cases.append((*check.oracle(p), p["n"], FORMER_ROW_CALLS[kind](p)))
+    assert {kind for kind, check in suites.CHECKS.items() if check.oracle} == set(FORMER_ROW_CALLS)
+    flagged = {cid for cid in K.catalog_ids() if K.catalog_fixture(cid).corrected_text}
+    assert flagged == set(FORMER_CORRECTED_CALLS)
+    for cid, call in FORMER_CORRECTED_CALLS.items():
+        cases.append((K.catalog_fixture(cid).op, ("cauchy-left",), 5, call))
+
+    kernels = {name: getattr(K, name) for name in (
+        "d_beta_delta_m_kernel", "dbar_beta_delta_m_kernel", "laplacian_power_kernel",
+        "fueter_sce_kernel")}
+    calls = []
+    for name, kernel in kernels.items():
+        monkeypatch.setattr(K, name, lambda s, x, *args, _name=name, _kernel=kernel, **kw: (
+            calls.append((_name, args, kw)) or _kernel(s, x, *args, **kw)))
+    rng = Random(71)
+    points = {n: K.sample_point_pair(n, rng, ring=ring) for n in (3, 5, 7, 15)}
+    for op, source, n, former in cases:
+        s, x = points[n]
+        calls.clear()
+        got = K.closed_form(op, source, s, x)
+        if former is None:
+            assert calls == [] and got == Multivector.zero(n, ring), (op, source, n)
+            continue
+        assert calls == [former], (op, source, n)
+        name, args, kw = former
+        want = kernels[name](s, x, *args, **kw)
+        assert got.ring is want.ring is ring
+        if ring is RATIONALS:
+            assert got == want, (op, source, n)
+        else:
+            assert {m: c.hex() for m, c in got.blades.items()} == {
+                m: c.hex() for m, c in want.blades.items()}, (op, source, n)
+
+
+def test_closed_form_refuses_every_other_pair():
+    s, x = K.sample_point_pair(5, Random(73))  # h_n = 2
+    refused = [
+        (("d", 1, 0), ("cauchy-right",)), (("dbar", 2, 0), ("cauchy-right",)),
+        (("dbar", 1, 0), ("fueter-sce",)), (("d", 0, 1), ("fueter-sce",)),
+        (("d", 1, 2), ("harmonic", 1)), (("d", 0, 0), ("cauchy-left",)),
+        (("d", 0, 3), ("cauchy-left",)), (("d", 2, 1), ("cauchy-left",)),
+        (("d", 1, 0), ("cauchy",)), (("d", 1, 0), ("cauchy-left", 1)),
+        (("d", 0, 2), ("harmonic",)), (("d", 0, 2), ("harmonic", 1, 1)),
+        (("D", 1, 0), ("cauchy-left",)), (("d", -1, 0), ("cauchy-left",)),
+        (("d", 0, -2), ("cauchy-left",)), (("d", 1.0, 0), ("cauchy-left",)),
+        (("d", True, 0), ("cauchy-left",)), (("d", 0, 0), ("harmonic", 3)),
+        (("d", 0, 3), ("harmonic", 0)),
+    ]
+    refused += [(("d", 0, k), ("harmonic", m)) for m in (1, 2) for k in range(5) if k != 3 - m]
+    for op, source in refused:
+        with pytest.raises(InvalidParams):
+            K.closed_form(op, source, s, x)
+    for m in (1, 2):  # the one power that the source's m admits
+        assert K.closed_form(("d", 0, 3 - m), ("harmonic", m), s, x) == Multivector.zero(5, R)
+
+
 def test_catalog_arbitration_spot():
     rng = Random(53)
     entry = K.catalog_fixture("n5-Delta")
     s, x = K.sample_point_pair(5, rng)
     oracle = oracle_apply(named_operator(5, *entry.op), K.kernel_closure(K.cauchy_left, s), x)
     assert entry.printed(s, x) != oracle
-    assert entry.corrected(s, x) == oracle
+    assert K.closed_form(entry.op, ("cauchy-left",), s, x) == oracle
 
 
 def test_corrected_texts_read_as_their_closed_forms():
     # the report's "oracle-confirmed: ..." note names text that is checked
     flagged = [K.catalog_fixture(cid) for cid in K.catalog_ids()
-               if K.catalog_fixture(cid).corrected is not None]
+               if K.catalog_fixture(cid).corrected_text]
     assert len(flagged) == 3
     rng = Random(59)
     for _ in range(20):
         s, x = K.sample_point_pair(5, rng)
         for entry in flagged:
-            assert K.quoted_value(entry.corrected_text, s, x) == entry.corrected(s, x), entry.id
+            assert K.quoted_value(entry.corrected_text, s, x) == K.closed_form(
+                entry.op, ("cauchy-left",), s, x), entry.id
 
 
 def test_quoted_values_read_their_terms_in_order():

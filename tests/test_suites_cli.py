@@ -88,6 +88,29 @@ def test_catalog_unflagged_mismatch_fails(monkeypatch):
     assert failing[0]["key"] == "bogus"
 
 
+@pytest.mark.parametrize("mode", ("exact", "float"))
+def test_a_flagged_entry_whose_quoted_form_matches_at_one_point_fails(monkeypatch, mode):
+    # a flagged entry passes only when its quoted form mismatches the oracle
+    # at every point: here n5-Delta's quoted form reads the oracle's value at
+    # the first of three points
+    from slicekernels import kernels as K
+
+    printed, seen = K.CatalogEntry.printed, []
+
+    def matches_once(entry, s, x):
+        seen.append(entry.id)
+        if seen.count(entry.id) == 1 and entry.id == "n5-Delta":
+            return axial.apply(entry.op, ("cauchy-left",), s, x)
+        return printed(entry, s, x)
+
+    monkeypatch.setattr(K.CatalogEntry, "printed", matches_once)
+    report = run_suite(small("catalog", n_values=(5,), trials=3, mode=mode))
+    assert seen.count("n5-Delta") == 3
+    verdicts = {c["key"]: c["pass"] for c in report.cases}
+    assert verdicts.pop("n5-Delta") is False
+    assert all(verdicts.values())
+
+
 def _count_calls(monkeypatch, cls):
     calls = [0]
     init = cls.__init__
@@ -140,11 +163,11 @@ def test_axial_link_covers_every_catalog_point():
         assert (entry.n, *entry.op, ("cauchy-left",)) in grid, entry.id
 
 
-def test_each_row_sets_one_test_and_an_oracle_only_with_a_pair():
+def test_each_row_sets_exactly_one_test():
     for kind, check in suites.CHECKS.items():
-        tests = [name for name in ("pair", "holds", "quad", "run") if getattr(check, name)]
+        tests = [name for name in ("oracle", "pair", "holds", "quad", "run")
+                 if getattr(check, name)]
         assert len(tests) == 1, (kind, tests)
-        assert check.oracle is None or check.pair, kind
 
 
 def test_the_jet_oracle_runs_only_inside_row_functions(monkeypatch):
