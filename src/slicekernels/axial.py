@@ -126,9 +126,8 @@ def apply(op: tuple, source: tuple, s: Paravector, x: Paravector) -> Multivector
     op = (base, beta, m), applied to the function named by `source` at x,
     with the value of `diffop.oracle_apply` on the same function: exact at
     the point x holds, each blade rounded once into the ring of x."""
-    base, beta, m = op
-    cf.check_operator(base, beta, m)
-    name, *args = source
+    base, beta, m = cf.check_operator(op)
+    name, *args = cf.check_source(source)
     if name not in SOURCES or len(args) != SOURCES[name].__code__.co_argcount - 1:
         raise InvalidParams(f"unknown source {source!r}")
     ring = x.ring

@@ -1,11 +1,13 @@
 """Exact combinatorial coefficients for the kernel formulas.
 
-Everything here is big-integer arithmetic; no floats.  The binomial follows
-a guarded convention: equal upper and lower index gives 1 even when both
-are negative.  That convention is what makes the boundary reduction of the
-even/odd coefficient families to the polyanalytic kernel literally true,
-and every consequence is cross-validated against the differentiation
-oracle in the kernel suites.
+Everything here is big-integer arithmetic; no floats.  The coefficient
+families (`FAMILIES`), the two derivative theorems (`THEOREMS`, listed term
+by term by `theorem_terms`) and the appendix identities (`IDENTITIES`) are
+rows of data.  The binomial follows a guarded convention: equal upper and
+lower index gives 1 even when both are negative.  That convention is what
+makes the boundary reduction of the even/odd coefficient families to the
+polyanalytic kernel literally true, and every consequence is
+cross-validated against the differentiation oracle in the kernel suites.
 """
 
 from __future__ import annotations
@@ -76,10 +78,21 @@ def sigma_nm(h_n: int, m: int) -> int:
     return 2 ** (2 * m - 1) * factorial(m - 1) * pochhammer_neg(h_n, m)
 
 
-def check_operator(base, beta, m) -> None:
-    """Refuse all but D^beta Delta^m (base "d") or D-bar^beta Delta^m ("dbar"), beta, m >= 0."""
-    if base not in ("d", "dbar") or not all(type(k) is int and k >= 0 for k in (beta, m)):
-        raise InvalidParams(f"operator {(base, beta, m)!r} needs base 'd' or 'dbar' and ints >= 0")
+def check_operator(op) -> tuple:
+    """op = (base, beta, m) as given: D^beta Delta^m (base "d") or D-bar^beta
+    Delta^m ("dbar") with ints beta, m >= 0; anything else is refused."""
+    if not (type(op) is tuple and len(op) == 3 and op[0] in ("d", "dbar")
+            and all(type(k) is int and k >= 0 for k in op[1:])):
+        raise InvalidParams(f"operator {op!r} needs base 'd' or 'dbar' and ints >= 0")
+    return op
+
+
+def check_source(source) -> tuple:
+    """source = (name, *args) as given, with int arguments; anything else is refused."""
+    if not (type(source) is tuple and source and type(source[0]) is str
+            and all(type(a) is int for a in source[1:])):
+        raise InvalidParams(f"source {source!r} needs a name and int arguments")
+    return source
 
 
 # -- coefficient families ------------------------------------------------
@@ -113,6 +126,39 @@ def coeff(family: str, j: int, k: int, m: int, h_n: int) -> int:
         * binomial_guarded(k + j + p, 2 * j + q)
         * binomial_guarded(h_n - m - k - j + r, h_n - m - 2 * k + t)
     )
+
+
+# -- the derivative theorems ---------------------------------------------
+#
+# base -> (families at odd beta, families at even beta, extra, sign,
+# prefactor(h_n, m, beta)).  At beta = 2k + p, p = beta mod 2, with (first,
+# second) the families of that parity, D^beta Delta^m (base "d") or Dbar^beta
+# Delta^m ("dbar") of the left Cauchy kernel is the prefactor times
+#
+#   (s - xbar) sum_{j < k + extra} first(j) Q^-(m+1+k+p+j) (s-x0)^(2j+p)
+#       + sign sum_{j < k + p} second(j) Q^-(m+1+k+j) (s-x0)^(2j+1-p)
+THEOREMS = {
+    "d": (("a1", "b1"), ("a2", "b2"), 0, -1,
+          lambda h_n, m, beta: 2**beta * (h_n - m) * gamma_m(h_n, m) // factorial(m)),
+    "dbar": (("A1", "B1"), ("A2", "B2"), 1, 1,
+             lambda h_n, m, beta: 2**beta * 4**m * pochhammer_neg(h_n, m)),
+}
+
+
+def theorem_terms(base: str, h_n: int, m: int, beta: int) -> tuple:
+    """(prefactor, first, second) of the theorem of `base` (a key of
+    THEOREMS); each sum is a list of terms (c, a, b), meaning
+    c Q^-a (s - x0)^b, in summation order, the sign taken into c."""
+    if beta < 1 or m < 0 or m + beta > h_n:
+        raise InvalidParams(
+            f"need beta >= 1, m >= 0, m + beta <= h_n = {h_n}; got m={m}, beta={beta}")
+    odd, even, extra, sign, prefactor = THEOREMS[base]
+    (first, second), p, k = odd if beta % 2 else even, beta % 2, beta // 2
+    return (prefactor(h_n, m, beta),
+            [(coeff(first, j, k, m, h_n), m + 1 + k + p + j, 2 * j + p)
+             for j in range(k + extra)],
+            [(sign * coeff(second, j, k, m, h_n), m + 1 + k + j, 2 * j + 1 - p)
+             for j in range(k + p)])
 
 
 def sigma_gamma_link(h_n: int, m: int) -> bool:
@@ -205,21 +251,9 @@ def check_stifel(p: int, q: int) -> bool:
     )
 
 
-def _boundary_families(h_n: int, m: int):
-    """(A, B, k) at beta = h_n - m: ("A1", "B1", k1) for odd beta = 2 k1 + 1
-    and ("A2", "B2", k2) for even beta = 2 k2, the bold families of that parity."""
-    beta = h_n - m
-    if beta < 1:
-        raise InvalidParams("boundary needs m < h_n")
-    families = ("A1", "B1") if beta % 2 else ("A2", "B2")
-    return (*families, beta // 2)
-
-
 def boundary_vanishing_holds(h_n: int, m: int) -> bool:
-    """At beta = h_n - m all non-surviving bold coefficients vanish and the
-    survivor equals 2^(h_n-m) h_n!."""
-    A, B, k = _boundary_families(h_n, m)
-    # B runs over j < k + (beta mod 2) = beta - k, as in the kernel sums
-    return (coeff(A, k, k, m, h_n) == 2 ** (h_n - m) * factorial(h_n)
-            and not any(coeff(A, j, k, m, h_n) for j in range(k))
-            and not any(coeff(B, j, k, m, h_n) for j in range(h_n - m - k)))
+    """The Dbar theorem at beta = h_n - m keeps one nonzero term, the
+    survivor 2^(h_n-m) h_n! (s - xbar) Q^-(h_n+1) (s - x0)^(h_n-m)."""
+    _, first, second = theorem_terms("dbar", h_n, m, h_n - m)
+    return ([t for t in first if t[0]] == [(2 ** (h_n - m) * factorial(h_n), h_n + 1, h_n - m)]
+            and not any(c for c, _, _ in second))

@@ -152,7 +152,7 @@ def named_operator(n: int, base: str, beta: int, m: int) -> DiffOperator:
     """D^beta Delta^m for base "d", D-bar^beta Delta^m for "dbar", in
     dimension n: every operator the verifier applies, built once per process
     and shared, as operators have no mutators; typed, so 1.0 or True is refused."""
-    check_operator(base, beta, m)
+    check_operator((base, beta, m))
     return operator_power_compose((make_dirac if base == "d" else make_dirac_conj)(n), beta, m)
 
 

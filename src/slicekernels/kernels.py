@@ -6,12 +6,14 @@ quoted text and read by `quoted_value`.
 Every formula is evaluated in its exact written multiplication order; no
 commutation shortcuts are applied outside the commutative plane generated
 by the parameter paravector s.  The same code paths evaluate over exact
-rationals, floats, and jets.  `closed_form` picks the form of each operator
-and `source` that an oracle row or a flagged catalog entry names, against
-`axial.apply`, which shares no code with these forms.  The jet oracle runs
-them over jets only in `axial-link` (`suites.JET_SOURCES`).  It also decides
-the lemma rows, whose `_block` is built from coordinates in the plane of s
-and shares no helper with the printed side `_lemma_rhs` it is checked against.
+rationals, floats, and jets.  The closed forms of D^beta Delta^m and
+Dbar^beta Delta^m are one evaluator of the terms that `coeffs.theorem_terms`
+lists.  `closed_form` picks the form of each operator and `source` that an
+oracle row or a flagged catalog entry names, against `axial.apply`, which
+shares no code with these forms.  The jet oracle runs them over jets only
+in `axial-link` (`suites.JET_SOURCES`).  It also decides the lemma rows,
+whose `_block` is built from coordinates in the plane of s and shares no
+helper with the printed side `_lemma_rhs` it is checked against.
 
 The shared blocks, Q_{c,s}(x) in its plane form (see `pseudo_denominator`),
 its form-I twin with s and x exchanged, s - xbar and s - x0, are built in one
@@ -27,7 +29,6 @@ over d or d^2, put in lowest terms once.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from random import Random
@@ -201,53 +202,28 @@ def fueter_sce_kernel(s: Paravector, x: Paravector, side: str = "left") -> Multi
     raise InvalidParams(f"unknown side {side!r}")
 
 
-def _admissible(n: int, m: int, beta: int) -> int:
-    h = cf.h_of(n)
-    if beta < 1 or m < 0 or m + beta > h:
-        raise InvalidParams(
-            f"need beta >= 1, m >= 0, m + beta <= h_n = {h}; got m={m}, beta={beta}"
-        )
-    return h
+def _theorem_kernel(base: str, s: Paravector, x: Paravector, m: int, beta: int) -> Multivector:
+    """`cf.theorem_terms` evaluated: (s - xbar) times the first sum, plus each
+    term of the second, times the prefactor; (c, a, b) is c Q^-a (s - x0)^b."""
+    pref, first, second = cf.theorem_terms(base, cf.h_of(x.n), m, beta)
+    qk = pseudo_inverse(s, x).powers(max(a for _, a, _ in first + second))
+    sk = _smx0(s, x).powers(max(b for *_, b in first + second))
 
-
-def _beta_delta_m_sums(s, x, m: int, beta: int, h: int, first, second, extra: int, combine):
-    """(s - xbar) * sum_j first(j) Q^-(m+1+k+p+j) (s-x0)^(2j+p), combined with
-    sum_j second(j) Q^-(m+1+k+j) (s-x0)^(2j+1-p), where p = beta mod 2 and
-    k = beta // 2. The first sum runs over j < k + extra, the second over
-    j < k + p; `first` and `second` name the coefficient families of the parity.
-    """
-    ring = x.ring
-    qinv = pseudo_inverse(s, x)
-    smxbar = _smxbar(s, x)
-    smx0 = _smx0(s, x)
-    p, k = beta % 2, beta // 2
-    qk, sk = qinv.powers(m + beta + extra), smx0.powers(beta + extra - 1)
-    acc = Multivector.zero(x.n, ring)
-    for j in range(0, k + extra):
-        term = qk[m + 1 + k + p + j].to_multivector() * sk[2 * j + p].to_multivector()
-        acc = acc + term.scale(cf.coeff(first, j, k, m, h))
-    acc = smxbar * acc
-    for j in range(0, k + p):
-        term = qk[m + 1 + k + j].to_multivector() * sk[2 * j + 1 - p].to_multivector()
-        acc = combine(acc, term.scale(cf.coeff(second, j, k, m, h)))
-    return acc
+    def term(c, a, b):
+        return (qk[a].to_multivector() * sk[b].to_multivector()).scale(c)
+    acc = sum((term(*t) for t in first), Multivector.zero(x.n, x.ring))
+    acc = sum((term(*t) for t in second), _smxbar(s, x) * acc)
+    return acc.scale(x.ring.lift(pref))
 
 
 def d_beta_delta_m_kernel(s: Paravector, x: Paravector, m: int, beta: int) -> Multivector:
     """Closed form of D^beta Laplacian^m applied to the left Cauchy kernel (form II)."""
-    h = _admissible(x.n, m, beta)
-    families = ("a1", "b1") if beta % 2 else ("a2", "b2")
-    acc = _beta_delta_m_sums(s, x, m, beta, h, *families, extra=0, combine=operator.sub)
-    pref = Fraction(2**beta * (h - m) * cf.gamma_m(h, m), cf.factorial(m))
-    return acc.scale(x.ring.lift(pref))
+    return _theorem_kernel("d", s, x, m, beta)
 
 
 def dbar_beta_delta_m_kernel(s: Paravector, x: Paravector, m: int, beta: int) -> Multivector:
     """Closed form of Dbar^beta Laplacian^m applied to the left Cauchy kernel."""
-    h = _admissible(x.n, m, beta)
-    families = ("A1", "B1") if beta % 2 else ("A2", "B2")
-    acc = _beta_delta_m_sums(s, x, m, beta, h, *families, extra=1, combine=operator.add)
-    return acc.scale(2**beta * 4**m * cf.pochhammer_neg(h, m))
+    return _theorem_kernel("dbar", s, x, m, beta)
 
 
 def harmonic_kernel(s: Paravector, x: Paravector, m: int) -> Multivector:
@@ -287,9 +263,8 @@ def closed_form(op: tuple, source: tuple, s: Paravector, x: Paravector) -> Multi
     """The closed form of op = (base, beta, m), read as `axial.apply` reads it,
     on the function that `source` = (name, *args) names: zero for F_L under D
     (monogenic) and for sigma_{n,m} Q^-m under Delta^(h_n-m+1) (polyharmonic)."""
-    base, beta, m = op
-    cf.check_operator(base, beta, m)
-    h, source = cf.h_of(x.n), tuple(source)
+    base, beta, m = cf.check_operator(op)
+    h, source = cf.h_of(x.n), cf.check_source(source)
     if source == ("cauchy-left",) and beta:
         return (d_beta_delta_m_kernel if base == "d" else dbar_beta_delta_m_kernel)(s, x, m, beta)
     if source in (("cauchy-left",), ("cauchy-right",)) and (beta, m) == (0, h):

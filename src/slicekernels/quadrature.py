@@ -96,6 +96,8 @@ class ContourSpec:
             raise InvalidParams("radius must be positive and finite")
         if not math.isfinite(center):
             raise InvalidParams("center must be finite")
+        if type(nodes) is not int:
+            raise InvalidParams(f"node count must be an int, got {nodes!r}")
         if nodes < 8 or nodes % 2:
             raise InvalidParams("node count must be even and >= 8")
         if nodes > MAX_NODES:

@@ -98,6 +98,10 @@ def test_axial_oracle_refuses_a_malformed_operator_or_source():
         (("d", True, 0), ("cauchy-left",)), (("d", 1, 0), ("cauchy",)),
         (("d", 1, 0), ("cauchy-left", 1)), (("d", 0, 1), ("harmonic",)),
         (("d", 0, 1), ("harmonic", 1, 1)),
+        # a source argument that is not an int, and an operator of the wrong length
+        (("d", 0, 1), ("harmonic", 1.5)), (("d", 0, 1), ("harmonic", "1")),
+        (("d", 0, 1), ("harmonic", True)), (("d", 1), ("cauchy-left",)),
+        (("d", 1, 0, 0), ("cauchy-left",)), (("d", 1, 0), ()),
     ]:
         with pytest.raises(InvalidParams):
             axial.apply(op, source, s, x)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -170,6 +171,48 @@ def test_every_one_offset_family_mutant_fails_a_check(monkeypatch, family):
             if not caught:
                 missed.append(("efgpqrt"[i], step))
     assert missed == []
+
+
+# one field of a THEOREMS row changed: (families at odd beta, at even beta,
+# extra, sign, prefactor) -> the mutant row
+THEOREM_MUTANTS = {
+    "d sign +1": ("d", lambda odd, even, extra, sign, pref: (odd, even, extra, 1, pref)),
+    "d extra 1": ("d", lambda odd, even, extra, sign, pref: (odd, even, 1, sign, pref)),
+    "d parity swapped": ("d", lambda odd, even, extra, sign, pref: (even, odd, extra, sign, pref)),
+    "d prefactor x2": ("d", lambda odd, even, extra, sign, pref: (
+        odd, even, extra, sign, lambda *a: 2 * pref(*a))),
+    "dbar extra 0": ("dbar", lambda odd, even, extra, sign, pref: (odd, even, 0, sign, pref)),
+    "dbar sign -1": ("dbar", lambda odd, even, extra, sign, pref: (odd, even, extra, -1, pref)),
+    "dbar prefactor negated": ("dbar", lambda odd, even, extra, sign, pref: (
+        odd, even, extra, sign, lambda *a: -pref(*a))),
+}
+
+
+@pytest.mark.parametrize("mutant", list(THEOREM_MUTANTS))
+def test_every_one_field_theorem_mutant_fails_a_check(monkeypatch, mutant):
+    base, mutate = THEOREM_MUTANTS[mutant]
+    monkeypatch.setitem(cf.THEOREMS, base, mutate(*cf.THEOREMS[base]))
+    assert _fails(lambda: all(cf.boundary_vanishing_holds(h, m)
+                              for h in range(1, 13) for m in range(h))) or any(
+        not run_suite(SuiteConfig(suite=f"theorem-{base}", n_values=(n,), trials=1,
+                                  seed=0, jobs=1)).passed
+        for n in (3, 5, 7))
+
+
+def test_boundary_reduction_with_its_prefactor_is_the_polyanalytic_coefficient():
+    # at beta = h_n - m the Dbar theorem keeps one term, (s - xbar)
+    # Q^-(h_n+1) (s - x0)^(h_n-m); with the prefactor its weight is
+    # gamma_n (-1)^(h_n-m) / (h_n-m)!, the coefficient of polyanalytic_kernel(m)
+    count = 0
+    for h in range(1, 33):
+        for m in range(h):
+            pref, first, second = cf.theorem_terms("dbar", h, m, h - m)
+            [(c, a, b)] = [t for t in first if t[0]]
+            assert (a, b) == (h + 1, h - m) and not any(t[0] for t in second)
+            assert pref * c == Fraction(cf.gamma_n(2 * h + 1) * (-1) ** (h - m),
+                                        cf.factorial(h - m)), (h, m)
+            count += 1
+    assert count == 528
 
 
 def test_sigma_gamma_link():

@@ -423,7 +423,10 @@ def test_closed_form_refuses_every_other_pair():
         (("D", 1, 0), ("cauchy-left",)), (("d", -1, 0), ("cauchy-left",)),
         (("d", 0, -2), ("cauchy-left",)), (("d", 1.0, 0), ("cauchy-left",)),
         (("d", True, 0), ("cauchy-left",)), (("d", 0, 0), ("harmonic", 3)),
-        (("d", 0, 3), ("harmonic", 0)),
+        (("d", 0, 3), ("harmonic", 0)), (("d", 0, 2), ("harmonic", True)),
+        (("d", 0, 2), ("harmonic", 1.0)), (("d", 0, 2), ("harmonic", "1")),
+        (("d", 1), ("cauchy-left",)), (("d", 1, 0, 0), ("cauchy-left",)),
+        (("d", 1, 0), ()),
     ]
     refused += [(("d", 0, k), ("harmonic", m)) for m in (1, 2) for k in range(5) if k != 3 - m]
     for op, source in refused:

@@ -86,6 +86,10 @@ def test_contour_spec_validation():
                                       (I3, nan, 2.0), (I3, inf, 2.0), (I3, -inf, 2.0)):
         with pytest.raises(InvalidParams):
             ContourSpec(direction, center, radius, 16)
+    # a node count that is not an int, a bool included
+    for nodes in (8.0, 16.0, "16", True, None):
+        with pytest.raises(InvalidParams, match="^node count must be an int, got "):
+            ContourSpec(I3, 0.0, 2.0, nodes)
 
 
 def test_contour_nodes_positions_and_weights():
