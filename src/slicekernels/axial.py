@@ -21,13 +21,17 @@ Clifford analysis and axial symmetry", J. Math. Anal. Appl. 130, 1988).
 
 The functions the oracle rows differentiate are written here once more, in
 this algebra, and share no code with the closed forms in `kernels`.  Q =
-q0 + q1 v lies in the plane of s, so Q^-1 = (q0 - q1 v) / (q0^2 + nu q1^2).
-The jets are exact, and a float point is read exactly.
+q0 + q1 v lies in the plane of s, so Q^-m = Qbar^m N^-m, N = q0^2 + nu q1^2,
+over one reciprocal.  Only `cauchy-right` depends on t, linearly: its
+product Q^-1 (s - xbar) meets vu = -uv - 2t once.  The rules keep the
+t-degree, as t only multiplies g_t, so the jets keep t-degree <= 1 alone.
+A `Walk` applies every D^beta Delta^m up to one order to one source at one
+point, and `apply` is the walk of one row.  The jets are exact, and a float
+point is read exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import coeffs as cf
@@ -40,17 +44,19 @@ _X0, _RHO, _T = 0, 1, 2
 
 @lru_cache(maxsize=None)
 def _context(order: int):
-    """The total-degree jet ring of `order` in (x0, rho, t)."""
-    return jet_ring(3, tuple(a for a in itertools.product(range(order + 1), repeat=3)
-                             if sum(a) == order))
+    """The jet ring of `order` in (x0, rho, t), linear in t: corners
+    (a, order - a, 0) and (a, order - 1 - a, 1).  d/dt of the jet of a
+    function linear in t is there the jet of its derivative (see `JetRing`)."""
+    corners = [(a, order - a, 0) for a in range(order + 1)]
+    return jet_ring(3, tuple(corners + [(a, order - 1 - a, 1) for a in range(order)]))
 
 
 class _Point:
-    """The algebra at one point: jets of x0, rho and t seeded there, with nu
-    and n as numbers.  An element is a tuple (g1, gu, gv, guv) of jets."""
+    """The algebra at one point: jets of x0, rho and t seeded there in `ring`,
+    with nu and n as numbers.  An element is a tuple (g1, gu, gv, guv) of jets."""
 
-    def __init__(self, s: Paravector, x: Paravector, order: int):
-        self.ring = ring = _context(order)
+    def __init__(self, s: Paravector, x: Paravector, ring):
+        self.ring = ring
         self.n = x.n
         self.nu = s.vector_norm_sq()
         self.x0 = ring.seed(_X0, x.x0)
@@ -59,8 +65,7 @@ class _Point:
         zero, one = ring.zero(), ring.one()
         c = ring.lift(s.x0) - self.x0
         q0, q1 = c * c + self.rho - ring.lift(self.nu), c.scale(2)
-        inv = ring.reciprocal(q0 * q0 + q1 * q1 * self.nu)
-        self.qinv = (q0 * inv, zero, -(q1 * inv), zero)
+        self.qbar, self.norm = (q0, zero, -q1, zero), q0 * q0 + q1 * q1 * self.nu
         self.smxbar = (c, one, one, zero)  # s - xbar = (s0 - x0) + u + v
 
     def mul(self, a: tuple, b: tuple) -> tuple:
@@ -76,10 +81,12 @@ class _Point:
         )
 
     def qinv_power(self, k: int) -> tuple:
-        out = self.qinv
+        """Q^-k = Qbar^k N^-k: the powers keep small integers, and one reciprocal reduces."""
+        out, norm = self.qbar, self.norm
         for _ in range(k - 1):
-            out = self.mul(out, self.qinv)
-        return out
+            out, norm = self.mul(out, self.qbar), norm * self.norm
+        inv = self.ring.reciprocal(norm)
+        return tuple(a * inv for a in out)
 
     def d(self, jet, var: int):
         """d/d(x0, rho or t) of a jet, by the variable's index shift."""
@@ -112,8 +119,8 @@ class _Point:
 
 # The functions an oracle row names as its source: (name, *args) -> element.
 SOURCES = {
-    "cauchy-left": lambda p: p.mul(p.smxbar, p.qinv),
-    "cauchy-right": lambda p: p.mul(p.qinv, p.smxbar),
+    "cauchy-left": lambda p: p.mul(p.smxbar, p.qinv_power(1)),
+    "cauchy-right": lambda p: p.mul(p.qinv_power(1), p.smxbar),
     "fueter-sce": lambda p: tuple(
         a.scale(cf.gamma_n(p.n)) for a in p.mul(p.smxbar, p.qinv_power(cf.h_of(p.n) + 1))),
     "harmonic": lambda p, m: tuple(
@@ -121,26 +128,54 @@ SOURCES = {
 }
 
 
+class Walk:
+    """D^beta Delta^m of one source at one point, for every beta + 2m up to
+    `order`: one chain of Laplacians from the source, and from each link one
+    chain of D steps and one of D-bar steps, each link built when a row first
+    reads it.  A link keeps only the coefficients up to the order still to
+    be applied after it, the only ones a later step reads.  A row reads the
+    four constant terms of its link."""
+
+    def __init__(self, source: tuple, s: Paravector, x: Paravector, order: int):
+        name, *args = cf.check_source(source)
+        if name not in SOURCES or len(args) != SOURCES[name].__code__.co_argcount - 1:
+            raise InvalidParams(f"unknown source {source!r}")
+        self.out_ring, self.order, n = x.ring, order, x.n
+        s, x = s.cast(RATIONALS), x.cast(RATIONALS)
+        self.point = p = _Point(s, x, _context(order))
+        self.links = [SOURCES[name](p, *args)]  # Delta^m of the source
+        self.chains = {}  # (base, m) -> [Delta^m g, D Delta^m g, ...], D-bar for "dbar"
+        self.u = Multivector(n, RATIONALS, {1 << i: c for i, c in enumerate(x.xu)})
+        self.v = Multivector(n, RATIONALS, {1 << i: c for i, c in enumerate(s.xu)})
+        self.uv = self.u * self.v
+
+    def _cut(self, g: tuple, spent: int) -> tuple:
+        stop = self.point.ring.layers[self.order - spent].stop  # graded: degrees <= order - spent
+        return tuple(a._like({k: v for k, v in a._nums.items() if k < stop}, a.den) for a in g)
+
+    def value(self, op: tuple) -> Multivector:
+        """The value of op = (base, beta, m) on the source at x, in the ring of x."""
+        base, beta, m = cf.check_operator(op)
+        if beta + 2 * m > self.order:
+            raise InvalidParams(f"operator {op!r} exceeds the walk's order {self.order}")
+        p, links = self.point, self.links
+        while len(links) <= m:
+            links.append(self._cut(p.laplacian(links[-1]), 2 * len(links)))
+        chain = self.chains.setdefault((base, m), [links[m]])
+        while len(chain) <= beta:
+            step = p.dirac(chain[-1], 1 if base == "d" else -1)
+            chain.append(self._cut(step, 2 * m + len(chain)))
+        c1, cu, cv, cw = (a.constant_term() for a in chain[beta])
+        value = (Multivector.scalar(self.u.n, RATIONALS, c1) + self.u.scale(cu)
+                 + self.v.scale(cv) + self.uv.scale(cw))
+        return value.cast(self.out_ring)
+
+
 def apply(op: tuple, source: tuple, s: Paravector, x: Paravector) -> Multivector:
     """D^beta Delta^m (base "d") or D-bar^beta Delta^m (base "dbar"), for
     op = (base, beta, m), applied to the function named by `source` at x,
     with the value of `diffop.oracle_apply` on the same function: exact at
-    the point x holds, each blade rounded once into the ring of x."""
+    the point x holds, each blade rounded once into the ring of x.  This is
+    the walk of one row, at the operator's own order."""
     base, beta, m = cf.check_operator(op)
-    name, *args = cf.check_source(source)
-    if name not in SOURCES or len(args) != SOURCES[name].__code__.co_argcount - 1:
-        raise InvalidParams(f"unknown source {source!r}")
-    ring = x.ring
-    s, x = s.cast(RATIONALS), x.cast(RATIONALS)
-    p = _Point(s, x, beta + 2 * m)
-    g = SOURCES[name](p, *args)
-    for _ in range(m):
-        g = p.laplacian(g)
-    for _ in range(beta):
-        g = p.dirac(g, 1 if base == "d" else -1)
-    n = x.n
-    c1, cu, cv, cw = (a.constant_term() for a in g)
-    u = Multivector(n, RATIONALS, {1 << i: c for i, c in enumerate(x.xu)})
-    v = Multivector(n, RATIONALS, {1 << i: c for i, c in enumerate(s.xu)})
-    value = Multivector.scalar(n, RATIONALS, c1) + u.scale(cu) + v.scale(cv) + (u * v).scale(cw)
-    return value.cast(ring)
+    return Walk(source, s, x, beta + 2 * m).value(op)

@@ -149,7 +149,7 @@ def theorem_terms(base: str, h_n: int, m: int, beta: int) -> tuple:
     """(prefactor, first, second) of the theorem of `base` (a key of
     THEOREMS); each sum is a list of terms (c, a, b), meaning
     c Q^-a (s - x0)^b, in summation order, the sign taken into c."""
-    if beta < 1 or m < 0 or m + beta > h_n:
+    if not (type(beta) is type(m) is int and beta >= 1 and m >= 0 and m + beta <= h_n):
         raise InvalidParams(
             f"need beta >= 1, m >= 0, m + beta <= h_n = {h_n}; got m={m}, beta={beta}")
     odd, even, extra, sign, prefactor = THEOREMS[base]

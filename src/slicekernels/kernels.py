@@ -28,7 +28,9 @@ over d or d^2, put in lowest terms once.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from fractions import Fraction
 from random import Random
@@ -209,7 +211,9 @@ def _theorem_kernel(base: str, s: Paravector, x: Paravector, m: int, beta: int) 
     qk = pseudo_inverse(s, x).powers(max(a for _, a, _ in first + second))
     sk = _smx0(s, x).powers(max(b for *_, b in first + second))
 
-    def term(c, a, b):
+    def term(c, a, b):  # an exact term by one product in the plane of s: the same value
+        if x.ring is RATIONALS:
+            return _plane_product(qk[a], sk[b]).to_multivector().scale(c)
         return (qk[a].to_multivector() * sk[b].to_multivector()).scale(c)
     acc = sum((term(*t) for t in first), Multivector.zero(x.n, x.ring))
     acc = sum((term(*t) for t in second), _smxbar(s, x) * acc)
@@ -230,7 +234,7 @@ def harmonic_kernel(s: Paravector, x: Paravector, m: int) -> Multivector:
     """sigma_{n,m} Q^{-m}: image of the Cauchy kernel under D Laplacian^(m-1)."""
     n = x.n
     h = cf.h_of(n)
-    if not 1 <= m <= h:
+    if type(m) is not int or not 1 <= m <= h:
         raise InvalidParams(f"harmonic kernel needs 1 <= m <= {h}")
     return pseudo_cauchy_pow(s, x, m).scale(cf.sigma_nm(h, m))
 
@@ -240,7 +244,7 @@ def laplacian_power_kernel(s: Paravector, x: Paravector, m: int) -> Multivector:
     Fueter-Sce kernel."""
     n = x.n
     h = cf.h_of(n)
-    if not 1 <= m <= h:
+    if type(m) is not int or not 1 <= m <= h:
         raise InvalidParams(f"laplacian power kernel needs 1 <= m <= {h}")
     qp = pseudo_cauchy_pow(s, x, m + 1)
     return (_smxbar(s, x) * qp).scale(cf.gamma_m(h, m))
@@ -250,7 +254,7 @@ def polyanalytic_kernel(s: Paravector, x: Paravector, ell: int) -> Multivector:
     """((-1)^(h-l)/(h-l)!) F_L^n (s-x0)^(h-l): image under Laplacian^l Dbar^(h-l)."""
     n = x.n
     h = cf.h_of(n)
-    if not 0 <= ell <= h:
+    if type(ell) is not int or not 0 <= ell <= h:
         raise InvalidParams(f"polyanalytic kernel needs 0 <= ell <= {h}")
     ring = x.ring
     power = h - ell
@@ -350,8 +354,20 @@ def _printed_sum(terms, factor, n: int, ring) -> Multivector:
     return out
 
 
+def _plane_product(p: Paravector, q: Paravector) -> Paravector:
+    """p q for p and q in the plane of s: their vector parts are parallel, so
+    the product is (p0 q0 - <pu, qu>) + (p0 qu + q0 pu), with no bivector."""
+    (p0, *pu), (q0, *qu) = p._nums, q._nums
+    return Paravector._make(p.ring, (p0 * q0 - sum(map(operator.mul, pu, qu)),
+                                     *(p0 * b + q0 * a for a, b in zip(pu, qu))), p.den * q.den)
+
+
 def _lemma_rhs(lemma: str, formula: int, s, x, m: int, k: int) -> Multivector:
-    """The printed side of a lemma block, from its row of `_LEMMA_SIDES`."""
+    """The printed side of a lemma block, from its row of `_LEMMA_SIDES`.  A
+    float term is its factors multiplied left to right.  An exact term has
+    the same value, by associativity, from its factors in the plane of s
+    multiplied as paravectors, then s - xbar, first where a term has it, by
+    one Clifford product."""
     if m < 0 or k < 0:
         raise InvalidParams("lemma blocks need m >= 0 and k >= 0")
     terms = _LEMMA_SIDES.get((lemma, formula))
@@ -360,11 +376,22 @@ def _lemma_rhs(lemma: str, formula: int, s, x, m: int, k: int) -> Multivector:
     k = k if formula in (3, 4) else 0
     h = cf.h_of(x.n)
     weights = {"m": m, "k": k, "h-m": h - m, "h-m+1": h - m + 1}
-    qm, qm1 = (q.to_multivector() for q in pseudo_inverse(s, x).powers(m + 1)[m:])
-    p = [None] + [v.to_multivector() for v in _smx0(s, x).powers(k + 1)]  # p[j] = (s-x0)^(j-1)
-    factors = {"b": _smxbar(s, x), "q": qm, "q1": qm1, "p-": p[k], "p": p[k + 1], "p+": p[k + 2]}
-    return _printed_sum(((a * weights[w], names) for a, w, *names in terms),
-                        factors.__getitem__, x.n, x.ring)
+    qm, qm1 = pseudo_inverse(s, x).powers(m + 1)[m:]
+    p = [None, *_smx0(s, x).powers(k + 1)]  # p[j] = (s-x0)^(j-1)
+    factors = {"q": qm, "q1": qm1, "p-": p[k], "p": p[k + 1], "p+": p[k + 2]}
+    smxbar, out = _smxbar(s, x), Multivector.zero(x.n, x.ring)
+    for a, w, *names in terms:
+        if not (c := a * weights[w]):
+            continue
+        if x.ring is RATIONALS:
+            plane = [factors[name] for name in names if name != "b"]
+            term = functools.reduce(_plane_product, plane).to_multivector()
+            term = smxbar * term if names[0] == "b" else term
+        else:
+            term = functools.reduce(operator.mul, [
+                smxbar if name == "b" else factors[name].to_multivector() for name in names])
+        out = out + term.scale(c)
+    return out
 
 
 def lemma_rhs(s: Paravector, x: Paravector, lemma: str, formula: int, m: int,

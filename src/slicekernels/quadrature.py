@@ -18,9 +18,11 @@ A node coordinate that is zero at every node, as the n - 1 coordinates off
 a C_{e1} contour's plane are, is one plain 0.0; a lane operation with an
 exact zero or one does no lane work, so the kernels keep it plain through
 Q, its inverse and every product.  The integrand is built once per f and
-contour value, equal SliceFunctions sharing one.  Each memo keeps its two
-most recent entries, so repeated integrals of one f over one contour, or
-alternating over two, build neither again.
+contour value, equal SliceFunctions sharing one, and the kernel's columns
+once per kernel, point and contour value, so the integrals of many f at one
+x over one contour call the kernel once.  Each memo keeps its two most
+recent entries, so repeated integrals of one f over one contour, or
+alternating over two, build none of them again.
 """
 
 from __future__ import annotations
@@ -192,8 +194,13 @@ def _columns(multivectors) -> dict:
     return {m: [b.get(m, 0.0) for b in blades] for m in set().union(*blades)}
 
 
-def _kernel_columns(kernel, x: Paravector, key: tuple) -> dict:
-    """mask -> kernel(s_j, x)[mask] over the nodes, zero where absent.
+# Two entries, as for the integrands: the checks at one point take one kernel
+# over one contour, or alternate two kernels or two contours.
+@lru_cache(maxsize=2)
+def _kernel_columns(kernel, point: tuple, key: tuple) -> dict:
+    """mask -> kernel(s_j, x)[mask] over the nodes, zero where absent, at the
+    float x whose coordinates' `float.hex` strings are `point` (which keeps
+    the sign of a zero), once per kernel (by identity), point and contour.
 
     One kernel call over the node lanes; each finite lane is its node's
     float kernel, but for the sign of a zero.  A lane that is not finite
@@ -201,6 +208,8 @@ def _kernel_columns(kernel, x: Paravector, key: tuple) -> dict:
     is zero in every lane would hide one; then every node is evaluated
     alone, in node order, so the first that raises raises as it does alone.
     """
+    x0, *xu = map(float.fromhex, point)
+    x = Paravector(FLOATS, x0, xu)
     _, points, lanes, _ = _nodes(key)
     columns = {m: c.v if isinstance(c, Lanes) else [c] * len(points)  # a constant blade
                for m, c in kernel(lanes, x).blades.items()}
@@ -220,7 +229,7 @@ def _integral(kernel, f, x: Paravector, contour: ContourSpec) -> Multivector:
     key = contour.key
     integrand = _integrand(f, key)
     terms: dict = {}
-    for m, kc in _kernel_columns(kernel, x, key).items():
+    for m, kc in _kernel_columns(kernel, tuple(c.hex() for c in x.coords()), key).items():
         for p, signed in integrand.items():
             mask, sign = blade_product(m, p)
             terms.setdefault(mask, []).append(map(operator.mul, kc, signed[sign < 0]))
@@ -243,14 +252,14 @@ def _finite_fsum(terms) -> float:
 
 def cauchy_reconstruct(f, x: Paravector, contour: ContourSpec) -> Multivector:
     """(1/2pi) sum of S_L^{-1}(s_j, x) ds_I f(s_j) over the circle nodes."""
-    return _integral(lambda s, y: cauchy_left(s, y, form="II"), f, x, contour)
+    return _integral(cauchy_left, f, x, contour)  # form II is its default
 
 
 def fueter_sce_integral(f, x: Paravector, contour: ContourSpec) -> Multivector:
     """(1/2pi) sum of F_L^n(s_j, x) ds_I f(s_j); the axially monogenic image."""
     if x.n % 2 == 0 or x.n < 3:
         raise InvalidParams("integral Fueter-Sce map needs odd dimension >= 3")
-    return _integral(lambda s, y: fueter_sce_kernel(s, y, side="left"), f, x, contour)
+    return _integral(fueter_sce_kernel, f, x, contour)  # the left side is its default
 
 
 def convergence_table(integral, f, x: Paravector, contour: ContourSpec,

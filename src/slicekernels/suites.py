@@ -1,10 +1,12 @@
 """Verification suites and machine-readable reports.
 
 Each suite expands into a list of independent cases keyed by a stable
-string; a case derives its own RNG from (seed, suite, key), so reports are
-deterministic for a given config regardless of worker count or execution
-order.  In exact mode a case passes only when the residual is identically
-zero; in float mode the residual norm is compared against
+string.  A sampled point is drawn from (seed, n, trial, sampler) alone, so
+every row and every suite that samples there with one sampler checks the
+same point (`theorem-d` and `theorem-dbar` at one seed, say), and reports
+are deterministic for a given config regardless of worker count or
+execution order.  In exact mode a case passes only when the residual is
+identically zero; in float mode the residual norm is compared against
 ``tol * max(1, |lhs|, |rhs|)``.
 
 Every kind of case is one row of `CHECKS`, and `SUITES` lists the kinds
@@ -13,6 +15,12 @@ its operator D^beta Delta^m and the function it differentiates, once, and
 the axial oracle (`axial.apply`) decides `K.closed_form` of that pair in
 both modes: it reads a float point exactly and rounds its value once, so a
 float residual is the float closed form's own error.
+
+The cases that share a point run as one group, serially or on a forked
+worker.  A group's oracle rows on one source read one `axial.Walk`, built at
+the highest order they reach, by the first of them to run, which pays for
+it in its `wall_time`; the walks are freed when the group ends.  Its
+quadrature rows share the kernel columns that `quadrature` keeps per point.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import math
 import os
 import time
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -142,8 +151,17 @@ class VerificationReport(NamedTuple):
         return self.summary["failed"] == 0
 
 
-def _case_rng(config: SuiteConfig, key: str) -> Random:
-    return Random(f"{config.seed}|{config.suite}|{key}")
+def _point_rng(config: SuiteConfig, params: dict, sampler: str) -> Random:
+    """The generator of the point that `sampler` draws at (seed, n, trial);
+    a row with no trial draws at (seed, n)."""
+    return Random(f"{config.seed}|{params['n']}|{params.get('trial')}|{sampler}")
+
+
+@lru_cache(maxsize=1)  # the rows of a group run one after another: one draw serves them
+def _pair(config: SuiteConfig, n: int, trial: int) -> tuple:
+    """The (s, x) that `K.sample_point_pair` draws at (seed, n, trial), in the mode's ring."""
+    return K.sample_point_pair(n, _point_rng(config, dict(n=n, trial=trial), "pair"),
+                               ring=_ring(config))
 
 
 def _ring(config: SuiteConfig):
@@ -175,8 +193,7 @@ def _run_series(params, config: SuiteConfig) -> dict:
     not roundoff.
     """
     n = params["n"]
-    rng = _case_rng(config, params["key"])
-    s, x = K.sample_series_pair(n, rng)
+    s, x = K.sample_series_pair(n, _point_rng(config, params, "series"))
     limit = K.cauchy_left(s, x, form="II")
     ns_f = math.sqrt(float(s.norm_sq()))
     rho = math.sqrt(float(x.norm_sq())) / ns_f
@@ -206,9 +223,7 @@ def _run_catalog(params, config: SuiteConfig) -> dict:
     """
     entry = K.catalog_fixture(params["id"])
     flagged = bool(entry.corrected_text)
-    rng = _case_rng(config, params["key"])
-    points = [K.sample_point_pair(entry.n, rng, ring=_ring(config))
-              for _ in range(params["trials"])]
+    points = [_pair(config, entry.n, t) for t in range(params["trials"])]
     worst, printed, confirmed = 0.0, [], []
     for s, x in points:
         oracle = axial.apply(entry.op, ("cauchy-left",), s, x)
@@ -256,8 +271,7 @@ QUAD_FLOAT_FLOOR = 1e-13
 
 def _run_quad_convergence(params, config: SuiteConfig) -> dict:
     n = params["n"]
-    rng = _case_rng(config, params["key"])
-    x = _quad_interior_point(n, rng)
+    x = _quad_interior_point(n, _point_rng(config, params, _quad_interior_point.__name__))
     f = SliceFunction([0, 0, 0, 1])
     exact = x.pow(3).to_multivector()
     counts = [2**i for i in range(3, params["nodes"].bit_length())]  # 8, 16, ... <= nodes
@@ -356,7 +370,7 @@ def _axial_link(p, s, x):
     """The axial oracle against the jet oracle, which applies the operator
     `diffop.named_operator` builds once per process to `JET_SOURCES`."""
     op, (name, *args) = (p["base"], p["beta"], p["m"]), p["source"]
-    value = axial.apply(op, p["source"], s, x)
+    value = _walk_value(op, p["source"], s, x)
     return value, oracle_apply(named_operator(p["n"], *op), JET_SOURCES[name](s, *args), x)
 
 
@@ -585,21 +599,78 @@ def _run_case(params, config: SuiteConfig) -> dict:
         return {"residual": 0.0 if ok else 1.0, "pass": ok}
     if check.run:
         return check.run(params, config)
-    rng = _case_rng(config, params["key"])
     if check.quad:
-        x = check.sample(params["n"], rng)
+        x = check.sample(params["n"], _point_rng(config, params, check.sample.__name__))
         got, exact = check.quad(params, x)
         residual = (got - exact).norm_float()
         return {"residual": residual, "pass": residual <= check.tol,
                 "point": {"x": format_paravector(x)}}
-    s, x = K.sample_point_pair(params["n"], rng, ring=_ring(config))
+    s, x = _pair(config, params["n"], params["trial"])
     if check.oracle:  # the library's closed form against the axial oracle
         op, source = check.oracle(params)
-        value, other = K.closed_form(op, source, s, x), axial.apply(op, source, s, x)
+        value, other = K.closed_form(op, source, s, x), _walk_value(op, source, s, x)
     else:
         value, other = check.pair(params, s, x)
     residual, ok = _compare(value, other, config)
     return {"residual": residual, "pass": ok, "point": _point_record(s, x)}
+
+
+# The running group's shared work: the highest order beta + 2m that its rows
+# reach on each source, and the walks built so far; both empty between groups.
+_ORDERS: dict = {}
+_WALKS: dict = {}
+
+
+def _walk_row(case: dict) -> tuple | None:
+    """(op, source) of a row that reads its point's walk: an oracle row, or an
+    `axial-link` row, which checks that walk against the jet oracle."""
+    if oracle := CHECKS[case["kind"]].oracle:
+        return oracle(case)
+    if case["kind"] == "axial-link":
+        return (case["base"], case["beta"], case["m"]), case["source"]
+    return None
+
+
+def _walk_value(op: tuple, source: tuple, s: Paravector, x: Paravector) -> Multivector:
+    """The axial oracle's value of a row: its group's walk on `source`, built
+    by the first row that reads it, or outside a group the row's own walk."""
+    if (walk := _WALKS.get(source)) is None:
+        walk = axial.Walk(source, s, x, _ORDERS.get(source, op[1] + 2 * op[2]))
+        if source in _ORDERS:
+            _WALKS[source] = walk
+    return walk.value(op)
+
+
+def _groups(cases: list) -> list:
+    """The units that the runner hands out, in order of their first case: the
+    list of the cases that draw one point, (n, trial, sampler), in build
+    order, or alone a case that draws none.  Oracle and pair rows draw by
+    `_pair`, quadrature rows by their `sample`, named by its function name."""
+    units, at = [], {}
+    for case in cases:
+        check = CHECKS[case["kind"]]
+        sampler = check.sample.__name__ if check.quad else "pair" if check.oracle or check.pair else None
+        if sampler is None:
+            units.append(case)
+        elif (key := (case["n"], case.get("trial"), sampler)) in at:
+            at[key].append(case)
+        else:
+            units.append(at.setdefault(key, [case]))
+    return units
+
+
+def _execute_group(group, config: SuiteConfig) -> list:
+    """Run one point's cases in order, sharing one walk per source, or one
+    case that draws no point."""
+    if isinstance(group, dict):
+        return [_execute_case(group, config)]
+    for (_, beta, m), source in filter(None, map(_walk_row, group)):
+        _ORDERS[source] = max(_ORDERS.get(source, 0), beta + 2 * m)
+    try:
+        return [_execute_case(case, config) for case in group]
+    finally:
+        _ORDERS.clear()
+        _WALKS.clear()
 
 
 def _execute_case(params, config: SuiteConfig) -> dict:
@@ -623,21 +694,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_forked(cases: list, config: SuiteConfig, jobs: int) -> list:
-    """Run `cases` here and on `jobs - 1` forked children, all taking chunks,
-    the last built (at the largest n) first, from one pipe of 4-byte starts.
-    A child pickles its results into its own pipe, read to EOF before it is reaped."""
+def _run_forked(groups: list, config: SuiteConfig, jobs: int) -> list:
+    """Run `groups` here and on `jobs - 1` forked children, all taking chunks
+    of whole groups, the last built (at the largest n) first, from one pipe of
+    4-byte starts.  A child pickles its results into its own pipe, read to EOF
+    before it is reaped."""
     import pickle  # only a pooled run loads them
     import signal
 
-    chunk = max(1, len(cases) // (4 * jobs))  # under 8 chunks a process: 32 bytes
+    chunk = max(1, len(groups) // (4 * jobs))  # under 8 chunks a process: 32 bytes
     queue, feed = os.pipe()
-    os.write(feed, b"".join(i.to_bytes(4, "big") for i in reversed(range(0, len(cases), chunk))))
+    os.write(feed, b"".join(i.to_bytes(4, "big") for i in reversed(range(0, len(groups), chunk))))
     os.close(feed)
 
     def drain() -> list:  # a pipe read is atomic, so each chunk runs once
         starts = (int.from_bytes(r, "big") for r in iter(lambda: os.read(queue, 4), b""))
-        return [_execute_case(c, config) for i in starts for c in cases[i:i + chunk]]
+        return [r for i in starts for g in groups[i:i + chunk] for r in _execute_group(g, config)]
 
     children, reaped, results = [], [], None  # (pid, result pipe) of each child
     try:
@@ -674,17 +746,17 @@ def _run_forked(cases: list, config: SuiteConfig, jobs: int) -> list:
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     config.validate()
-    cases = _build_cases(config)
-    if not cases:
+    groups = _groups(_build_cases(config))
+    if not groups:
         dims = ",".join(map(str, config.n_values))
         raise InvalidParams(f"suite {config.suite} has no cases at n={dims} in {config.mode} mode")
     # every worker is forked before the first case runs, so size it to the work
     cpus = _usable_cpus()
-    jobs = min(config.jobs or cpus, cpus, len(cases))
+    jobs = min(config.jobs or cpus, cpus, len(groups))
     if jobs > 1 and hasattr(os, "fork"):
-        results = _run_forked(cases, config, jobs)
+        results = _run_forked(groups, config, jobs)
     else:
-        results = [_execute_case(c, config) for c in cases]
+        results = [r for g in groups for r in _execute_group(g, config)]
     results.sort(key=lambda r: r["key"])
     tables = {r["key"]: r.pop("table") for r in results if "table" in r}
     total = len(results)

@@ -1,5 +1,6 @@
 """The axial oracle against the jet oracle, and the jet oracle's dimension limit."""
 
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -174,6 +175,27 @@ def _at(poly, ring, x0, rho, t):
     return acc
 
 
+def _full_ring(order):
+    """The total-degree jet ring of `order` in (x0, rho, t), t^2 terms and all."""
+    return rings.jet_ring(3, tuple(a for a in itertools.product(range(order + 1), repeat=3)
+                                   if sum(a) == order))
+
+
+def test_every_source_is_linear_in_t():
+    # the axial ring keeps only t-degree <= 1, which is exact because no
+    # source has a t^2 term: on the total-degree ring none has one up to order 4
+    ring = _full_ring(4)
+    for n in range(3, 16, 2):
+        s, x = K.sample_point_pair(n, Random(n))
+        p = axial._Point(s, x, ring)
+        sources = [("cauchy-left",), ("cauchy-right",), ("fueter-sce",)]
+        for name, *args in sources + [("harmonic", m) for m in range(1, cf.h_of(n) + 1)]:
+            element = axial.SOURCES[name](p, *args)
+            assert all(ring.exponents[k][2] <= 1 for g in element for k in g._nums), (n, name)
+            if name == "cauchy-right":
+                assert any(ring.exponents[k][2] == 1 for g in element for k in g._nums)
+
+
 def test_axial_rules_are_the_jet_oracle_on_an_element_of_the_algebra_at_every_n():
     # D, D-bar and the Laplacian of g1 + u gu + v gv + uv guv, with g's drawn
     # as cubics in (x0, rho, t): the four d_u rules on their jets, against
@@ -197,7 +219,7 @@ def test_axial_rules_are_the_jet_oracle_on_an_element_of_the_algebra_at_every_n(
             v = Paravector(ring, ring.zero(), s.cast(ring).xu).to_multivector()
             return Multivector.scalar(n, ring, g1) + u.scale(gu) + v.scale(gv) + (u * v).scale(gw)
 
-        p = axial._Point(s, x, 2)
+        p = axial._Point(s, x, _full_ring(2))  # the cubics have t^2 and t^3 terms
         element = tuple(_at(q, p.ring, p.x0, p.rho, p.t) for q in g)
         u = Paravector(RATIONALS, 0, x.xu).to_multivector()
         v = Paravector(RATIONALS, 0, s.xu).to_multivector()
@@ -209,3 +231,40 @@ def test_axial_rules_are_the_jet_oracle_on_an_element_of_the_algebra_at_every_n(
                            + (u * v).scale(cw))
             assert all((c1, cu, cv, cw))
             assert axial_value == oracle_apply(named_operator(n, *op), F, x), (n, op)
+
+
+def test_every_oracle_row_kind_reads_from_its_group_walk_what_a_one_row_walk_gives():
+    # a group's walk on a source is built at the highest order its rows
+    # reach, with the coefficients each step no longer needs dropped; each
+    # row reads the value that its own walk, at its own order, gives
+    kinds = set()
+    for suite in ("theorem-d", "theorem-dbar", "special-cases", "monogenic", "polyharmonic"):
+        for n in (3, 5, 7, 9):
+            config = suites.SuiteConfig(suite=suite, n_values=(n,), trials=1, seed=0)
+            for group in suites._groups(suites._build_cases(config)):
+                if isinstance(group, dict):  # a case that draws no point
+                    continue
+                rows = [(case["kind"], suites._walk_row(case)) for case in group]
+                rows = [(kind, row) for kind, row in rows if row]
+                if not rows:
+                    continue
+                s, x = K.sample_point_pair(n, suites._point_rng(config, group[0], "pair"))
+                orders = {}
+                for _, ((_, beta, m), source) in rows:
+                    orders[source] = max(orders.get(source, 0), beta + 2 * m)
+                walks = {source: axial.Walk(source, s, x, order)
+                         for source, order in orders.items()}
+                for kind, (op, source) in rows:
+                    assert walks[source].value(op) == axial.apply(op, source, s, x), (n, op)
+                    kinds.add(kind)
+    assert kinds == {kind for kind, check in suites.CHECKS.items() if check.oracle}
+
+
+def test_a_walk_refuses_an_operator_past_its_order():
+    s, x = K.sample_point_pair(5, Random(80))
+    walk = axial.Walk(("cauchy-left",), s, x, 3)
+    assert walk.value(("d", 1, 1)) == axial.apply(("d", 1, 1), ("cauchy-left",), s, x)
+    with pytest.raises(InvalidParams):
+        walk.value(("d", 0, 2))
+    with pytest.raises(InvalidParams):
+        axial.Walk(("cauchy",), s, x, 3)

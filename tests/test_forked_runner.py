@@ -90,14 +90,14 @@ def test_a_pooled_report_is_the_serial_one(monkeypatch, hold_parent, kw, child_c
 
 
 def test_more_workers_than_cores_run_each_case_once(monkeypatch):
-    # eight workers on any host share 32 chunks of 5 cases
+    # eight workers on any host share 8 groups, each the 80 cases at one point
     monkeypatch.setattr(suites, "_usable_cpus", lambda: 8)
-    config = dict(suite="lemmas", n_values=(3,), trials=2)
+    config = dict(suite="lemmas", n_values=(3,), trials=8)
     serial = _report(jobs=1, **config)
     pooled = _report(jobs=8, **config)
     _assert_no_child_left()
     keys = [case["key"] for case in pooled["cases"]]
-    assert len(keys) == len(set(keys)) == 160
+    assert len(keys) == len(set(keys)) == 640
     assert pooled == serial
 
 

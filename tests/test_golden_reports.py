@@ -4,6 +4,10 @@ Each digest is the SHA-256 of `as_dict(strip_times=True)` serialised with
 sorted keys. A refactor of the suites or the closed forms must leave every
 one of them unchanged; a digest that moves means a case key, a parameter, a
 sampled point, a residual or a verdict changed. Every pinned report passes.
+
+Every digest of a suite that samples points was made again when points came
+to be drawn from (seed, n, trial, sampler) alone; at the points drawn before,
+from (seed, suite, case key), every earlier digest still held.
 """
 
 import hashlib
@@ -14,80 +18,80 @@ import pytest
 from slicekernels.suites import SuiteConfig, _build_cases, run_suite
 
 EXACT = {
-    "theorem-d": "daa654bcd56c331101f1704f32f598effb8171974c80e06c2474561946558dd3",
-    "theorem-dbar": "9c1abc48bee7c5ffb7cd1d76ea7cccb35147af1e45223de31e9eeb37968e01c9",
-    "lemmas": "187f3f4cd6b0a1e35181d8ebcee6954d9b29a4c295271576ceb7d4e68c17e49e",
-    "special-cases": "cd0b0ed8bf0a9191d5b90b4b2037e79dd76cca09cea94ff8b60cd03a5c249c7e",
+    "theorem-d": "84c98a5b73d25435b89e6c0c14335132ec4613e19d3ed0a52d6fe71d8fbe5d76",
+    "theorem-dbar": "a3573abd871306b5b728c771758b73a751cdb911238fb520d266426c2c2dfc7d",
+    "lemmas": "2b2b93e33ef35c6d093856db1351f7eb423dc9e42cabfe6c37d7d55623558f88",
+    "special-cases": "2a7b2cfc42f92b9f6ada4f12056218a6464a228da386c04811eccfcd2b93bf32",
     "appendix": "9f6d35731a2b3674c6c7d660fe62f2a4dd844b1184dd9ab318ff77edd75d7de8",
-    "monogenic": "bc76743462eeb8b2793babc23a6f5b57e1578d98e07bd7c3a47e8202dbbba9aa",
-    "polyharmonic": "b10819dce479aaeea48828cf2412c2777d92285d56aeac578ba9cad8380b0949",
-    "forms": "017f9e0d1ff1b4b0343cbbc2d7694fc1a1eb81be549c621f3a4a125384fa07dd",
-    "series": "d66415b72f694fd0d8abb4b1f1215fb8b69f442866baeea8ac9eb2ebedfeee54",
-    "catalog": "9d59998218230cd8b40d2c814aa809256716a63e5af61298bcbd48ff72c52412",
-    "quadrature": "0bed75d562e4df4767a3c0f51ee95dd6e8f4cd7eb27fa5b3067694478b3ff8e4",
-    "axial-link": "27c53d0ccaee2d2a0554f3b184271a9fced9b29ae9d5f4fc1339be685bd91069",
+    "monogenic": "5fccc36d9fde794eb1ffdfbc27f7b92a1f3adeee851b8b64e7670fd066c8c4ca",
+    "polyharmonic": "16b75310af324e822c68ea372ef166c7ca8c6a5f6fa5e06908e2891d7df0fe47",
+    "forms": "c74d546c78bf1ad2f9d5e5686a6103658da8616c331063c43223bd6e91fc4091",
+    "series": "a332d8a4eaacb62c05972a2bf5d8db742daa73cc7793f2f96e3832b481a3c792",
+    "catalog": "8bc907001a8969eab0128b750d1984a5fefe713a73a5715d2df6b51e0558b281",
+    "quadrature": "3b2e34c74e0536874daa64a3e18c70c0d53fafb206d4fcb996a228e1725ebed7",
+    "axial-link": "4f6ac24a54c633ed9b2e036a9f024f7d09de822029969302305915df59f94645",
 }
 
 # n=7 is where the oracle costs most: operators up to order 6 (Laplacian^3)
 # in 8 variables
 EXACT_N7 = {
-    "theorem-d": "42e304b7cb1d28905ab9b396378124d9d37d0838caf7482420367dfc38c793eb",
-    "theorem-dbar": "99946e311e04f63e6853984d6502349bb72e7e38e8353d683d85f79329112202",
-    "special-cases": "df45ad57f50a9cea86b0c061f05b892a74c2828899d0baf6e3be2f059d1d527c",
-    "polyharmonic": "0d30c52e3d649b2cac018e24d0be1f15d8143db84f28371c8f623462a7f258b4",
-    "lemmas": "688a112b983effeb4b853e9bf9045a63c9eab4be4d77d9650f16018de8f01464",
-    "axial-link": "56b7a62513ab16d4477c362a86a17097a788257a2f13c799456cd420965c61d5",
+    "theorem-d": "80024c92a1cd6731d269c8edf680640ead7c2692b4feefaa6356cbada00cfc56",
+    "theorem-dbar": "675b052b7f236bef3cf701f64127b8ecd1d98b2b91dc36f021415f303b67ad10",
+    "special-cases": "8dbaf6b294c806e310cf48d3acc5521bfe97bab1d90acbdac4b6544e6dff07d9",
+    "polyharmonic": "844b09146298f164ca27a4e557be458dacdfb59f6e63fd100e919c8416db68e4",
+    "lemmas": "7b2e19508834f3f27f2c5974b73538782aa81171724a4f48a6bb69bdf1575ac4",
+    "axial-link": "49ec8d3b6c23711d0b197ccc7037eb935ad845748fc1d3a37ab09e5f39deb528",
 }
 
 # n=9, one trial: operators up to order 8 in 10 variables
 EXACT_N9 = {
-    "theorem-d": "bb044a5f19a4c7db30e95eb63dba6629e5f0738d4fa074b6323b8335a3e4bf1b",
-    "theorem-dbar": "4a4172f7730fbd0d4d37f911e4a0ce700d39b262c1d99b138f3d26c0335ba250",
-    "special-cases": "fac2ed1452d3ae517291a7cf1879ed164e7ab76ab80e7b3ad7c01c1aa1435677",
+    "theorem-d": "b888ac847fcbd081ec0247b42fd002fb0c7b8fa7fe3c139e5781d2008580abc2",
+    "theorem-dbar": "86c8871e7046fc9a5bd61372d052483162c701a3c76aeb3a5409d5d743376458",
+    "special-cases": "895b755d8738765d4dfbb20e7830462b01d5d183dd58ce63d6a366762b5a1185",
 }
 
-# n=11, one trial: made with the jet oracle (about 27 s and 1.4 GB each on a
-# 2-core VM), now decided by the axial oracle
+# n=11, one trial: decided by the axial oracle; the digests at the earlier
+# points were made with the jet oracle (about 27 s and 1.4 GB each on a
+# 2-core VM)
 EXACT_N11 = {
-    "theorem-d": "f9a38de57b8c6fb6f6228c160e41d340199bb5cee70604499bacde59acd6aea0",
-    "theorem-dbar": "da74c992cee05c35445d6f4cf3e4b7d2527d155f39fbc6f05ad7c7cd8941659c",
+    "theorem-d": "adbf0ac9ba9108dedf225c921a5a056d981f378ea741a398bb3bd039ce1582ba",
+    "theorem-dbar": "3cdd58d0177f3cd1e8957d184227e8b671c431b02397009674cf34d37e0df730",
 }
 
 # n=15, one trial: the lemma rows, whose block the jet oracle differentiates in
-# 16 variables, made before the block was built in the plane of s; and the
-# theorem rows, long exact chains of closed-form products and sums, made before
-# exact multivectors were stored as int numerators over one denominator
+# 16 variables; and the theorem rows, long exact chains of closed-form products
+# and sums
 EXACT_N15 = {
-    "lemmas": "a479a6c3044957a8957be3302e0d6f4ae102d5ebed9fa1fc7fda1a2d3362745a",
-    "theorem-d": "53f3b4efde39ede8303690095ba0f85569d37c8ce3414b81846ac79112c42033",
-    "theorem-dbar": "e0343711a0566b9cb5fc5c82be1ede40b3d61aa0ebe324a79889f3ce2a165d04",
+    "lemmas": "c0ce98cfcc2e79deb52eff5160f6c240b25d5a77dce2153b2532fef425fc400f",
+    "theorem-d": "2d1e7d12d66f6e0de97bb80293523ab019bd6ca1fcf621da170a11cfadcd80fa",
+    "theorem-dbar": "8eddf9f11328c61d1ae6ae85b287ca506661066b2f7b6a9bac70f4a5aaeab429",
 }
 
 # series at 240 terms, n = 3, 5 and 7: each case sums 241 exact Clifford
-# products, made before exact multivectors were stored as numerators
-EXACT_SERIES_240 = "4238bd6936d9fa8293558711beba52aab3f72990e3a38eeed32ded87e285273b"
+# products
+EXACT_SERIES_240 = "10f2334a54f4061f2fbf19defda0630a34a6612a75c338538976d86f31d29c94"
 
 # Float reports: the closed forms in floats against the oracle's exact value
 # at the float point, rounded once
 FLOAT = {
-    "special-cases": "1cf47175c3518ab2da5cf9115dc6c0ef10154108d38b064b1ac76a3036604c15",
-    "polyharmonic": "e32eef98cbad75da2dc7dca32bfb3935fed22589ebc7ed94300231a91996f7e5",
-    "theorem-dbar": "952ac14f93c3b3f4ffe6a35a380e705f3602af30e717ff32aa8f4ede1e4e8a13",
-    "theorem-d": "12b98b067f7d3cdc2b2e794157f58df7afafd5423bfe579c874402427ac8f02d",
-    "lemmas": "4865ba0da637fda9ba0c826e5e4e47ad6800c9717ed356f6bf3d81e4adfc9ba2",
-    "monogenic": "bd33fe41cccf7d9cefd2634e9212f54e22f7a88070ccbcbfc12dc853d5a1dbb8",
-    "forms": "25875aad409530d0dae41d49e45aeb9e7c1d40689c89f9ccb9c94a9457b89c04",
-    "catalog": "3d8f1e7578f5bead6b873d5ee984f80f99c98a8dadfb7bc71db69f257eabd4c4",
-    "series": "bdd8e73cccc7d9a3d45da66d45a3a14b2ecad3a63a01cab3bf86d8f063a53658",
+    "special-cases": "2c03efc638bd9791cd15ecc78a9bccc720973d253a4044009db779a381152623",
+    "polyharmonic": "d8dd94f83847551a210c27871b087440fbe1c59bb64d8db3d987af3a6fdae765",
+    "theorem-dbar": "ed35ad4f1795941f7bb4472a94217baf80a6263463296e4ba30f288a0877b626",
+    "theorem-d": "79aa39a9b72f2b05e3e5fa59dcaac9de496ab78297a8a5841380d10014ff462e",
+    "lemmas": "ee972176ae443f00e8124f1c6cbf33cd49fac4cdaf192be43a8f86ce47ed7bda",
+    "monogenic": "e3ef9d7ac4b6ee68e36332a688e15d8cd676ce4e4c9cc393f04f42bb0ab3381c",
+    "forms": "9eea1577a2d67201e1990db7ce4c77ab80dabddf76ae6511d646934e2ff028f7",
+    "catalog": "39225734a460ee6b6f94dbe9c95cd4a4c42b48844a0280aa7ee557e6723b30aa",
+    "series": "a7d3d67560219413650f57ab6b0cb2af89b136c6cdffcab71674ed945154d740",
 }
 
 # A float report decided by the axial oracle at a float point read exactly
 # (theorem-dbar at n=9), and the contour memo (quadrature at its default 256
 # nodes).
 FLOAT_N9 = {
-    "theorem-dbar": "ab6a61c7bea93ffa57a5dc45599eb075b658409d7bcb3402522627719a7b6ce0",
+    "theorem-dbar": "de8a23fad2b2275edec53380d37c707b62748da9b4b65f716b497552f4b6c6ae",
 }
-QUADRATURE_256 = "647db55c32da36151e7d8103287396767ad648a7f3301f7043f81b8b8bcd0f44"
+QUADRATURE_256 = "99dbb34fb12eb90f0e33995b6cda76ff866dae08460f0dc90428048deb93e58f"
 
 EXACT_EXTRA = {"appendix": {"hn_max": 6}, "series": {"series_terms": 20},
                "quadrature": {"quad_nodes": 64}}

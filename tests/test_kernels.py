@@ -436,6 +436,25 @@ def test_closed_form_refuses_every_other_pair():
         assert K.closed_form(("d", 0, 3 - m), ("harmonic", m), s, x) == Multivector.zero(5, R)
 
 
+def test_public_kernels_refuse_an_index_that_is_not_an_int():
+    # a float or bool m, beta or ell is refused as bad input, not read as an
+    # int by a range or a power
+    s, x = K.sample_point_pair(5, Random(74))
+    for call in [
+        lambda: K.d_beta_delta_m_kernel(s, x, 0, 1.0),
+        lambda: K.d_beta_delta_m_kernel(s, x, 0.0, 1),
+        lambda: K.dbar_beta_delta_m_kernel(s, x, True, 1),
+        lambda: K.dbar_beta_delta_m_kernel(s, x, 0, True),
+        lambda: K.harmonic_kernel(s, x, 1.5),
+        lambda: K.harmonic_kernel(s, x, True),
+        lambda: K.laplacian_power_kernel(s, x, 1.5),
+        lambda: K.polyanalytic_kernel(s, x, 0.5),
+        lambda: K.polyanalytic_kernel(s, x, False),
+    ]:
+        with pytest.raises(InvalidParams):
+            call()
+
+
 def test_catalog_arbitration_spot():
     rng = Random(53)
     entry = K.catalog_fixture("n5-Delta")

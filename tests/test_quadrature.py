@@ -347,9 +347,10 @@ def test_fsum_integral_is_the_memo_free_sum_and_near_the_tree_sum(coeffs, half_n
 def test_one_kernel_call_one_f_call_and_two_products_per_integral(monkeypatch):
     # the kernel runs once, over the node lanes, and no node pays for a
     # Clifford product: a cold call adds f and w_j f(s_j), once each, to the
-    # kernel's own product, and a warm call reuses that integrand
+    # kernel's own product; a warm call at the same x reuses both the
+    # integrand and the kernel's columns, and a new x calls the kernel once
     contour = ContourSpec(I3, 0.0, 2.0, 64)
-    x = fpv(0.3, 0.1, -0.2, 0.4)
+    x, other = fpv(0.3, 0.1, -0.2, 0.4), fpv(0.3, 0.1, -0.2, -0.4)
     series = SliceFunction([0, 1, 2])
     counts = Counter()
 
@@ -367,10 +368,13 @@ def test_one_kernel_call_one_f_call_and_two_products_per_integral(monkeypatch):
         monkeypatch.setattr(quadrature, name, counted(name, getattr(quadrature, name)))
         quadrature._nodes.cache_clear()
         quadrature._integrand.cache_clear()
+        quadrature._kernel_columns.cache_clear()
         integral(f, x, contour)
         assert counts == {name: 1, "f": 1, "product": 2}
         counts.clear()
         integral(f, x, contour)
+        assert counts == {}
+        integral(f, other, contour)
         assert counts == {name: 1, "product": 1}
         counts.clear()
 
@@ -549,7 +553,7 @@ def test_a_kernel_blade_that_is_a_plain_float_is_a_constant_column():
 
     _, points, lanes, _ = quadrature._nodes(contour.key)
     assert type(kernel(lanes, x).blades[2]) is float
-    columns = quadrature._kernel_columns(kernel, x, contour.key)
+    columns = quadrature._kernel_columns(kernel, tuple(c.hex() for c in x.coords()), contour.key)
     assert columns[2] == [0.2] * 16
     assert columns == quadrature._columns(kernel(s, x) for s in points)
     f = SliceFunction([1, 0, 2])

@@ -144,14 +144,39 @@ def test_each_operator_support_builds_one_jet_ring(monkeypatch):
     # n=9 axial-link applies 24 operators through the jet oracle, with 12
     # supports: D^3 and D Delta share one, and so do D^3 Delta and D Delta^2,
     # and D-bar^beta Delta^m has the support of D^beta Delta^m; the axial
-    # oracle adds one 3-variable ring for each order 1..8
+    # oracle adds one 3-variable ring for each order its walks at the one
+    # point take: 8 (both Cauchy kernels and harmonic 1), 6, 4 and 2
+    # (harmonic 2, 3 and 4) and 1 (fueter-sce)
     named_operator.cache_clear()
     rings.jet_ring.cache_clear()
     axial._context.cache_clear()
     builds = _count_calls(monkeypatch, JetRing)
     assert run_suite(SuiteConfig(suite="axial-link", n_values=(9,), trials=1, seed=0,
                                  jobs=1)).passed
-    assert builds[0] == 12 + 8
+    assert builds[0] == 12 + 5
+
+
+def test_theorem_rows_at_one_point_share_one_walk(monkeypatch):
+    # theorem-d at n=7, trials 2: 12 rows at 2 points build 2 walks, each on
+    # one point of the axial algebra, not one per row
+    points = _count_calls(monkeypatch, axial._Point)
+    walks = _count_calls(monkeypatch, axial.Walk)
+    report = run_suite(small("theorem-d", n_values=(7,), trials=2))
+    assert report.passed and len(report.cases) == 12
+    assert points[0] == walks[0] == 2
+    assert not suites._WALKS and not suites._ORDERS  # freed when the group ends
+
+
+def test_theorem_d_and_theorem_dbar_check_the_same_points():
+    # a point is drawn from (seed, n, trial, sampler), not from the suite or
+    # the row, so every row at one (n, trial) of either suite has one point
+    points = {}
+    for suite in ("theorem-d", "theorem-dbar"):
+        for case in run_suite(small(suite, n_values=(3, 5, 7), trials=2, seed=4)).cases:
+            p = case["params"]
+            points.setdefault((p["n"], p["trial"]), set()).add(json.dumps(case["point"]))
+    assert len(points) == 6
+    assert all(len(seen) == 1 for seen in points.values())
 
 
 def test_axial_link_covers_every_catalog_point():
@@ -646,28 +671,29 @@ def test_default_jobs_count_the_usable_cpus(monkeypatch, affinity, cpus, pooled)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     forks = _count_forks(monkeypatch)
-    config = small("forms", jobs=None)
+    config = small("forms", jobs=None, trials=4)
     report = run_suite(config)
     # the parent is a worker: two usable CPUs fork one child; eight, for
-    # four cases, fork three
-    workers = min(len(affinity or range(cpus)), len(report.cases)) if pooled else 1
+    # four points (groups of two cases), fork three
+    workers = min(len(affinity or range(cpus)), 4) if pooled else 1
     assert len(forks) == workers - 1
-    assert report.passed and len(report.cases) > 1
-    assert report.as_dict(strip_times=True) == run_suite(small("forms")).as_dict(
+    assert report.passed and len(report.cases) == 8
+    assert report.as_dict(strip_times=True) == run_suite(small("forms", trials=4)).as_dict(
         strip_times=True)
 
 
 @pytest.mark.parametrize("jobs, cpus, trials, workers", [
-    (5000, 8, 1, 2),   # two cases: two workers
-    (5000, 3, 2, 3),   # four cases on three CPUs
-    (3, 8, 2, 3),
-    (None, 8, 1, 2),
+    (5000, 8, 2, 2),   # two points: two workers
+    (5000, 3, 4, 3),   # four points on three CPUs
+    (3, 8, 4, 3),
+    (None, 8, 2, 2),
+    (5000, 8, 1, None),  # one point, its two cases one group: no fork
     (5000, 1, 2, None),  # one usable CPU: no fork
 ])
 def test_pool_is_sized_to_the_work(monkeypatch, jobs, cpus, trials, workers):
-    # every worker is forked before the first case runs, so the run must
-    # never ask for more than the cases or the usable CPUs; the parent is
-    # one of the workers
+    # every worker is forked before the first case runs, and a worker takes
+    # whole groups of the cases at one point, so the run must never ask for
+    # more than the groups or the usable CPUs; the parent is one of the workers
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
     report = run_suite(small("forms", jobs=jobs, trials=trials))
