@@ -156,18 +156,25 @@ def named_operator(n: int, base: str, beta: int, m: int) -> DiffOperator:
     return operator_power_compose((make_dirac if base == "d" else make_dirac_conj)(n), beta, m)
 
 
+# The last point seeded, (jet ring, x, x seeded over that ring): held, so that
+# neither x nor the ring can be freed and give its id to another object.
+_SEEDED: list = [None, None, None]
+
+
 def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     """Apply `op` to `f` at `x` by one evaluation of `f` over the jet ring.
 
     `f(x)` must evaluate over any ring, as a `quadrature.SliceFunction` and
     a `kernels.kernel_closure` do; it is called once, at `x` seeded over
-    exact jets.  A float coordinate is read exactly, so the value is exact
-    at the point x holds, and each blade of the result is rounded once into
-    the ring of x.  The jets carry exactly the down-set of the operator's
-    support (every multi-index below some alpha of `op.terms`), which is
-    all that `op` reads; that shape, one cached `JetRing`, depends on the
-    operator alone, never on `f`, and comes with its coefficients from
-    `op.blade_terms()`, found once per operator.
+    exact jets.  The seeded point is shared across calls at one point:
+    calls at one `x` (the same object) on one ring, one after another, pass
+    `f` the same paravector, which `f` must not change.  A float coordinate
+    is read exactly, so the value is exact at the point x holds, and each
+    blade of the result is rounded once into the ring of x.  The jets carry
+    exactly the down-set of the operator's support (every multi-index below
+    some alpha of `op.terms`), which is all that `op` reads; that shape, one
+    cached `JetRing`, depends on the operator alone, never on `f`, and comes
+    with its coefficients from `op.blade_terms()`, found once per operator.
 
     The sum of c_alpha * d^alpha f is assembled from numerators: the
     coefficients are ints C_alpha / E over one denominator E and the blades
@@ -180,11 +187,11 @@ def oracle_apply(op: DiffOperator, f, x: Paravector) -> Multivector:
     if x.n != n:
         raise DimensionMismatch(f"operator in dimension {n}, point in {x.n}")
     jring, scale, groups = op.blade_terms()
-    seeded = Paravector(
-        jring,
-        jring.seed(0, x.x0),
-        tuple(jring.seed(i + 1, c) for i, c in enumerate(x.xu)),
-    )
+    ring, point, seeded = _SEEDED
+    if ring is not jring or point is not x:
+        seeded = Paravector(jring, jring.seed(0, x.x0),
+                            tuple(jring.seed(i + 1, c) for i, c in enumerate(x.xu)))
+        _SEEDED[:] = jring, x, seeded
     value = f(seeded)
     den = math.lcm(*(jet.den for jet in value.blades.values()))
     acc: dict = {}

@@ -13,7 +13,9 @@ oracle row or a flagged catalog entry names, against `axial.apply`, which
 shares no code with these forms.  The jet oracle runs them over jets only
 in `axial-link` (`suites.JET_SOURCES`).  It also decides the lemma rows,
 whose `_block` is built from coordinates in the plane of s and shares no
-helper with the printed side `_lemma_rhs` it is checked against.
+helper with the printed side `_lemma_rhs` it is checked against.  The rows
+at one point share one seeded point and one `_PlaneChain`, built with one
+jet reciprocal, and the D and D-bar rows of a block one block jet.
 
 The shared blocks, Q_{c,s}(x) in its plane form (see `pseudo_denominator`),
 its form-I twin with s and x exchanged, s - xbar and s - x0, are built in one
@@ -291,36 +293,80 @@ LEMMA_DIRAC = "dirac"
 LEMMA_DIRAC_CONJ = "dirac-conj"
 
 
-def _block(s, x, formula: int, m: int, k: int) -> Multivector:
-    """The block of a lemma row, the function its oracle differentiates.
+class _PlaneChain:
+    """What the blocks at one (s, x) read, each power built when first read.
 
     Built from coordinates in the plane of s, with no helper of the printed
     side: Q^-m (s - x0)^k is one pair (a, b), meaning a + b s_u.  With
     c = s0 - x0 and nu = |s_u|^2, Q = (c^2 - nu + |x_u|^2) + 2c s_u, its
-    inverse is (q0 - q1 s_u) / (q0^2 + nu q1^2), and pairs multiply as
-    (a, b)(a', b') = (aa' - nu bb', ab' + ba').  Formulas 1 and 4 then take
-    s - xbar = c + s_u + x_u on the left, their one Clifford product; the
-    written order of formula 4 is the same value, as its last two factors
-    commute.  Formulas 1 and 2 read k = 0.
+    inverse is (q0 - q1 s_u) / (q0^2 + nu q1^2), one reciprocal, and pairs
+    multiply as (a, b)(a', b') = (aa' - nu bb', ab' + ba').  The chain keeps
+    the powers of the Q^-1 and s - x0 pairs, s - xbar = c + s_u + x_u, and
+    the last block it finished, which the D row and the D-bar row of one
+    block both read.
+    """
+
+    __slots__ = ("key", "x", "su", "c", "nu", "q", "p", "smxbar", "last")
+
+    def __init__(self, s, x):
+        self.key = s, x  # compared with `is`; held, so neither id goes to another object
+        s = s.cast(x.ring)
+        s._check(x)
+        one, zero = x.ring.one(), x.ring.zero()
+        self.x, self.su, self.c, self.nu = x, s.xu, s.x0 - x.x0, s.vector_norm_sq()
+        self.q = [(one, zero)]  # q[j] is the pair of Q^-j, q[1] built when first read
+        self.p = [(one, zero), (self.c, one)]  # p[i] is the pair of (s - x0)^i
+        self.smxbar = Multivector(x.n, x.ring, {0: self.c} | {
+            1 << i: u + v for i, (u, v) in enumerate(zip(self.su, x.xu))})
+        self.last = None
+
+    def _mul(self, u: tuple, v: tuple) -> tuple:
+        (a, b), (a2, b2) = u, v
+        return a * a2 - self.nu * (b * b2), a * b2 + b * a2
+
+    def _power(self, powers: list, e: int) -> tuple:
+        while len(powers) <= e:
+            powers.append(self._mul(powers[-1], powers[1]))
+        return powers[e]
+
+    def block(self, formula: int, m: int, k: int) -> Multivector:
+        if self.last is not None and self.last[0] == (formula, m, k):
+            return self.last[1]
+        x, c, nu = self.x, self.c, self.nu
+        if m and len(self.q) == 1:
+            q0, q1 = (c * c - nu) + x.vector_norm_sq(), c + c
+            inv = x.ring.invert(q0 * q0 + nu * (q1 * q1))
+            self.q.append((q0 * inv, -(q1 * inv)))
+        if m and k:
+            a, b = self._mul(self._power(self.q, m), self._power(self.p, k))
+        else:
+            a, b = self._power(self.q, m) if m else self._power(self.p, k)
+        out = Multivector(x.n, x.ring, {0: a} | {1 << i: b * u for i, u in enumerate(self.su)})
+        if formula in (1, 4):
+            out = self.smxbar * out
+        self.last = (formula, m, k), out
+        return out
+
+
+_CHAIN: list = [None]  # the chain of the last (s, x) a block was built at
+
+
+def _block(s, x, formula: int, m: int, k: int) -> Multivector:
+    """The block of a lemma row, the function its oracle differentiates, at x
+    and at s cast to the ring of x, read from the `_PlaneChain` of (s, x):
+    calls at one s and x (the same objects) share it.  Formulas 1 and 4 take
+    s - xbar on the left, their one Clifford product; the written order of
+    formula 4 is the same value, as its last two factors commute.  Formulas 1
+    and 2 read k = 0.
     """
     if formula not in (1, 2, 3, 4):
         raise InvalidParams(f"unknown block formula {formula}")
-    s._check(x)
-    ring = x.ring
-    c, nu = s.x0 - x.x0, s.vector_norm_sq()
-    factors = [(c, ring.one())] * (k if formula in (3, 4) else 0)
-    if m:
-        q0, q1 = (c * c - nu) + x.vector_norm_sq(), c + c
-        inv = ring.invert(q0 * q0 + nu * (q1 * q1))
-        factors += [(q0 * inv, -(q1 * inv))] * m
-    a, b = factors.pop() if factors else (ring.one(), ring.zero())
-    for a2, b2 in factors:
-        a, b = a * a2 - nu * (b * b2), a * b2 + b * a2
-    pair = Multivector(x.n, ring, {0: a} | {1 << i: b * u for i, u in enumerate(s.xu)})
-    if formula in (2, 3):
-        return pair
-    smxbar = {0: c} | {1 << i: u + v for i, (u, v) in enumerate(zip(s.xu, x.xu))}
-    return Multivector(x.n, ring, smxbar) * pair
+    if m < 0 or k < 0:
+        raise InvalidParams("lemma blocks need m >= 0 and k >= 0")
+    chain = _CHAIN[0]
+    if chain is None or chain.key[0] is not s or chain.key[1] is not x:
+        chain = _CHAIN[0] = _PlaneChain(s, x)
+    return chain.block(formula, m, k if formula in (3, 4) else 0)
 
 
 # The printed sides, keyed by (lemma, formula).  Each term is its coefficient,
@@ -403,10 +449,12 @@ def lemma_rhs(s: Paravector, x: Paravector, lemma: str, formula: int, m: int,
 def lemma_block_lhs_rhs(s: Paravector, x: Paravector, lemma: str, formula: int, m: int,
                         k: int = 0) -> tuple[Multivector, Multivector]:
     """LHS by the jet oracle applied to `_block`, RHS by the printed closed
-    form `_lemma_rhs`; the two share no helper."""
+    form `_lemma_rhs`; the two share no helper.  Calls at one s and x (the
+    same objects), one after another, share their seeded point and plane
+    chain, and the D and D-bar rows of one block its jet."""
     rhs = _lemma_rhs(lemma, formula, s, x, m, k)
     op = named_operator(x.n, "d" if lemma == LEMMA_DIRAC else "dbar", 1, 0)
-    lhs = oracle_apply(op, kernel_closure(_block, s, formula=formula, m=m, k=k), x)
+    lhs = oracle_apply(op, functools.partial(_block, s, formula=formula, m=m, k=k), x)
     return lhs, rhs
 
 

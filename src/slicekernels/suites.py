@@ -20,7 +20,9 @@ The cases that share a point run as one group, serially or on a forked
 worker.  A group's oracle rows on one source read one `axial.Walk`, built at
 the highest order they reach, by the first of them to run, which pays for
 it in its `wall_time`; the walks are freed when the group ends.  Its
-quadrature rows share the kernel columns that `quadrature` keeps per point.
+quadrature rows share the kernel columns that `quadrature` keeps per point,
+and its rows one report record of the point.  The catalog's cases share one
+walk per (n, trial) point until the suite ends.
 """
 
 from __future__ import annotations
@@ -164,6 +166,12 @@ def _pair(config: SuiteConfig, n: int, trial: int) -> tuple:
                                ring=_ring(config))
 
 
+@lru_cache(maxsize=1)  # as `_pair`: the rows of a group share one record
+def _pair_record(config: SuiteConfig, n: int, trial: int) -> dict:
+    """The report record of the point that `_pair` draws, formatted once."""
+    return _point_record(*_pair(config, n, trial))
+
+
 def _ring(config: SuiteConfig):
     return RATIONALS if config.mode == "exact" else FLOATS
 
@@ -213,20 +221,37 @@ def _run_series(params, config: SuiteConfig) -> dict:
     }
 
 
+# The catalog's points by (n, trial): (s, x, walk), the walk on the left Cauchy
+# kernel at the highest order of the entries at n, paid for in its `wall_time`
+# by the first case that reads it. They are kept across the catalog's cases,
+# and `run_suite` frees them when the suite ends.
+_CATALOG_POINTS: dict = {}
+
+
+def _catalog_point(config: SuiteConfig, n: int, trial: int) -> tuple:
+    if (point := _CATALOG_POINTS.get((n, trial))) is None:
+        order = max(e.op[1] + 2 * e.op[2]
+                    for e in map(K.catalog_fixture, K.catalog_ids()) if e.n == n)
+        s, x = _pair(config, n, trial)
+        point = _CATALOG_POINTS[n, trial] = s, x, axial.Walk(("cauchy-left",), s, x, order)
+    return point
+
+
 def _run_catalog(params, config: SuiteConfig) -> dict:
     """One case per catalog entry; all trial points must agree on the verdict.
 
     The axial oracle applies the entry's operator to the left Cauchy kernel
-    at each point. A flagged entry, one with a `corrected_text`, passes when
-    its quoted form mismatches the oracle at every point while `K.closed_form`
-    of its operator matches everywhere; any other must match everywhere.
+    at each point, read from the point's walk (`_catalog_point`). A flagged
+    entry, one with a `corrected_text`, passes when its quoted form
+    mismatches the oracle at every point while `K.closed_form` of its
+    operator matches everywhere; any other must match everywhere.
     """
     entry = K.catalog_fixture(params["id"])
     flagged = bool(entry.corrected_text)
-    points = [_pair(config, entry.n, t) for t in range(params["trials"])]
+    points = [_catalog_point(config, entry.n, t) for t in range(params["trials"])]
     worst, printed, confirmed = 0.0, [], []
-    for s, x in points:
-        oracle = axial.apply(entry.op, ("cauchy-left",), s, x)
+    for s, x, walk in points:
+        oracle = walk.value(entry.op)
         residual, matches = _compare(entry.printed(s, x), oracle, config)
         printed.append(matches)
         if flagged:
@@ -238,7 +263,7 @@ def _run_catalog(params, config: SuiteConfig) -> dict:
     out = {
         "residual": worst,
         "pass": ok,
-        "point": _point_record(*points[0]),
+        "point": _point_record(*points[0][:2]),
         "expected_match": not flagged,
         "flagged": flagged,
     }
@@ -410,11 +435,13 @@ CHECKS = {
     ),
     "lemma": Check(
         key="n{n}-{lemma}-f{formula}-m{m}-k{k}-t{trial:03d}",
+        # lemma innermost: the D and D-bar rows of a block run back to back
+        # and read one block jet (`K.lemma_block_lhs_rhs`)
         grid=lambda c: [dict(n=n, lemma=lemma, formula=f, m=m, k=k)
                         for n in c.n_values
-                        for lemma in (K.LEMMA_DIRAC, K.LEMMA_DIRAC_CONJ)
                         for f in (1, 2, 3, 4) for m in (1, 2, 3, 4)
-                        for k in ((0, 1, 2, 3) if f in (3, 4) else (0,))],
+                        for k in ((0, 1, 2, 3) if f in (3, 4) else (0,))
+                        for lemma in (K.LEMMA_DIRAC, K.LEMMA_DIRAC_CONJ)],
         trials=True,
         pair=lambda p, s, x: K.lemma_block_lhs_rhs(
             s, x, p["lemma"], p["formula"], p["m"], p["k"]),
@@ -605,14 +632,15 @@ def _run_case(params, config: SuiteConfig) -> dict:
         residual = (got - exact).norm_float()
         return {"residual": residual, "pass": residual <= check.tol,
                 "point": {"x": format_paravector(x)}}
-    s, x = _pair(config, params["n"], params["trial"])
+    n, trial = params["n"], params["trial"]
+    s, x = _pair(config, n, trial)
     if check.oracle:  # the library's closed form against the axial oracle
         op, source = check.oracle(params)
         value, other = K.closed_form(op, source, s, x), _walk_value(op, source, s, x)
     else:
         value, other = check.pair(params, s, x)
     residual, ok = _compare(value, other, config)
-    return {"residual": residual, "pass": ok, "point": _point_record(s, x)}
+    return {"residual": residual, "pass": ok, "point": _pair_record(config, n, trial)}
 
 
 # The running group's shared work: the highest order beta + 2m that its rows
@@ -753,10 +781,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     # every worker is forked before the first case runs, so size it to the work
     cpus = _usable_cpus()
     jobs = min(config.jobs or cpus, cpus, len(groups))
-    if jobs > 1 and hasattr(os, "fork"):
-        results = _run_forked(groups, config, jobs)
-    else:
-        results = [r for g in groups for r in _execute_group(g, config)]
+    try:
+        if jobs > 1 and hasattr(os, "fork"):
+            results = _run_forked(groups, config, jobs)
+        else:
+            results = [r for g in groups for r in _execute_group(g, config)]
+    finally:
+        _CATALOG_POINTS.clear()
     results.sort(key=lambda r: r["key"])
     tables = {r["key"]: r.pop("table") for r in results if "table" in r}
     total = len(results)

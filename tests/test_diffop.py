@@ -230,6 +230,25 @@ def test_every_oracle_point_is_seeded_over_the_operator_ring():
     assert seen[0] is seen[1] is op.blade_terms()[0]
 
 
+def test_calls_at_one_point_and_ring_share_one_seeded_point():
+    # D and D-bar have one support, so one ring: calls at one x on it get one
+    # seeded paravector, and a call on another ring or at another x, even one
+    # equal to x, seeds its own
+    x, other = pv(1, 2, 0, 0), pv(1, 2, 0, 0)
+    seen = []
+
+    def f(y):
+        seen.append(y)
+        return y.to_multivector()
+
+    for op, at in ((("d", 1, 0), x), (("dbar", 1, 0), x), (("d", 0, 1), x),
+                   (("d", 1, 0), x), (("d", 1, 0), other), (("dbar", 1, 0), other)):
+        oracle_apply(named_operator(3, *op), f, at)
+    first = [next(i for i, z in enumerate(seen) if z is y) for y in seen]
+    assert first == [0, 0, 2, 3, 4, 4]
+    assert seen[2].ring is not seen[0].ring is seen[3].ring
+
+
 def _reference_apply(op, f, x):
     # sum of c_alpha * d^alpha f as Fraction Clifford products of the jet
     # derivatives, one term at a time

@@ -1,6 +1,11 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -19,6 +24,7 @@ from slicekernels.errors import InvalidParams, SingularKernel, ZeroNorm
 from slicekernels.rings import FLOATS, RATIONALS, Lanes, jet_ring
 
 R = RATIONALS
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def pv(*coords):
@@ -279,6 +285,39 @@ def test_block_is_the_written_product(n):
                     assert K._block(s, x, formula, m, k) == _written_block(s, x, formula, m, k)
     with pytest.raises(InvalidParams, match="unknown block formula 5"):
         K._block(s, x, 5, 1, 0)
+    with pytest.raises(InvalidParams, match="m >= 0 and k >= 0"):
+        K._block(s, x, 3, 1, -1)
+
+
+# Each row at a fresh copy of its point, so that no call meets a point the
+# last one seeded or built a chain at: the values without any sharing.
+_UNSHARED_ROWS = """
+import pickle, sys
+from slicekernels import kernels as K
+calls = pickle.load(sys.stdin.buffer)
+out = [K.lemma_block_lhs_rhs(*pickle.loads(point), *row) for point, row in calls]
+sys.stdout.buffer.write(pickle.dumps(out))
+"""
+
+
+def test_lemma_rows_at_alternating_points_give_the_unshared_values():
+    rng = Random(67)
+    a, b = K.sample_point_pair(5, rng), K.sample_point_pair(5, rng)
+    a_copy = pickle.loads(pickle.dumps(a))  # equal to a, distinct objects
+    assert a_copy == a and a_copy[0] is not a[0] and a_copy[1] is not a[1]
+    mixed = (b[0], a[1])  # the x of a, seeded once, at another s
+    assert not same_sphere(*mixed)
+    rows = [(lemma, formula, m, k) for m, k in ((1, 0), (2, 3)) for formula in (1, 3, 4)
+            for lemma in (K.LEMMA_DIRAC, K.LEMMA_DIRAC_CONJ)]
+    calls = ([(a, row) for row in rows] + [(b, row) for row in rows]
+             + [(point, row) for row in rows for point in (a_copy, b, a, mixed)]
+             + [(point, row) for row in rows for point in (a, a_copy)])
+    got = [K.lemma_block_lhs_rhs(*point, *row) for point, row in calls]
+    proc = subprocess.run([sys.executable, "-c", _UNSHARED_ROWS], capture_output=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+                          input=pickle.dumps([(pickle.dumps(p), row) for p, row in calls]))
+    assert got == pickle.loads(proc.stdout)
+    assert all(lhs == rhs for lhs, rhs in got)
 
 
 def test_lemma_oracle_shares_no_helper_with_the_printed_side(monkeypatch):

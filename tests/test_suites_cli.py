@@ -167,6 +167,52 @@ def test_theorem_rows_at_one_point_share_one_walk(monkeypatch):
     assert not suites._WALKS and not suites._ORDERS  # freed when the group ends
 
 
+def test_catalog_points_share_one_walk(monkeypatch):
+    # catalog at n=3,5, trials 10: 9 entries read 20 points, one walk each on
+    # the left Cauchy kernel, not one per entry and point (90)
+    walks = _count_calls(monkeypatch, axial.Walk)
+    report = run_suite(small("catalog", n_values=(3, 5), trials=10))
+    assert report.passed and len(report.cases) == 9
+    assert walks[0] == 20
+    assert not suites._CATALOG_POINTS  # freed when the suite ends
+
+
+def test_lemma_rows_at_one_point_share_their_jets(monkeypatch):
+    # lemmas at n=3,5,7, trials 1: 80 rows at each of 3 points.  D and D-bar
+    # share one jet ring, so each point is seeded once (n + 1 seeds), takes
+    # one reciprocal, and the D and D-bar rows of a block read one block jet
+    from slicekernels import kernels as K
+
+    suites._pair.cache_clear()  # fresh points, so no memo holds one already
+    counts = {"seed": 0, "reciprocal": 0}
+    for name in counts:
+        method = getattr(JetRing, name)
+
+        def counted(self, *args, name=name, method=method):
+            counts[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(JetRing, name, counted)
+    blocks = []
+    oracle_apply = K.oracle_apply
+
+    def recorded(op, f, x):
+        return oracle_apply(op, lambda y: blocks.append(f(y)) or blocks[-1], x)
+    monkeypatch.setattr(K, "oracle_apply", recorded)
+    report = run_suite(small("lemmas", n_values=(3, 5, 7), trials=1))
+    assert report.passed and len(report.cases) == len(blocks) == 240
+    assert counts == {"seed": 4 + 6 + 8, "reciprocal": 3}
+    assert len({id(b) for b in blocks}) == 3 * 40  # `blocks` holds them: no id is reused
+
+
+def test_rows_at_one_point_share_one_point_record():
+    for suite in ("lemmas", "theorem-dbar"):
+        records = {}
+        for case in run_suite(small(suite, n_values=(3, 5), trials=2)).cases:
+            records.setdefault((case["params"]["n"], case["params"]["trial"]),
+                               set()).add(id(case["point"]))
+        assert len(records) == 4 and all(len(ids) == 1 for ids in records.values()), suite
+
+
 def test_theorem_d_and_theorem_dbar_check_the_same_points():
     # a point is drawn from (seed, n, trial, sampler), not from the suite or
     # the row, so every row at one (n, trial) of either suite has one point
